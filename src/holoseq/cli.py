@@ -1,28 +1,18 @@
 """Command-line front end.
 
 Subcommands: plan, run, bench, landscape, verify.  Exit codes: 0 success,
-2 configuration error, 3 infeasible plan, 4 solver failure.  numpy is imported
-lazily so a --threads cap can be applied through the BLAS environment first.
+2 configuration error, 3 infeasible plan, 4 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
-
-
-def _apply_threads(threads):
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", help="YAML run configuration")
-    common.add_argument("--threads", type=int, help="cap BLAS thread count")
     common.add_argument("--seed", type=int, help="override the task seed")
     common.add_argument(
         "--max-step", type=float, help="transport step bound in micrometers"
@@ -217,7 +206,6 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_threads(getattr(args, "threads", None))
     handlers = {
         "plan": _cmd_plan,
         "run": _cmd_run,

@@ -9,7 +9,7 @@ unit suffix ("17 um", "820 nm", "4 mm").  Top-level keys:
               over_relaxation_last_iters, seed
     refresh:  tau, samples_per_refresh, order
     run:      solvers, output_dir, max_step, cost, tie_break,
-              over_relax_tail_fraction, warmup_frames, threads
+              over_relax_tail_fraction, warmup_frames
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class RunOptions:
     tie_break: str = "lex"
     over_relax_tail_fraction: float = 1.0
     warmup_frames: int = 3
-    threads: int | None = None
 
     def __post_init__(self):
         for s in self.solvers:
@@ -180,7 +179,6 @@ def config_to_dict(config: RunConfig) -> dict:
             "tie_break": config.run.tie_break,
             "over_relax_tail_fraction": config.run.over_relax_tail_fraction,
             "warmup_frames": config.run.warmup_frames,
-            "threads": config.run.threads,
         },
     }
 
@@ -222,7 +220,6 @@ def config_from_dict(raw: dict) -> RunConfig:
             tie_break=str(run_raw.get("tie_break", "lex")),
             over_relax_tail_fraction=float(run_raw.get("over_relax_tail_fraction", 1.0)),
             warmup_frames=int(run_raw.get("warmup_frames", 3)),
-            threads=(int(run_raw["threads"]) if run_raw.get("threads") is not None else None),
         )
         task = _task_from_dict(raw["task"]) if "task" in raw else minimal_3x3_task()
     except ConfigError:

@@ -204,7 +204,8 @@ def compute_report(
     frame_intensities and dphi_vectors/ratio_samples must be indexed per trap
     along their last axis so layer grouping can slice them.
     """
-    report = MetricsReport(
+    layered = trap_z is not None and len(set(np.asarray(trap_z, dtype=float).tolist())) > 1
+    return MetricsReport(
         frame_uniformity=tuple(uniformity(i) for i in frame_intensities),
         dphi=aggregate(dphi_vectors),
         transition=(
@@ -213,23 +214,14 @@ def compute_report(
         ),
         displacement_mean=displacement_mean,
         displacement_max=displacement_max,
-    )
-    if trap_z is not None:
-        zs = sorted(set(np.asarray(trap_z, dtype=float).tolist()))
-        if len(zs) > 1:
-            layers = layer_split(
+        layer_reports=(
+            layer_split(
                 frame_intensities, dphi_vectors, ratio_samples, trap_z,
                 displacement_mean, displacement_max, thresholds,
             )
-            report = MetricsReport(
-                frame_uniformity=report.frame_uniformity,
-                dphi=report.dphi,
-                transition=report.transition,
-                displacement_mean=displacement_mean,
-                displacement_max=displacement_max,
-                layer_reports=layers,
-            )
-    return report
+            if layered else {}
+        ),
+    )
 
 
 def layer_split(

@@ -196,21 +196,18 @@ def forward(prop: SeparablePropagator, mask: PhaseMask) -> TrapField:
     return forward_field(prop, np.exp(1j * mask.phases))
 
 
-def adjoint_phase(prop: SeparablePropagator, b: np.ndarray, return_diagnostics: bool = False):
+def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[PhaseMask, int]:
     """Phase of the back-propagated pixel field ``U^H diag(b) V^*``.
 
-    Pixels with an exactly zero back-propagated field get phase 0; their count
-    is available via return_diagnostics.  The caller supplies the per-trap
+    Returns the mask and the count of pixels whose back-propagated field is
+    exactly zero; those pixels get phase 0.  The caller supplies the per-trap
     source vector b (the solver uses conj(c) * w * s * E_tar).
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (prop.trap_count,):
         raise ValueError(f"b must have length {prop.trap_count}")
     pixel = (np.conj(prop.kernel_x) * b[:, None]).T @ np.conj(prop.kernel_y)
-    mask = PhaseMask(np.angle(pixel))
-    if return_diagnostics:
-        return mask, int(np.count_nonzero(pixel == 0))
-    return mask
+    return PhaseMask(np.angle(pixel)), int(np.count_nonzero(pixel == 0))
 
 
 def build_dense(config: OpticalConfig, layout: TrapLayout) -> DensePropagator:

@@ -69,10 +69,11 @@ class FrameSequence:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """A finished run: frames, refresh samples per interval, metrics, settings."""
+    """A finished run: frames, per-interval refresh samples and dphi, metrics, settings."""
 
     sequence: FrameSequence
     samples: tuple[tuple[TransientSample, ...], ...]
+    dphi: tuple[np.ndarray, ...]
     metrics: MetricsReport
     plan: TransportPlan
     settings: SolverSettings
@@ -158,11 +159,15 @@ def run_sequence(
             samples.append(tuple(sample_refresh(prop, frames[l - 1].mask, result.mask, refresh)))
         prev = result
 
-    metrics = _run_metrics(plan, frames, samples)
+    dphi = tuple(
+        phase_diff(frames[l].field.phase, frames[l + 1].field.phase)
+        for l in range(len(frames) - 1)
+    )
     return RunRecord(
         sequence=FrameSequence(frames=tuple(frames), solver_kind=solver_kind),
         samples=tuple(samples),
-        metrics=metrics,
+        dphi=dphi,
+        metrics=_run_metrics(plan, frames, samples, dphi),
         plan=plan,
         settings=settings,
         refresh=refresh,
@@ -170,11 +175,7 @@ def run_sequence(
     )
 
 
-def _run_metrics(plan, frames, samples) -> MetricsReport:
-    dphi = [
-        phase_diff(frames[l].field.phase, frames[l + 1].field.phase)
-        for l in range(len(frames) - 1)
-    ]
+def _run_metrics(plan, frames, samples, dphi) -> MetricsReport:
     if not dphi:
         dphi = [np.zeros(plan.trap_count)]
     ratios = [s.ratio for interval in samples for s in interval]

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import MetricsReport, phase_diff
+# phase_diff stays bound here for perfbench/tracing.py, which rebinds it on this module
+from .metrics import MetricsReport, phase_diff  # noqa: F401
 from .planner import TransportPlan
 from .propagation import PhaseMask, TWO_PI
 
@@ -226,11 +227,7 @@ def save_run_record(outdir, record, config_text: str | None = None) -> Path:
         write_mask(masks / f"frame_{l:04d}.u8", frame.mask, quantized=True)
     ids = record.plan.trap_ids
     write_fields_csv(out / "fields.csv", frames, ids)
-    dphi = [
-        phase_diff(frames[l].field.phase, frames[l + 1].field.phase)
-        for l in range(len(frames) - 1)
-    ]
-    write_transients_csv(out / "transients.csv", record.samples, ids, dphi)
+    write_transients_csv(out / "transients.csv", record.samples, ids, record.dphi)
     write_timing_csv(out / "timing.csv", record.sequence.solve_times)
     write_objective_csv(out / "objectives.csv", frames)
     write_metrics_json(out / "metrics.json", record.metrics)

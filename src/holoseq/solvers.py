@@ -1,17 +1,20 @@
 """Iterative phase-only hologram solvers.
 
-Two alternating solvers share one loop structure (forward propagation, weight
-update, scale update, pixel-phase update):
+Both solvers run one alternating loop (forward propagation, weight update,
+scale update, pixel-phase update) and differ only in its rules, selected by
+whether the target phases are pinned:
 
-* ``wpgs_solve`` matches a full complex target field: per-trap weights
-  equalize amplitudes toward trap-dependent targets, a complex global scale
-  absorbs the overall amplitude/phase offset, and the pixel phases are the
-  argument of the back-propagated weighted target.  Feeding each frame's
-  realized trap phases in as the next frame's target phases keeps consecutive
-  holograms phase-continuous.
+* ``wpgs_solve`` pins them: the target is a full complex field, per-trap
+  weights equalize amplitudes toward trap-dependent targets |E_tar,n|, and a
+  fitted complex global scale absorbs the overall amplitude/phase offset.
+  Feeding each frame's realized trap phases in as the next frame's target
+  phases keeps consecutive holograms phase-continuous.
 * ``wgs_solve`` is the amplitude-only baseline: the target phase is replaced
   every iteration by the currently realized trap phases, the scale is pinned
   to 1, and the weight rule uses the mean target amplitude.
+
+The scale, objective and back-propagation formulas each have one body, used
+by the loop and by the public step functions alike.
 """
 
 from __future__ import annotations
@@ -158,23 +161,34 @@ def over_relax(w_prev: np.ndarray, w_tilde_prev: np.ndarray, w_tilde_new: np.nda
     return w_tilde_prev + beta * (w_tilde_new - w_prev)
 
 
+def _scale(e_tar: np.ndarray, weighted: np.ndarray) -> complex:
+    return complex(np.vdot(e_tar, weighted) / np.vdot(e_tar, e_tar).real)
+
+
+def _objective(weighted: np.ndarray, s: complex, e_tar: np.ndarray) -> float:
+    resid = weighted - s * e_tar
+    return float(np.vdot(resid, resid).real)
+
+
+def _phase_step(prop: SeparablePropagator, weights: np.ndarray, s: complex,
+                e_tar: np.ndarray) -> tuple[PhaseMask, int]:
+    return adjoint_phase(prop, np.conj(prop.axial_phase) * (weights * (s * e_tar)))
+
+
 def scale_update(field: TrapField, weights: np.ndarray, target: TargetSpec) -> complex:
     """Least-squares global scale: s = E_tar^H (w * E) / ||E_tar||^2."""
-    e_tar = target.field
-    return complex(np.vdot(e_tar, weights * field.amplitudes) / np.vdot(e_tar, e_tar).real)
+    return _scale(target.field, weights * field.amplitudes)
 
 
 def objective(field: TrapField, weights: np.ndarray, s: complex, target: TargetSpec) -> float:
     """Weighted complex-field matching residual ||w*E - s*E_tar||^2."""
-    resid = weights * field.amplitudes - s * target.field
-    return float(np.vdot(resid, resid).real)
+    return _objective(weights * field.amplitudes, s, target.field)
 
 
 def phase_step(prop: SeparablePropagator, weights: np.ndarray, s: complex,
                target: TargetSpec) -> PhaseMask:
     """Pixel phases from back-propagating the weighted, scaled target field."""
-    b = np.conj(prop.axial_phase) * (weights * (s * target.field))
-    return adjoint_phase(prop, b)
+    return _phase_step(prop, weights, s, target.field)[0]
 
 
 def random_mask(config, seed: int) -> PhaseMask:
@@ -190,51 +204,48 @@ def _relax_active(k: int, total: int, settings: SolverSettings) -> bool:
     )
 
 
-def wpgs_solve(
+def _solve(
     prop: SeparablePropagator,
-    target: TargetSpec,
+    target_amp: np.ndarray,
+    pinned_field: np.ndarray | None,
     settings: SolverSettings,
-    init_mask: PhaseMask | None = None,
-    init_weights: np.ndarray | None = None,
+    init_mask: PhaseMask | None,
+    init_weights: np.ndarray | None,
 ) -> SolveResult:
-    """Phase-constrained alternating solve (settings.iterations iterations).
+    """The loop behind both solvers; pinned_field None selects the WGS rules.
 
-    Per iteration: forward-propagate, update and normalize weights (optionally
-    over-relaxed on the final iterations), refit the complex scale, record the
-    matching objective, back-propagate the weighted target and extract pixel
-    phases.  One extra forward pass after the loop realizes the returned
-    mask's field so that result.field always corresponds to result.mask.
+    target_amp is |E_tar,n| under the WPGS rules and sqrt(I_n) under the WGS
+    rules.  One extra forward pass after the loop realizes the returned mask's
+    field so that result.field always corresponds to result.mask.
     """
-    n = prop.trap_count
-    if len(target) != n:
-        raise ValueError(f"target length {len(target)} != trap count {n}")
+    n = len(target_amp)
+    pinned = pinned_field is not None
     phi = init_mask if init_mask is not None else random_mask(prop.config, settings.seed)
     w = np.ones(n) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
     if (w <= 0).any():
         raise ValueError("initial weights must be positive")
     w_tilde_prev = w.copy()
-    e_tar = target.field
-    tar_abs = np.abs(e_tar)
-    norm2 = np.vdot(e_tar, e_tar).real
+    weight_target = target_amp if pinned else np.full(n, target_amp.mean())
 
-    total = settings.iterations
+    total = settings.iterations if pinned else settings.wgs_iterations
     objectives = []
     s = 1.0 + 0.0j
     zero_pixels = 0
     for k in range(1, total + 1):
         e = forward(prop, phi).amplitudes
-        w_hat = _weight_update(w, np.abs(e), tar_abs, iteration=k)
+        e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
+        w_hat = _weight_update(w, np.abs(e), weight_target, iteration=k)
         if _relax_active(k, total, settings):
             w_new = over_relax(w, w_tilde_prev, w_hat, settings.over_relaxation)
         else:
             w_new = w_hat
         w_tilde_prev = w_hat
         w = w_new
-        s = complex(np.vdot(e_tar, w * e) / norm2)
-        resid = w * e - s * e_tar
-        objectives.append(float(np.vdot(resid, resid).real))
-        b = np.conj(prop.axial_phase) * (w * (s * e_tar))
-        phi, nz = adjoint_phase(prop, b, return_diagnostics=True)
+        weighted = w * e
+        if pinned:
+            s = _scale(e_tar, weighted)
+        objectives.append(_objective(weighted, s, e_tar))
+        phi, nz = _phase_step(prop, w, s, e_tar)
         zero_pixels += nz
 
     return SolveResult(
@@ -243,9 +254,28 @@ def wpgs_solve(
         field=forward(prop, phi),
         objective=tuple(objectives),
         scale=s,
-        solver="wpgs",
+        solver="wpgs" if pinned else "wgs",
         adjoint_zero_pixels=zero_pixels,
     )
+
+
+def wpgs_solve(
+    prop: SeparablePropagator,
+    target: TargetSpec,
+    settings: SolverSettings,
+    init_mask: PhaseMask | None = None,
+    init_weights: np.ndarray | None = None,
+) -> SolveResult:
+    """Phase-constrained solve (settings.iterations iterations).
+
+    The target field, trap phases included, stays fixed; the complex scale is
+    refit every iteration and each trap's weight targets its own |E_tar,n|.
+    """
+    n = prop.trap_count
+    if len(target) != n:
+        raise ValueError(f"target length {len(target)} != trap count {n}")
+    e_tar = target.field
+    return _solve(prop, np.abs(e_tar), e_tar, settings, init_mask, init_weights)
 
 
 def wgs_solve(
@@ -268,39 +298,4 @@ def wgs_solve(
         raise ValueError(f"target intensity must have length {n}")
     if not (inten > 0).all():
         raise ValueError("target intensities must be > 0")
-    phi = init_mask if init_mask is not None else random_mask(prop.config, settings.seed)
-    w = np.ones(n) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
-    if (w <= 0).any():
-        raise ValueError("initial weights must be positive")
-    w_tilde_prev = w.copy()
-    tar_amp = np.sqrt(inten)
-    amp_bar = np.full(n, tar_amp.mean())
-
-    total = settings.wgs_iterations
-    objectives = []
-    zero_pixels = 0
-    for k in range(1, total + 1):
-        e = forward(prop, phi).amplitudes
-        e_tar = tar_amp * np.exp(1j * np.angle(e))
-        w_hat = _weight_update(w, np.abs(e), amp_bar, iteration=k)
-        if _relax_active(k, total, settings):
-            w_new = over_relax(w, w_tilde_prev, w_hat, settings.over_relaxation)
-        else:
-            w_new = w_hat
-        w_tilde_prev = w_hat
-        w = w_new
-        resid = w * e - e_tar
-        objectives.append(float(np.vdot(resid, resid).real))
-        b = np.conj(prop.axial_phase) * (w * e_tar)
-        phi, nz = adjoint_phase(prop, b, return_diagnostics=True)
-        zero_pixels += nz
-
-    return SolveResult(
-        mask=phi,
-        weights=w,
-        field=forward(prop, phi),
-        objective=tuple(objectives),
-        scale=1.0 + 0.0j,
-        solver="wgs",
-        adjoint_zero_pixels=zero_pixels,
-    )
+    return _solve(prop, np.sqrt(inten), None, settings, init_mask, init_weights)

@@ -150,6 +150,14 @@ def transient_leading(field_l: TrapField, field_l1: TrapField, a: float) -> Trap
     return TrapField(a * field_l.amplitudes + (1.0 - a) * field_l1.amplitudes)
 
 
+def _alphas(a: float, mean_sq_excursion: float) -> tuple[float, float]:
+    """Second-order endpoint renormalizations (alpha_l, alpha_l1)."""
+    return (
+        1.0 + (1.0 - a * a) * mean_sq_excursion / 6.0,
+        1.0 + a * (2.0 - a) * mean_sq_excursion / 6.0,
+    )
+
+
 def transient_second(
     field_l: TrapField, field_l1: TrapField, a: float, mean_sq_excursion: float
 ) -> TrapField:
@@ -159,8 +167,7 @@ def transient_second(
     """
     if mean_sq_excursion < 0:
         raise ValueError("mean squared excursion must be >= 0")
-    alpha_l = 1.0 + (1.0 - a * a) * mean_sq_excursion / 6.0
-    alpha_l1 = 1.0 + a * (2.0 - a) * mean_sq_excursion / 6.0
+    alpha_l, alpha_l1 = _alphas(a, mean_sq_excursion)
     return TrapField(
         a * alpha_l * field_l.amplitudes + (1.0 - a) * alpha_l1 * field_l1.amplitudes
     )
@@ -204,8 +211,7 @@ def transient_intensity_expansion(i_l, i_l1, dphi, a, mean_sq_excursion: float =
     i_l1 = np.asarray(i_l1, dtype=float)
     if (i_l < 0).any() or (i_l1 < 0).any():
         raise ValueError("intensities must be >= 0")
-    alpha_l = 1.0 + (1.0 - a * a) * mean_sq_excursion / 6.0
-    alpha_l1 = 1.0 + a * (2.0 - a) * mean_sq_excursion / 6.0
+    alpha_l, alpha_l1 = _alphas(a, mean_sq_excursion)
     value = (
         (a * alpha_l) ** 2 * i_l
         + ((1.0 - a) * alpha_l1) ** 2 * i_l1

@@ -130,6 +130,18 @@ class TestCli:
         text = capsys.readouterr().out
         assert "nu_min" in text and "dphi_std" in text
 
+    def test_run_is_deterministic(self, tiny_config_file, tmp_path):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 0
+        names = ["fields.csv", "transients.csv", "objectives.csv", "metrics.json"]
+        masks = sorted(p.name for p in (runs[0] / "wpgs" / "masks").iterdir())
+        assert len(masks) == 6  # float and 8-bit mask per frame, three frames
+        names += [f"masks/{m}" for m in masks]
+        for name in names:
+            first, second = (d / "wpgs" / name for d in runs)
+            assert first.read_bytes() == second.read_bytes(), name
+
     def test_infeasible_plan_exit_code(self, tmp_path):
         doc = {
             "task": {

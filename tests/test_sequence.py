@@ -118,7 +118,10 @@ class TestBench:
 
     def test_time_scales_with_iterations(self, small_config, fast_settings):
         # per-frame solve time is dominated by the iteration loop, so doubling
-        # the budget roughly doubles the time (generous 30 percent slack)
+        # the budget roughly doubles the time (generous 30 percent slack); the
+        # host's speed can swing by 2x within a second, so the ratio is taken
+        # within each of nine back-to-back pairs, run in alternating order,
+        # and the median kept
         spec = custom_task(
             source_points=[(-10e-6, 0, 0), (10e-6, 0, 0)],
             target_points=[(-10e-6, 0, 0), (10e-6, 2.0e-6, 0)],
@@ -126,8 +129,12 @@ class TestBench:
         plan = plan_task(spec, max_step=0.25e-6)
         base = SolverSettings(iterations=3, wgs_iterations=20, seed=0)
         double = SolverSettings(iterations=3, wgs_iterations=40, seed=0)
-        rows = bench(
-            small_config, plan, [("wgs", base), ("wgs", double)], warmup_frames=2
-        )
-        ratio = rows[1].median_ms / rows[0].median_ms
+        entries = [("wgs", base), ("wgs", double)]
+        ratios = []
+        for _ in range(9):
+            rows = bench(small_config, plan, entries, warmup_frames=2)
+            ms = {r.iterations: r.median_ms for r in rows}
+            ratios.append(ms[40] / ms[20])
+            entries.reverse()
+        ratio = np.median(ratios)
         assert ratio == pytest.approx(2.0, rel=0.3)

@@ -22,6 +22,36 @@ def uniform_target(n, phase=0.0):
     return TargetSpec(np.ones(n), np.full(n, phase))
 
 
+# fixed-seed traces of the 3x3 lattice on the 64x64 grid (see TestPinnedTraces),
+# recorded before wpgs_solve and wgs_solve shared one loop
+PINNED_INTENSITY = np.array([1.0, 1.2, 0.8, 1.0, 1.5, 0.7, 1.1, 0.9, 1.3])
+WGS_OBJECTIVE = [
+    153.44932962330964, 48054.67591608013, 29131.862002227906,
+    23193.51552383767, 246446.4113854086, 140210.5220499331,
+    129280.33440926831, 134311.4054005328, 136807.77327160054,
+    139075.49412445517, 140408.00391174265, 141764.54193375673,
+    142107.6853704846, 141823.73421281693, 141291.3225423819,
+    140788.15945491393, 140441.7547729632, 140261.49425033818,
+    140197.9341115838, 140198.23290789494, 140225.93278330093,
+    140257.45421457093, 140282.23515989666, 140298.24512564862,
+    140307.36042225413, 140311.9577187359,
+]
+WGS_WEIGHTS = [
+    1.0093200158559357, 0.9536027313895967, 1.1284029042392578,
+    1.04850871214504, 0.6584769286664797, 1.247237091974479,
+    0.9638435263341806, 1.1039420404117426, 0.8866660489832863,
+]
+WPGS_OBJECTIVE = [
+    3875.757451437824, 1059.5186116001375, 845.3325068060664,
+    947.2758736661489, 1034.8191867410287,
+]
+WPGS_WEIGHTS = [
+    1.0325914206186757, 1.0481729684423393, 0.9490515627813636,
+    1.1061538453933075, 0.8862808526422078, 0.8979837427502941,
+    1.0633768045266934, 0.9471577539502791, 1.0692310488948384,
+]
+
+
 class TestTargetSpec:
     def test_field(self):
         t = TargetSpec(np.array([4.0]), np.array([np.pi / 2]))
@@ -238,3 +268,28 @@ class TestWgsSolve:
         prop = build_separable(small_config, grid_3x3)
         with pytest.raises(ValueError):
             wgs_solve(prop, np.ones(4), SolverSettings())
+
+
+class TestPinnedTraces:
+    """Both rule sets reproduce their recorded objective traces and weights."""
+
+    @pytest.fixture(scope="class")
+    def solves(self, small_config, grid_3x3):
+        prop = build_separable(small_config, grid_3x3)
+        settings = SolverSettings(seed=0)
+        warm = wgs_solve(prop, PINNED_INTENSITY, settings)
+        target = TargetSpec(PINNED_INTENSITY, warm.field.phase)
+        res = wpgs_solve(prop, target, settings, init_mask=warm.mask, init_weights=warm.weights)
+        return warm, res
+
+    def test_wgs(self, solves):
+        warm, _ = solves
+        np.testing.assert_allclose(warm.objective, WGS_OBJECTIVE, rtol=1e-9)
+        np.testing.assert_allclose(warm.weights, WGS_WEIGHTS, rtol=1e-9)
+        assert warm.solver == "wgs" and warm.scale == 1.0 + 0j
+
+    def test_wpgs(self, solves):
+        _, res = solves
+        np.testing.assert_allclose(res.objective, WPGS_OBJECTIVE, rtol=1e-9)
+        np.testing.assert_allclose(res.weights, WPGS_WEIGHTS, rtol=1e-9)
+        assert res.solver == "wpgs"
