@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     from dataclasses import replace
 
-    from .config import ConfigError, default_config, load_config
+    from .config import default_config, load_config
 
     try:
         cfg = load_config(args.config) if args.config else default_config()
@@ -82,10 +82,7 @@ def _load(args):
         if solver_overrides:
             cfg = replace(cfg, solver=replace(cfg.solver, **solver_overrides))
         return cfg
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, or a dataclass rejecting an override
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 

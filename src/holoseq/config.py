@@ -1,21 +1,19 @@
 """Run configuration: YAML schema, unit handling, round-trip serialization.
 
 Lengths in files are meters by default; string values may carry an explicit
-unit suffix ("17 um", "820 nm", "4 mm").  Top-level keys:
-
-    optical:  wavelength, focal_length, grid_x, grid_y, pixel_pitch
-    task:     kind, seed, and kind-specific geometry (see _task_to_dict)
-    solver:   iterations, wgs_iterations, over_relaxation,
-              over_relaxation_last_iters, seed
-    refresh:  tau, samples_per_refresh, order
-    run:      solvers, output_dir, max_step, cost, tie_break,
-              over_relax_tail_fraction, warmup_frames
+unit suffix ("17 um", "820 nm", "4 mm").  The top level holds the sections
+optical, task, solver, refresh and run.  Each section's table below lists its
+keys with their converters; a task's source_layers/target_layers entries use
+the lattice table.  A key outside its table, at any level, is a ConfigError.
+A missing key takes its default from the section's dataclass (optical: from
+RunConfig()).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import yaml
 
@@ -32,6 +30,7 @@ __all__ = [
     "save_config",
     "config_from_dict",
     "config_to_dict",
+    "config_to_yaml",
     "default_config",
 ]
 
@@ -90,158 +89,147 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _lattice_to_dict(spec: LatticeSpec) -> dict:
-    return {
-        "dims": list(spec.dims),
-        "spacing": spec.spacing,
-        "center": list(spec.center),
-        "z": spec.z,
-        "filling": spec.filling,
-    }
+def _int(value) -> int:
+    """An integer, refusing to round (grid_x: 64.5 is an error, not 64)."""
+    if int(value) != value:
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _lattice_from_dict(raw: dict) -> LatticeSpec:
-    try:
-        return LatticeSpec(
-            dims=tuple(int(v) for v in raw["dims"]),
-            spacing=parse_length(raw["spacing"]),
-            center=tuple(parse_length(v) for v in raw.get("center", (0.0, 0.0))),
-            z=parse_length(raw.get("z", 0.0)),
-            filling=float(raw.get("filling", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lattice spec {raw!r}: {exc}") from exc
+def _tuple(convert):
+    return lambda values: tuple(convert(v) for v in values)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _section(name: str, table: dict, make):
+    """Converter for one mapping: only table keys, each converted, then make(**values)."""
+
+    def convert(raw):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{name} must be a mapping, not {type(raw).__name__}")
+        unknown = sorted(set(raw) - set(table), key=str)
+        if unknown:
+            raise ConfigError(f"unknown {name} keys {unknown}")
+        try:
+            return make(**{key: table[key](value) for key, value in raw.items()})
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name}: {exc}") from exc
+
+    return convert
+
+
+# Each table lists its keys in the dataclass's field order (the task table puts
+# seed second), which is the order config_to_dict writes them in.
+_LATTICE = {
+    "dims": _tuple(_int),
+    "spacing": parse_length,
+    "center": _tuple(parse_length),
+    "z": parse_length,
+    "filling": float,
+}
+_layers = _tuple(_section("lattice", _LATTICE, LatticeSpec))
+_points = _tuple(_tuple(parse_length))
+_TASK = {
+    "kind": str,
+    "seed": _int,
+    "source_layers": _layers,
+    "target_layers": _layers,
+    "layer_intensity": _tuple(float),
+    "custom_source": _points,
+    "custom_target": _points,
+    "custom_intensity": _tuple(float),
+    "displacement": parse_length,
+    "max_step": _optional(parse_length),
+}
+_OPTICAL = {
+    "wavelength": parse_length,
+    "focal_length": parse_length,
+    "grid_x": _int,
+    "grid_y": _int,
+    "pixel_pitch": parse_length,
+}
+_SOLVER = {
+    "iterations": _int,
+    "wgs_iterations": _int,
+    "over_relaxation": float,
+    "over_relaxation_last_iters": _int,
+    "seed": _int,
+}
+_REFRESH = {"samples_per_refresh": _int, "order": str}
+_RUN = {
+    "solvers": _tuple(str),
+    "output_dir": str,
+    "max_step": _optional(parse_length),
+    "cost": str,
+    "tie_break": str,
+    "over_relax_tail_fraction": float,
+    "warmup_frames": _int,
+}
+_SECTIONS = {
+    "optical": (_OPTICAL, lambda **values: replace(RunConfig().optical, **values)),
+    "task": (_TASK, TaskSpec),
+    "solver": (_SOLVER, SolverSettings),
+    "refresh": (_REFRESH, RefreshModel),
+    "run": (_RUN, RunOptions),
+}
+_config = _section(
+    "config",
+    {name: _section(name, table, make) for name, (table, make) in _SECTIONS.items()},
+    RunConfig,
+)
+_TASK_DEFAULTS = {f.name: f.default for f in fields(TaskSpec)}
+
+
+def _plain(value):
+    """YAML-safe form of a config value: sequences become lists, lattices mappings."""
+    if isinstance(value, LatticeSpec):
+        return _dump(value, _LATTICE)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _dump(obj, table: dict) -> dict:
+    return {key: _plain(getattr(obj, key)) for key in table}
 
 
 def _task_to_dict(task: TaskSpec) -> dict:
-    out: dict = {"kind": task.kind, "seed": task.seed}
-    if task.source_layers:
-        out["source_layers"] = [_lattice_to_dict(s) for s in task.source_layers]
-    if task.target_layers:
-        out["target_layers"] = [_lattice_to_dict(s) for s in task.target_layers]
-    if task.layer_intensity:
-        out["layer_intensity"] = list(task.layer_intensity)
-    if task.custom_source:
-        out["custom_source"] = [list(p) for p in task.custom_source]
-    if task.custom_target:
-        out["custom_target"] = [list(p) for p in task.custom_target]
-    if task.custom_intensity:
-        out["custom_intensity"] = list(task.custom_intensity)
-    if task.displacement:
-        out["displacement"] = task.displacement
-    if task.max_step is not None:
-        out["max_step"] = task.max_step
-    return out
-
-
-def _task_from_dict(raw: dict) -> TaskSpec:
-    try:
-        return TaskSpec(
-            kind=raw["kind"],
-            source_layers=tuple(_lattice_from_dict(d) for d in raw.get("source_layers", ())),
-            target_layers=tuple(_lattice_from_dict(d) for d in raw.get("target_layers", ())),
-            layer_intensity=tuple(float(v) for v in raw.get("layer_intensity", ())),
-            custom_source=tuple(
-                tuple(parse_length(v) for v in p) for p in raw.get("custom_source", ())
-            ),
-            custom_target=tuple(
-                tuple(parse_length(v) for v in p) for p in raw.get("custom_target", ())
-            ),
-            custom_intensity=tuple(float(v) for v in raw.get("custom_intensity", ())),
-            displacement=parse_length(raw.get("displacement", 0.0)),
-            seed=int(raw.get("seed", 0)),
-            max_step=parse_length(raw["max_step"]) if "max_step" in raw else None,
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad task spec: {exc}") from exc
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    opt = config.optical
+    """kind, seed and every other field that differs from its TaskSpec default."""
     return {
-        "optical": {
-            "wavelength": opt.wavelength,
-            "focal_length": opt.focal_length,
-            "grid_x": opt.grid_x,
-            "grid_y": opt.grid_y,
-            "pixel_pitch": opt.pixel_pitch,
-        },
-        "task": _task_to_dict(config.task),
-        "solver": asdict(config.solver),
-        "refresh": asdict(config.refresh),
-        "run": {
-            "solvers": list(config.run.solvers),
-            "output_dir": config.run.output_dir,
-            "max_step": config.run.max_step,
-            "cost": config.run.cost,
-            "tie_break": config.run.tie_break,
-            "over_relax_tail_fraction": config.run.over_relax_tail_fraction,
-            "warmup_frames": config.run.warmup_frames,
-        },
+        key: value
+        for key, value in _dump(task, _TASK).items()
+        if key in ("kind", "seed") or getattr(task, key) != _TASK_DEFAULTS[key]
     }
 
 
+def config_to_dict(config: RunConfig) -> dict:
+    out = {name: _dump(getattr(config, name), table) for name, (table, _) in _SECTIONS.items()}
+    out["task"] = _task_to_dict(config.task)
+    return out
+
+
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    try:
-        opt_raw = raw.get("optical", {})
-        optical = OpticalConfig(
-            wavelength=parse_length(opt_raw.get("wavelength", 820e-9)),
-            focal_length=parse_length(opt_raw.get("focal_length", 4e-3)),
-            grid_x=int(opt_raw.get("grid_x", 256)),
-            grid_y=int(opt_raw.get("grid_y", 256)),
-            pixel_pitch=parse_length(opt_raw.get("pixel_pitch", 17e-6)),
-        )
-        solver_raw = dict(raw.get("solver", {}))
-        known = {f.name for f in fields(SolverSettings)}
-        unknown = set(solver_raw) - known
-        if unknown:
-            raise ConfigError(f"unknown solver keys {sorted(unknown)}")
-        solver = SolverSettings(**solver_raw)
-        refresh_raw = dict(raw.get("refresh", {}))
-        refresh = RefreshModel(
-            tau=float(refresh_raw.get("tau", 1e-3)),
-            samples_per_refresh=int(refresh_raw.get("samples_per_refresh", 21)),
-            order=str(refresh_raw.get("order", "leading")),
-        )
-        run_raw = dict(raw.get("run", {}))
-        run = RunOptions(
-            solvers=tuple(run_raw.get("solvers", ("wpgs", "wgs"))),
-            output_dir=str(run_raw.get("output_dir", "out")),
-            max_step=(
-                parse_length(run_raw["max_step"])
-                if run_raw.get("max_step") is not None
-                else None
-            ),
-            cost=str(run_raw.get("cost", "squared")),
-            tie_break=str(run_raw.get("tie_break", "lex")),
-            over_relax_tail_fraction=float(run_raw.get("over_relax_tail_fraction", 1.0)),
-            warmup_frames=int(run_raw.get("warmup_frames", 3)),
-        )
-        task = _task_from_dict(raw["task"]) if "task" in raw else minimal_3x3_task()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(optical=optical, task=task, solver=solver, refresh=refresh, run=run)
+    """RunConfig from a parsed YAML document; any malformed input is a ConfigError."""
+    return _config(raw)
 
 
 def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_dict(raw or {})
-
-
-def save_config(path, config: RunConfig) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=False)
+    return config_from_dict({} if raw is None else raw)
 
 
 def config_to_yaml(config: RunConfig) -> str:
     return yaml.safe_dump(config_to_dict(config), sort_keys=False)
+
+
+def save_config(path, config: RunConfig) -> None:
+    Path(path).write_text(config_to_yaml(config))

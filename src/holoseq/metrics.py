@@ -238,18 +238,12 @@ def layer_split(
     out: dict[float, MetricsReport] = {}
     for zv in sorted(set(z.tolist())):
         idx = np.flatnonzero(z == zv)
-        if idx.size == 0:
-            raise ValueError(f"unknown layer {zv}")
-        out[zv] = MetricsReport(
-            frame_uniformity=tuple(uniformity(np.asarray(i)[idx]) for i in frame_intensities),
-            dphi=aggregate([np.asarray(v)[idx] for v in dphi_vectors]),
-            transition=(
-                transition_distribution(
-                    [np.asarray(r)[..., idx] for r in ratio_samples], thresholds=thresholds
-                )
-                if len(ratio_samples) else None
-            ),
-            displacement_mean=displacement_mean,
-            displacement_max=displacement_max,
+        out[zv] = compute_report(
+            [np.asarray(i)[idx] for i in frame_intensities],
+            [np.asarray(v)[idx] for v in dphi_vectors],
+            [np.asarray(r)[..., idx] for r in ratio_samples],
+            displacement_mean,
+            displacement_max,
+            thresholds=thresholds,
         )
     return out

@@ -50,6 +50,7 @@ __all__ = [
 MASK_MAGIC = b"HSPM"
 MASK_VERSION = 1
 _HEADER = struct.Struct("<4sBBHII")
+_MASK_DTYPES = {0: np.dtype("<f8"), 1: np.dtype(np.uint8)}  # by header dtype code
 
 
 def quantize_mask(mask: PhaseMask) -> np.ndarray:
@@ -69,22 +70,28 @@ def write_mask(path, mask: PhaseMask, quantized: bool = False) -> None:
 
 
 def read_mask(path) -> PhaseMask:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, dtype_code, _, gx, gy = _HEADER.unpack(header)
-        if magic != MASK_MAGIC:
-            raise ValueError(f"{path}: not a phase-mask file")
-        if version != MASK_VERSION:
-            raise ValueError(f"{path}: unsupported mask version {version}")
-        raw = fh.read()
-    if dtype_code == 0:
-        data = np.frombuffer(raw, dtype="<f8", count=gx * gy).reshape(gx, gy)
-    elif dtype_code == 1:
-        data = np.frombuffer(raw, dtype=np.uint8, count=gx * gy).reshape(gx, gy)
-        data = data.astype(float) / 256.0 * TWO_PI
-    else:
+    raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
+    magic, version, dtype_code, reserved, gx, gy = _HEADER.unpack_from(raw)
+    if magic != MASK_MAGIC:
+        raise ValueError(f"{path}: not a phase-mask file")
+    if version != MASK_VERSION:
+        raise ValueError(f"{path}: unsupported mask version {version}")
+    if reserved:
+        raise ValueError(f"{path}: reserved header bytes are {reserved:#06x}, not zero")
+    if dtype_code not in _MASK_DTYPES:
         raise ValueError(f"{path}: unknown dtype code {dtype_code}")
-    return PhaseMask(np.array(data))
+    dtype = _MASK_DTYPES[dtype_code]
+    payload = len(raw) - _HEADER.size
+    if payload != gx * gy * dtype.itemsize:
+        raise ValueError(
+            f"{path}: payload is {payload} bytes, a {gx}x{gy} mask needs {gx * gy * dtype.itemsize}"
+        )
+    data = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(gx, gy)
+    if dtype_code == 1:
+        data = data.astype(float) / 256.0 * TWO_PI
+    return PhaseMask(data)
 
 
 def write_fields_csv(path, frames, ids) -> None:

@@ -3,8 +3,8 @@
 While the liquid crystal relaxes, each pixel's phase follows
 ``phi_j(t) = a(t)*phi_j_old + (1-a(t))*phi_j_new`` with
 ``a(t) = exp(-(t-t0)/tau)`` decaying from 1 toward 0.  All quantities here are
-parameterized by the interpolation factor ``a`` directly, so tau only sets the
-wall-clock mapping and never enters any ratio.
+parameterized by the interpolation factor ``a`` directly; tau would only map
+``a`` to wall-clock time, which no model or artifact uses.
 
 Field models, from exact to cheapest:
 
@@ -69,13 +69,10 @@ class RefreshModel:
     worst-case interference point a = 1/2.
     """
 
-    tau: float = 1e-3
     samples_per_refresh: int = 21
     order: str = "leading"
 
     def __post_init__(self):
-        if not (self.tau > 0):
-            raise ValueError("tau must be > 0")
         if self.samples_per_refresh < 2:
             raise ValueError("samples_per_refresh must be >= 2")
         if self.order not in TRANSIENT_ORDERS:
@@ -225,21 +222,15 @@ def sample_refresh(
     mask_l: PhaseMask,
     mask_l1: PhaseMask,
     model: RefreshModel,
-    i0: np.ndarray | None = None,
 ) -> list[TransientSample]:
     """Sample one refresh interval at the model's a grid.
 
-    Fields are probed at prop's trap positions.  i0 defaults to the
-    start-of-interval intensity at those probes (the intensity mask_l
+    Fields are probed at prop's trap positions.  Ratios are taken against the
+    start-of-interval intensity I0 at those probes (the intensity mask_l
     realizes there), making the a=1 sample's ratio exactly 1.
     """
     field_l = forward(prop, mask_l)
-    if i0 is None:
-        i0 = field_l.intensity
-    else:
-        i0 = np.asarray(i0, dtype=float)
-        if (i0 <= 0).any():
-            raise ValueError("i0 must be > 0 per trap")
+    i0 = field_l.intensity
 
     samples = []
     if model.order == "exact":

@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from holoseq.config import (
     RunOptions,
     config_from_dict,
     config_to_dict,
+    config_to_yaml,
     load_config,
     parse_length,
     save_config,
 )
-from holoseq.geometry import offset_bilayer_task, reconfig_2d_task
+from holoseq.geometry import TaskSpec, offset_bilayer_task, reconfig_2d_task
 from holoseq.solvers import SolverSettings
 from holoseq.transient import RefreshModel
 
@@ -79,10 +82,68 @@ run: {max_step: 0.1 um}
             config_from_dict({"solver": {"bogus_key": 1}})
         with pytest.raises(ConfigError):
             config_from_dict({"run": {"solvers": ["gs"]}})
+        with pytest.raises(ConfigError, match="integer"):
+            config_from_dict({"optical": {"grid_x": 64.5}})
         path = tmp_path / "bad.yaml"
         path.write_text("task: {kind: nope}")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_yaml_stable_with_every_task_field(self):
+        doc = {
+            "task": {
+                "kind": "custom",
+                "seed": 5,
+                "source_layers": [{"dims": [2, 2], "spacing": "5 um", "z": "-1 um"}],
+                "target_layers": [{"dims": [1, 2], "spacing": "4 um", "center": [1e-6, 0.0]}],
+                "layer_intensity": [1.5],
+                "custom_source": [[0.0, 0.0, 0.0], ["1 um", 0.0, 0.0]],
+                "custom_target": [[0.0, "2 um", 0.0], [1e-6, 1e-6, 0.0]],
+                "custom_intensity": [1.0, 2.0],
+                "displacement": "2 um",
+                "max_step": "0.2 um",
+            }
+        }
+        text = config_to_yaml(config_from_dict(doc))
+        assert set(yaml.safe_load(text)["task"]) == {f.name for f in fields(TaskSpec)}
+        assert config_to_yaml(config_from_dict(yaml.safe_load(text))) == text
+
+
+_STRICT_BASE = {
+    "optical": {"grid_x": 64, "grid_y": 64},
+    "task": {
+        "kind": "reconfig_2d",
+        "source_layers": [{"dims": [2, 2], "spacing": "5 um"}],
+        "target_layers": [{"dims": [1, 1], "spacing": "5 um"}],
+    },
+    "solver": {"iterations": 2},
+    "refresh": {"samples_per_refresh": 3},
+    "run": {"warmup_frames": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ((), "optcal"),
+        (("optical",), "gridx"),
+        (("task",), "sed"),
+        (("task", "source_layers", 0), "fill"),
+        (("solver",), "iteration"),
+        (("refresh",), "tau"),
+        (("run",), "threads"),
+    ],
+    ids=["top", "optical", "task", "lattice", "solver", "refresh", "run"],
+)
+def test_unknown_key_rejected(section, key):
+    doc = copy.deepcopy(_STRICT_BASE)
+    config_from_dict(doc)
+    node = doc
+    for step in section:
+        node = node[step]
+    node[key] = 1
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(doc)
 
 
 @pytest.fixture()
@@ -157,6 +218,12 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("task: {kind: nope}")
+        assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
+        assert main(["plan", "-c", str(tmp_path / "missing.yaml")]) == 2
+
+    def test_unknown_key_exit_code(self, tmp_path):
+        path = tmp_path / "threads.yaml"
+        path.write_text("run: {threads: 2}")
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
 
     def test_bench_command(self, tiny_config_file, tmp_path, capsys):

@@ -1,12 +1,16 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holoseq.geometry import custom_task
 from holoseq.planner import plan_task
-from holoseq.propagation import PhaseMask
+from holoseq.propagation import TWO_PI, PhaseMask
 from holoseq.sequence import bench, run_sequence
 from holoseq.serial import (
     quantize_mask,
@@ -56,6 +60,42 @@ class TestMaskFiles:
         path = tmp_path / "bad.mask"
         path.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(ValueError, match="not a phase-mask"):
+            read_mask(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        phases=arrays(
+            float,
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            elements=st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+        ),
+        quantized=st.booleans(),
+    )
+    def test_round_trip_fuzz(self, tmp_path, phases, quantized):
+        mask = PhaseMask(phases)
+        path = tmp_path / ("m.u8" if quantized else "m.mask")
+        write_mask(path, mask, quantized=quantized)
+        back = read_mask(path)
+        expected = quantize_mask(mask) / 256.0 * TWO_PI if quantized else mask.canonical()
+        np.testing.assert_array_equal(back.phases, expected)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:10],  # shorter than the 16-byte header
+            lambda raw: raw[:6] + b"\x01\x00" + raw[8:],  # nonzero reserved bytes
+            lambda raw: raw + b"\x00",  # trailing payload byte
+            lambda raw: raw[:-1],  # truncated payload
+        ],
+        ids=["short-header", "reserved", "trailing", "truncated"],
+    )
+    @pytest.mark.parametrize("quantized", [False, True], ids=["f8", "u8"])
+    def test_corrupt_file_rejected(self, tmp_path, rng, corrupt, quantized):
+        path = tmp_path / "m.mask"
+        write_mask(path, PhaseMask(rng.uniform(0, 2 * np.pi, (3, 4))), quantized=quantized)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             read_mask(path)
 
 

@@ -30,8 +30,6 @@ def random_masks(rng, shape=(64, 64)):
 class TestRefreshModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RefreshModel(tau=0.0)
-        with pytest.raises(ValueError):
             RefreshModel(samples_per_refresh=1)
         with pytest.raises(ValueError):
             RefreshModel(order="cubic")
@@ -241,11 +239,3 @@ class TestSampleRefresh:
                 np.testing.assert_allclose(
                     by_order[order][idx].ratio, by_order["exact"][idx].ratio, rtol=1e-10
                 )
-
-    def test_explicit_i0(self, prop, rng):
-        m0, m1 = random_masks(rng)
-        i0 = forward(prop, m0).intensity * 2.0
-        samples = sample_refresh(prop, m0, m1, RefreshModel(samples_per_refresh=3), i0=i0)
-        np.testing.assert_allclose(samples[0].ratio, 0.5, rtol=1e-12)
-        with pytest.raises(ValueError):
-            sample_refresh(prop, m0, m1, RefreshModel(), i0=np.zeros(9))
