@@ -43,7 +43,7 @@ from .propagation import (
     forward_dense,
     wrap_phase,
 )
-from .sequence import FrameSequence, RunRecord, bench, run_sequence
+from .sequence import RunRecord, bench, run_sequence
 from .solvers import (
     DarkTrapError,
     SolveResult,
@@ -56,7 +56,6 @@ from .solvers import (
 )
 from .transient import (
     RefreshModel,
-    TransientSample,
     intensity_model,
     pixel_interpolate,
     sample_refresh,

@@ -141,7 +141,7 @@ def _cmd_run(args) -> int:
             return EXIT_SOLVER
         dest = save_run_record(outdir / kind, record, config_text=config_to_yaml(cfg))
         m = record.metrics
-        times = record.sequence.solve_times * 1e3
+        times = record.solve_times * 1e3
         line = (
             f"{kind}: nu_min {min(m.frame_uniformity):.4f}"
             f"  dphi_std {m.dphi.std:.4f}"

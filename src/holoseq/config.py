@@ -18,6 +18,7 @@ from pathlib import Path
 import yaml
 
 from .geometry import LatticeSpec, OpticalConfig, TaskSpec, minimal_3x3_task, paper_optical_config
+from .planner import COST_KINDS, TIE_BREAKS
 from .solvers import SolverSettings
 from .transient import RefreshModel
 
@@ -70,6 +71,10 @@ class RunOptions:
         for s in self.solvers:
             if s not in ("wgs", "wpgs"):
                 raise ConfigError(f"unknown solver {s!r}")
+        if self.cost not in COST_KINDS:
+            raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
+        if self.tie_break not in TIE_BREAKS:
+            raise ConfigError(f"tie_break must be one of {TIE_BREAKS}, not {self.tie_break!r}")
         if not (0.0 <= self.over_relax_tail_fraction <= 1.0):
             raise ConfigError("over_relax_tail_fraction must lie in [0, 1]")
         if self.warmup_frames < 0:
@@ -94,6 +99,13 @@ def _int(value) -> int:
     if int(value) != value:
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _str(value) -> str:
+    """A string, refusing other types (a YAML null is an error, not 'None')."""
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}")
+    return value
 
 
 def _tuple(convert):
@@ -135,7 +147,7 @@ _LATTICE = {
 _layers = _tuple(_section("lattice", _LATTICE, LatticeSpec))
 _points = _tuple(_tuple(parse_length))
 _TASK = {
-    "kind": str,
+    "kind": _str,
     "seed": _int,
     "source_layers": _layers,
     "target_layers": _layers,
@@ -160,13 +172,13 @@ _SOLVER = {
     "over_relaxation_last_iters": _int,
     "seed": _int,
 }
-_REFRESH = {"samples_per_refresh": _int, "order": str}
+_REFRESH = {"samples_per_refresh": _int, "order": _str}
 _RUN = {
-    "solvers": _tuple(str),
-    "output_dir": str,
+    "solvers": _tuple(_str),
+    "output_dir": _str,
     "max_step": _optional(parse_length),
-    "cost": str,
-    "tie_break": str,
+    "cost": _str,
+    "tie_break": _str,
     "over_relax_tail_fraction": float,
     "warmup_frames": _int,
 }

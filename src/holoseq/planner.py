@@ -2,10 +2,10 @@
 
 Assignment is a minimum-cost bipartite matching of occupied source traps onto
 target sites (every target filled, surplus sources left unmatched), solved via
-scipy's linear_sum_assignment.  An exhaustive matcher over all injections
-serves as the optimality oracle for small instances.  Matched pairs move along
-straight segments discretized into equal sub-steps so no trap ever moves more
-than the configured maximum per frame.
+scipy's linear_sum_assignment.  An exhaustive matcher (a dynamic program over
+target subsets) serves as the optimality oracle for small instances.  Matched
+pairs move along straight segments discretized into equal sub-steps so no trap
+ever moves more than the configured maximum per frame.
 
 The default matching cost is squared Euclidean distance: plain-distance
 matchings admit rare very long edges (measured 5-6x the squared-cost maximum
@@ -17,7 +17,6 @@ matching cost.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ __all__ = [
 
 COST_KINDS = ("squared", "euclidean")
 DEFAULT_COST = "squared"
+TIE_BREAKS = ("lex", "solver")
 BRUTE_FORCE_MAX_TARGETS = 8
 
 # relative slack when deciding whether a candidate pair is co-optimal
@@ -138,8 +138,8 @@ def assign(
     tie_break="solver" keeps the raw (still deterministic) solver matching,
     the right choice for 1000-trap full-scale instances.
     """
-    if tie_break not in ("lex", "solver"):
-        raise ValueError("tie_break must be 'lex' or 'solver'")
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     if len(sources) < len(targets):
         raise InfeasibleAssignmentError(
             f"{len(targets)} targets but only {len(sources)} sources"
@@ -164,28 +164,45 @@ def assign(
 def brute_force_assign(
     sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST
 ) -> Assignment:
-    """Exhaustive minimum over all source injections; test oracle only."""
-    n_tgt = len(targets)
+    """Exhaustive minimum over all source injections; test oracle only.
+
+    An exact dynamic program over target subsets, O(S*T*2^T): after source i,
+    best[m] is the least cost of filling exactly the target set m with
+    sources 0..i, each used at most once.  It searches the same space as
+    enumerating every injection, without relying on the LSA solver it checks.
+    """
+    n_src, n_tgt = len(sources), len(targets)
     if n_tgt > BRUTE_FORCE_MAX_TARGETS:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_TARGETS} targets")
-    if len(sources) < n_tgt:
-        raise InfeasibleAssignmentError(
-            f"{n_tgt} targets but only {len(sources)} sources"
-        )
+    if n_src < n_tgt:
+        raise InfeasibleAssignmentError(f"{n_tgt} targets but only {n_src} sources")
     c = _cost_matrix(sources, targets, cost)
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(len(sources)), n_tgt):
-        t = c[list(perm), range(n_tgt)].sum()
-        if best is None or t < best:
-            best = t
-            best_perm = perm
-    pairs = tuple((sources.sites[s], targets.sites[t]) for t, s in enumerate(best_perm))
-    matched = set(best_perm)
+    masks = np.arange(1 << n_tgt)
+    best = np.full(masks.size, np.inf)
+    best[0] = 0.0
+    # choice[i, m]: target source i fills on the way to m, or -1 if it is unused
+    choice = np.full((n_src, masks.size), -1)
+    for i in range(n_src):
+        prev = best.copy()
+        for t in range(n_tgt):
+            free = masks[(masks >> t) & 1 == 0]
+            cand = prev[free] + c[i, t]
+            better = cand < best[free | (1 << t)]
+            filled = free[better] | (1 << t)
+            best[filled] = cand[better]
+            choice[i, filled] = t
+    source_of = [0] * n_tgt
+    m = masks[-1]
+    for i in range(n_src - 1, -1, -1):
+        t = choice[i, m]
+        if t >= 0:
+            source_of[t] = i
+            m ^= 1 << t
+    pairs = tuple((sources.sites[s], targets.sites[t]) for t, s in enumerate(source_of))
+    matched = set(source_of)
     unmatched = tuple(s for i, s in enumerate(sources.sites) if i not in matched)
-    return Assignment(
-        pairs=pairs, unmatched_sources=unmatched, total_cost=float(best), cost=cost
-    )
+    total = float(c[source_of, range(n_tgt)].sum())
+    return Assignment(pairs=pairs, unmatched_sources=unmatched, total_cost=total, cost=cost)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ iteration budget doubles as the warm-up for the phase-constrained solver).
 Every later frame warm-starts from the previous frame's mask and weights; the
 phase-constrained solver additionally takes the previous frame's realized trap
 phases as its target phases, which is what couples consecutive holograms.
-After each solve the refresh interval to the previous mask is sampled at the
-new frame's trap positions.  Per-frame wall time covers propagator build plus
-the solve only (transient sampling and metric assembly are excluded).
+After each solve the refresh interval from the previous mask is sampled at
+the new frame's trap positions, from the two fields that solve computed (its
+starting field and its result).  A RunRecord holds one (samples, traps) I/I0
+array per interval (``record.ratios``) and the per-frame wall times
+(``record.solve_times``), which cover propagator build plus the solve only
+(transient sampling and metric assembly are excluded).
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from .metrics import MetricsReport, compute_report, phase_diff
 from .planner import TransportPlan
 from .propagation import PhaseMask, TrapField, build_separable
 from .solvers import SolveResult, SolverSettings, wgs_solve, wpgs_solve
-from .transient import RefreshModel, TransientSample, sample_refresh
+from .transient import RefreshModel, sample_refresh
 
 __all__ = [
     "SOLVER_KINDS",
     "FrameRecord",
-    "FrameSequence",
     "RunRecord",
     "BenchRow",
     "run_sequence",
@@ -51,38 +53,20 @@ class FrameRecord:
 
 
 @dataclass(frozen=True)
-class FrameSequence:
-    frames: tuple[FrameRecord, ...]
-    solver_kind: str
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def masks(self) -> list[PhaseMask]:
-        return [f.mask for f in self.frames]
-
-    @property
-    def solve_times(self) -> np.ndarray:
-        return np.array([f.solve_time for f in self.frames])
-
-
-@dataclass(frozen=True)
 class RunRecord:
-    """A finished run: frames, per-interval refresh samples and dphi, metrics, settings."""
+    """A finished run: frames, per-interval I/I0 arrays and dphi, metrics, plan."""
 
-    sequence: FrameSequence
-    samples: tuple[tuple[TransientSample, ...], ...]
+    frames: tuple[FrameRecord, ...]
+    ratios: tuple[np.ndarray, ...]
     dphi: tuple[np.ndarray, ...]
     metrics: MetricsReport
     plan: TransportPlan
-    settings: SolverSettings
     refresh: RefreshModel
     solver_kind: str
 
     @property
-    def seed(self) -> int:
-        return self.settings.seed
+    def solve_times(self) -> np.ndarray:
+        return np.array([f.solve_time for f in self.frames])
 
 
 def _solve_frame(
@@ -131,7 +115,7 @@ def run_sequence(
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
     frames: list[FrameRecord] = []
-    samples: list[tuple[TransientSample, ...]] = []
+    ratios: list[np.ndarray] = []
     prev: SolveResult | None = None
     total = plan.frames
     for l in range(total + 1):
@@ -156,7 +140,9 @@ def run_sequence(
             )
         )
         if l > 0:
-            samples.append(tuple(sample_refresh(prop, frames[l - 1].mask, result.mask, refresh)))
+            ratios.append(sample_refresh(
+                prop, prev.mask, result.mask, result.init_field, result.field, refresh
+            ))
         prev = result
 
     dphi = tuple(
@@ -164,21 +150,19 @@ def run_sequence(
         for l in range(len(frames) - 1)
     )
     return RunRecord(
-        sequence=FrameSequence(frames=tuple(frames), solver_kind=solver_kind),
-        samples=tuple(samples),
+        frames=tuple(frames),
+        ratios=tuple(ratios),
         dphi=dphi,
-        metrics=_run_metrics(plan, frames, samples, dphi),
+        metrics=_run_metrics(plan, frames, ratios, dphi),
         plan=plan,
-        settings=settings,
         refresh=refresh,
         solver_kind=solver_kind,
     )
 
 
-def _run_metrics(plan, frames, samples, dphi) -> MetricsReport:
+def _run_metrics(plan, frames, ratios, dphi) -> MetricsReport:
     if not dphi:
         dphi = [np.zeros(plan.trap_count)]
-    ratios = [s.ratio for interval in samples for s in interval]
     mean_d, max_d = plan.displacement_stats()
     return compute_report(
         frame_intensities=[f.field.intensity for f in frames],
@@ -219,9 +203,9 @@ def bench(
     rows: list[BenchRow] = []
     for solver_kind, settings in entries:
         record = run_sequence(config, plan, solver_kind, settings, refresh)
-        times = record.sequence.solve_times[warmup_frames:] * 1e3
+        times = record.solve_times[warmup_frames:] * 1e3
         if times.size == 0:
-            times = record.sequence.solve_times * 1e3
+            times = record.solve_times * 1e3
         iters = settings.iterations if solver_kind == "wpgs" else settings.wgs_iterations
         rows.append(
             BenchRow(

@@ -35,12 +35,10 @@ __all__ = [
     "read_mask",
     "quantize_mask",
     "write_fields_csv",
-    "write_field_json",
     "write_transients_csv",
     "write_timing_csv",
     "write_objective_csv",
     "write_metrics_json",
-    "write_histogram_csv",
     "write_plan_json",
     "read_plan_json",
     "write_bench_csv",
@@ -107,35 +105,21 @@ def write_fields_csv(path, frames, ids) -> None:
                 w.writerow([l, tid, repr(amp.real), repr(amp.imag), repr(i_n), repr(p_n)])
 
 
-def write_field_json(path, field, ids) -> None:
-    """TrapField as a JSON list of {id, re, im, intensity, phase} records."""
-    rows = [
-        {
-            "id": tid,
-            "re": float(a.real),
-            "im": float(a.imag),
-            "intensity": float(i),
-            "phase": float(p),
-        }
-        for tid, a, i, p in zip(ids, field.amplitudes, field.intensity, field.phase)
-    ]
-    Path(path).write_text(json.dumps(rows, indent=1))
-
-
-def write_transients_csv(path, sample_intervals, ids, dphi_vectors) -> None:
+def write_transients_csv(path, ratios, a_values, ids, dphi_vectors) -> None:
     """Schema: frame,trap_id,a,I_over_I0,dphi.
 
-    `frame` is the index of the refresh interval's starting frame; dphi is the
-    per-trap wrapped phase change across that interval.
+    `frame` is the index of the refresh interval's starting frame; ratios holds
+    one (samples, traps) I/I0 array per interval, its rows at a_values; dphi is
+    the per-trap wrapped phase change across that interval.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frame", "trap_id", "a", "I_over_I0", "dphi"])
-        for l, interval in enumerate(sample_intervals):
+        for l, interval in enumerate(ratios):
             dphi = dphi_vectors[l]
-            for sample in interval:
-                for tid, ratio, d in zip(ids, sample.ratio, dphi):
-                    w.writerow([l, tid, repr(sample.a), repr(float(ratio)), repr(float(d))])
+            for a, row in zip(a_values, interval):
+                for tid, ratio, d in zip(ids, row, dphi):
+                    w.writerow([l, tid, repr(float(a)), repr(float(ratio)), repr(float(d))])
 
 
 def write_timing_csv(path, solve_times) -> None:
@@ -159,15 +143,6 @@ def write_objective_csv(path, frames) -> None:
 
 def write_metrics_json(path, report: MetricsReport) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=1))
-
-
-def write_histogram_csv(path, histogram) -> None:
-    """Schema: bin_left,bin_right,percent."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_left", "bin_right", "percent"])
-        for left, right, pct in histogram.to_rows():
-            w.writerow([repr(left), repr(right), repr(pct)])
 
 
 def write_plan_json(path, plan: TransportPlan) -> None:
@@ -228,14 +203,16 @@ def save_run_record(outdir, record, config_text: str | None = None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     masks = out / "masks"
     masks.mkdir(exist_ok=True)
-    frames = record.sequence.frames
+    frames = record.frames
     for l, frame in enumerate(frames):
         write_mask(masks / f"frame_{l:04d}.mask", frame.mask)
         write_mask(masks / f"frame_{l:04d}.u8", frame.mask, quantized=True)
     ids = record.plan.trap_ids
     write_fields_csv(out / "fields.csv", frames, ids)
-    write_transients_csv(out / "transients.csv", record.samples, ids, record.dphi)
-    write_timing_csv(out / "timing.csv", record.sequence.solve_times)
+    write_transients_csv(
+        out / "transients.csv", record.ratios, record.refresh.a_grid(), ids, record.dphi
+    )
+    write_timing_csv(out / "timing.csv", record.solve_times)
     write_objective_csv(out / "objectives.csv", frames)
     write_metrics_json(out / "metrics.json", record.metrics)
     write_plan_json(out / "plan.json", record.plan)

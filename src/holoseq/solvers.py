@@ -110,9 +110,12 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A finished solve; init_field is the field the init mask gives at these traps."""
+
     mask: PhaseMask
     weights: np.ndarray
     field: TrapField
+    init_field: TrapField
     objective: tuple[float, ...]
     scale: complex
     solver: str = ""
@@ -215,8 +218,9 @@ def _solve(
     """The loop behind both solvers; pinned_field None selects the WGS rules.
 
     target_amp is |E_tar,n| under the WPGS rules and sqrt(I_n) under the WGS
-    rules.  One extra forward pass after the loop realizes the returned mask's
-    field so that result.field always corresponds to result.mask.
+    rules.  The mask is forward-propagated once before the loop and once after
+    each phase step, so result.field corresponds to result.mask and
+    result.init_field to the initial mask.
     """
     n = len(target_amp)
     pinned = pinned_field is not None
@@ -231,8 +235,9 @@ def _solve(
     objectives = []
     s = 1.0 + 0.0j
     zero_pixels = 0
+    realized = init_field = forward(prop, phi)
     for k in range(1, total + 1):
-        e = forward(prop, phi).amplitudes
+        e = realized.amplitudes
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
         w_hat = _weight_update(w, np.abs(e), weight_target, iteration=k)
         if _relax_active(k, total, settings):
@@ -247,11 +252,13 @@ def _solve(
         objectives.append(_objective(weighted, s, e_tar))
         phi, nz = _phase_step(prop, w, s, e_tar)
         zero_pixels += nz
+        realized = forward(prop, phi)
 
     return SolveResult(
         mask=phi,
         weights=w,
-        field=forward(prop, phi),
+        field=realized,
+        init_field=init_field,
         objective=tuple(objectives),
         scale=s,
         solver="wpgs" if pinned else "wgs",

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import (
+# forward stays bound here for perfbench/tracing.py, which rebinds it on this module
+from .propagation import (  # noqa: F401
     PhaseMask,
     SeparablePropagator,
     TrapField,
@@ -38,7 +39,6 @@ from .propagation import (
 
 __all__ = [
     "RefreshModel",
-    "TransientSample",
     "pixel_interpolate",
     "transient_exact",
     "transient_leading",
@@ -81,23 +81,6 @@ class RefreshModel:
     def a_grid(self) -> np.ndarray:
         """Interpolation factors in time order (1 -> 0)."""
         return np.linspace(1.0, 0.0, self.samples_per_refresh)
-
-
-@dataclass(frozen=True)
-class TransientSample:
-    """One sampled instant of a refresh: factor a, field, per-trap I/I0."""
-
-    a: float
-    field: TrapField
-    ratio: np.ndarray
-
-    def __post_init__(self):
-        ratio = np.asarray(self.ratio, dtype=float)
-        if (ratio < 0).any():
-            raise ValueError("intensity ratios must be >= 0")
-        ratio = ratio.copy()
-        ratio.setflags(write=False)
-        object.__setattr__(self, "ratio", ratio)
 
 
 def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseMask:
@@ -221,30 +204,23 @@ def sample_refresh(
     prop: SeparablePropagator,
     mask_l: PhaseMask,
     mask_l1: PhaseMask,
+    field_l: TrapField,
+    field_l1: TrapField,
     model: RefreshModel,
-) -> list[TransientSample]:
-    """Sample one refresh interval at the model's a grid.
+) -> np.ndarray:
+    """I/I0 over one refresh interval, shape (samples, traps), rows in a_grid order.
 
-    Fields are probed at prop's trap positions.  Ratios are taken against the
-    start-of-interval intensity I0 at those probes (the intensity mask_l
-    realizes there), making the a=1 sample's ratio exactly 1.
+    field_l and field_l1 are the fields mask_l and mask_l1 give at prop's trap
+    positions (the new frame's SolveResult.init_field and .field).  Ratios are
+    taken against the start-of-interval intensity I0 = |field_l|^2, which makes
+    the a=1 row 1.
     """
-    field_l = forward(prop, mask_l)
     i0 = field_l.intensity
-
-    samples = []
     if model.order == "exact":
-        for a in model.a_grid():
-            f = transient_exact(prop, mask_l, mask_l1, a)
-            samples.append(TransientSample(a=float(a), field=f, ratio=f.intensity / i0))
-        return samples
-
-    field_l1 = forward(prop, mask_l1)
-    msq = mean_sq_excursion(mask_l, mask_l1) if model.order == "second" else 0.0
-    for a in model.a_grid():
-        if model.order == "second":
-            f = transient_second(field_l, field_l1, a, msq)
-        else:
-            f = transient_leading(field_l, field_l1, a)
-        samples.append(TransientSample(a=float(a), field=f, ratio=f.intensity / i0))
-    return samples
+        fields = [transient_exact(prop, mask_l, mask_l1, a) for a in model.a_grid()]
+    elif model.order == "second":
+        msq = mean_sq_excursion(mask_l, mask_l1)
+        fields = [transient_second(field_l, field_l1, a, msq) for a in model.a_grid()]
+    else:
+        fields = [transient_leading(field_l, field_l1, a) for a in model.a_grid()]
+    return np.array([f.intensity / i0 for f in fields])

@@ -241,9 +241,7 @@ def test_criterion_6_scaled_2d(runs_2d):
     m_wgs = records["wgs"].metrics
     nu_min = min(m_wpgs.frame_uniformity)
     ratio = m_wgs.dphi.std / m_wpgs.dphi.std
-    wgs_ratios = np.concatenate(
-        [s.ratio for interval in records["wgs"].samples for s in interval]
-    )
+    wgs_ratios = np.concatenate([r.ravel() for r in records["wgs"].ratios])
     below = float(np.mean(wgs_ratios < m_wpgs.transition.minimum))
     ok = (
         nu_min >= 0.98
@@ -280,7 +278,7 @@ def test_criterion_7_layers_and_bilayer(desk_config, settings, refresh):
     specb = offset_bilayer_task(dims=(6, 6), seed=1)
     planb = plan_task(specb)
     recb = run_sequence(desk_config, planb, "wpgs", settings, refresh)
-    final = recb.sequence.frames[-1]
+    final = recb.frames[-1]
     r = np.abs(final.field.amplitudes) / np.sqrt(planb.target_intensity)
     spread = float((r.max() - r.min()) / r.mean())
     report(
@@ -293,8 +291,8 @@ def test_criterion_7_layers_and_bilayer(desk_config, settings, refresh):
 
 def test_criterion_8_timing(runs_2d, settings):
     records, _ = runs_2d
-    t_wpgs = records["wpgs"].sequence.solve_times[3:].mean()
-    t_wgs = records["wgs"].sequence.solve_times[3:].mean()
+    t_wpgs = records["wpgs"].solve_times[3:].mean()
+    t_wgs = records["wgs"].solve_times[3:].mean()
     ratio = t_wpgs / t_wgs
     report(
         8,

@@ -84,6 +84,21 @@ run: {max_step: 0.1 um}
             config_from_dict({"run": {"solvers": ["gs"]}})
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict({"optical": {"grid_x": 64.5}})
+        with pytest.raises(ConfigError, match="tie_break"):
+            config_from_dict({"run": {"tie_break": "lexx"}})
+        with pytest.raises(ConfigError, match="cost"):
+            config_from_dict({"run": {"cost": "manhattan"}})
+        # string-valued keys take strings only: a YAML null or a number is not 'None'/'3'
+        for doc in (
+            {"run": {"output_dir": None}},
+            {"run": {"cost": None}},
+            {"run": {"tie_break": 1}},
+            {"run": {"solvers": ["wpgs", None]}},
+            {"refresh": {"order": None}},
+            {"task": {"kind": None}},
+        ):
+            with pytest.raises(ConfigError, match="string"):
+                config_from_dict(doc)
         path = tmp_path / "bad.yaml"
         path.write_text("task: {kind: nope}")
         with pytest.raises(ConfigError):
@@ -220,6 +235,8 @@ class TestCli:
         path.write_text("task: {kind: nope}")
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
         assert main(["plan", "-c", str(tmp_path / "missing.yaml")]) == 2
+        path.write_text("run: {tie_break: lexx}")  # a planner option, checked at load
+        assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
 
     def test_unknown_key_exit_code(self, tmp_path):
         path = tmp_path / "threads.yaml"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,23 @@ class TestBruteForce:
         tgt = random_layout(rng, 9, "t")
         with pytest.raises(ValueError, match="limited"):
             brute_force_assign(src, tgt)
+
+    def test_matches_permutation_enumeration(self, rng):
+        # reference: the minimum over every injection, enumerated directly
+        for _ in range(30):
+            n_tgt = int(rng.integers(1, 6))
+            n_src = n_tgt + int(rng.integers(0, 3))
+            src = random_layout(rng, n_src, "s")
+            tgt = random_layout(rng, n_tgt, "t")
+            d = np.linalg.norm(tgt.positions()[None] - src.positions()[:, None], axis=2)
+            best = min(
+                itertools.permutations(range(n_src), n_tgt),
+                key=lambda perm: (d * d)[list(perm), range(n_tgt)].sum(),
+            )
+            a = brute_force_assign(src, tgt)
+            assert [(s.id, t.id) for s, t in a.pairs] == [
+                (src.sites[s].id, tgt.sites[t].id) for t, s in enumerate(best)
+            ]
 
     def test_single_pair(self):
         a = brute_force_assign(

@@ -7,7 +7,7 @@ from holoseq.planner import plan_task
 from holoseq.propagation import build_separable, forward
 from holoseq.sequence import bench, run_sequence
 from holoseq.solvers import DarkTrapError, SolverSettings
-from holoseq.transient import RefreshModel
+from holoseq.transient import RefreshModel, sample_refresh
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,9 @@ def tiny_run(small_config, tiny_plan, fast_settings):
 
 class TestRunSequence:
     def test_frame_count(self, tiny_plan, tiny_run):
-        assert len(tiny_run.sequence) == tiny_plan.frames + 1
-        assert len(tiny_run.samples) == tiny_plan.frames
+        assert len(tiny_run.frames) == tiny_plan.frames + 1
+        assert len(tiny_run.ratios) == tiny_plan.frames
+        assert len(tiny_run.solve_times) == tiny_plan.frames + 1
 
     def test_static_plan_single_frame(self, small_config, fast_settings):
         spec = custom_task(
@@ -45,12 +46,12 @@ class TestRunSequence:
         plan = plan_task(spec, max_step=0.1e-6)
         record = run_sequence(small_config, plan, "wgs", fast_settings, RefreshModel())
         assert plan.frames == 0
-        assert len(record.sequence) == 1
-        assert record.samples == ()
+        assert len(record.frames) == 1
+        assert record.ratios == ()
         assert record.metrics.transition is None
 
     def test_frame_field_consistency(self, small_config, tiny_run):
-        for frame in tiny_run.sequence.frames:
+        for frame in tiny_run.frames:
             prop = build_separable(small_config, frame.layout)
             re_run = forward(prop, frame.mask).amplitudes
             rel = np.abs(re_run - frame.field.amplitudes).max() / np.abs(re_run).max()
@@ -60,12 +61,12 @@ class TestRunSequence:
         again = run_sequence(
             small_config, tiny_plan, "wpgs", fast_settings, RefreshModel(samples_per_refresh=5)
         )
-        for f1, f2 in zip(tiny_run.sequence.frames, again.sequence.frames):
+        for f1, f2 in zip(tiny_run.frames, again.frames):
             np.testing.assert_array_equal(f1.mask.phases, f2.mask.phases)
             np.testing.assert_array_equal(f1.field.amplitudes, f2.field.amplitudes)
 
     def test_target_attainment(self, tiny_plan, tiny_run):
-        final = tiny_run.sequence.frames[-1].layout
+        final = tiny_run.frames[-1].layout
         np.testing.assert_array_equal(final.positions(), tiny_plan.waypoints[:, -1, :])
         nus = tiny_run.metrics.frame_uniformity
         assert nus[-1] >= min(nus)
@@ -73,10 +74,24 @@ class TestRunSequence:
     def test_transition_min_dominated_by_endpoints(self, tiny_run):
         sample_min = tiny_run.metrics.transition.minimum
         endpoint_min = min(
-            min(interval[0].ratio.min(), interval[-1].ratio.min())
-            for interval in tiny_run.samples
+            min(interval[0].min(), interval[-1].min()) for interval in tiny_run.ratios
         )
         assert sample_min <= endpoint_min + 1e-15
+
+    @pytest.mark.parametrize("order", ["leading", "exact"])
+    def test_refresh_from_solve_fields(self, small_config, tiny_plan, fast_settings, order):
+        # each interval's ratios equal sampling from freshly propagated endpoint
+        # fields: the previous mask and the new mask at the new frame's traps
+        refresh = RefreshModel(samples_per_refresh=5, order=order)
+        record = run_sequence(small_config, tiny_plan, "wpgs", fast_settings, refresh)
+        for l, ratios in enumerate(record.ratios, start=1):
+            prev, frame = record.frames[l - 1], record.frames[l]
+            prop = build_separable(small_config, frame.layout)
+            expected = sample_refresh(
+                prop, prev.mask, frame.mask,
+                forward(prop, prev.mask), forward(prop, frame.mask), refresh,
+            )
+            np.testing.assert_array_equal(ratios, expected)
 
     def test_solver_kind_validated(self, small_config, tiny_plan, fast_settings):
         with pytest.raises(ValueError):

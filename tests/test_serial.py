@@ -126,11 +126,11 @@ class TestRunDirectory:
         assert (out / "plan.json").exists()
         assert (out / "settings.yaml").exists()
         masks = sorted((out / "masks").glob("*.mask"))
-        assert len(masks) == len(small_run.sequence)
+        assert len(masks) == len(small_run.frames)
 
     def test_saved_masks_match_frames(self, tmp_path, small_run):
         out = save_run_record(tmp_path / "run2", small_run)
-        for l, frame in enumerate(small_run.sequence.frames):
+        for l, frame in enumerate(small_run.frames):
             back = read_mask(out / "masks" / f"frame_{l:04d}.mask")
             np.testing.assert_array_equal(back.phases, frame.mask.canonical())
 
@@ -152,7 +152,7 @@ class TestRunDirectory:
             rows = list(reader)
         assert header == ["frame", "trap_id", "a", "I_over_I0", "dphi"]
         n_traps = small_run.plan.trap_count
-        expected = len(small_run.samples) * 3 * n_traps  # 3 samples per refresh
+        expected = len(small_run.ratios) * 3 * n_traps  # 3 samples per refresh
         assert len(rows) == expected
         with open(out / "timing.csv") as fh:
             header = next(csv.reader(fh))
@@ -171,29 +171,6 @@ class TestRunDirectory:
             per_frame.setdefault(int(frame), []).append(float(j))
         assert len(per_frame[1]) == 2  # iterations=2 in the fixture
         assert all(j >= 0 for js in per_frame.values() for j in js)
-
-    def test_field_json(self, tmp_path, small_run):
-        from holoseq.serial import write_field_json
-
-        frame = small_run.sequence.frames[0]
-        path = tmp_path / "field.json"
-        write_field_json(path, frame.field, small_run.plan.trap_ids)
-        doc = json.loads(path.read_text())
-        assert [row["id"] for row in doc] == list(small_run.plan.trap_ids)
-        assert set(doc[0]) == {"id", "re", "im", "intensity", "phase"}
-        assert doc[0]["intensity"] == pytest.approx(doc[0]["re"] ** 2 + doc[0]["im"] ** 2)
-
-    def test_histogram_csv(self, tmp_path, small_run):
-        from holoseq.serial import write_histogram_csv
-
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(path, small_run.metrics.dphi.histogram)
-        with open(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = list(reader)
-        assert header == ["bin_left", "bin_right", "percent"]
-        assert sum(float(r[2]) for r in rows) == pytest.approx(100.0, abs=1e-9)
 
 
 class TestBenchCsv:

@@ -11,6 +11,7 @@ from holoseq.solvers import (
     objective,
     over_relax,
     phase_step,
+    random_mask,
     scale_update,
     weight_update,
     wgs_solve,
@@ -225,6 +226,15 @@ class TestWpgsSolve:
         res = wpgs_solve(prop, uniform_target(9), SolverSettings(seed=2))
         re_run = forward(prop, res.mask).amplitudes
         np.testing.assert_allclose(res.field.amplitudes, re_run, rtol=1e-12)
+
+    def test_init_field_matches_init_mask(self, small_config, grid_3x3):
+        prop = build_separable(small_config, grid_3x3)
+        init = random_mask(small_config, 4)
+        for res in (
+            wpgs_solve(prop, uniform_target(9), SolverSettings(), init_mask=init),
+            wgs_solve(prop, np.ones(9), SolverSettings(), init_mask=init),
+        ):
+            np.testing.assert_array_equal(res.init_field.amplitudes, forward(prop, init).amplitudes)
 
     def test_nonuniform_target_fixed_point(self, desk_config, grid_3x3, rng):
         # converged solve: |E_n| proportional to |E_tar,n| within 2 percent
