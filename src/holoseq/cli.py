@@ -161,10 +161,14 @@ def _cmd_bench(args) -> int:
     cfg = _load(args)
     plan = _plan_for(cfg)
     entries = [(kind, cfg.solver) for kind in cfg.run.solvers]
-    rows = bench(
-        cfg.optical, plan, entries, refresh=cfg.refresh,
-        warmup_frames=cfg.run.warmup_frames, task_label=cfg.task.kind,
-    )
+    try:
+        rows = bench(
+            cfg.optical, plan, entries, refresh=cfg.refresh,
+            warmup_frames=cfg.run.warmup_frames, task_label=cfg.task.kind,
+        )
+    except ValueError as exc:  # bad input, such as a warmup_frames that leaves no frame
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     write_bench_csv(args.output, rows)
     for r in rows:
         print(

@@ -75,6 +75,8 @@ class RunOptions:
             raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
         if self.tie_break not in TIE_BREAKS:
             raise ConfigError(f"tie_break must be one of {TIE_BREAKS}, not {self.tie_break!r}")
+        if self.max_step is not None and not (self.max_step > 0):
+            raise ConfigError(f"max_step must be > 0, not {self.max_step!r}")
         if not (0.0 <= self.over_relax_tail_fraction <= 1.0):
             raise ConfigError("over_relax_tail_fraction must lie in [0, 1]")
         if self.warmup_frames < 0:

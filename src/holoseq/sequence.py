@@ -197,15 +197,20 @@ def bench(
     """Timing comparison across solver configurations on one plan.
 
     entries is an iterable of (solver_kind, SolverSettings).  The first
-    warmup_frames frame times of each run are excluded from the statistics.
+    warmup_frames frame times of each run are excluded from the statistics;
+    a warmup_frames that leaves no frame to time is a ValueError, raised
+    before any solve.
     """
+    if not (0 <= warmup_frames <= plan.frames):
+        raise ValueError(
+            f"warmup_frames must lie in [0, {plan.frames}] for a plan of "
+            f"{plan.frames + 1} frames, not {warmup_frames}"
+        )
     refresh = refresh or RefreshModel()
     rows: list[BenchRow] = []
     for solver_kind, settings in entries:
         record = run_sequence(config, plan, solver_kind, settings, refresh)
         times = record.solve_times[warmup_frames:] * 1e3
-        if times.size == 0:
-            times = record.solve_times * 1e3
         iters = settings.iterations if solver_kind == "wpgs" else settings.wgs_iterations
         rows.append(
             BenchRow(

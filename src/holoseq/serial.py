@@ -112,14 +112,16 @@ def write_transients_csv(path, ratios, a_values, ids, dphi_vectors) -> None:
     one (samples, traps) I/I0 array per interval, its rows at a_values; dphi is
     the per-trap wrapped phase change across that interval.
     """
+    a_text = [repr(float(a)) for a in a_values]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frame", "trap_id", "a", "I_over_I0", "dphi"])
         for l, interval in enumerate(ratios):
-            dphi = dphi_vectors[l]
-            for a, row in zip(a_values, interval):
-                for tid, ratio, d in zip(ids, row, dphi):
-                    w.writerow([l, tid, repr(float(a)), repr(float(ratio)), repr(float(d))])
+            dphi_text = [repr(d) for d in dphi_vectors[l].tolist()]
+            for a, row in zip(a_text, interval.tolist()):
+                w.writerows(
+                    [l, tid, a, repr(ratio), d] for tid, ratio, d in zip(ids, row, dphi_text)
+                )
 
 
 def write_timing_csv(path, solve_times) -> None:

@@ -16,6 +16,14 @@ Field models, from exact to cheapest:
 * ``transient_leading``   -- plain complex interpolation
   ``a*E_old + (1-a)*E_new``.
 
+``sample_refresh`` with the exact model makes one ``transient_exact`` call per
+interval with the whole a grid.  Once per interval that call wraps
+``dphi = phi_new - phi_old``, splits the pixels into the small, near-pi and
+safe branches, and computes ``sin(dphi)`` over the safe pixels and both
+endpoint phasors ``exp(i*phi_old)`` and ``exp(i*phi_new)``.  Once per sample
+it computes the two sine ratios over the safe pixels, combines the phasors,
+fixes up the near-pi pixels and makes one forward contraction.
+
 The residual dropped by the second-order model is bounded via Cauchy-Schwarz
 by ``sqrt(sum_j |A_nj|^2) * sqrt(sum_j eps_j^2)`` with
 ``eps_j = dphi_j^2 - <dphi^2>``.
@@ -94,35 +102,59 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
 
 
 def transient_exact(
-    prop: SeparablePropagator, mask_l: PhaseMask, mask_l1: PhaseMask, a: float
-) -> TrapField:
+    prop: SeparablePropagator, mask_l: PhaseMask, mask_l1: PhaseMask, a: float | np.ndarray
+) -> TrapField | list[TrapField]:
     """Exact transient field via the per-pixel sine-ratio decomposition.
 
     Away from the branch cuts the interpolated phasor splits as
     ``e^{i phi_l} sin(a*dphi)/sin(dphi) + e^{i phi_l1} sin((1-a)*dphi)/sin(dphi)``.
+    A float a gives one TrapField; a 1-D array gives a list with one TrapField
+    per value, in order.  The terms that do not depend on a are computed once
+    per call (see the module docstring), and every value reuses one set of
+    coefficient and pixel buffers.
     """
     if mask_l.shape != mask_l1.shape:
         raise ValueError("masks must share dimensions")
-    if not (0.0 <= a <= 1.0):
+    a_values = np.asarray(a, dtype=float)
+    if a_values.ndim > 1:
+        raise ValueError("a must be a float or a 1-D array")
+    if not ((a_values >= 0.0) & (a_values <= 1.0)).all():
         raise ValueError("a must lie in [0, 1]")
     phi0 = mask_l.phases
     phi1 = mask_l1.phases
     dphi = wrap_phase(phi1 - phi0)
 
     small = np.abs(dphi) < SMALL_DPHI
-    near_pi = (np.pi - np.abs(dphi)) < PI_MARGIN
-    safe = ~(small | near_pi)
+    near_pi_mask = (np.pi - np.abs(dphi)) < PI_MARGIN
+    safe = ~(small | near_pi_mask)
+    near_pi = np.nonzero(near_pi_mask)
+    phi0_pi = phi0[near_pi]
+    dphi_pi = dphi[near_pi]
+    dphi_safe = dphi[safe]
+    del dphi  # the loop reads only its safe and near-pi parts; keeps peak memory flat
+    sd = np.sin(dphi_safe)
+    phasor_l = np.exp(1j * phi0)
+    phasor_l1 = np.exp(1j * phi1)
 
-    coeff_l = np.full(dphi.shape, a)
-    coeff_l1 = np.full(dphi.shape, 1.0 - a)
-    sd = np.sin(dphi[safe])
-    coeff_l[safe] = np.sin(a * dphi[safe]) / sd
-    coeff_l1[safe] = np.sin((1.0 - a) * dphi[safe]) / sd
-
-    pixel = np.exp(1j * phi0) * coeff_l + np.exp(1j * phi1) * coeff_l1
-    if near_pi.any():
-        pixel[near_pi] = np.exp(1j * (phi0[near_pi] + (1.0 - a) * dphi[near_pi]))
-    return forward_field(prop, pixel)
+    # near-pi coefficients stay 0: those pixels are overwritten below
+    coeff = np.zeros(phi0.shape)
+    ratio = np.empty(dphi_safe.shape)
+    pixel = np.empty(phi0.shape, dtype=complex)
+    term = np.empty(phi0.shape, dtype=complex)
+    fields = []
+    for a_k in a_values.ravel():
+        for phasor, weight, out in ((phasor_l, a_k, pixel), (phasor_l1, 1.0 - a_k, term)):
+            np.multiply(weight, dphi_safe, out=ratio)
+            np.sin(ratio, out=ratio)
+            np.divide(ratio, sd, out=ratio)
+            coeff[safe] = ratio
+            coeff[small] = weight
+            np.multiply(phasor, coeff, out=out)
+        np.add(pixel, term, out=pixel)
+        if phi0_pi.size:
+            pixel[near_pi] = np.exp(1j * (phi0_pi + (1.0 - a_k) * dphi_pi))
+        fields.append(forward_field(prop, pixel))
+    return fields if a_values.ndim else fields[0]
 
 
 def transient_leading(field_l: TrapField, field_l1: TrapField, a: float) -> TrapField:
@@ -217,7 +249,7 @@ def sample_refresh(
     """
     i0 = field_l.intensity
     if model.order == "exact":
-        fields = [transient_exact(prop, mask_l, mask_l1, a) for a in model.a_grid()]
+        fields = transient_exact(prop, mask_l, mask_l1, model.a_grid())
     elif model.order == "second":
         msq = mean_sq_excursion(mask_l, mask_l1)
         fields = [transient_second(field_l, field_l1, a, msq) for a in model.a_grid()]

@@ -88,6 +88,9 @@ run: {max_step: 0.1 um}
             config_from_dict({"run": {"tie_break": "lexx"}})
         with pytest.raises(ConfigError, match="cost"):
             config_from_dict({"run": {"cost": "manhattan"}})
+        for step in (0, -0.5e-6, "0 um", float("nan")):
+            with pytest.raises(ConfigError, match="max_step"):
+                config_from_dict({"run": {"max_step": step}})
         # string-valued keys take strings only: a YAML null or a number is not 'None'/'3'
         for doc in (
             {"run": {"output_dir": None}},
@@ -237,6 +240,11 @@ class TestCli:
         assert main(["plan", "-c", str(tmp_path / "missing.yaml")]) == 2
         path.write_text("run: {tie_break: lexx}")  # a planner option, checked at load
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
+        path.write_text("run: {max_step: 0}")
+        assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
+        # the flag goes through the same check as the file
+        assert main(["plan", "--max-step", "-0.5", "-o", str(tmp_path / "p.json")]) == 2
+        assert not (tmp_path / "p.json").exists()
 
     def test_unknown_key_exit_code(self, tmp_path):
         path = tmp_path / "threads.yaml"
@@ -251,6 +259,16 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "task"
         assert len(rows) == 2  # single solver -> one data row
+
+    def test_bench_warmup_covering_every_frame(self, tiny_config_file, tmp_path, capsys):
+        # the tiny plan has three frames: a warm-up of three leaves none to time
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["run"]["warmup_frames"] = 3
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 2
+        assert "warmup_frames" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_landscape_command(self, tmp_path):
         out = tmp_path / "landscape.csv"

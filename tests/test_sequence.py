@@ -118,6 +118,20 @@ class TestBench:
     def test_empty_matrix(self, small_config, tiny_plan):
         assert bench(small_config, tiny_plan, []) == []
 
+    def test_warmup_must_leave_a_frame(self, small_config, tiny_plan, fast_settings, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("bench solved before checking warmup_frames")
+
+        monkeypatch.setattr(sequence_mod, "run_sequence", no_solve)
+        entries = [("wgs", fast_settings)]
+        for warmup in (tiny_plan.frames + 1, 100, -1):
+            with pytest.raises(ValueError, match="warmup_frames"):
+                bench(small_config, tiny_plan, entries, warmup_frames=warmup)
+        monkeypatch.undo()
+        # the largest warm-up leaves the last frame alone
+        rows = bench(small_config, tiny_plan, entries, warmup_frames=tiny_plan.frames)
+        assert rows[0].frames == 1
+
     def test_rows_and_iteration_counts(self, small_config, tiny_plan, fast_settings):
         rows = bench(
             small_config,

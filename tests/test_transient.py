@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from holoseq.propagation import PhaseMask, build_dense, build_separable, forward, row_power, wrap_phase
+from holoseq.propagation import (
+    PhaseMask,
+    TrapField,
+    build_dense,
+    build_separable,
+    forward,
+    forward_field,
+    row_power,
+    wrap_phase,
+)
 from holoseq.transient import (
+    PI_MARGIN,
+    SMALL_DPHI,
     RefreshModel,
     intensity_model,
     mean_sq_excursion,
@@ -25,6 +36,50 @@ def random_masks(rng, shape=(64, 64)):
     m0 = PhaseMask(rng.uniform(0, 2 * np.pi, shape))
     m1 = PhaseMask(rng.uniform(0, 2 * np.pi, shape))
     return m0, m1
+
+
+def branch_masks(rng, shape=(64, 64)):
+    """Masks whose wrapped dphi puts pixels in every sine-ratio branch.
+
+    Every 7th pixel moves by less than SMALL_DPHI (every 49th not at all),
+    every 11th lands within PI_MARGIN of +-pi, and the rest move generically;
+    the wrapped dphi is checked to hit each branch.
+    """
+    phi0 = rng.uniform(0, 2 * np.pi, shape)
+    dphi = rng.uniform(-3.0, 3.0, shape)
+    flat = dphi.reshape(-1)
+    flat[::7] = rng.uniform(-0.5, 0.5, flat[::7].size) * SMALL_DPHI
+    flat[::49] = 0.0
+    near = flat[3::11]
+    near[:] = rng.choice([-1.0, 1.0], near.size) * (
+        np.pi - rng.uniform(0.0, 0.5, near.size) * PI_MARGIN
+    )
+    m0, m1 = PhaseMask(phi0), PhaseMask(phi0 + dphi)
+    wrapped = np.abs(wrap_phase(m1.phases - m0.phases))
+    small = wrapped < SMALL_DPHI
+    near_pi = np.pi - wrapped < PI_MARGIN
+    assert (wrapped == 0).any() and small.sum() > (wrapped == 0).sum()
+    assert near_pi.any() and (~(small | near_pi)).any()
+    return m0, m1
+
+
+def exact_reference(prop, mask_l, mask_l1, a):
+    """The per-sample sine-ratio body, every term recomputed for one a."""
+    phi0 = mask_l.phases
+    phi1 = mask_l1.phases
+    dphi = wrap_phase(phi1 - phi0)
+    small = np.abs(dphi) < SMALL_DPHI
+    near_pi = (np.pi - np.abs(dphi)) < PI_MARGIN
+    safe = ~(small | near_pi)
+    coeff_l = np.full(dphi.shape, a)
+    coeff_l1 = np.full(dphi.shape, 1.0 - a)
+    sd = np.sin(dphi[safe])
+    coeff_l[safe] = np.sin(a * dphi[safe]) / sd
+    coeff_l1[safe] = np.sin((1.0 - a) * dphi[safe]) / sd
+    pixel = np.exp(1j * phi0) * coeff_l + np.exp(1j * phi1) * coeff_l1
+    if near_pi.any():
+        pixel[near_pi] = np.exp(1j * (phi0[near_pi] + (1.0 - a) * dphi[near_pi]))
+    return forward_field(prop, pixel)
 
 
 class TestRefreshModel:
@@ -91,6 +146,38 @@ class TestTransientExact:
         e_dense = forward_dense(dense, interp).amplitudes
         rel = np.abs(e_exact - e_dense).max() / np.abs(e_dense).max()
         assert rel <= 1e-10
+
+    def test_array_of_a_matches_scalar_calls(self, prop, rng):
+        # bit for bit: the shared buffers carry nothing from one a to the next
+        m0, m1 = branch_masks(rng)
+        a_grid = np.array([0.5, 1.0, 0.0, 0.3, 0.3, 0.95, 1e-9])
+        fields = transient_exact(prop, m0, m1, a_grid)
+        assert isinstance(fields, list) and len(fields) == a_grid.size
+        stacked = np.array([transient_exact(prop, m0, m1, float(a)).amplitudes for a in a_grid])
+        reference = np.array([exact_reference(prop, m0, m1, a).amplitudes for a in a_grid])
+        np.testing.assert_array_equal(np.array([f.amplitudes for f in fields]), stacked)
+        np.testing.assert_array_equal(stacked, reference)
+
+    def test_array_of_a_identity_with_interpolated_forward(self, prop, rng):
+        m0, m1 = branch_masks(rng)
+        a_grid = np.linspace(1.0, 0.0, 11)
+        for a, field in zip(a_grid, transient_exact(prop, m0, m1, a_grid)):
+            e_ref = forward(prop, pixel_interpolate(m0, m1, float(a))).amplitudes
+            assert np.abs(field.amplitudes - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
+
+    def test_scalar_a_returns_one_field(self, prop, rng):
+        m0, m1 = branch_masks(rng)
+        for a in (0.25, np.float64(0.25), np.array(0.25)):
+            assert isinstance(transient_exact(prop, m0, m1, a), TrapField)
+        single = transient_exact(prop, m0, m1, np.array([0.25]))
+        assert isinstance(single, list) and len(single) == 1
+        assert transient_exact(prop, m0, m1, np.array([])) == []
+
+    def test_a_validation(self, prop, rng):
+        m0, m1 = random_masks(rng)
+        for a in (-0.1, 1.5, float("nan"), np.array([0.5, 1.01]), np.full((2, 2), 0.5)):
+            with pytest.raises(ValueError):
+                transient_exact(prop, m0, m1, a)
 
 
 class TestTransientApproximations:
@@ -225,6 +312,16 @@ class TestSampleRefresh:
         ratios = sample_refresh(prop, m0, m1, forward(prop, m0), forward(prop, m1), model)
         assert ratios.shape == (9, 9)  # samples x traps
         np.testing.assert_allclose(ratios[0], 1.0, rtol=1e-12)
+
+    def test_exact_matches_scalar_calls(self, prop, rng):
+        m0, m1 = branch_masks(rng)
+        e0, e1 = forward(prop, m0), forward(prop, m1)
+        model = RefreshModel(samples_per_refresh=9, order="exact")
+        ratios = sample_refresh(prop, m0, m1, e0, e1, model)
+        expected = np.array(
+            [transient_exact(prop, m0, m1, a).intensity / e0.intensity for a in model.a_grid()]
+        )
+        np.testing.assert_array_equal(ratios, expected)
 
     def test_orders_agree_at_endpoints(self, prop, rng):
         m0, m1 = random_masks(rng)
