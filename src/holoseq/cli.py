@@ -91,7 +91,7 @@ def _plan_for(cfg):
     from .planner import InfeasibleAssignmentError, plan_task
 
     try:
-        return plan_task(
+        plan = plan_task(
             cfg.task,
             max_step=cfg.run.max_step,
             cost=cfg.run.cost,
@@ -103,6 +103,17 @@ def _plan_for(cfg):
     except ValueError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INFEASIBLE)
+    # propagation needs f + z > 0 at every trap of every frame
+    f = cfg.optical.focal_length
+    z = plan.waypoints[:, :, 2]
+    if (f + z <= 0).any():
+        print(
+            f"config error: trap z must satisfy focal_length + z > 0, but the plan "
+            f"reaches z = {z.min():g} m with focal_length {f:g} m",
+            file=sys.stderr,
+        )
+        raise SystemExit(EXIT_CONFIG)
+    return plan
 
 
 def _cmd_plan(args) -> int:
@@ -132,10 +143,7 @@ def _cmd_run(args) -> int:
     outdir = Path(args.output or cfg.run.output_dir)
     for kind in solvers:
         try:
-            record = run_sequence(
-                cfg.optical, plan, kind, cfg.solver, cfg.refresh,
-                over_relax_tail_fraction=cfg.run.over_relax_tail_fraction,
-            )
+            record = run_sequence(cfg.optical, plan, kind, cfg.solver, cfg.refresh)
         except DarkTrapError as exc:
             print(f"solver failure ({kind}): {exc}", file=sys.stderr)
             return EXIT_SOLVER

@@ -1,12 +1,12 @@
 """Run configuration: YAML schema, unit handling, round-trip serialization.
 
-Lengths in files are meters by default; string values may carry an explicit
-unit suffix ("17 um", "820 nm", "4 mm").  The top level holds the sections
-optical, task, solver, refresh and run.  Each section's table below lists its
-keys with their converters; a task's source_layers/target_layers entries use
-the lattice table.  A key outside its table, at any level, is a ConfigError.
-A missing key takes its default from the section's dataclass (optical: from
-RunConfig()).
+Lengths in files are meters by default, numeric strings such as "820e-9"
+included; string values may carry an explicit unit suffix ("17 um", "820 nm",
+"4 mm").  The top level holds the sections optical, task, solver, refresh and
+run.  Each section's table below lists its keys with their converters; a
+task's source_layers/target_layers entries use the lattice table.  A key
+outside its table, at any level, is a ConfigError.  A missing key takes its
+default from the section's dataclass (optical: from RunConfig()).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 _UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9}
-_LENGTH_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zµ]+)\s*$")
+_LENGTH_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([a-zµ]*)\s*$")
 
 
 class ConfigError(ValueError):
@@ -44,13 +44,16 @@ class ConfigError(ValueError):
 
 
 def parse_length(value) -> float:
-    """Meters from a bare number or a '<number> <unit>' string."""
+    """Meters from a number, a unit-less numeric string or a '<number> <unit>' string.
+
+    YAML reads an exponent without a dot ("820e-9") as a string; it is meters too.
+    """
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
         m = _LENGTH_RE.match(value)
-        if m and m.group(2) in _UNITS:
-            return float(m.group(1)) * _UNITS[m.group(2)]
+        if m and (m.group(2) or "m") in _UNITS:
+            return float(m.group(1)) * _UNITS[m.group(2) or "m"]
         raise ConfigError(f"cannot parse length {value!r} (units: {sorted(_UNITS)})")
     raise ConfigError(f"cannot parse length from {type(value).__name__}")
 
@@ -64,7 +67,6 @@ class RunOptions:
     max_step: float | None = None
     cost: str = "squared"
     tie_break: str = "lex"
-    over_relax_tail_fraction: float = 1.0
     warmup_frames: int = 3
 
     def __post_init__(self):
@@ -77,8 +79,6 @@ class RunOptions:
             raise ConfigError(f"tie_break must be one of {TIE_BREAKS}, not {self.tie_break!r}")
         if self.max_step is not None and not (self.max_step > 0):
             raise ConfigError(f"max_step must be > 0, not {self.max_step!r}")
-        if not (0.0 <= self.over_relax_tail_fraction <= 1.0):
-            raise ConfigError("over_relax_tail_fraction must lie in [0, 1]")
         if self.warmup_frames < 0:
             raise ConfigError("warmup_frames must be >= 0")
 
@@ -181,7 +181,6 @@ _RUN = {
     "max_step": _optional(parse_length),
     "cost": _str,
     "tie_break": _str,
-    "over_relax_tail_fraction": float,
     "warmup_frames": _int,
 }
 _SECTIONS = {

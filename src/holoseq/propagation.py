@@ -35,7 +35,6 @@ __all__ = [
     "forward_field",
     "forward_dense",
     "adjoint_phase",
-    "row_power",
 ]
 
 # Dense matrices are for oracle use only; N*M above this is refused.
@@ -246,10 +245,3 @@ def forward_dense(dense: DensePropagator, mask: PhaseMask) -> TrapField:
         raise ValueError(f"mask shape {mask.shape} != grid ({cfg.grid_x}, {cfg.grid_y})")
     return TrapField(dense.matrix @ np.exp(1j * mask.phases.ravel()))
 
-
-def row_power(prop) -> np.ndarray:
-    """Per-trap sum_j |A_nj|^2 (used by the transient residual bound)."""
-    if isinstance(prop, DensePropagator):
-        return (np.abs(prop.matrix) ** 2).sum(axis=1)
-    illum2 = (prop.config.illumination_map() ** 2).sum()
-    return np.abs(prop.trap_scale) ** 2 * illum2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ def _solve_frame(
     solver_kind: str,
     settings: SolverSettings,
     prev: SolveResult | None,
-    relax_enabled: bool,
 ) -> SolveResult:
     from .solvers import TargetSpec
 
@@ -87,14 +86,13 @@ def _solve_frame(
             return warm
         target = TargetSpec(plan.target_intensity, warm.field.phase)
         return wpgs_solve(prop, target, settings, init_mask=warm.mask, init_weights=warm.weights)
-    eff = settings if relax_enabled else replace(settings, over_relaxation_last_iters=0)
     if solver_kind == "wpgs":
         target = TargetSpec(plan.target_intensity, prev.field.phase)
         return wpgs_solve(
-            prop, target, eff, init_mask=prev.mask, init_weights=prev.weights
+            prop, target, settings, init_mask=prev.mask, init_weights=prev.weights
         )
     return wgs_solve(
-        prop, plan.target_intensity, eff, init_mask=prev.mask, init_weights=prev.weights
+        prop, plan.target_intensity, settings, init_mask=prev.mask, init_weights=prev.weights
     )
 
 
@@ -104,27 +102,22 @@ def run_sequence(
     solver_kind: str,
     settings: SolverSettings,
     refresh: RefreshModel,
-    over_relax_tail_fraction: float = 1.0,
 ) -> RunRecord:
     """Solve every frame of a plan and sample each refresh interval.
 
-    over_relax_tail_fraction gates the late-stage weight relaxation to the
-    final fraction of transport frames (1.0 = every frame).  Raises the
-    solver's DarkTrapError annotated with the failing frame index.
+    Raises the solver's DarkTrapError annotated with the failing frame index.
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
     frames: list[FrameRecord] = []
     ratios: list[np.ndarray] = []
     prev: SolveResult | None = None
-    total = plan.frames
-    for l in range(total + 1):
+    for l in range(plan.frames + 1):
         layout = plan.layout(l)
-        relax_on = total == 0 or (total - l) <= over_relax_tail_fraction * total
         t0 = time.perf_counter()
         prop = build_separable(config, layout)
         try:
-            result = _solve_frame(prop, plan, solver_kind, settings, prev, relax_on)
+            result = _solve_frame(prop, plan, solver_kind, settings, prev)
         except Exception as exc:
             exc.args = (f"frame {l}: {exc}",) + exc.args[1:]
             raise

@@ -42,6 +42,9 @@ class TestParseLength:
             parse_length("5 parsec")
         with pytest.raises(ConfigError):
             parse_length(None)
+        for text in ("1.2.3", "5e", "e-6 m", "abc"):
+            with pytest.raises(ConfigError):
+                parse_length(text)
 
 
 class TestConfigRoundTrip:
@@ -76,6 +79,31 @@ run: {max_step: 0.1 um}
         assert cfg.optical.wavelength == pytest.approx(820e-9)
         assert cfg.optical.pixel_pitch == pytest.approx(17e-6)
         assert cfg.run.max_step == pytest.approx(0.1e-6)
+
+    def test_bare_exponent_lengths_in_file(self, tmp_path):
+        # YAML reads 820e-9 and 1e-6 (no dot) as strings; they are meters
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            """
+optical: {wavelength: 820e-9, focal_length: 4e-3, pixel_pitch: 17e-6}
+task:
+  kind: custom
+  custom_source: [[0, 0, 0]]
+  custom_target: [[1e-6, 0, 0]]
+run: {max_step: 1e-7}
+"""
+        )
+        assert yaml.safe_load(path.read_text())["optical"]["wavelength"] == "820e-9"
+        cfg = load_config(path)
+        assert cfg.optical.wavelength == 820e-9
+        assert cfg.optical.focal_length == 4e-3
+        assert cfg.optical.pixel_pitch == 17e-6
+        assert cfg.task.custom_target == ((1e-6, 0.0, 0.0),)
+        assert cfg.run.max_step == 1e-7
+        for bad in ("820e-9 parsec", "8x20e-9", "wide"):
+            path.write_text(f"optical: {{wavelength: {bad}}}")
+            with pytest.raises(ConfigError, match="length"):
+                load_config(path)
 
     def test_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -150,8 +178,9 @@ _STRICT_BASE = {
         (("solver",), "iteration"),
         (("refresh",), "tau"),
         (("run",), "threads"),
+        (("run",), "over_relax_tail_fraction"),
     ],
-    ids=["top", "optical", "task", "lattice", "solver", "refresh", "run"],
+    ids=["top", "optical", "task", "lattice", "solver", "refresh", "run", "run_tail_fraction"],
 )
 def test_unknown_key_rejected(section, key):
     doc = copy.deepcopy(_STRICT_BASE)
@@ -245,6 +274,29 @@ class TestCli:
         # the flag goes through the same check as the file
         assert main(["plan", "--max-step", "-0.5", "-o", str(tmp_path / "p.json")]) == 2
         assert not (tmp_path / "p.json").exists()
+
+    def test_trap_behind_lens_exit_code(self, tmp_path, capsys):
+        # traps at z = -5 mm with f = 4 mm: no propagator exists, so every
+        # command that plans stops with a config error before any solve
+        doc = {
+            "optical": {"focal_length": 4e-3, "grid_x": 64, "grid_y": 64},
+            "task": {
+                "kind": "custom",
+                "custom_source": [[0.0, 0.0, -5e-3], [10e-6, 0.0, -5e-3]],
+                "custom_target": [[5e-6, 0.0, -5e-3], [15e-6, 0.0, -5e-3]],
+            },
+            "run": {"output_dir": str(tmp_path / "out")},
+        }
+        path = tmp_path / "behind.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", "-c", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        for command in ("plan", "bench"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, "-c", str(path), "-o", str(out)]) == 2
+            assert "focal_length + z > 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_key_exit_code(self, tmp_path):
         path = tmp_path / "threads.yaml"

@@ -12,7 +12,6 @@ from holoseq.propagation import (
     forward,
     forward_dense,
     forward_field,
-    row_power,
     wrap_phase,
 )
 
@@ -241,10 +240,3 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             adjoint_phase(prop, np.zeros(4, dtype=complex))
 
-
-class TestRowPower:
-    def test_separable_matches_dense(self, small_config, rng):
-        layout = random_layout(rng, 5)
-        sep = row_power(build_separable(small_config, layout))
-        den = row_power(build_dense(small_config, layout))
-        np.testing.assert_allclose(sep, den, rtol=1e-10)

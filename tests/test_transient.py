@@ -8,23 +8,24 @@ from holoseq.propagation import (
     build_separable,
     forward,
     forward_field,
-    row_power,
     wrap_phase,
 )
 from holoseq.transient import (
-    PI_MARGIN,
-    SMALL_DPHI,
     RefreshModel,
     intensity_model,
     mean_sq_excursion,
     pixel_interpolate,
-    residual_bound,
     sample_refresh,
     transient_exact,
-    transient_intensity_expansion,
     transient_leading,
     transient_second,
 )
+
+# Branch cuts of the sine-ratio oracle below: under SMALL_DPHI the ratios take
+# their a / (1-a) limits; within PI_MARGIN of +-pi, where sin(dphi) -> 0 would
+# cancel, the relaxing phasor is evaluated directly.
+SMALL_DPHI = 1e-6
+PI_MARGIN = 0.1
 
 
 @pytest.fixture()
@@ -64,7 +65,11 @@ def branch_masks(rng, shape=(64, 64)):
 
 
 def exact_reference(prop, mask_l, mask_l1, a):
-    """The per-sample sine-ratio body, every term recomputed for one a."""
+    """Sine-ratio oracle for the exact field at one a.
+
+    Away from the branch cuts the relaxing phasor splits as
+    ``e^{i phi_l} sin(a*dphi)/sin(dphi) + e^{i phi_l1} sin((1-a)*dphi)/sin(dphi)``.
+    """
     phi0 = mask_l.phases
     phi1 = mask_l1.phases
     dphi = wrap_phase(phi1 - phi0)
@@ -148,15 +153,16 @@ class TestTransientExact:
         assert rel <= 1e-10
 
     def test_array_of_a_matches_scalar_calls(self, prop, rng):
-        # bit for bit: the shared buffers carry nothing from one a to the next
         m0, m1 = branch_masks(rng)
         a_grid = np.array([0.5, 1.0, 0.0, 0.3, 0.3, 0.95, 1e-9])
         fields = transient_exact(prop, m0, m1, a_grid)
         assert isinstance(fields, list) and len(fields) == a_grid.size
         stacked = np.array([transient_exact(prop, m0, m1, float(a)).amplitudes for a in a_grid])
-        reference = np.array([exact_reference(prop, m0, m1, a).amplitudes for a in a_grid])
         np.testing.assert_array_equal(np.array([f.amplitudes for f in fields]), stacked)
-        np.testing.assert_array_equal(stacked, reference)
+        # the sine-ratio oracle agrees to the identity tolerance of criterion 2
+        for a, field in zip(a_grid, stacked):
+            e_ref = exact_reference(prop, m0, m1, a).amplitudes
+            assert np.abs(field - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
     def test_array_of_a_identity_with_interpolated_forward(self, prop, rng):
         m0, m1 = branch_masks(rng)
@@ -230,32 +236,6 @@ class TestTransientApproximations:
                 assert np.linalg.norm(ex - sec) <= np.linalg.norm(ex - lead)
 
 
-class TestResidualBound:
-    def test_uniform_excursion_gives_zero(self, prop):
-        bounds = residual_bound(row_power(prop), np.full((64, 64), 0.2))
-        # zero up to the float residue of (dphi^2 - mean) on equal entries
-        scale = np.sqrt(row_power(prop)).max() * 0.2**2
-        np.testing.assert_array_less(bounds, 1e-10 * scale)
-
-    def test_single_pixel_closed_form(self, prop):
-        exc = np.zeros((64, 64))
-        exc[10, 20] = 0.3
-        m = exc.size
-        bounds = residual_bound(row_power(prop), exc)
-        expected = np.sqrt(row_power(prop)) * 0.3**2 * np.sqrt(1.0 - 1.0 / m)
-        np.testing.assert_allclose(bounds, expected, rtol=1e-12)
-
-    def test_bounds_direct_residual(self, small_config, grid_3x3, rng):
-        dense = build_dense(small_config, grid_3x3)
-        m0, m1 = random_masks(rng)
-        dphi = wrap_phase(m1.phases - m0.phases)
-        eps = (dphi**2 - np.mean(dphi**2)).ravel()
-        for mask in (m0, m1):
-            r = dense.matrix @ (np.exp(1j * mask.phases.ravel()) * eps)
-            bound = residual_bound(row_power(dense), dphi)
-            assert (np.abs(r) <= bound * (1 + 1e-12)).all()
-
-
 class TestIntensityModel:
     def test_zero_mismatch_is_flat(self):
         for a in np.linspace(0, 1, 11):
@@ -270,32 +250,6 @@ class TestIntensityModel:
     def test_monotone_dip_at_half(self):
         values = intensity_model(0.5, np.linspace(0, np.pi, 50))
         assert (np.diff(values) < 0).all()
-
-
-class TestIntensityExpansion:
-    def test_equal_intensity_no_mismatch(self):
-        assert transient_intensity_expansion(2.0, 2.0, 0.0, 0.7) == pytest.approx(2.0)
-
-    def test_matches_leading_field_intensity(self, prop, rng):
-        m0, m1 = random_masks(rng)
-        e0, e1 = forward(prop, m0), forward(prop, m1)
-        dphi = wrap_phase(e1.phase - e0.phase)
-        for a in (0.2, 0.5, 0.8):
-            direct = transient_leading(e0, e1, a).intensity
-            expanded = transient_intensity_expansion(e0.intensity, e1.intensity, dphi, a)
-            np.testing.assert_allclose(expanded, direct, rtol=1e-12)
-
-    def test_matches_second_order_field_intensity(self, prop, rng):
-        m0, m1 = random_masks(rng)
-        e0, e1 = forward(prop, m0), forward(prop, m1)
-        dphi = wrap_phase(e1.phase - e0.phase)
-        msq = mean_sq_excursion(m0, m1)
-        for a in (0.3, 0.6):
-            direct = transient_second(e0, e1, a, msq).intensity
-            expanded = transient_intensity_expansion(
-                e0.intensity, e1.intensity, dphi, a, mean_sq_excursion=msq
-            )
-            np.testing.assert_allclose(expanded, direct, rtol=1e-12)
 
 
 class TestSampleRefresh:
