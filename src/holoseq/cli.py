@@ -91,12 +91,7 @@ def _plan_for(cfg):
     from .planner import InfeasibleAssignmentError, plan_task
 
     try:
-        plan = plan_task(
-            cfg.task,
-            max_step=cfg.run.max_step,
-            cost=cfg.run.cost,
-            tie_break=cfg.run.tie_break,
-        )
+        plan = plan_task(cfg.task, max_step=cfg.run.max_step, cost=cfg.run.cost)
     except InfeasibleAssignmentError as exc:
         print(f"infeasible plan: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INFEASIBLE)

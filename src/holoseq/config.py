@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .geometry import LatticeSpec, OpticalConfig, TaskSpec, minimal_3x3_task, paper_optical_config
-from .planner import COST_KINDS, TIE_BREAKS
+from .planner import COST_KINDS
 from .solvers import SolverSettings
 from .transient import RefreshModel
 
@@ -66,7 +66,6 @@ class RunOptions:
     output_dir: str = "out"
     max_step: float | None = None
     cost: str = "squared"
-    tie_break: str = "lex"
     warmup_frames: int = 3
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class RunOptions:
                 raise ConfigError(f"unknown solver {s!r}")
         if self.cost not in COST_KINDS:
             raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
-        if self.tie_break not in TIE_BREAKS:
-            raise ConfigError(f"tie_break must be one of {TIE_BREAKS}, not {self.tie_break!r}")
         if self.max_step is not None and not (self.max_step > 0):
             raise ConfigError(f"max_step must be > 0, not {self.max_step!r}")
         if self.warmup_frames < 0:
@@ -180,7 +177,6 @@ _RUN = {
     "output_dir": _str,
     "max_step": _optional(parse_length),
     "cost": _str,
-    "tie_break": _str,
     "warmup_frames": _int,
 }
 _SECTIONS = {

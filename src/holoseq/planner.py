@@ -2,10 +2,13 @@
 
 Assignment is a minimum-cost bipartite matching of occupied source traps onto
 target sites (every target filled, surplus sources left unmatched), solved via
-scipy's linear_sum_assignment.  An exhaustive matcher (a dynamic program over
-target subsets) serves as the optimality oracle for small instances.  Matched
-pairs move along straight segments discretized into equal sub-steps so no trap
-ever moves more than the configured maximum per frame.
+one scipy linear_sum_assignment call.  Its LP duals mark every co-optimal edge,
+which breaks equal-cost ties lexicographically without a second solve, so the
+plan never depends on the solver's internal tie order.  An exhaustive matcher
+(a dynamic program over target subsets) serves as the optimality oracle for
+small instances.  Matched pairs move along straight segments discretized into
+equal sub-steps so no trap ever moves more than the configured maximum per
+frame.
 
 The default matching cost is squared Euclidean distance: plain-distance
 matchings admit rare very long edges (measured 5-6x the squared-cost maximum
@@ -37,10 +40,9 @@ __all__ = [
 
 COST_KINDS = ("squared", "euclidean")
 DEFAULT_COST = "squared"
-TIE_BREAKS = ("lex", "solver")
 BRUTE_FORCE_MAX_TARGETS = 8
 
-# relative slack when deciding whether a candidate pair is co-optimal
+# relative slack when deciding whether an edge is co-optimal
 _TIE_RTOL = 1e-9
 
 
@@ -82,81 +84,113 @@ def _cost_matrix(sources: TrapLayout, targets: TrapLayout, cost: str) -> np.ndar
     return d * d if cost == "squared" else d
 
 
-def _lsa_total(cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+def _lex_matching(cost: np.ndarray) -> dict[int, int]:
+    """Lexicographically smallest minimum-cost matching, from one LSA solve.
 
-
-def _lex_refine(cost: np.ndarray, base_total: float) -> dict[int, int]:
-    """Lexicographically canonical minimum-cost matching.
-
-    Sources are visited in index order; each takes the lowest-index remaining
-    target that still admits a completion of total cost base_total (within a
-    relative tie tolerance).  O(S*T) assignment re-solves worst case, intended
-    for desk-scale instances.
+    Of all matchings of minimum total cost (within a relative tie tolerance)
+    it returns the one where source 0 takes the lowest-index target it can,
+    then source 1, and so on; a source that no co-optimal matching uses stays
+    unmatched.  Zero-cost dummy columns pad the S x T cost to square (a dummy
+    stands for "unmatched"), and one linear_sum_assignment gives an optimal
+    matching M.  A Bellman-Ford pass over M's reassignment arcs gives column
+    potentials v with v_j <= v_M(i) + C[i,j] - C[i,M(i)]; with
+    u_i = C[i,M(i)] - v_M(i), (u, v) is an optimal dual, so by complementary
+    slackness the optimal matchings are exactly the perfect matchings of the
+    tight graph C - u - v <= tol.  Sources then fix their target in index
+    order, each testing its tight targets below its current one by an
+    alternating-path search among the sources not yet fixed.
     """
     n_src, n_tgt = cost.shape
+    c = np.zeros((n_src, n_src))
+    c[:, :n_tgt] = cost
+    _, col_of = linear_sum_assignment(c)
+    src_of = np.argsort(col_of)
+    matched = c[np.arange(n_src), col_of]
     # relative tie tolerance: costs carry physical units (meters), so an
     # absolute term would swamp genuine optimality gaps
-    tol = _TIE_RTOL * abs(base_total)
-    remaining = list(range(n_tgt))
-    matching: dict[int, int] = {}
-    budget = base_total
-    for s in range(n_src):
-        if not remaining:
+    tol = _TIE_RTOL * abs(float(matched.sum()))
+
+    # d[i, j] + v[M(i)] - v[j] is the reduced cost C - u - v; each pass relaxes
+    # only the rows whose v[M(i)] fell in the pass before.  LSA's optimum is
+    # optimal only up to rounding and can close a negative cycle of a few ulps,
+    # so a drop of at most tol/n does not count, and the passes stop at n.
+    d = c - matched[:, None]
+    v = np.zeros(n_src)
+    rows = np.arange(n_src)
+    for _ in range(n_src):
+        cand = (d[rows] + v[col_of[rows], None]).min(axis=0)
+        lower = np.flatnonzero(cand < v - tol / n_src)
+        if lower.size == 0:
             break
-        rest_sources = np.arange(s + 1, n_src)
-        chosen = None
-        for t in remaining:
-            others = [u for u in remaining if u != t]
-            if len(others) > rest_sources.size:
-                continue
-            sub_total = _lsa_total(cost[np.ix_(rest_sources, others)]) if others else 0.0
-            if cost[s, t] + sub_total <= budget + tol:
-                chosen = t
+        v[lower] = cand[lower]
+        rows = src_of[lower]
+    reduced = d + v[col_of, None] - v
+    assert reduced.min() >= -tol, "LSA matching is not optimal"
+    tight = reduced <= tol
+    adj = [np.flatnonzero(row).tolist() for row in tight[:, :n_tgt]]
+    dummy_ok = tight[:, n_tgt:].any(axis=1)
+
+    fixed = np.zeros(n_src, dtype=bool)
+    dummies = range(n_tgt, n_src)
+
+    def reroute(start: int, free_col: int) -> bool:
+        # Breadth-first search for an alternating tight path from `start`
+        # through unfixed sources to free_col; on success every source on the
+        # path takes the column of the next one.  Dummy columns are
+        # interchangeable, so the first source with a tight dummy edge reaches
+        # every dummy holder.
+        parent = {start: -1}
+        queue = [start]
+        dummies_seen = False
+        for x in queue:
+            if tight[x, free_col]:
+                col = free_col
+                while x >= 0:
+                    col_of[x], col = col, col_of[x]
+                    src_of[col_of[x]] = x
+                    x = parent[x]
+                return True
+            cols = adj[x]
+            if dummy_ok[x] and not dummies_seen:
+                dummies_seen = True
+                cols = [*cols, *dummies]
+            for j in cols:
+                y = int(src_of[j])
+                if not fixed[y] and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        return False
+
+    for s in range(n_src):
+        fixed[s] = True
+        own = int(col_of[s])
+        for t in adj[s]:
+            if t >= own:
                 break
-        if chosen is None:
-            # source s is skipped in every co-optimal matching from here on
-            continue
-        matching[s] = chosen
-        budget -= cost[s, chosen]
-        remaining.remove(chosen)
-    return matching
+            holder = int(src_of[t])
+            if not fixed[holder] and reroute(holder, own):
+                col_of[s], src_of[t] = t, s
+                break
+    return {s: int(t) for s, t in enumerate(col_of) if t < n_tgt}
 
 
-def assign(
-    sources: TrapLayout,
-    targets: TrapLayout,
-    cost: str = DEFAULT_COST,
-    tie_break: str = "lex",
-) -> Assignment:
+def assign(sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST) -> Assignment:
     """Minimum-total-cost matching of sources onto targets.
 
-    tie_break="lex" canonicalizes equal-cost optima so the matching is the
-    lexicographically smallest in (source index, target index); its refinement
-    pass re-solves sub-assignments and is meant for desk-scale trap counts.
-    tie_break="solver" keeps the raw (still deterministic) solver matching,
-    the right choice for 1000-trap full-scale instances.
+    Equal-cost optima are canonicalized: the matching is the lexicographically
+    smallest in (source index, target index), found from one LSA solve plus
+    LP duals, at about the cost of the solve itself.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     if len(sources) < len(targets):
         raise InfeasibleAssignmentError(
             f"{len(targets)} targets but only {len(sources)} sources"
         )
     c = _cost_matrix(sources, targets, cost)
-    rows, cols = linear_sum_assignment(c)
-    total = float(c[rows, cols].sum())
-    matching = {int(r): int(t) for r, t in zip(rows, cols)}
-    if tie_break == "lex":
-        matching = _lex_refine(c, total)
+    matching = _lex_matching(c)
 
     by_target = sorted(matching.items(), key=lambda st: st[1])
     pairs = tuple((sources.sites[s], targets.sites[t]) for s, t in by_target)
-    matched_sources = set(matching)
-    unmatched = tuple(
-        s for i, s in enumerate(sources.sites) if i not in matched_sources
-    )
+    unmatched = tuple(s for i, s in enumerate(sources.sites) if i not in matching)
     total = float(np.sum([c[s, t] for s, t in by_target])) if by_target else 0.0
     return Assignment(pairs=pairs, unmatched_sources=unmatched, total_cost=total, cost=cost)
 
@@ -314,7 +348,6 @@ def plan_task(
     spec: TaskSpec,
     max_step: float | None = None,
     cost: str = DEFAULT_COST,
-    tie_break: str = "lex",
 ) -> TransportPlan:
     """Instantiate a task, assign sources to targets, and discretize.
 
@@ -333,15 +366,10 @@ def plan_task(
         for zv in zs:
             src_sites = tuple(s for s in source.sites if s.z == zv)
             tgt_sites = tuple(t for t in target.sites if t.z == zv)
-            parts.append(
-                assign(
-                    TrapLayout(src_sites), TrapLayout(tgt_sites),
-                    cost=cost, tie_break=tie_break,
-                )
-            )
+            parts.append(assign(TrapLayout(src_sites), TrapLayout(tgt_sites), cost=cost))
         assignment = _merge_assignments(parts)
     else:
-        assignment = assign(source, target, cost=cost, tie_break=tie_break)
+        assignment = assign(source, target, cost=cost)
 
     plan = discretize(assignment, max_step)
     # reattach per-target intensities in the plan's trap order

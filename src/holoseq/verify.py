@@ -2,7 +2,7 @@
 
 Each suite re-derives a core identity against an independent route: the
 separable propagator against the dense matrix, the exact transient against the
-interpolated-mask forward pass, the closed-form scale against random
+dense propagation of the relaxing mask, the closed-form scale against random
 perturbations, and the assignment solver against exhaustive search.
 """
 
@@ -49,7 +49,7 @@ def _check_propagation(rng, cases) -> tuple[bool, str]:
 
 def _check_transient(rng, cases) -> tuple[bool, str]:
     from .geometry import OpticalConfig
-    from .propagation import PhaseMask, build_separable, forward
+    from .propagation import PhaseMask, build_dense, build_separable, forward_dense
     from .transient import pixel_interpolate, transient_exact
 
     cfg = OpticalConfig(820e-9, 4e-3, 32, 32, 17e-6)
@@ -57,14 +57,15 @@ def _check_transient(rng, cases) -> tuple[bool, str]:
     for _ in range(cases):
         layout = _random_layout(rng, int(rng.integers(1, 10)))
         prop = build_separable(cfg, layout)
+        dense = build_dense(cfg, layout)
         m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (32, 32)))
         m1 = PhaseMask(rng.uniform(0, 2 * np.pi, (32, 32)))
         for a in np.linspace(0.1, 0.9, 9):
             e_exact = transient_exact(prop, m0, m1, float(a)).amplitudes
-            e_interp = forward(prop, pixel_interpolate(m0, m1, float(a))).amplitudes
-            rel = np.max(np.abs(e_exact - e_interp)) / np.max(np.abs(e_interp))
+            e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
+            rel = np.max(np.abs(e_exact - e_dense)) / np.max(np.abs(e_dense))
             worst = max(worst, rel)
-    return worst <= 1e-12, f"max relative deviation {worst:.3e} (tol 1e-12)"
+    return worst <= 1e-10, f"max relative deviation {worst:.3e} (tol 1e-10)"
 
 
 def _check_scale(rng, cases) -> tuple[bool, str]:
@@ -107,7 +108,7 @@ def run_verification(quick: bool = False, out=sys.stdout) -> bool:
     rng = np.random.default_rng(20260810)
     suites = [
         ("separable vs dense propagation", _check_propagation, 5 if quick else 20),
-        ("exact transient identity", _check_transient, 3 if quick else 10),
+        ("exact transient vs dense relaxing mask", _check_transient, 3 if quick else 10),
         ("closed-form scale optimality", _check_scale, 10 if quick else 50),
         ("assignment vs exhaustive oracle", _check_assignment, 30 if quick else 200),
     ]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from holoseq.geometry import OpticalConfig, build_lattice, paper_optical_config
+from holoseq.geometry import (
+    OpticalConfig,
+    TrapLayout,
+    TrapSite,
+    build_lattice,
+    paper_optical_config,
+)
 
 
 @pytest.fixture()
@@ -26,3 +32,27 @@ def desk_config():
 @pytest.fixture(scope="session")
 def grid_3x3():
     return build_lattice((3, 3), 5e-6, id_prefix="t")
+
+
+@pytest.fixture(scope="session")
+def criterion_4_instances():
+    """Acceptance criterion 4's 200 random (cost kind, sources, targets) instances."""
+    rng = np.random.default_rng(44)
+
+    def layout(prefix, n):
+        return TrapLayout(
+            tuple(
+                TrapSite(
+                    f"{prefix}{i}", float(rng.uniform(0, 50e-6)), float(rng.uniform(0, 50e-6)), 0.0
+                )
+                for i in range(n)
+            )
+        )
+
+    instances = []
+    for cost in ("squared", "euclidean"):
+        for _ in range(100):
+            n_tgt = int(rng.integers(1, 8))
+            n_src = n_tgt + int(rng.integers(0, 3))
+            instances.append((cost, layout("s", n_src), layout("t", n_tgt)))
+    return instances

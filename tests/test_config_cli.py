@@ -53,7 +53,7 @@ class TestConfigRoundTrip:
             task=offset_bilayer_task(dims=(4, 4), seed=9),
             solver=SolverSettings(iterations=7, seed=3),
             refresh=RefreshModel(samples_per_refresh=11, order="second"),
-            run=RunOptions(solvers=("wpgs",), max_step=0.2e-6, tie_break="solver"),
+            run=RunOptions(solvers=("wpgs",), max_step=0.2e-6, cost="euclidean"),
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -112,8 +112,6 @@ run: {max_step: 1e-7}
             config_from_dict({"run": {"solvers": ["gs"]}})
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict({"optical": {"grid_x": 64.5}})
-        with pytest.raises(ConfigError, match="tie_break"):
-            config_from_dict({"run": {"tie_break": "lexx"}})
         with pytest.raises(ConfigError, match="cost"):
             config_from_dict({"run": {"cost": "manhattan"}})
         for step in (0, -0.5e-6, "0 um", float("nan")):
@@ -123,7 +121,7 @@ run: {max_step: 1e-7}
         for doc in (
             {"run": {"output_dir": None}},
             {"run": {"cost": None}},
-            {"run": {"tie_break": 1}},
+            {"run": {"cost": 1}},
             {"run": {"solvers": ["wpgs", None]}},
             {"refresh": {"order": None}},
             {"task": {"kind": None}},
@@ -179,8 +177,12 @@ _STRICT_BASE = {
         (("refresh",), "tau"),
         (("run",), "threads"),
         (("run",), "over_relax_tail_fraction"),
+        (("run",), "tie_break"),
     ],
-    ids=["top", "optical", "task", "lattice", "solver", "refresh", "run", "run_tail_fraction"],
+    ids=[
+        "top", "optical", "task", "lattice", "solver", "refresh", "run", "run_tail_fraction",
+        "run_tie_break",
+    ],
 )
 def test_unknown_key_rejected(section, key):
     doc = copy.deepcopy(_STRICT_BASE)
@@ -267,7 +269,7 @@ class TestCli:
         path.write_text("task: {kind: nope}")
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
         assert main(["plan", "-c", str(tmp_path / "missing.yaml")]) == 2
-        path.write_text("run: {tie_break: lexx}")  # a planner option, checked at load
+        path.write_text("run: {tie_break: lex}")  # a removed planner option
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
         path.write_text("run: {max_step: 0}")
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2

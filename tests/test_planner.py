@@ -1,8 +1,14 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from holoseq import planner
+from holoseq.config import config_from_dict
 from holoseq.geometry import (
     LatticeSpec,
     TrapLayout,
@@ -10,15 +16,21 @@ from holoseq.geometry import (
     custom_task,
     minimal_3x3_task,
     offset_bilayer_task,
+    reconfig_2d_task,
     reconfig_3d_task,
 )
 from holoseq.planner import (
+    _TIE_RTOL,
     InfeasibleAssignmentError,
+    _cost_matrix,
+    _lex_matching,
     assign,
     brute_force_assign,
     discretize,
     plan_task,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def layout_from_x(xs, prefix="s"):
@@ -78,13 +90,6 @@ class TestAssign:
         assert [(s.id, t.id) for s, t in a1.pairs] == [("s0", "t0"), ("s1", "t1")]
         assert [(s.id, t.id) for s, t in a1.pairs] == [(s.id, t.id) for s, t in a2.pairs]
 
-    def test_solver_tie_break_still_optimal(self, rng):
-        src = random_layout(rng, 9, "s")
-        tgt = random_layout(rng, 7, "t")
-        a = assign(src, tgt, tie_break="solver")
-        b = brute_force_assign(src, tgt)
-        assert a.total_cost == pytest.approx(b.total_cost, rel=1e-12)
-
     def test_squared_cost_option(self):
         # squared cost prefers balancing long moves: classic 3-point example
         src = layout_from_x([0.0, 10.0])
@@ -94,6 +99,129 @@ class TestAssign:
             assert [(s.id, t.id) for s, t in a.pairs] == [("s0", "t0"), ("s1", "t1")]
         with pytest.raises(ValueError):
             assign(src, tgt, cost="manhattan")
+
+
+# Reference for the lexicographic tie-break: the planner's former matcher,
+# which re-solves a sub-assignment for every candidate pair.  The dual-based
+# _lex_matching must return exactly its pairs.
+def _lsa_total(cost: np.ndarray) -> float:
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def _lex_refine(cost: np.ndarray, base_total: float) -> dict[int, int]:
+    """Lexicographically canonical minimum-cost matching.
+
+    Sources are visited in index order; each takes the lowest-index remaining
+    target that still admits a completion of total cost base_total (within a
+    relative tie tolerance).  O(S*T) assignment re-solves worst case, intended
+    for desk-scale instances.
+    """
+    n_src, n_tgt = cost.shape
+    # relative tie tolerance: costs carry physical units (meters), so an
+    # absolute term would swamp genuine optimality gaps
+    tol = _TIE_RTOL * abs(base_total)
+    remaining = list(range(n_tgt))
+    matching: dict[int, int] = {}
+    budget = base_total
+    for s in range(n_src):
+        if not remaining:
+            break
+        rest_sources = np.arange(s + 1, n_src)
+        chosen = None
+        for t in remaining:
+            others = [u for u in remaining if u != t]
+            if len(others) > rest_sources.size:
+                continue
+            sub_total = _lsa_total(cost[np.ix_(rest_sources, others)]) if others else 0.0
+            if cost[s, t] + sub_total <= budget + tol:
+                chosen = t
+                break
+        if chosen is None:
+            # source s is skipped in every co-optimal matching from here on
+            continue
+        matching[s] = chosen
+        budget -= cost[s, chosen]
+        remaining.remove(chosen)
+    return matching
+
+
+def oracle_pairs(src, tgt, cost):
+    """(source id, target id) pairs of the reference matcher, by target index."""
+    c = _cost_matrix(src, tgt, cost)
+    matching = _lex_refine(c, _lsa_total(c))
+    by_target = sorted(matching.items(), key=lambda st: st[1])
+    return [(src.sites[s].id, tgt.sites[t].id) for s, t in by_target]
+
+
+def _workload_task(name):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return config_from_dict({"task": module.WORKLOADS[name].config["task"]}).task
+
+
+_TASKS = {
+    "acceptance-2d": lambda: reconfig_2d_task(
+        source_dims=(10, 10), target_dims=(8, 8), filling=0.79, seed=7
+    ),
+    "acceptance-3d-layers": lambda: reconfig_3d_task(
+        source_layers=(
+            LatticeSpec(dims=(7, 7), spacing=6e-6, z=-30e-6, filling=0.94),
+            LatticeSpec(dims=(7, 7), spacing=5e-6, z=0.0, filling=0.89),
+            LatticeSpec(dims=(8, 8), spacing=4e-6, z=30e-6, filling=0.84),
+        ),
+        target_dims=(6, 6),
+        target_spacing=5e-6,
+        seed=3,
+    ),
+    "bilayer-6x6": lambda: offset_bilayer_task(dims=(6, 6), seed=1),
+    "perfbench-desk-2d": lambda: _workload_task("desk-2d"),
+    "perfbench-desk-3d-exact": lambda: _workload_task("desk-3d-exact"),
+    "perfbench-plan-144": lambda: _workload_task("plan-144"),
+}
+
+
+class TestLexMatching:
+    """The one-solve tie-break returns the reference matcher's pairs exactly."""
+
+    @pytest.mark.parametrize("cost", ["squared", "euclidean"])
+    @pytest.mark.parametrize("task", list(_TASKS))
+    def test_task_pairs(self, task, cost, monkeypatch):
+        # every assign call plan_task makes (one per layer for lattice tasks)
+        calls = []
+
+        def spy(sources, targets, cost):
+            result = assign(sources, targets, cost=cost)
+            calls.append((sources, targets, result))
+            return result
+
+        monkeypatch.setattr(planner, "assign", spy)
+        plan_task(_TASKS[task](), cost=cost)
+        assert calls
+        for sources, targets, result in calls:
+            got = [(s.id, t.id) for s, t in result.pairs]
+            assert got == oracle_pairs(sources, targets, cost)
+
+    def test_criterion_4_instances(self, criterion_4_instances):
+        for cost, src, tgt in criterion_4_instances:
+            got = [(s.id, t.id) for s, t in assign(src, tgt, cost=cost).pairs]
+            assert got == oracle_pairs(src, tgt, cost)
+
+    def test_integer_costs_full_of_ties(self, rng):
+        # small integer costs make many exactly co-optimal matchings; surplus
+        # sources (S > T) make the unmatched choice part of the tie-break
+        cases = [np.full((n_tgt + extra, n_tgt), 3.0) for n_tgt in (1, 4, 6) for extra in (0, 2)]
+        for _ in range(400):
+            n_tgt = int(rng.integers(1, 8))
+            n_src = n_tgt + int(rng.integers(0, 4))
+            cases.append(rng.integers(0, int(rng.integers(1, 4)), (n_src, n_tgt)).astype(float))
+        for c in cases:
+            assert _lex_matching(c) == _lex_refine(c, _lsa_total(c)), c
 
 
 class TestBruteForce:

@@ -67,6 +67,10 @@ def test_traced_run(tracing, tracer, tmp_path):
     expected = set(tracing.WRAPPED) - {"transient.transient_exact", "metrics.layer_split"}
     assert tracing.missing_spans(tracer.spans, expected) == []
     assert not any("error" in span for span in tracer.spans)
+    # the tie-break works from the one solve: a planner.lsa span per assign
+    assigns = [span["id"] for span in tracer.spans if span["name"] == "planner.assign"]
+    solves = [span["parent"] for span in tracer.spans if span["name"] == "planner.lsa"]
+    assert assigns and sorted(solves) == assigns
 
 
 def test_traced_exact_run(tracer, tmp_path):
