@@ -16,6 +16,8 @@ EXIT_SOLVER = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .solvers import SOLVER_KINDS
+
     p = argparse.ArgumentParser(
         prog="holoseq",
         description="Phase-stable hologram sequences for optical tweezer transport",
@@ -43,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sr = sub.add_parser("run", parents=[common], help="run the hologram sequence pipeline")
     sr.add_argument("-o", "--output", help="output directory (defaults to config)")
     sr.add_argument(
-        "--solver", action="append", choices=["wgs", "wpgs"],
+        "--solver", action="append", choices=SOLVER_KINDS,
         help="solver(s) to run (repeatable; defaults to config)",
     )
 

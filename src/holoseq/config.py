@@ -5,12 +5,14 @@ included; string values may carry an explicit unit suffix ("17 um", "820 nm",
 "4 mm").  The top level holds the sections optical, task, solver, refresh and
 run.  Each section's table below lists its keys with their converters; a
 task's source_layers/target_layers entries use the lattice table.  A key
-outside its table, at any level, is a ConfigError.  A missing key takes its
-default from the section's dataclass (optical: from RunConfig()).
+outside its table, at any level, is a ConfigError, as is a number that is not
+finite.  A missing key takes its default from the section's dataclass
+(optical: from RunConfig()).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -19,7 +21,7 @@ import yaml
 
 from .geometry import LatticeSpec, OpticalConfig, TaskSpec, minimal_3x3_task, paper_optical_config
 from .planner import COST_KINDS
-from .solvers import SolverSettings
+from .solvers import SOLVER_KINDS, SolverSettings
 from .transient import RefreshModel
 
 __all__ = [
@@ -47,15 +49,20 @@ def parse_length(value) -> float:
     """Meters from a number, a unit-less numeric string or a '<number> <unit>' string.
 
     YAML reads an exponent without a dot ("820e-9") as a string; it is meters too.
+    A length that is not finite (a YAML .inf or .nan) is an error.
     """
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        meters = float(value)
+    elif isinstance(value, str):
         m = _LENGTH_RE.match(value)
-        if m and (m.group(2) or "m") in _UNITS:
-            return float(m.group(1)) * _UNITS[m.group(2) or "m"]
-        raise ConfigError(f"cannot parse length {value!r} (units: {sorted(_UNITS)})")
-    raise ConfigError(f"cannot parse length from {type(value).__name__}")
+        if not (m and (m.group(2) or "m") in _UNITS):
+            raise ConfigError(f"cannot parse length {value!r} (units: {sorted(_UNITS)})")
+        meters = float(m.group(1)) * _UNITS[m.group(2) or "m"]
+    else:
+        raise ConfigError(f"cannot parse length from {type(value).__name__}")
+    if not math.isfinite(meters):
+        raise ConfigError(f"length {value!r} is not finite")
+    return meters
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,12 @@ class RunOptions:
 
     def __post_init__(self):
         for s in self.solvers:
-            if s not in ("wgs", "wpgs"):
+            if s not in SOLVER_KINDS:
                 raise ConfigError(f"unknown solver {s!r}")
         if self.cost not in COST_KINDS:
             raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
-        if self.max_step is not None and not (self.max_step > 0):
-            raise ConfigError(f"max_step must be > 0, not {self.max_step!r}")
+        if self.max_step is not None and not (0 < self.max_step < math.inf):
+            raise ConfigError(f"max_step must be finite and > 0, not {self.max_step!r}")
         if self.warmup_frames < 0:
             raise ConfigError("warmup_frames must be >= 0")
 
@@ -98,6 +105,14 @@ def _int(value) -> int:
     if int(value) != value:
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _float(value) -> float:
+    """A finite float (a YAML .nan or .inf is an error)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _str(value) -> str:
@@ -124,8 +139,15 @@ def _section(name: str, table: dict, make):
         unknown = sorted(set(raw) - set(table), key=str)
         if unknown:
             raise ConfigError(f"unknown {name} keys {unknown}")
+        values = {}
+        for key, value in raw.items():
+            # every converter error, a ConfigError included, names its key
+            try:
+                values[key] = table[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
         try:
-            return make(**{key: table[key](value) for key, value in raw.items()})
+            return make(**values)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -141,7 +163,7 @@ _LATTICE = {
     "spacing": parse_length,
     "center": _tuple(parse_length),
     "z": parse_length,
-    "filling": float,
+    "filling": _float,
 }
 _layers = _tuple(_section("lattice", _LATTICE, LatticeSpec))
 _points = _tuple(_tuple(parse_length))
@@ -150,10 +172,10 @@ _TASK = {
     "seed": _int,
     "source_layers": _layers,
     "target_layers": _layers,
-    "layer_intensity": _tuple(float),
+    "layer_intensity": _tuple(_float),
     "custom_source": _points,
     "custom_target": _points,
-    "custom_intensity": _tuple(float),
+    "custom_intensity": _tuple(_float),
     "displacement": parse_length,
     "max_step": _optional(parse_length),
 }
@@ -167,7 +189,7 @@ _OPTICAL = {
 _SOLVER = {
     "iterations": _int,
     "wgs_iterations": _int,
-    "over_relaxation": float,
+    "over_relaxation": _float,
     "over_relaxation_last_iters": _int,
     "seed": _int,
 }

@@ -120,10 +120,6 @@ class TrapSite:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"trap {self.id!r} has non-finite coordinates")
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class TrapLayout:

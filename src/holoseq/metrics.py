@@ -101,7 +101,7 @@ class AggregateStats:
     histogram: Histogram
 
 
-def aggregate(dphi_vectors: Iterable[np.ndarray], bins: int = DEFAULT_DPHI_BINS) -> AggregateStats:
+def aggregate(dphi_vectors: Iterable[np.ndarray]) -> AggregateStats:
     """Pool wrapped phase differences and compute population statistics.
 
     std is taken about the sample mean; std_about_zero (the rms value) is
@@ -118,7 +118,7 @@ def aggregate(dphi_vectors: Iterable[np.ndarray], bins: int = DEFAULT_DPHI_BINS)
         std=float(np.std(samples)),
         std_about_zero=float(np.sqrt(np.mean(samples * samples))),
         mean=float(samples.mean()),
-        histogram=_clipped_histogram(samples, bins, -np.pi, np.pi),
+        histogram=_clipped_histogram(samples, DEFAULT_DPHI_BINS, -np.pi, np.pi),
     )
 
 
@@ -135,8 +135,6 @@ class TransitionStats:
 def transition_distribution(
     ratios: Iterable,
     thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS,
-    bins: int = DEFAULT_RATIO_BINS,
-    ratio_range: tuple[float, float] = DEFAULT_RATIO_RANGE,
 ) -> TransitionStats:
     """Minimum, below-threshold fractions, and histogram of pooled I/I0 samples."""
     pooled = [np.asarray(r, dtype=float).ravel() for r in ratios]
@@ -149,7 +147,7 @@ def transition_distribution(
         count=int(samples.size),
         minimum=float(samples.min()),
         fraction_below={float(t): float(np.mean(samples < t)) for t in thresholds},
-        histogram=_clipped_histogram(samples, bins, ratio_range[0], ratio_range[1]),
+        histogram=_clipped_histogram(samples, DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE),
     )
 
 
@@ -197,7 +195,6 @@ def compute_report(
     displacement_mean: float,
     displacement_max: float,
     trap_z: np.ndarray | None = None,
-    thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS,
 ) -> MetricsReport:
     """Assemble a MetricsReport, with per-layer splits when trap_z is layered.
 
@@ -209,15 +206,14 @@ def compute_report(
         frame_uniformity=tuple(uniformity(i) for i in frame_intensities),
         dphi=aggregate(dphi_vectors),
         transition=(
-            transition_distribution(ratio_samples, thresholds=thresholds)
-            if len(ratio_samples) else None
+            transition_distribution(ratio_samples) if len(ratio_samples) else None
         ),
         displacement_mean=displacement_mean,
         displacement_max=displacement_max,
         layer_reports=(
             layer_split(
                 frame_intensities, dphi_vectors, ratio_samples, trap_z,
-                displacement_mean, displacement_max, thresholds,
+                displacement_mean, displacement_max,
             )
             if layered else {}
         ),
@@ -231,7 +227,6 @@ def layer_split(
     trap_z: np.ndarray,
     displacement_mean: float = 0.0,
     displacement_max: float = 0.0,
-    thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS,
 ) -> dict[float, MetricsReport]:
     """Group per-trap metric inputs by layer z and build one report per layer."""
     z = np.asarray(trap_z, dtype=float)
@@ -244,6 +239,5 @@ def layer_split(
             [np.asarray(r)[..., idx] for r in ratio_samples],
             displacement_mean,
             displacement_max,
-            thresholds=thresholds,
         )
     return out

@@ -21,7 +21,7 @@ matching cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -67,12 +67,6 @@ class Assignment:
         src = np.array([[s.x, s.y, s.z] for s, _ in self.pairs])
         tgt = np.array([[t.x, t.y, t.z] for _, t in self.pairs])
         return np.linalg.norm(tgt - src, axis=1)
-
-    def displacement_stats(self) -> tuple[float, float]:
-        d = self.distances
-        if d.size == 0:
-            return 0.0, 0.0
-        return float(d.mean()), float(d.max())
 
 
 def _cost_matrix(sources: TrapLayout, targets: TrapLayout, cost: str) -> np.ndarray:
@@ -298,17 +292,18 @@ class TransportPlan:
 def _frame_count(d_max: float, max_step: float) -> int:
     if d_max <= 0.0:
         return 0
-    # guard against float noise pushing an exact ratio over the next integer
-    return int(math.ceil(d_max / max_step - 1e-9))
+    # guard against float noise pushing an exact ratio over the next integer;
+    # a move shorter than that guard still takes one step, so the plan ends
+    # on the targets
+    return max(1, int(math.ceil(d_max / max_step - 1e-9)))
 
 
-def discretize(assignment: Assignment, max_step: float, frames: int | None = None) -> TransportPlan:
+def discretize(assignment: Assignment, max_step: float) -> TransportPlan:
     """Split every matched segment into equal sub-steps bounded by max_step.
 
     The frame count is ceil(longest distance / max_step), shared by all traps
     so each moves simultaneously and strictly within the bound; zero-distance
-    traps hold position.  `frames` overrides the count (used to share a global
-    schedule across layers).
+    traps hold position.
     """
     if not (max_step > 0):
         raise ValueError("max_step must be > 0")
@@ -316,7 +311,7 @@ def discretize(assignment: Assignment, max_step: float, frames: int | None = Non
     n = len(assignment.pairs)
     if n == 0:
         raise ValueError("cannot discretize an empty assignment")
-    length = _frame_count(float(d.max()), max_step) if frames is None else frames
+    length = _frame_count(float(d.max()), max_step)
     src = np.array([[s.x, s.y, s.z] for s, _ in assignment.pairs])
     tgt = np.array([[t.x, t.y, t.z] for _, t in assignment.pairs])
     if length == 0:
@@ -374,12 +369,4 @@ def plan_task(
     plan = discretize(assignment, max_step)
     # reattach per-target intensities in the plan's trap order
     by_id = {t.id: v for t, v in zip(target.sites, inten)}
-    inten_ordered = np.array([by_id[tid] for tid in plan.trap_ids])
-    return TransportPlan(
-        frames=plan.frames,
-        waypoints=plan.waypoints,
-        trap_ids=plan.trap_ids,
-        source_ids=plan.source_ids,
-        max_step=plan.max_step,
-        target_intensity=inten_ordered,
-    )
+    return replace(plan, target_intensity=np.array([by_id[tid] for tid in plan.trap_ids]))

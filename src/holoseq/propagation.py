@@ -75,9 +75,6 @@ class PhaseMask:
     def canonical(self) -> np.ndarray:
         return np.mod(self.phases, TWO_PI)
 
-    def shifted(self, offset: float) -> "PhaseMask":
-        return PhaseMask(self.phases + offset)
-
 
 @dataclass(frozen=True)
 class TrapField:

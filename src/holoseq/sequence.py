@@ -7,10 +7,11 @@ phase-constrained solver additionally takes the previous frame's realized trap
 phases as its target phases, which is what couples consecutive holograms.
 After each solve the refresh interval from the previous mask is sampled at
 the new frame's trap positions, from the two fields that solve computed (its
-starting field and its result).  A RunRecord holds one (samples, traps) I/I0
-array per interval (``record.ratios``) and the per-frame wall times
-(``record.solve_times``), which cover propagator build plus the solve only
-(transient sampling and metric assembly are excluded).
+starting field and its result).  A RunRecord holds each frame's SolveResult
+(``record.frames``), one (samples, traps) I/I0 array per interval
+(``record.ratios``) and the per-frame wall times (``record.solve_times``),
+which cover propagator build plus the solve only (transient sampling and
+metric assembly are excluded).
 """
 
 from __future__ import annotations
@@ -21,52 +22,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OpticalConfig, TrapLayout
+from .geometry import OpticalConfig
 from .metrics import MetricsReport, compute_report, phase_diff
 from .planner import TransportPlan
-from .propagation import PhaseMask, TrapField, build_separable
-from .solvers import SolveResult, SolverSettings, wgs_solve, wpgs_solve
+from .propagation import build_separable
+from .solvers import SOLVER_KINDS, SolveResult, SolverSettings, TargetSpec, wgs_solve, wpgs_solve
 from .transient import RefreshModel, sample_refresh
 
 __all__ = [
-    "SOLVER_KINDS",
-    "FrameRecord",
     "RunRecord",
     "BenchRow",
     "run_sequence",
     "bench",
 ]
 
-SOLVER_KINDS = ("wgs", "wpgs")
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One transport step: trap layout, hologram, realized field, weights, time."""
-
-    layout: TrapLayout
-    mask: PhaseMask
-    field: TrapField
-    weights: np.ndarray
-    solve_time: float
-    objective: tuple[float, ...] = ()
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    """A finished run: frames, per-interval I/I0 arrays and dphi, metrics, plan."""
+    """A finished run: each frame's solve and wall time, per-interval I/I0 and dphi, metrics."""
 
-    frames: tuple[FrameRecord, ...]
+    frames: tuple[SolveResult, ...]
+    solve_times: np.ndarray
     ratios: tuple[np.ndarray, ...]
     dphi: tuple[np.ndarray, ...]
     metrics: MetricsReport
     plan: TransportPlan
     refresh: RefreshModel
     solver_kind: str
-
-    @property
-    def solve_times(self) -> np.ndarray:
-        return np.array([f.solve_time for f in self.frames])
 
 
 def _solve_frame(
@@ -76,8 +58,6 @@ def _solve_frame(
     settings: SolverSettings,
     prev: SolveResult | None,
 ) -> SolveResult:
-    from .solvers import TargetSpec
-
     if prev is None:
         # frame 0 from scratch: amplitude-only warm-up; the phase-constrained
         # solver then polishes with the warm-up's realized phases as targets
@@ -109,7 +89,8 @@ def run_sequence(
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
-    frames: list[FrameRecord] = []
+    frames: list[SolveResult] = []
+    times: list[float] = []
     ratios: list[np.ndarray] = []
     prev: SolveResult | None = None
     for l in range(plan.frames + 1):
@@ -121,17 +102,8 @@ def run_sequence(
         except Exception as exc:
             exc.args = (f"frame {l}: {exc}",) + exc.args[1:]
             raise
-        dt = time.perf_counter() - t0
-        frames.append(
-            FrameRecord(
-                layout=layout,
-                mask=result.mask,
-                field=result.field,
-                weights=result.weights,
-                solve_time=dt,
-                objective=result.objective,
-            )
-        )
+        times.append(time.perf_counter() - t0)
+        frames.append(result)
         if l > 0:
             ratios.append(sample_refresh(
                 prop, prev.mask, result.mask, result.init_field, result.field, refresh
@@ -144,6 +116,7 @@ def run_sequence(
     )
     return RunRecord(
         frames=tuple(frames),
+        solve_times=np.array(times),
         ratios=tuple(ratios),
         dphi=dphi,
         metrics=_run_metrics(plan, frames, ratios, dphi),

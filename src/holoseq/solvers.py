@@ -13,8 +13,8 @@ whether the target phases are pinned:
   every iteration by the currently realized trap phases, the scale is pinned
   to 1, and the weight rule uses the mean target amplitude.
 
-The scale, objective and back-propagation formulas each have one body, used
-by the loop and by the public step functions alike.
+The weight, scale, objective and back-propagation formulas are the public
+step functions, which take arrays; the loop calls them and nothing else.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .propagation import PhaseMask, SeparablePropagator, TrapField, adjoint_phase, forward
 
 __all__ = [
+    "SOLVER_KINDS",
     "DarkTrapError",
     "TargetSpec",
     "SolverSettings",
@@ -40,6 +41,7 @@ __all__ = [
     "wgs_solve",
 ]
 
+SOLVER_KINDS = ("wgs", "wpgs")
 WEIGHT_FLOOR_RATIO = 1e-15
 
 
@@ -121,10 +123,6 @@ class SolveResult:
     solver: str = ""
     adjoint_zero_pixels: int = field(default=0, compare=False)
 
-    @property
-    def trap_phase(self) -> np.ndarray:
-        return self.field.phase
-
 
 def _check_bright(field_abs: np.ndarray, iteration=None) -> None:
     peak = field_abs.max(initial=0.0)
@@ -135,24 +133,17 @@ def _check_bright(field_abs: np.ndarray, iteration=None) -> None:
         raise DarkTrapError(dark, iteration)
 
 
-def _weight_update(weights: np.ndarray, field_abs: np.ndarray, target_abs: np.ndarray,
-                   iteration=None) -> np.ndarray:
+def weight_update(weights: np.ndarray, field_abs: np.ndarray, target_abs: np.ndarray,
+                  iteration=None) -> np.ndarray:
+    """Multiplicative amplitude-equalization step, normalized to unit mean.
+
+    w_n <- w_n * |E_tar,n| / |E_n|, then divided by the arithmetic mean, with
+    field_abs = |E_n| and target_abs = |E_tar,n|.  Raises DarkTrapError when
+    any |E_n| falls below 1e-15 * max|E|.
+    """
     _check_bright(field_abs, iteration)
     w = weights * target_abs / field_abs
     return w / w.mean()
-
-
-def weight_update(weights: np.ndarray, field: TrapField, target: TargetSpec) -> np.ndarray:
-    """Multiplicative amplitude-equalization step, normalized to unit mean.
-
-    w_n <- w_n * |E_tar,n| / |E_n|, then divided by the arithmetic mean.
-    Raises DarkTrapError when any |E_n| falls below 1e-15 * max|E|.
-    """
-    return _weight_update(
-        np.asarray(weights, dtype=float),
-        np.abs(field.amplitudes),
-        np.abs(target.field),
-    )
 
 
 def over_relax(w_prev: np.ndarray, w_tilde_prev: np.ndarray, w_tilde_new: np.ndarray,
@@ -164,34 +155,25 @@ def over_relax(w_prev: np.ndarray, w_tilde_prev: np.ndarray, w_tilde_new: np.nda
     return w_tilde_prev + beta * (w_tilde_new - w_prev)
 
 
-def _scale(e_tar: np.ndarray, weighted: np.ndarray) -> complex:
+def scale_update(e_tar: np.ndarray, weighted: np.ndarray) -> complex:
+    """Least-squares global scale: s = E_tar^H (w * E) / ||E_tar||^2, weighted = w * E."""
     return complex(np.vdot(e_tar, weighted) / np.vdot(e_tar, e_tar).real)
 
 
-def _objective(weighted: np.ndarray, s: complex, e_tar: np.ndarray) -> float:
+def objective(weighted: np.ndarray, s: complex, e_tar: np.ndarray) -> float:
+    """Weighted complex-field matching residual ||w*E - s*E_tar||^2, weighted = w * E."""
     resid = weighted - s * e_tar
     return float(np.vdot(resid, resid).real)
 
 
-def _phase_step(prop: SeparablePropagator, weights: np.ndarray, s: complex,
-                e_tar: np.ndarray) -> tuple[PhaseMask, int]:
-    return adjoint_phase(prop, np.conj(prop.axial_phase) * (weights * (s * e_tar)))
-
-
-def scale_update(field: TrapField, weights: np.ndarray, target: TargetSpec) -> complex:
-    """Least-squares global scale: s = E_tar^H (w * E) / ||E_tar||^2."""
-    return _scale(target.field, weights * field.amplitudes)
-
-
-def objective(field: TrapField, weights: np.ndarray, s: complex, target: TargetSpec) -> float:
-    """Weighted complex-field matching residual ||w*E - s*E_tar||^2."""
-    return _objective(weights * field.amplitudes, s, target.field)
-
-
 def phase_step(prop: SeparablePropagator, weights: np.ndarray, s: complex,
-               target: TargetSpec) -> PhaseMask:
-    """Pixel phases from back-propagating the weighted, scaled target field."""
-    return _phase_step(prop, weights, s, target.field)[0]
+               e_tar: np.ndarray) -> tuple[PhaseMask, int]:
+    """Pixel phases from back-propagating the weighted, scaled target field.
+
+    Returns the mask and the count of back-propagated pixels that are exactly
+    zero, as adjoint_phase does.
+    """
+    return adjoint_phase(prop, np.conj(prop.axial_phase) * (weights * (s * e_tar)))
 
 
 def random_mask(config, seed: int) -> PhaseMask:
@@ -239,7 +221,7 @@ def _solve(
     for k in range(1, total + 1):
         e = realized.amplitudes
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
-        w_hat = _weight_update(w, np.abs(e), weight_target, iteration=k)
+        w_hat = weight_update(w, np.abs(e), weight_target, iteration=k)
         if _relax_active(k, total, settings):
             w_new = over_relax(w, w_tilde_prev, w_hat, settings.over_relaxation)
         else:
@@ -248,9 +230,9 @@ def _solve(
         w = w_new
         weighted = w * e
         if pinned:
-            s = _scale(e_tar, weighted)
-        objectives.append(_objective(weighted, s, e_tar))
-        phi, nz = _phase_step(prop, w, s, e_tar)
+            s = scale_update(e_tar, weighted)
+        objectives.append(objective(weighted, s, e_tar))
+        phi, nz = phase_step(prop, w, s, e_tar)
         zero_pixels += nz
         realized = forward(prop, phi)
 

@@ -69,20 +69,19 @@ def _check_transient(rng, cases) -> tuple[bool, str]:
 
 
 def _check_scale(rng, cases) -> tuple[bool, str]:
-    from .propagation import TrapField
     from .solvers import TargetSpec, objective, scale_update
 
     failures = 0
     for _ in range(cases):
         n = int(rng.integers(2, 12))
-        field = TrapField(rng.normal(size=n) + 1j * rng.normal(size=n))
-        target = TargetSpec(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
-        w = rng.uniform(0.5, 1.5, n)
-        s = scale_update(field, w, target)
-        base = objective(field, w, s, target)
+        field = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e_tar = TargetSpec(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n)).field
+        weighted = rng.uniform(0.5, 1.5, n) * field
+        s = scale_update(e_tar, weighted)
+        base = objective(weighted, s, e_tar)
         for _ in range(100):
             delta = 0.1 * (rng.normal() + 1j * rng.normal())
-            if objective(field, w, s + delta, target) < base - 1e-12:
+            if objective(weighted, s + delta, e_tar) < base - 1e-12:
                 failures += 1
                 break
     return failures == 0, f"{failures} instances beaten by a perturbation"

@@ -24,6 +24,34 @@ from holoseq.solvers import SolverSettings
 from holoseq.transient import RefreshModel
 
 
+def non_finite_docs(base):
+    """Copies of a valid config document, each with one number made inf or nan."""
+    inf, nan = float("inf"), float("nan")
+    for section, key, value in (
+        ("task", "displacement", inf),
+        ("task", "layer_intensity", [inf]),
+        ("task", "max_step", inf),
+        ("optical", "pixel_pitch", inf),
+        ("optical", "wavelength", inf),
+        ("solver", "over_relaxation", nan),
+        ("run", "max_step", inf),
+    ):
+        doc = copy.deepcopy(base)
+        doc[section][key] = value
+        yield doc
+    doc = copy.deepcopy(base)
+    doc["task"]["source_layers"][0]["filling"] = nan
+    yield doc
+    doc = copy.deepcopy(base)
+    doc["task"] = {
+        "kind": "custom",
+        "custom_source": [[0.0, 0.0, 0.0], [1e-5, 0.0, 0.0]],
+        "custom_target": [[0.0, 0.0, 0.0], [1e-5, 1e-6, 0.0]],
+        "custom_intensity": [nan, 1.0],
+    }
+    yield doc
+
+
 class TestParseLength:
     def test_bare_numbers_are_meters(self):
         assert parse_length(5e-6) == 5e-6
@@ -45,6 +73,9 @@ class TestParseLength:
         for text in ("1.2.3", "5e", "e-6 m", "abc"):
             with pytest.raises(ConfigError):
                 parse_length(text)
+        for value in (float("inf"), float("-inf"), float("nan"), "1e999 m"):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_length(value)
 
 
 class TestConfigRoundTrip:
@@ -128,6 +159,16 @@ run: {max_step: 1e-7}
         ):
             with pytest.raises(ConfigError, match="string"):
                 config_from_dict(doc)
+        # a non-finite number stops at load, not in planning or in the solver
+        inf = float("inf")
+        for doc in non_finite_docs(config_to_dict(RunConfig())):
+            with pytest.raises(ConfigError, match="finite"):
+                config_from_dict(doc)
+        for section, key in (("optical", "grid_x"), ("solver", "seed")):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({section: {key: inf}})
+        with pytest.raises(ConfigError, match="max_step"):
+            RunOptions(max_step=inf)
         path = tmp_path / "bad.yaml"
         path.write_text("task: {kind: nope}")
         with pytest.raises(ConfigError):
@@ -275,7 +316,16 @@ class TestCli:
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
         # the flag goes through the same check as the file
         assert main(["plan", "--max-step", "-0.5", "-o", str(tmp_path / "p.json")]) == 2
+        assert main(["plan", "--max-step", "inf", "-o", str(tmp_path / "p.json")]) == 2
         assert not (tmp_path / "p.json").exists()
+        # non-finite numbers in the file exit 2 before any solve, where they
+        # used to end in a traceback, a solver failure or an infeasible plan
+        base = config_to_dict(RunConfig())
+        base["optical"].update(grid_x=32, grid_y=32)
+        for doc in non_finite_docs(base):
+            path.write_text(yaml.safe_dump(doc))
+            assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2, doc
+        assert not (tmp_path / "out").exists()
 
     def test_trap_behind_lens_exit_code(self, tmp_path, capsys):
         # traps at z = -5 mm with f = 4 mm: no propagator exists, so every

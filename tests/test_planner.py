@@ -306,6 +306,19 @@ class TestPlanTask:
         mean_d, max_d = plan.displacement_stats()
         assert max_d == pytest.approx(2e-6, rel=1e-12)
 
+    def test_step_longer_than_every_move(self):
+        # one step covers every move: the plan takes that one step and ends
+        # on the targets instead of staying on the sources
+        spec = reconfig_2d_task((10, 10), (8, 8), seed=7)
+        plan = plan_task(spec, max_step=1e4)
+        assert plan.frames == 1
+        _, target, _ = planner.instantiate_task(spec)
+        by_id = {t.id: (t.x, t.y, t.z) for t in target.sites}
+        np.testing.assert_array_equal(
+            plan.waypoints[:, -1, :], [by_id[tid] for tid in plan.trap_ids]
+        )
+        assert plan.displacement_stats()[1] > 0
+
     def test_three_layer_shared_frames(self):
         spec = reconfig_3d_task(
             source_layers=(

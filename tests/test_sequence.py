@@ -50,9 +50,9 @@ class TestRunSequence:
         assert record.ratios == ()
         assert record.metrics.transition is None
 
-    def test_frame_field_consistency(self, small_config, tiny_run):
-        for frame in tiny_run.frames:
-            prop = build_separable(small_config, frame.layout)
+    def test_frame_field_consistency(self, small_config, tiny_plan, tiny_run):
+        for l, frame in enumerate(tiny_run.frames):
+            prop = build_separable(small_config, tiny_plan.layout(l))
             re_run = forward(prop, frame.mask).amplitudes
             rel = np.abs(re_run - frame.field.amplitudes).max() / np.abs(re_run).max()
             assert rel <= 1e-12
@@ -66,7 +66,7 @@ class TestRunSequence:
             np.testing.assert_array_equal(f1.field.amplitudes, f2.field.amplitudes)
 
     def test_target_attainment(self, tiny_plan, tiny_run):
-        final = tiny_run.frames[-1].layout
+        final = tiny_plan.layout(len(tiny_run.frames) - 1)
         np.testing.assert_array_equal(final.positions(), tiny_plan.waypoints[:, -1, :])
         nus = tiny_run.metrics.frame_uniformity
         assert nus[-1] >= min(nus)
@@ -86,7 +86,7 @@ class TestRunSequence:
         record = run_sequence(small_config, tiny_plan, "wpgs", fast_settings, refresh)
         for l, ratios in enumerate(record.ratios, start=1):
             prev, frame = record.frames[l - 1], record.frames[l]
-            prop = build_separable(small_config, frame.layout)
+            prop = build_separable(small_config, tiny_plan.layout(l))
             expected = sample_refresh(
                 prop, prev.mask, frame.mask,
                 forward(prop, prev.mask), forward(prop, frame.mask), refresh,
