@@ -11,7 +11,6 @@ from .geometry import (
     OpticalConfig,
     TaskSpec,
     TrapLayout,
-    TrapSite,
     build_lattice,
     custom_task,
     instantiate_task,

@@ -191,6 +191,10 @@ def _cmd_landscape(args) -> int:
 
     from .transient import intensity_model
 
+    for flag, steps in (("--a-steps", args.a_steps), ("--dphi-steps", args.dphi_steps)):
+        if steps < 1:
+            print(f"config error: {flag} must be >= 1, not {steps}", file=sys.stderr)
+            return EXIT_CONFIG
     a_values = np.linspace(0.0, 1.0, args.a_steps)
     dphi_values = np.linspace(0.0, np.pi, args.dphi_steps)
     with open(args.output, "w", newline="") as fh:

@@ -16,8 +16,8 @@ import numpy as np
 
 __all__ = [
     "OpticalConfig",
-    "TrapSite",
     "TrapLayout",
+    "concat_layouts",
     "LatticeSpec",
     "TaskSpec",
     "TaskInstance",
@@ -51,12 +51,9 @@ class OpticalConfig:
     illumination: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not (self.wavelength > 0):
-            raise ValueError("wavelength must be > 0")
-        if not (self.focal_length > 0):
-            raise ValueError("focal_length must be > 0")
-        if not (self.pixel_pitch > 0):
-            raise ValueError("pixel_pitch must be > 0")
+        for name in ("wavelength", "focal_length", "pixel_pitch"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
         if self.grid_x < 1 or self.grid_y < 1:
             raise ValueError("grid dimensions must be >= 1")
         if self.illumination is not None:
@@ -108,65 +105,59 @@ def paper_optical_config(grid: int = 1024) -> OpticalConfig:
 
 
 @dataclass(frozen=True)
-class TrapSite:
-    """A single trap center."""
-
-    id: str
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"trap {self.id!r} has non-finite coordinates")
-
-
-@dataclass(frozen=True)
 class TrapLayout:
-    """Ordered collection of trap sites; ordering defines the trap index n."""
+    """Trap centers in trap-index order: trap n is ids[n] at xyz[n] = (x, y, z)."""
 
-    sites: tuple[TrapSite, ...]
+    ids: tuple[str, ...]
+    xyz: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.sites) < 1:
+        ids = tuple(self.ids)
+        xyz = np.array(self.xyz, dtype=float)
+        if not ids:
             raise ValueError("layout needs at least one trap")
-        ids = [s.id for s in self.sites]
+        if xyz.shape != (len(ids), 3):
+            raise ValueError(f"xyz shape {xyz.shape} != ({len(ids)}, 3)")
         if len(set(ids)) != len(ids):
             raise ValueError("trap ids must be unique within a layout")
-        for name, arr in (
-            ("x", np.array([s.x for s in self.sites])),
-            ("y", np.array([s.y for s in self.sites])),
-            ("z", np.array([s.z for s in self.sites])),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, "_" + name, arr)
+        bad = ~np.isfinite(xyz).all(axis=1)
+        if bad.any():
+            raise ValueError(f"trap {ids[int(bad.argmax())]!r} has non-finite coordinates")
+        xyz.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "xyz", xyz)
 
     def __len__(self) -> int:
-        return len(self.sites)
-
-    @property
-    def count(self) -> int:
-        return len(self.sites)
+        return len(self.ids)
 
     @property
     def x(self) -> np.ndarray:
-        return self._x
+        return self.xyz[:, 0]
 
     @property
     def y(self) -> np.ndarray:
-        return self._y
+        return self.xyz[:, 1]
 
     @property
     def z(self) -> np.ndarray:
-        return self._z
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.sites)
+        return self.xyz[:, 2]
 
     def positions(self) -> np.ndarray:
-        """(N, 3) coordinate array."""
-        return np.column_stack([self._x, self._y, self._z])
+        """(N, 3) coordinate array, the same read-only array as xyz."""
+        return self.xyz
+
+    def take(self, index) -> TrapLayout:
+        """The traps selected by an index array or boolean mask, in that order."""
+        picked = np.arange(len(self.ids))[index]
+        return TrapLayout(tuple(self.ids[i] for i in picked), self.xyz[picked])
+
+
+def concat_layouts(layouts: Sequence[TrapLayout]) -> TrapLayout:
+    """One layout holding the traps of each layout in turn."""
+    return TrapLayout(
+        tuple(i for layout in layouts for i in layout.ids),
+        np.concatenate([layout.xyz for layout in layouts]),
+    )
 
 
 def build_lattice(
@@ -184,21 +175,17 @@ def build_lattice(
     nx, ny = dims
     if nx < 1 or ny < 1:
         raise ValueError("lattice dims must be >= 1x1")
-    if not (spacing > 0):
-        raise ValueError("lattice spacing must be > 0")
+    if not (0 < spacing < math.inf):
+        raise ValueError("lattice spacing must be finite and > 0")
     cx, cy = center
-    sites = []
-    for iy in range(ny):
-        for ix in range(nx):
-            sites.append(
-                TrapSite(
-                    id=f"{id_prefix}{iy * nx + ix}",
-                    x=cx + (ix - (nx - 1) / 2.0) * spacing,
-                    y=cy + (iy - (ny - 1) / 2.0) * spacing,
-                    z=z,
-                )
-            )
-    return TrapLayout(tuple(sites))
+    n = np.arange(nx * ny)
+    ix, iy = n % nx, n // nx
+    xyz = np.column_stack([
+        cx + (ix - (nx - 1) / 2.0) * spacing,
+        cy + (iy - (ny - 1) / 2.0) * spacing,
+        np.full(n.size, float(z)),
+    ])
+    return TrapLayout(tuple(f"{id_prefix}{i}" for i in range(n.size)), xyz)
 
 
 @dataclass(frozen=True)
@@ -214,8 +201,10 @@ class LatticeSpec:
     def __post_init__(self):
         if self.dims[0] < 1 or self.dims[1] < 1:
             raise ValueError("lattice dims must be >= 1x1")
-        if not (self.spacing > 0):
-            raise ValueError("lattice spacing must be > 0")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError("lattice spacing must be finite and > 0")
+        if not all(math.isfinite(v) for v in (*self.center, self.z)):
+            raise ValueError("lattice center and z must be finite")
         if not (0.0 < self.filling <= 1.0):
             raise ValueError("filling fraction must be in (0, 1]")
 
@@ -255,20 +244,21 @@ class TaskSpec:
                 raise ValueError("layers must be listed in ascending z")
         if self.layer_intensity and len(self.layer_intensity) != len(self.target_layers):
             raise ValueError("layer_intensity length must match target_layers")
-        if any(v <= 0 for v in self.layer_intensity):
-            raise ValueError("target intensities must be > 0")
-        if any(v <= 0 for v in self.custom_intensity):
-            raise ValueError("target intensities must be > 0")
-        if self.max_step is not None and not (self.max_step > 0):
-            raise ValueError("max_step must be > 0")
+        if not all(0 < v < math.inf for v in (*self.layer_intensity, *self.custom_intensity)):
+            raise ValueError("target intensities must be finite and > 0")
+        if not (0 <= self.displacement < math.inf):
+            raise ValueError("displacement must be finite and >= 0")
+        if self.max_step is not None and not (0 < self.max_step < math.inf):
+            raise ValueError("max_step must be finite and > 0")
+        for points in (self.custom_source, self.custom_target):
+            if any(len(p) != 3 or not all(map(math.isfinite, p)) for p in points):
+                raise ValueError("custom points must be finite (x, y, z) triples")
         if self.kind == "custom":
             if not self.custom_source or not self.custom_target:
                 raise ValueError("custom tasks need custom_source and custom_target points")
         elif self.kind == "minimal_3x3":
             if len(self.source_layers) != 1 or len(self.target_layers) != 1:
                 raise ValueError("minimal_3x3 needs exactly one source and target layer")
-            if self.displacement < 0:
-                raise ValueError("displacement must be >= 0")
         elif not self.source_layers or not self.target_layers:
             raise ValueError(f"{self.kind} tasks need source and target layers")
 
@@ -279,18 +269,17 @@ class TaskInstance(NamedTuple):
     target_intensity: np.ndarray
 
 
+def _lattice(spec: LatticeSpec, prefix: str) -> TrapLayout:
+    return build_lattice(spec.dims, spec.spacing, spec.center, spec.z, id_prefix=prefix)
+
+
 def _sample_layer(spec: LatticeSpec, rng: np.random.Generator, prefix: str) -> tuple[TrapLayout, np.ndarray]:
     """Full lattice for one layer plus its occupancy mask (per-site Bernoulli)."""
-    lattice = build_lattice(spec.dims, spec.spacing, spec.center, spec.z, id_prefix=prefix)
     if spec.filling >= 1.0:
         occupied = np.ones(spec.count, dtype=bool)
     else:
         occupied = rng.random(spec.count) < spec.filling
-    return lattice, occupied
-
-
-def _occupied_layout(lattice: TrapLayout, occupied: np.ndarray) -> list[TrapSite]:
-    return [s for s, keep in zip(lattice.sites, occupied) if keep]
+    return _lattice(spec, prefix), occupied
 
 
 def instantiate_task(spec: TaskSpec) -> TaskInstance:
@@ -304,41 +293,33 @@ def instantiate_task(spec: TaskSpec) -> TaskInstance:
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "custom":
-        src = [TrapSite(f"s{i}", *p) for i, p in enumerate(spec.custom_source)]
-        tgt = [TrapSite(f"t{i}", *p) for i, p in enumerate(spec.custom_target)]
-        if len(tgt) > len(src):
-            raise ValueError(f"{len(tgt)} targets but only {len(src)} sources")
+        n_src, n_tgt = len(spec.custom_source), len(spec.custom_target)
+        if n_tgt > n_src:
+            raise ValueError(f"{n_tgt} targets but only {n_src} sources")
         if spec.custom_intensity:
-            if len(spec.custom_intensity) != len(tgt):
+            if len(spec.custom_intensity) != n_tgt:
                 raise ValueError("custom_intensity length must match custom_target")
             inten = np.array(spec.custom_intensity, dtype=float)
         else:
-            inten = np.ones(len(tgt))
-        return TaskInstance(TrapLayout(tuple(src)), TrapLayout(tuple(tgt)), inten)
+            inten = np.ones(n_tgt)
+        src = TrapLayout(tuple(f"s{i}" for i in range(n_src)), spec.custom_source)
+        tgt = TrapLayout(tuple(f"t{i}" for i in range(n_tgt)), spec.custom_target)
+        return TaskInstance(src, tgt, inten)
 
     if spec.kind == "minimal_3x3":
-        layer = spec.source_layers[0]
-        src = build_lattice(layer.dims, layer.spacing, layer.center, layer.z, id_prefix="s")
+        src = _lattice(spec.source_layers[0], "s")
         # middle row translated along the lower-right diagonal by `displacement`
         step = spec.displacement / math.sqrt(2.0)
-        ny = layer.dims[1]
-        mid = ny // 2
-        tgt_sites = []
-        for i, s in enumerate(src.sites):
-            iy = i // layer.dims[0]
-            if iy == mid:
-                tgt_sites.append(TrapSite(f"t{i}", s.x + step, s.y - step, s.z))
-            else:
-                tgt_sites.append(TrapSite(f"t{i}", s.x, s.y, s.z))
-        inten = np.ones(len(tgt_sites))
-        return TaskInstance(src, TrapLayout(tuple(tgt_sites)), inten)
+        nx, ny = spec.source_layers[0].dims
+        xyz = src.xyz.copy()
+        xyz[(ny // 2) * nx:(ny // 2 + 1) * nx, :2] += (step, -step)
+        tgt = TrapLayout(tuple(f"t{i}" for i in range(len(src))), xyz)
+        return TaskInstance(src, tgt, np.ones(len(tgt)))
 
     if spec.kind in ("reconfig_2d", "reconfig_3d_layers"):
         if len(spec.source_layers) != len(spec.target_layers):
             raise ValueError("source and target layer counts must match")
-        src_sites: list[TrapSite] = []
-        tgt_sites: list[TrapSite] = []
-        inten_parts: list[np.ndarray] = []
+        srcs, tgts, inten_parts = [], [], []
         for li, (s_spec, t_spec) in enumerate(zip(spec.source_layers, spec.target_layers)):
             lattice, occupied = _sample_layer(s_spec, rng, prefix=f"s{li}_")
             n_occ = int(occupied.sum())
@@ -347,45 +328,33 @@ def instantiate_task(spec: TaskSpec) -> TaskInstance:
                     f"layer {li}: sampled {n_occ} occupied sources < {t_spec.count} targets"
                     " (adjust the seed or filling)"
                 )
-            src_sites.extend(_occupied_layout(lattice, occupied))
-            tgt = build_lattice(t_spec.dims, t_spec.spacing, t_spec.center, t_spec.z, id_prefix=f"t{li}_")
-            tgt_sites.extend(tgt.sites)
+            srcs.append(lattice.take(occupied))
+            tgts.append(_lattice(t_spec, f"t{li}_"))
             value = spec.layer_intensity[li] if spec.layer_intensity else 1.0
             inten_parts.append(np.full(t_spec.count, value))
-        return TaskInstance(
-            TrapLayout(tuple(src_sites)),
-            TrapLayout(tuple(tgt_sites)),
-            np.concatenate(inten_parts),
-        )
+        return TaskInstance(concat_layouts(srcs), concat_layouts(tgts), np.concatenate(inten_parts))
 
     if spec.kind == "offset_bilayer":
         if len(spec.source_layers) != 2 or len(spec.target_layers) != 2:
             raise ValueError("offset_bilayer needs exactly two source and target layers")
         lat_a, occ_a = _sample_layer(spec.source_layers[0], rng, prefix="sA_")
         lat_b, occ_b = _sample_layer(spec.source_layers[1], rng, prefix="sB_")
-        tgt_a_full = build_lattice(
-            spec.target_layers[0].dims, spec.target_layers[0].spacing,
-            spec.target_layers[0].center, spec.target_layers[0].z, id_prefix="tA_",
-        )
-        tgt_b_full = build_lattice(
-            spec.target_layers[1].dims, spec.target_layers[1].spacing,
-            spec.target_layers[1].center, spec.target_layers[1].z, id_prefix="tB_",
-        )
+        tgt_a_full = _lattice(spec.target_layers[0], "tA_")
+        tgt_b_full = _lattice(spec.target_layers[1], "tB_")
         if len(tgt_a_full) != len(lat_b) or len(tgt_b_full) != len(lat_a):
             raise ValueError("bilayer source and target lattices must have matching site counts")
         # target occupancy is the opposite layer's source pattern, so the count
         # imbalance forces interlayer moves while total targets == total sources
-        tgt_sites = _occupied_layout(tgt_a_full, occ_b) + _occupied_layout(tgt_b_full, occ_a)
-        src_sites = _occupied_layout(lat_a, occ_a) + _occupied_layout(lat_b, occ_b)
-        if not tgt_sites:
+        if not (occ_a.any() or occ_b.any()):
             raise ValueError("bilayer task sampled zero occupied sites (adjust seed/filling)")
         i_a = spec.layer_intensity[0] if spec.layer_intensity else 1.0
         i_b = spec.layer_intensity[1] if spec.layer_intensity else 1.0
-        inten = np.concatenate([
-            np.full(int(occ_b.sum()), i_a),
-            np.full(int(occ_a.sum()), i_b),
-        ])
-        return TaskInstance(TrapLayout(tuple(src_sites)), TrapLayout(tuple(tgt_sites)), inten)
+        inten = np.concatenate([np.full(int(occ_b.sum()), i_a), np.full(int(occ_a.sum()), i_b)])
+        return TaskInstance(
+            concat_layouts([lat_a, lat_b]).take(np.concatenate([occ_a, occ_b])),
+            concat_layouts([tgt_a_full, tgt_b_full]).take(np.concatenate([occ_b, occ_a])),
+            inten,
+        )
 
     raise AssertionError(f"unhandled kind {spec.kind}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import TaskSpec, TrapLayout, TrapSite, instantiate_task
+from .geometry import TaskSpec, TrapLayout, concat_layouts, instantiate_task
 
 __all__ = [
     "InfeasibleAssignmentError",
@@ -52,28 +52,24 @@ class InfeasibleAssignmentError(ValueError):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Matched (source, target) pairs, ordered by target index."""
+    """Matched traps ordered by target index: sources[k] moves to targets[k]."""
 
-    pairs: tuple[tuple[TrapSite, TrapSite], ...]
-    unmatched_sources: tuple[TrapSite, ...]
+    sources: TrapLayout
+    targets: TrapLayout
     total_cost: float
     cost: str = DEFAULT_COST
 
     @property
     def distances(self) -> np.ndarray:
         """Euclidean source->target distance per pair (independent of cost kind)."""
-        if not self.pairs:
-            return np.zeros(0)
-        src = np.array([[s.x, s.y, s.z] for s, _ in self.pairs])
-        tgt = np.array([[t.x, t.y, t.z] for _, t in self.pairs])
-        return np.linalg.norm(tgt - src, axis=1)
+        return np.linalg.norm(self.targets.xyz - self.sources.xyz, axis=1)
 
 
 def _cost_matrix(sources: TrapLayout, targets: TrapLayout, cost: str) -> np.ndarray:
     if cost not in COST_KINDS:
         raise ValueError(f"cost must be one of {COST_KINDS}")
-    sp = sources.positions()[:, None, :]
-    tp = targets.positions()[None, :, :]
+    sp = sources.xyz[:, None, :]
+    tp = targets.xyz[None, :, :]
     d = np.linalg.norm(tp - sp, axis=2)
     return d * d if cost == "squared" else d
 
@@ -181,12 +177,10 @@ def assign(sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST) -
         )
     c = _cost_matrix(sources, targets, cost)
     matching = _lex_matching(c)
-
-    by_target = sorted(matching.items(), key=lambda st: st[1])
-    pairs = tuple((sources.sites[s], targets.sites[t]) for s, t in by_target)
-    unmatched = tuple(s for i, s in enumerate(sources.sites) if i not in matching)
-    total = float(np.sum([c[s, t] for s, t in by_target])) if by_target else 0.0
-    return Assignment(pairs=pairs, unmatched_sources=unmatched, total_cost=total, cost=cost)
+    # every target is matched, so ordering the matched sources by their
+    # target gives the source of target 0, 1, ...
+    source_of = sorted(matching, key=matching.get)
+    return _assignment(sources, targets, source_of, c, cost)
 
 
 def brute_force_assign(
@@ -226,11 +220,15 @@ def brute_force_assign(
         if t >= 0:
             source_of[t] = i
             m ^= 1 << t
-    pairs = tuple((sources.sites[s], targets.sites[t]) for t, s in enumerate(source_of))
-    matched = set(source_of)
-    unmatched = tuple(s for i, s in enumerate(sources.sites) if i not in matched)
-    total = float(c[source_of, range(n_tgt)].sum())
-    return Assignment(pairs=pairs, unmatched_sources=unmatched, total_cost=total, cost=cost)
+    return _assignment(sources, targets, source_of, c, cost)
+
+
+def _assignment(
+    sources: TrapLayout, targets: TrapLayout, source_of, c: np.ndarray, cost: str
+) -> Assignment:
+    """The Assignment moving source source_of[t] to target t, for every t."""
+    total = float(c[source_of, range(len(targets))].sum())
+    return Assignment(sources.take(source_of), targets, total_cost=total, cost=cost)
 
 
 @dataclass(frozen=True)
@@ -274,13 +272,7 @@ class TransportPlan:
 
     def layout(self, frame: int) -> TrapLayout:
         """Trap layout at a given frame index (0 = source positions)."""
-        pts = self.waypoints[:, frame, :]
-        return TrapLayout(
-            tuple(
-                TrapSite(tid, float(p[0]), float(p[1]), float(p[2]))
-                for tid, p in zip(self.trap_ids, pts)
-            )
-        )
+        return TrapLayout(self.trap_ids, self.waypoints[:, frame])
 
     def displacement_stats(self) -> tuple[float, float]:
         d = np.linalg.norm(self.waypoints[:, -1, :] - self.waypoints[:, 0, :], axis=1)
@@ -307,13 +299,9 @@ def discretize(assignment: Assignment, max_step: float) -> TransportPlan:
     """
     if not (max_step > 0):
         raise ValueError("max_step must be > 0")
-    d = assignment.distances
-    n = len(assignment.pairs)
-    if n == 0:
-        raise ValueError("cannot discretize an empty assignment")
-    length = _frame_count(float(d.max()), max_step)
-    src = np.array([[s.x, s.y, s.z] for s, _ in assignment.pairs])
-    tgt = np.array([[t.x, t.y, t.z] for _, t in assignment.pairs])
+    length = _frame_count(float(assignment.distances.max()), max_step)
+    src = assignment.sources.xyz
+    tgt = assignment.targets.xyz
     if length == 0:
         wp = src[:, None, :]
     else:
@@ -323,19 +311,10 @@ def discretize(assignment: Assignment, max_step: float) -> TransportPlan:
     return TransportPlan(
         frames=length,
         waypoints=wp,
-        trap_ids=tuple(t.id for _, t in assignment.pairs),
-        source_ids=tuple(s.id for s, _ in assignment.pairs),
+        trap_ids=assignment.targets.ids,
+        source_ids=assignment.sources.ids,
         max_step=max_step,
-        target_intensity=np.ones(n),
-    )
-
-
-def _merge_assignments(parts: list[Assignment]) -> Assignment:
-    pairs = tuple(p for part in parts for p in part.pairs)
-    unmatched = tuple(s for part in parts for s in part.unmatched_sources)
-    total = float(sum(part.total_cost for part in parts))
-    return Assignment(
-        pairs=pairs, unmatched_sources=unmatched, total_cost=total, cost=parts[0].cost
+        target_intensity=np.ones(len(tgt)),
     )
 
 
@@ -356,17 +335,19 @@ def plan_task(
     source, target, inten = instantiate_task(spec)
 
     if spec.kind in ("minimal_3x3", "reconfig_2d", "reconfig_3d_layers"):
-        zs = sorted(set(target.z.tolist()))
-        parts = []
-        for zv in zs:
-            src_sites = tuple(s for s in source.sites if s.z == zv)
-            tgt_sites = tuple(t for t in target.sites if t.z == zv)
-            parts.append(assign(TrapLayout(src_sites), TrapLayout(tgt_sites), cost=cost))
-        assignment = _merge_assignments(parts)
+        parts = [
+            assign(source.take(source.z == zv), target.take(target.z == zv), cost=cost)
+            for zv in sorted(set(target.z.tolist()))
+        ]
+        assignment = Assignment(
+            concat_layouts([a.sources for a in parts]),
+            concat_layouts([a.targets for a in parts]),
+            total_cost=float(sum(a.total_cost for a in parts)),
+            cost=cost,
+        )
     else:
         assignment = assign(source, target, cost=cost)
 
-    plan = discretize(assignment, max_step)
-    # reattach per-target intensities in the plan's trap order
-    by_id = {t.id: v for t, v in zip(target.sites, inten)}
-    return replace(plan, target_intensity=np.array([by_id[tid] for tid in plan.trap_ids]))
+    # assign keeps target order and layers ascend in z, so the plan's traps
+    # are in target order
+    return replace(discretize(assignment, max_step), target_intensity=inten)

@@ -16,18 +16,13 @@ __all__ = ["run_verification"]
 
 
 def _random_layout(rng, n, z_choices=(-30e-6, 0.0, 30e-6)):
-    from .geometry import TrapLayout, TrapSite
+    from .geometry import TrapLayout
 
-    sites = tuple(
-        TrapSite(
-            f"v{i}",
-            float(rng.uniform(-40e-6, 40e-6)),
-            float(rng.uniform(-40e-6, 40e-6)),
-            float(rng.choice(z_choices)),
-        )
-        for i in range(n)
-    )
-    return TrapLayout(sites)
+    xyz = [
+        (rng.uniform(-40e-6, 40e-6), rng.uniform(-40e-6, 40e-6), rng.choice(z_choices))
+        for _ in range(n)
+    ]
+    return TrapLayout(tuple(f"v{i}" for i in range(n)), xyz)
 
 
 def _check_propagation(rng, cases) -> tuple[bool, str]:

@@ -4,7 +4,6 @@ import pytest
 from holoseq.geometry import (
     OpticalConfig,
     TrapLayout,
-    TrapSite,
     build_lattice,
     paper_optical_config,
 )
@@ -40,14 +39,8 @@ def criterion_4_instances():
     rng = np.random.default_rng(44)
 
     def layout(prefix, n):
-        return TrapLayout(
-            tuple(
-                TrapSite(
-                    f"{prefix}{i}", float(rng.uniform(0, 50e-6)), float(rng.uniform(0, 50e-6)), 0.0
-                )
-                for i in range(n)
-            )
-        )
+        xyz = [(rng.uniform(0, 50e-6), rng.uniform(0, 50e-6), 0.0) for _ in range(n)]
+        return TrapLayout(tuple(f"{prefix}{i}" for i in range(n)), xyz)
 
     instances = []
     for cost in ("squared", "euclidean"):

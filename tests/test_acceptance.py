@@ -14,7 +14,6 @@ from holoseq.geometry import (
     LatticeSpec,
     OpticalConfig,
     TrapLayout,
-    TrapSite,
     minimal_3x3_task,
     offset_bilayer_task,
     reconfig_2d_task,
@@ -47,17 +46,11 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def random_layout(rng, n):
-    return TrapLayout(
-        tuple(
-            TrapSite(
-                f"a{i}",
-                float(rng.uniform(-40e-6, 40e-6)),
-                float(rng.uniform(-40e-6, 40e-6)),
-                float(rng.choice([-30e-6, 0.0, 30e-6])),
-            )
-            for i in range(n)
-        )
-    )
+    xyz = [
+        (rng.uniform(-40e-6, 40e-6), rng.uniform(-40e-6, 40e-6), rng.choice([-30e-6, 0.0, 30e-6]))
+        for _ in range(n)
+    ]
+    return TrapLayout(tuple(f"a{i}" for i in range(n)), xyz)
 
 
 @pytest.fixture(scope="module")

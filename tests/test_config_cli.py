@@ -390,6 +390,14 @@ class TestCli:
         mid = [i for a, d, i in rows if a == 0.5 and d == pytest.approx(np.pi)]
         assert mid[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("flag", ["--a-steps", "--dphi-steps"])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_landscape_bad_step_count(self, tmp_path, capsys, flag, steps):
+        out = tmp_path / "landscape.csv"
+        assert main(["landscape", flag, steps, "-o", str(out)]) == 2
+        assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_flag_overrides(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "bench2.csv"
         code = main(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from holoseq.geometry import (
     OpticalConfig,
     TaskSpec,
     TrapLayout,
-    TrapSite,
     build_lattice,
+    concat_layouts,
     custom_task,
     instantiate_task,
     minimal_3x3_task,
@@ -48,19 +50,19 @@ class TestOpticalConfig:
 class TestBuildLattice:
     def test_degenerate_single_site(self):
         layout = build_lattice((1, 1), 5e-6)
-        assert layout.count == 1
-        assert layout.sites[0].x == 0.0 and layout.sites[0].y == 0.0
+        assert len(layout) == 1
+        assert layout.x[0] == 0.0 and layout.y[0] == 0.0
 
     def test_3x3_extremes(self):
         layout = build_lattice((3, 3), 5e-6)
-        assert layout.count == 9
+        assert len(layout) == 9
         assert layout.x.max() == pytest.approx(5e-6)
         assert layout.x.min() == pytest.approx(-5e-6)
         assert layout.y.max() == pytest.approx(5e-6)
 
     def test_32x32_span(self):
         layout = build_lattice((32, 32), 5e-6)
-        assert layout.count == 1024
+        assert len(layout) == 1024
         assert layout.x.max() - layout.x.min() == pytest.approx(155e-6)
         assert layout.y.max() - layout.y.min() == pytest.approx(155e-6)
 
@@ -71,20 +73,50 @@ class TestBuildLattice:
     def test_row_major_order(self):
         layout = build_lattice((2, 2), 1e-6)
         # index 1 advances x before y
-        assert layout.sites[1].x > layout.sites[0].x
-        assert layout.sites[1].y == layout.sites[0].y
-        assert layout.sites[2].y > layout.sites[0].y
+        assert layout.x[1] > layout.x[0]
+        assert layout.y[1] == layout.y[0]
+        assert layout.y[2] > layout.y[0]
 
 
 class TestTrapTypes:
     def test_unique_ids(self):
-        s = TrapSite("a", 0, 0, 0)
-        with pytest.raises(ValueError):
-            TrapLayout((s, TrapSite("a", 1e-6, 0, 0)))
+        with pytest.raises(ValueError, match="unique"):
+            TrapLayout(("a", "a"), [(0, 0, 0), (1e-6, 0, 0)])
 
     def test_finite_coordinates(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="'b' has non-finite"):
+                TrapLayout(("a", "b"), [(0, 0, 0), (0, bad, 0)])
+
+    def test_xyz_shape(self):
+        for xyz in ([(0, 0)], [(0, 0, 0), (1, 0, 0)], [0, 0, 0], [[(0, 0, 0)]]):
+            with pytest.raises(ValueError, match="shape"):
+                TrapLayout(("a",), xyz)
+
+    def test_empty_layout(self):
+        with pytest.raises(ValueError, match="at least one"):
+            TrapLayout((), np.zeros((0, 3)))
+
+    def test_read_only_copy(self):
+        xyz = np.zeros((1, 3))
+        layout = TrapLayout(["a"], xyz)
+        xyz[0, 0] = 1.0
+        assert layout.ids == ("a",) and layout.x[0] == 0.0
         with pytest.raises(ValueError):
-            TrapSite("a", float("nan"), 0, 0)
+            layout.xyz[0, 0] = 1.0
+
+    def test_take_and_concat(self):
+        layout = build_lattice((3, 1), 1e-6)
+        picked = layout.take(np.array([2, 0]))
+        assert picked.ids == ("t2", "t0")
+        np.testing.assert_array_equal(picked.xyz, layout.xyz[[2, 0]])
+        masked = layout.take(np.array([True, False, True]))
+        assert masked.ids == ("t0", "t2")
+        joined = concat_layouts([picked, build_lattice((1, 1), 1e-6, z=2e-6, id_prefix="u")])
+        assert joined.ids == ("t2", "t0", "u0")
+        np.testing.assert_array_equal(joined.z, [0.0, 0.0, 2e-6])
+        with pytest.raises(ValueError, match="unique"):
+            concat_layouts([layout, picked])
 
     def test_positions_array(self):
         layout = build_lattice((2, 1), 1e-6, z=3e-6)
@@ -114,10 +146,37 @@ class TestTaskSpecValidation:
             TaskSpec(kind="custom")
 
 
+_LAYER = LatticeSpec(dims=(2, 2), spacing=1e-6)
+_NON_FINITE_FIELDS = {
+    "wavelength": lambda v: OpticalConfig(v, 4e-3, 8, 8, 17e-6),
+    "focal_length": lambda v: OpticalConfig(820e-9, v, 8, 8, 17e-6),
+    "pixel_pitch": lambda v: OpticalConfig(820e-9, 4e-3, 8, 8, v),
+    "spacing": lambda v: LatticeSpec(dims=(2, 2), spacing=v),
+    "center": lambda v: LatticeSpec(dims=(2, 2), spacing=1e-6, center=(0.0, v)),
+    "z": lambda v: LatticeSpec(dims=(2, 2), spacing=1e-6, z=v),
+    "layer_intensity": lambda v: TaskSpec(
+        kind="reconfig_2d", source_layers=(_LAYER,), target_layers=(_LAYER,),
+        layer_intensity=(v,),
+    ),
+    "custom_intensity": lambda v: custom_task([(0, 0, 0)], [(0, 0, 0)], intensities=[v]),
+    "custom_source": lambda v: custom_task([(0, v, 0)], [(0, 0, 0)]),
+    "displacement": lambda v: minimal_3x3_task(displacement=v),
+    "max_step": lambda v: replace(minimal_3x3_task(), max_step=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", list(_NON_FINITE_FIELDS))
+def test_non_finite_field_rejected(name, value):
+    # built from Python, not only from a config file
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_FIELDS[name](value)
+
+
 class TestInstantiate:
     def test_minimal_3x3(self):
         src, tgt, inten = instantiate_task(minimal_3x3_task())
-        assert src.count == 9 and tgt.count == 9
+        assert len(src) == 9 and len(tgt) == 9
         np.testing.assert_allclose(inten, 1.0)
         moved = np.linalg.norm(tgt.positions() - src.positions(), axis=1)
         # middle row (indices 3..5) moves 2 um along the diagonal, rest static
@@ -130,7 +189,7 @@ class TestInstantiate:
     def test_full_occupancy_when_filling_one(self):
         spec = reconfig_2d_task(source_dims=(5, 5), target_dims=(5, 5), filling=1.0)
         src, tgt, _ = instantiate_task(spec)
-        assert src.count == 25 and tgt.count == 25
+        assert len(src) == 25 and len(tgt) == 25
 
     def test_deterministic_given_seed(self):
         spec = reconfig_2d_task(source_dims=(10, 10), target_dims=(8, 8), filling=0.79, seed=7)
@@ -146,7 +205,7 @@ class TestInstantiate:
                 source_dims=(10, 10), target_dims=(1, 1), filling=0.79, seed=seed
             )
             src, _, _ = instantiate_task(spec)
-            counts.append(src.count)
+            counts.append(len(src))
         mean = np.mean(counts)
         sigma = np.sqrt(100 * 0.79 * 0.21 / 300)
         assert abs(mean - 79.0) < 4 * sigma
@@ -173,24 +232,24 @@ class TestInstantiate:
         src, tgt, _ = instantiate_task(spec)
         assert set(src.z.tolist()) == {-30e-6, 0.0, 30e-6}
         assert set(tgt.z.tolist()) == {-30e-6, 0.0, 30e-6}
-        assert tgt.count == 27
+        assert len(tgt) == 27
 
     def test_bilayer_counts_and_intensities(self):
         spec = offset_bilayer_task(dims=(4, 4), fillings=(1.0, 0.5), seed=2)
         src, tgt, inten = instantiate_task(spec)
-        assert src.count == tgt.count == len(inten)
+        assert len(src) == len(tgt) == len(inten)
         # layer A targets copy layer B's occupancy count and vice versa
         z = tgt.z
         n_a = int((z < 0).sum())
         n_b = int((z > 0).sum())
         assert n_b == 16  # layer A fully occupied -> 16 targets up top
-        assert n_a == src.count - 16
+        assert n_a == len(src) - 16
         assert set(np.round(inten, 6).tolist()) <= {1.0, 1.25}
 
     def test_custom_task(self):
         spec = custom_task([(0, 0, 0), (1e-6, 0, 0)], [(0, 1e-6, 0)], intensities=[2.0])
         src, tgt, inten = instantiate_task(spec)
-        assert src.count == 2 and tgt.count == 1
+        assert len(src) == 2 and len(tgt) == 1
         assert inten[0] == 2.0
 
     def test_custom_infeasible(self):
@@ -204,5 +263,5 @@ class TestInstantiate:
         with pytest.raises(ValueError, match="occupied"):
             instantiate_task(reconfig_2d_task(seed=0))
         src, tgt, _ = instantiate_task(reconfig_2d_task(seed=3))
-        assert src.count >= 1024
-        assert tgt.count == 1024
+        assert len(src) >= 1024
+        assert len(tgt) == 1024

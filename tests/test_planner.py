@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import sys
@@ -12,8 +13,8 @@ from holoseq.config import config_from_dict
 from holoseq.geometry import (
     LatticeSpec,
     TrapLayout,
-    TrapSite,
     custom_task,
+    instantiate_task,
     minimal_3x3_task,
     offset_bilayer_task,
     reconfig_2d_task,
@@ -34,16 +35,12 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def layout_from_x(xs, prefix="s"):
-    return TrapLayout(tuple(TrapSite(f"{prefix}{i}", float(x), 0.0, 0.0) for i, x in enumerate(xs)))
+    return TrapLayout(tuple(f"{prefix}{i}" for i in range(len(xs))), [(x, 0.0, 0.0) for x in xs])
 
 
 def random_layout(rng, n, prefix):
-    return TrapLayout(
-        tuple(
-            TrapSite(f"{prefix}{i}", float(rng.uniform(0, 50e-6)), float(rng.uniform(0, 50e-6)), 0.0)
-            for i in range(n)
-        )
-    )
+    xyz = [(rng.uniform(0, 50e-6), rng.uniform(0, 50e-6), 0.0) for _ in range(n)]
+    return TrapLayout(tuple(f"{prefix}{i}" for i in range(n)), xyz)
 
 
 class TestAssign:
@@ -51,8 +48,8 @@ class TestAssign:
         src = layout_from_x([1e-6])
         tgt = layout_from_x([2e-6], prefix="t")
         a = assign(src, tgt)
-        assert len(a.pairs) == 1
-        assert a.pairs[0][0].id == "s0" and a.pairs[0][1].id == "t0"
+        assert len(a.targets) == 1
+        assert a.sources.ids[0] == "s0" and a.targets.ids[0] == "t0"
         assert a.distances[0] == pytest.approx(1e-6)
         assert a.total_cost == pytest.approx(1e-12)  # squared-cost units
 
@@ -63,8 +60,8 @@ class TestAssign:
         slow = brute_force_assign(src, tgt)
         assert fast.total_cost == slow.total_cost
         # optimal matching: s0->t0 (0.4), s1->t1 (0.4); s2 unmatched
-        assert [(s.id, t.id) for s, t in fast.pairs] == [("s0", "t0"), ("s1", "t1")]
-        assert [u.id for u in fast.unmatched_sources] == ["s2"]
+        assert list(zip(fast.sources.ids, fast.targets.ids)) == [("s0", "t0"), ("s1", "t1")]
+        assert sorted(set(src.ids) - set(fast.sources.ids)) == ["s2"]
 
     def test_matches_oracle_on_random_instances(self, rng):
         for _ in range(40):
@@ -83,12 +80,12 @@ class TestAssign:
     def test_tie_break_deterministic_and_lexicographic(self):
         # two sources equidistant from two targets: every matching costs the
         # same; the canonical answer pairs s0 with t0
-        src = TrapLayout((TrapSite("s0", 0, 1e-6, 0), TrapSite("s1", 0, -1e-6, 0)))
-        tgt = TrapLayout((TrapSite("t0", 1e-6, 0, 0), TrapSite("t1", -1e-6, 0, 0)))
+        src = TrapLayout(("s0", "s1"), [(0, 1e-6, 0), (0, -1e-6, 0)])
+        tgt = TrapLayout(("t0", "t1"), [(1e-6, 0, 0), (-1e-6, 0, 0)])
         a1 = assign(src, tgt)
         a2 = assign(src, tgt)
-        assert [(s.id, t.id) for s, t in a1.pairs] == [("s0", "t0"), ("s1", "t1")]
-        assert [(s.id, t.id) for s, t in a1.pairs] == [(s.id, t.id) for s, t in a2.pairs]
+        assert list(zip(a1.sources.ids, a1.targets.ids)) == [("s0", "t0"), ("s1", "t1")]
+        assert (a1.sources.ids, a1.targets.ids) == (a2.sources.ids, a2.targets.ids)
 
     def test_squared_cost_option(self):
         # squared cost prefers balancing long moves: classic 3-point example
@@ -96,7 +93,7 @@ class TestAssign:
         tgt = layout_from_x([4.0, 14.0], prefix="t")
         for cost in ("euclidean", "squared"):
             a = assign(layout_from_x([0.0, 10.0]), tgt, cost=cost)
-            assert [(s.id, t.id) for s, t in a.pairs] == [("s0", "t0"), ("s1", "t1")]
+            assert list(zip(a.sources.ids, a.targets.ids)) == [("s0", "t0"), ("s1", "t1")]
         with pytest.raises(ValueError):
             assign(src, tgt, cost="manhattan")
 
@@ -151,7 +148,7 @@ def oracle_pairs(src, tgt, cost):
     c = _cost_matrix(src, tgt, cost)
     matching = _lex_refine(c, _lsa_total(c))
     by_target = sorted(matching.items(), key=lambda st: st[1])
-    return [(src.sites[s].id, tgt.sites[t].id) for s, t in by_target]
+    return [(src.ids[s], tgt.ids[t]) for s, t in by_target]
 
 
 def _workload_task(name):
@@ -204,12 +201,13 @@ class TestLexMatching:
         plan_task(_TASKS[task](), cost=cost)
         assert calls
         for sources, targets, result in calls:
-            got = [(s.id, t.id) for s, t in result.pairs]
+            got = list(zip(result.sources.ids, result.targets.ids))
             assert got == oracle_pairs(sources, targets, cost)
 
     def test_criterion_4_instances(self, criterion_4_instances):
         for cost, src, tgt in criterion_4_instances:
-            got = [(s.id, t.id) for s, t in assign(src, tgt, cost=cost).pairs]
+            a = assign(src, tgt, cost=cost)
+            got = list(zip(a.sources.ids, a.targets.ids))
             assert got == oracle_pairs(src, tgt, cost)
 
     def test_integer_costs_full_of_ties(self, rng):
@@ -244,8 +242,8 @@ class TestBruteForce:
                 key=lambda perm: (d * d)[list(perm), range(n_tgt)].sum(),
             )
             a = brute_force_assign(src, tgt)
-            assert [(s.id, t.id) for s, t in a.pairs] == [
-                (src.sites[s].id, tgt.sites[t].id) for t, s in enumerate(best)
+            assert list(zip(a.sources.ids, a.targets.ids)) == [
+                (src.ids[s], tgt.ids[t]) for t, s in enumerate(best)
             ]
 
     def test_single_pair(self):
@@ -292,7 +290,7 @@ class TestDiscretize:
             assert steps.max(initial=0.0) <= 0.1e-6 + 1e-12
             np.testing.assert_array_equal(
                 plan.waypoints[:, -1, :],
-                np.array([[t.x, t.y, t.z] for _, t in assign(src, tgt).pairs]),
+                assign(src, tgt).targets.xyz,
             )
 
 
@@ -313,7 +311,7 @@ class TestPlanTask:
         plan = plan_task(spec, max_step=1e4)
         assert plan.frames == 1
         _, target, _ = planner.instantiate_task(spec)
-        by_id = {t.id: (t.x, t.y, t.z) for t in target.sites}
+        by_id = dict(zip(target.ids, target.xyz))
         np.testing.assert_array_equal(
             plan.waypoints[:, -1, :], [by_id[tid] for tid in plan.trap_ids]
         )
@@ -368,5 +366,69 @@ class TestPlanTask:
         plan = plan_task(minimal_3x3_task())
         lay0 = plan.layout(0)
         layL = plan.layout(plan.frames)
-        assert lay0.count == layL.count == 9
+        assert len(lay0) == len(layL) == 9
         np.testing.assert_array_equal(layL.positions(), plan.waypoints[:, -1, :])
+
+
+def _digest(ids, *arrays):
+    h = hashlib.sha256("\n".join(ids).encode())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# (task, max_step) -> source, target and plan counts, then sha256 of
+# the source ids + coordinates, the target ids + coordinates + intensities,
+# and the plan's trap_ids + source_ids + waypoints + target_intensity.
+# plan.json and the CSVs carry these ids, so they must not drift.
+_PINNED = {
+    "minimal-3x3": (
+        lambda: minimal_3x3_task(), None, (9, 9, 10),
+        "460e9403ff66f3cbe839ee6fff30c82d4b5b94b7dab134d4c7ffce7b817076a0",
+        "7a201d98cad6e1bb8a82ba348345d1f447f2d3206638e43d28f5836ca3668a84",
+        "71211a74c3a668ea57e7959c6531dda933e612521d2894d9e2ab551ad6644b6f",
+    ),
+    "acceptance-2d": (
+        _TASKS["acceptance-2d"], 0.5e-6, (78, 64, 15),
+        "83e9d664d0fd1cfc2714043026c9abbd1c341b0449f8279e594e2fb0a20fa1dd",
+        "7a0433a4c22ca3a147da941853aad5eafd010764ad5b127668cd36add0711b78",
+        "a04c3938cad77385c218ea325b070c06d0cbc5501b5f3b4bc5c0a110c3e41db8",
+    ),
+    "desk-3-layer": (
+        _TASKS["acceptance-3d-layers"], 0.8e-6, (147, 108, 9),
+        "9234924b5b81da567dc687acffc3edacd82f47faa0eb2ae756b848f49c68b4e6",
+        "e3c2d2479cf0403610331daa4b7abacba66e83d98367ed9a33a537d7bb5cbd9f",
+        "2e9882e9106516a1201ad8e16179e5b2fbe722b82ca037e7e2178c7b898bbfb7",
+    ),
+    "bilayer-6x6": (
+        _TASKS["bilayer-6x6"], 0.5e-6, (53, 53, 41),
+        "a11967b8cad563de2940d61b1b167f00f34ac66416df13a9425e00085e45eb32",
+        "658e974daa0de44ab9b1b235003d87f2364badfebe6ea8b505feb499e0a316ad",
+        "805b6e71f0affec4df55d5a68942bccd245810be5aa49f56347f733a5ddebe80",
+    ),
+    "custom": (
+        lambda: custom_task(
+            [(0, 0, -5e-6), (4e-6, 1e-6, 0), (-3e-6, 2e-6, 5e-6)],
+            [(1e-6, 1e-6, 0), (-2e-6, 0, 5e-6)],
+            intensities=[1.0, 1.5],
+        ),
+        1e-6, (3, 2, 3),
+        "68dc0831bb98ad69897be12f6c048f5e17245a2b690a5ef814f6e5b072e2bd1b",
+        "234402ec9d8541eca6e7fdeaaa3fca6e17bfb551f9c034ae9a535a9fcd44c258",
+        "8455d18c5fd8224715e6d9ba34a335570a4149a9988342c04302a8da6768459b",
+    ),
+}
+
+
+@pytest.mark.parametrize("task", list(_PINNED))
+def test_trap_sets_pinned(task):
+    make, max_step, counts, source_digest, target_digest, plan_digest = _PINNED[task]
+    spec = make()
+    source, target, inten = instantiate_task(spec)
+    plan = plan_task(spec, max_step=max_step)
+    assert (len(source), len(target), plan.frames) == counts
+    assert _digest(source.ids, source.positions()) == source_digest
+    assert _digest(target.ids, target.positions(), inten) == target_digest
+    assert _digest(
+        plan.trap_ids + plan.source_ids, plan.waypoints, plan.target_intensity
+    ) == plan_digest

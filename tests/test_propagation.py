@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoseq.geometry import OpticalConfig, TrapLayout, TrapSite, build_lattice
+from holoseq.geometry import OpticalConfig, TrapLayout, build_lattice
 from holoseq.propagation import (
     DENSE_ENTRY_LIMIT,
     PhaseMask,
@@ -17,17 +17,11 @@ from holoseq.propagation import (
 
 
 def random_layout(rng, n, z_choices=(-30e-6, 0.0, 30e-6)):
-    return TrapLayout(
-        tuple(
-            TrapSite(
-                f"r{i}",
-                float(rng.uniform(-40e-6, 40e-6)),
-                float(rng.uniform(-40e-6, 40e-6)),
-                float(rng.choice(z_choices)),
-            )
-            for i in range(n)
-        )
-    )
+    xyz = [
+        (rng.uniform(-40e-6, 40e-6), rng.uniform(-40e-6, 40e-6), rng.choice(z_choices))
+        for _ in range(n)
+    ]
+    return TrapLayout(tuple(f"r{i}" for i in range(n)), xyz)
 
 
 class TestWrapPhase:
@@ -79,7 +73,7 @@ class TestSeparable:
         np.testing.assert_allclose(prop.kernel_x, expected, atol=1e-12)
 
     def test_single_origin_trap_all_ones(self, small_config):
-        layout = TrapLayout((TrapSite("o", 0.0, 0.0, 0.0),))
+        layout = TrapLayout(("o",), [(0.0, 0.0, 0.0)])
         prop = build_separable(small_config, layout)
         np.testing.assert_allclose(prop.kernel_x, 1.0)
         np.testing.assert_allclose(prop.kernel_y, 1.0)
@@ -116,9 +110,7 @@ class TestForward:
             assert rel <= 1e-10
 
     def test_mirror_symmetric_mask_gives_equal_intensities(self, small_config, rng):
-        layout = TrapLayout(
-            (TrapSite("l", -8e-6, 0.0, 0.0), TrapSite("r", 8e-6, 0.0, 0.0))
-        )
+        layout = TrapLayout(("l", "r"), [(-8e-6, 0.0, 0.0), (8e-6, 0.0, 0.0)])
         prop = build_separable(small_config, layout)
         half = rng.uniform(0, 2 * np.pi, (32, 64))
         mask = PhaseMask(np.vstack([half, half[::-1]]))
@@ -155,14 +147,14 @@ class TestForward:
 class TestDense:
     def test_single_trap_constant_modulus(self):
         cfg = OpticalConfig(820e-9, 4e-3, 2, 2, 17e-6)
-        layout = TrapLayout((TrapSite("t", 3e-6, -2e-6, 5e-6),))
+        layout = TrapLayout(("t",), [(3e-6, -2e-6, 5e-6)])
         dense = build_dense(cfg, layout)
         assert dense.matrix.shape == (1, 4)
         mags = np.abs(dense.matrix)
         np.testing.assert_allclose(mags, mags[0, 0], rtol=1e-12)
 
     def test_z_zero_row_is_linear_ramp(self, small_config):
-        layout = TrapLayout((TrapSite("t", 6e-6, -9e-6, 0.0),))
+        layout = TrapLayout(("t",), [(6e-6, -9e-6, 0.0)])
         dense = build_dense(small_config, layout)
         lam, f = small_config.wavelength, small_config.focal_length
         uu, vv = np.meshgrid(
@@ -193,7 +185,7 @@ class TestAdjoint:
         np.testing.assert_array_equal(mask.phases, 0.0)
 
     def test_single_trap_recovers_steering_grating(self, small_config):
-        layout = TrapLayout((TrapSite("t", 11e-6, 4e-6, 0.0),))
+        layout = TrapLayout(("t",), [(11e-6, 4e-6, 0.0)])
         prop = build_separable(small_config, layout)
         b = prop.axial_phase * np.array([2.0 + 0.5j])
         mask, _ = adjoint_phase(prop, b)
@@ -207,11 +199,7 @@ class TestAdjoint:
     def test_round_trip_well_separated(self, desk_config, rng):
         # measured max deviation 3e-4 rad over 20 draws for this geometry
         layout = TrapLayout(
-            (
-                TrapSite("a", -40e-6, -40e-6, 0.0),
-                TrapSite("b", 45e-6, -35e-6, 0.0),
-                TrapSite("c", 0.0, 50e-6, 0.0),
-            )
+            ("a", "b", "c"), [(-40e-6, -40e-6, 0.0), (45e-6, -35e-6, 0.0), (0.0, 50e-6, 0.0)]
         )
         prop = build_separable(desk_config, layout)
         for _ in range(5):

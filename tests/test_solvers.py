@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoseq.geometry import TrapLayout, TrapSite
+from holoseq.geometry import TrapLayout
 from holoseq.metrics import uniformity
 from holoseq.propagation import TrapField, build_separable, forward, wrap_phase
 from holoseq.solvers import (
@@ -172,7 +172,7 @@ class TestScaleUpdate:
 
 class TestPhaseStep:
     def test_single_trap_steering(self, small_config):
-        layout = TrapLayout((TrapSite("t", 9e-6, -6e-6, 0.0),))
+        layout = TrapLayout(("t",), [(9e-6, -6e-6, 0.0)])
         prop = build_separable(small_config, layout)
         target = TargetSpec(np.array([1.0]), np.array([0.4]))
         mask, _ = phase_step(prop, np.ones(1), 1.0 + 0j, target.field)
@@ -201,7 +201,7 @@ class TestPhaseStep:
 
 class TestWpgsSolve:
     def test_single_trap_one_iteration(self, desk_config):
-        layout = TrapLayout((TrapSite("t", 12e-6, -7e-6, 0.0),))
+        layout = TrapLayout(("t",), [(12e-6, -7e-6, 0.0)])
         prop = build_separable(desk_config, layout)
         target = TargetSpec(np.array([1.0]), np.array([0.7]))
         res = wpgs_solve(prop, target, SolverSettings(iterations=1, seed=3))
@@ -272,7 +272,7 @@ class TestWgsSolve:
         assert res.scale == 1.0 + 0j
 
     def test_single_trap_parity_with_wpgs(self, small_config):
-        layout = TrapLayout((TrapSite("t", -10e-6, 3e-6, 0.0),))
+        layout = TrapLayout(("t",), [(-10e-6, 3e-6, 0.0)])
         prop = build_separable(small_config, layout)
         settings = SolverSettings(seed=5)
         res_wgs = wgs_solve(prop, np.ones(1), settings)
