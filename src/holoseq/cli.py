@@ -156,6 +156,8 @@ def _cmd_run(args) -> int:
         line += f"  mean_frame {times.mean():.2f} ms"
         print(line)
         print(f"wrote {dest}")
+        # each frame's mask stays in the record; let it go before the next solver runs
+        del record
     return EXIT_OK
 
 

@@ -192,18 +192,26 @@ def forward(prop: SeparablePropagator, mask: PhaseMask) -> TrapField:
     return forward_field(prop, np.exp(1j * mask.phases))
 
 
-def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[PhaseMask, int]:
-    """Phase of the back-propagated pixel field ``U^H diag(b) V^*``.
+def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unit phasor of the back-propagated pixel field ``U^H diag(b) V^*``.
 
-    Returns the mask and the count of pixels whose back-propagated field is
-    exactly zero; those pixels get phase 0.  The caller supplies the per-trap
-    source vector b (the solver uses conj(c) * w * s * E_tar).
+    Returns the (grid_x, grid_y) phasor ``pixel / |pixel|`` and the count of
+    pixels whose back-propagated field is exactly zero; those pixels get the
+    phasor 1 (phase 0).  The caller supplies the per-trap source vector b
+    (the solver uses conj(c) * w * s * E_tar).
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (prop.trap_count,):
         raise ValueError(f"b must have length {prop.trap_count}")
     pixel = (np.conj(prop.kernel_x) * b[:, None]).T @ np.conj(prop.kernel_y)
-    return PhaseMask(np.angle(pixel)), int(np.count_nonzero(pixel == 0))
+    magnitude = np.abs(pixel)
+    zero = magnitude == 0
+    zero_pixels = int(np.count_nonzero(zero))
+    if zero_pixels:
+        pixel[zero] = 1.0
+        magnitude[zero] = 1.0
+    pixel /= magnitude
+    return pixel, zero_pixels
 
 
 def build_dense(config: OpticalConfig, layout: TrapLayout) -> DensePropagator:

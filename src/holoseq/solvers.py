@@ -1,7 +1,7 @@
 """Iterative phase-only hologram solvers.
 
 Both solvers run one alternating loop (forward propagation, weight update,
-scale update, pixel-phase update) and differ only in its rules, selected by
+scale update, pixel-phasor update) and differ only in its rules, selected by
 whether the target phases are pinned:
 
 * ``wpgs_solve`` pins them: the target is a full complex field, per-trap
@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagation import PhaseMask, SeparablePropagator, TrapField, adjoint_phase, forward
+from .propagation import (
+    PhaseMask,
+    SeparablePropagator,
+    TrapField,
+    adjoint_phase,
+    forward,
+    forward_field,
+)
 
 __all__ = [
     "SOLVER_KINDS",
@@ -112,7 +119,12 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A finished solve; init_field is the field the init mask gives at these traps."""
+    """A finished solve; init_field is the field the init mask gives at these traps.
+
+    mask is built once, from the angle of the loop's final pixel phasor, and
+    field is forward(prop, mask) bit for bit, so the refresh transient can
+    start and end on these fields.
+    """
 
     mask: PhaseMask
     weights: np.ndarray
@@ -167,11 +179,11 @@ def objective(weighted: np.ndarray, s: complex, e_tar: np.ndarray) -> float:
 
 
 def phase_step(prop: SeparablePropagator, weights: np.ndarray, s: complex,
-               e_tar: np.ndarray) -> tuple[PhaseMask, int]:
-    """Pixel phases from back-propagating the weighted, scaled target field.
+               e_tar: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unit pixel phasor from back-propagating the weighted, scaled target field.
 
-    Returns the mask and the count of back-propagated pixels that are exactly
-    zero, as adjoint_phase does.
+    Returns the (grid_x, grid_y) phasor and the count of back-propagated
+    pixels that are exactly zero (phasor 1), as adjoint_phase does.
     """
     return adjoint_phase(prop, np.conj(prop.axial_phase) * (weights * (s * e_tar)))
 
@@ -200,9 +212,13 @@ def _solve(
     """The loop behind both solvers; pinned_field None selects the WGS rules.
 
     target_amp is |E_tar,n| under the WPGS rules and sqrt(I_n) under the WGS
-    rules.  The mask is forward-propagated once before the loop and once after
-    each phase step, so result.field corresponds to result.mask and
-    result.init_field to the initial mask.
+    rules.  The loop's pixel state is the unit phasor from phase_step: each
+    phase step but the last is forward-propagated as it is, without a phase
+    array or a complex exp.  After the loop the phasor's angle becomes the
+    one PhaseMask of the solve, and result.field is that mask's forward, so
+    it corresponds to result.mask bit for bit as result.init_field does to
+    the initial mask.  A solve costs 1 + iterations forward contractions and
+    two complex exps (the initial and the final mask).
     """
     n = len(target_amp)
     pinned = pinned_field is not None
@@ -232,12 +248,15 @@ def _solve(
         if pinned:
             s = scale_update(e_tar, weighted)
         objectives.append(objective(weighted, s, e_tar))
-        phi, nz = phase_step(prop, w, s, e_tar)
+        pixel, nz = phase_step(prop, w, s, e_tar)
         zero_pixels += nz
-        realized = forward(prop, phi)
+        if k < total:
+            realized = forward_field(prop, pixel)
 
+    mask = PhaseMask(np.angle(pixel))
+    realized = forward(prop, mask)
     return SolveResult(
-        mask=phi,
+        mask=mask,
         weights=w,
         field=realized,
         init_field=init_field,

@@ -1,12 +1,15 @@
 import copy
 import csv
+import gc
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
 
+from holoseq import sequence
 from holoseq.cli import main
 from holoseq.config import (
     ConfigError,
@@ -292,6 +295,25 @@ class TestCli:
         for name in names:
             first, second = (d / "wpgs" / name for d in runs)
             assert first.read_bytes() == second.read_bytes(), name
+
+    def test_run_releases_each_record(self, tiny_config_file, tmp_path, monkeypatch):
+        # every frame's mask lives in the run record; one solver's record must
+        # be gone before the next solver's run starts
+        records = []
+
+        def run_sequence(*args, **kwargs):
+            if records:
+                gc.collect()
+                assert records[-1]() is None
+            record = original(*args, **kwargs)
+            records.append(weakref.ref(record))
+            return record
+
+        original = sequence.run_sequence
+        monkeypatch.setattr(sequence, "run_sequence", run_sequence)
+        argv = ["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]
+        assert main(argv + ["--solver", "wpgs", "--solver", "wgs"]) == 0
+        assert len(records) == 2
 
     def test_infeasible_plan_exit_code(self, tmp_path):
         doc = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,20 +182,45 @@ class TestDense:
 class TestAdjoint:
     def test_zero_vector_gives_zero_mask_and_full_count(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
-        mask, n_zero = adjoint_phase(prop, np.zeros(9, dtype=complex))
+        pixel, n_zero = adjoint_phase(prop, np.zeros(9, dtype=complex))
         assert n_zero == small_config.pixel_count
-        np.testing.assert_array_equal(mask.phases, 0.0)
+        np.testing.assert_array_equal(np.angle(pixel), 0.0)
+
+    def test_unit_phasor_with_raw_field_angle(self, small_config, grid_3x3, rng):
+        prop = build_separable(small_config, grid_3x3)
+        for _ in range(5):
+            b = rng.uniform(0.5, 2.0, 9) * np.exp(1j * rng.uniform(-np.pi, np.pi, 9))
+            pixel, n_zero = adjoint_phase(prop, b)
+            raw = (np.conj(prop.kernel_x) * b[:, None]).T @ np.conj(prop.kernel_y)
+            assert n_zero == 0
+            # measured max deviation 4.44e-16, two ulps of 1 (np.abs rounds too)
+            np.testing.assert_allclose(np.abs(pixel), 1.0, rtol=0, atol=2 * np.finfo(float).eps)
+            np.testing.assert_allclose(
+                wrap_phase(np.angle(pixel) - np.angle(raw)), 0.0, rtol=0, atol=1e-15
+            )
+
+    def test_zero_pixel_is_unit_phasor_and_counted(self, small_config, grid_3x3, rng):
+        # a zero column of kernel_x makes one pixel row back-propagate to exactly 0
+        prop = build_separable(small_config, grid_3x3)
+        kernel_x = prop.kernel_x.copy()
+        kernel_x[:, 5] = 0.0
+        prop = dataclasses.replace(prop, kernel_x=kernel_x)
+        b = np.exp(1j * rng.uniform(-np.pi, np.pi, 9))
+        pixel, n_zero = adjoint_phase(prop, b)
+        assert n_zero == small_config.grid_y
+        np.testing.assert_array_equal(pixel[5], 1.0 + 0j)
+        assert (np.abs(np.delete(pixel, 5, axis=0)) > 0.5).all()
 
     def test_single_trap_recovers_steering_grating(self, small_config):
         layout = TrapLayout(("t",), [(11e-6, 4e-6, 0.0)])
         prop = build_separable(small_config, layout)
         b = prop.axial_phase * np.array([2.0 + 0.5j])
-        mask, _ = adjoint_phase(prop, b)
+        pixel, _ = adjoint_phase(prop, b)
         # steering grating: the conjugate of the trap kernel, offset by arg(b)
         expected = -(
             np.angle(prop.kernel_x[0])[:, None] + np.angle(prop.kernel_y[0])[None, :]
         ) + np.angle(b[0])
-        diff = wrap_phase(mask.phases - expected)
+        diff = wrap_phase(np.angle(pixel) - expected)
         np.testing.assert_allclose(diff, 0.0, atol=1e-10)
 
     def test_round_trip_well_separated(self, desk_config, rng):
@@ -204,7 +231,7 @@ class TestAdjoint:
         prop = build_separable(desk_config, layout)
         for _ in range(5):
             b = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
-            field = forward(prop, adjoint_phase(prop, b)[0])
+            field = forward_field(prop, adjoint_phase(prop, b)[0])
             want = np.angle(b / np.conj(prop.axial_phase))
             dev = wrap_phase(field.phase - want)
             dev -= dev.mean()
@@ -217,7 +244,7 @@ class TestAdjoint:
         prop = build_separable(desk_config, layout)
         for _ in range(5):
             b = np.exp(1j * rng.uniform(-np.pi, np.pi, 9))
-            field = forward(prop, adjoint_phase(prop, b)[0])
+            field = forward_field(prop, adjoint_phase(prop, b)[0])
             want = np.angle(b / np.conj(prop.axial_phase))
             dev = wrap_phase(field.phase - want)
             dev -= dev.mean()

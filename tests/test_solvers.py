@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from holoseq import solvers
 from holoseq.geometry import TrapLayout
 from holoseq.metrics import uniformity
 from holoseq.propagation import TrapField, build_separable, forward, wrap_phase
 from holoseq.solvers import (
+    SOLVER_KINDS,
     DarkTrapError,
     SolverSettings,
     TargetSpec,
@@ -175,11 +177,11 @@ class TestPhaseStep:
         layout = TrapLayout(("t",), [(9e-6, -6e-6, 0.0)])
         prop = build_separable(small_config, layout)
         target = TargetSpec(np.array([1.0]), np.array([0.4]))
-        mask, _ = phase_step(prop, np.ones(1), 1.0 + 0j, target.field)
+        pixel, _ = phase_step(prop, np.ones(1), 1.0 + 0j, target.field)
         expected = -(
             np.angle(prop.kernel_x[0])[:, None] + np.angle(prop.kernel_y[0])[None, :]
         ) + np.angle(np.conj(prop.axial_phase[0]) * np.exp(0.4j))
-        np.testing.assert_allclose(wrap_phase(mask.phases - expected), 0.0, atol=1e-10)
+        np.testing.assert_allclose(wrap_phase(np.angle(pixel) - expected), 0.0, atol=1e-10)
 
     def test_positive_scaling_invariance(self, small_config, grid_3x3, rng):
         prop = build_separable(small_config, grid_3x3)
@@ -187,7 +189,7 @@ class TestPhaseStep:
         w = rng.uniform(0.5, 1.5, 9)
         m1, _ = phase_step(prop, w, 0.8 + 0j, target.field)
         m2, _ = phase_step(prop, 3.0 * w, 0.8 + 0j, target.field)
-        np.testing.assert_allclose(m1.phases, m2.phases, atol=1e-12)
+        np.testing.assert_allclose(np.angle(m1), np.angle(m2), atol=1e-12)
 
     def test_unit_phase_scaling_shifts_mask(self, small_config, grid_3x3, rng):
         prop = build_separable(small_config, grid_3x3)
@@ -196,7 +198,9 @@ class TestPhaseStep:
         theta = 0.9
         m1, _ = phase_step(prop, w, 1.0 + 0j, target.field)
         m2, _ = phase_step(prop, w, np.exp(1j * theta), target.field)
-        np.testing.assert_allclose(wrap_phase(m2.phases - m1.phases - theta), 0.0, atol=1e-10)
+        np.testing.assert_allclose(
+            wrap_phase(np.angle(m2) - np.angle(m1) - theta), 0.0, atol=1e-10
+        )
 
 
 class TestWpgsSolve:
@@ -283,6 +287,46 @@ class TestWgsSolve:
         prop = build_separable(small_config, grid_3x3)
         with pytest.raises(ValueError):
             wgs_solve(prop, np.ones(4), SolverSettings())
+
+
+class TestLoopStructure:
+    """The loop carries a pixel phasor; only the initial and final masks take an exp."""
+
+    @pytest.fixture()
+    def solves(self, small_config, grid_3x3):
+        prop = build_separable(small_config, grid_3x3)
+        settings = SolverSettings(iterations=4, wgs_iterations=7, seed=3)
+        return prop, settings, {
+            "wpgs": lambda: wpgs_solve(prop, uniform_target(9), settings),
+            "wgs": lambda: wgs_solve(prop, np.ones(9), settings),
+        }
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_field_is_forward_of_mask(self, solves, kind):
+        prop, _, solve = solves
+        res = solve[kind]()
+        np.testing.assert_array_equal(res.field.amplitudes, forward(prop, res.mask).amplitudes)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_contraction_counts(self, solves, kind, monkeypatch):
+        _, settings, solve = solves
+        calls = {"forward": 0, "forward_field": 0}
+
+        def counted(name):
+            fn = getattr(solvers, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solvers, name, counted(name))
+        res = solve[kind]()
+        iterations = settings.iterations if kind == "wpgs" else settings.wgs_iterations
+        assert len(res.objective) == iterations
+        assert calls == {"forward": 2, "forward_field": iterations - 1}
 
 
 class TestPinnedTraces:
