@@ -129,6 +129,8 @@ def _cmd_plan(args) -> int:
 def _cmd_run(args) -> int:
     from pathlib import Path
 
+    import numpy as np
+
     from .config import config_to_yaml
     from .sequence import run_sequence
     from .serial import save_run_record
@@ -153,7 +155,9 @@ def _cmd_run(args) -> int:
         )
         if m.transition is not None:
             line += f"  I/I0_min {m.transition.minimum:.4f}"
-        line += f"  mean_frame {times.mean():.2f} ms"
+        # frame 0 pays one-time costs such as BLAS start-up, so it is shown
+        # apart; a plan has at least one step, so there is a frame 1
+        line += f"  frame0 {times[0]:.2f} ms  median_frame {np.median(times[1:]):.2f} ms"
         print(line)
         print(f"wrote {dest}")
         # each frame's mask stays in the record; let it go before the next solver runs

@@ -98,11 +98,13 @@ def write_fields_csv(path, frames, ids) -> None:
         w = csv.writer(fh)
         w.writerow(["frame", "trap_id", "re", "im", "intensity", "phase"])
         for l, frame in enumerate(frames):
-            amps = frame.field.amplitudes
-            inten = frame.field.intensity
-            phase = frame.field.phase
-            for tid, amp, i_n, p_n in zip(ids, amps, inten, phase):
-                w.writerow([l, tid, repr(amp.real), repr(amp.imag), repr(i_n), repr(p_n)])
+            field = frame.field
+            # tolist gives Python floats, whose repr is a plain number
+            columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
+            w.writerows(
+                [l, tid, *map(repr, values)]
+                for tid, *values in zip(ids, *(c.tolist() for c in columns))
+            )
 
 
 def write_transients_csv(path, ratios, a_values, ids, dphi_vectors) -> None:

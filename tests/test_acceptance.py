@@ -123,6 +123,12 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
             # independent route: the dense matrix on the relaxing mask
             e_dense = forward_dense(dense, relaxing).amplitudes
             worst_dense = max(worst_dense, np.abs(e_exact - e_dense).max() / np.abs(e_dense).max())
+        # the whole a grid in one call, as runs sample it
+        a_grid = RefreshModel().a_grid()
+        for a, field in zip(a_grid, transient_exact(prop, m0, m1, a_grid)):
+            e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
+            rel = np.abs(field.amplitudes - e_dense).max() / np.abs(e_dense).max()
+            worst_dense = max(worst_dense, rel)
 
     m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
     pattern = rng.uniform(-1, 1, (64, 64))

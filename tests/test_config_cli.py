@@ -2,6 +2,7 @@ import copy
 import csv
 import gc
 import json
+import re
 import weakref
 from dataclasses import fields
 
@@ -283,6 +284,9 @@ class TestCli:
         assert (outdir / "masks" / "frame_0000.mask").exists()
         text = capsys.readouterr().out
         assert "nu_min" in text and "dphi_std" in text
+        # frame 0's one-time costs are reported apart from the later frames
+        assert re.search(r"  frame0 \d+\.\d\d ms  median_frame \d+\.\d\d ms\n", text)
+        assert "mean_frame" not in text
 
     def test_run_is_deterministic(self, tiny_config_file, tmp_path):
         runs = [tmp_path / "a", tmp_path / "b"]

@@ -143,20 +143,30 @@ class TestRunDirectory:
 
     def test_csv_schemas(self, tmp_path, small_run):
         out = save_run_record(tmp_path / "run4", small_run)
-        with open(out / "fields.csv") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["frame", "trap_id", "re", "im", "intensity", "phase"]
-        with open(out / "transients.csv") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = list(reader)
-        assert header == ["frame", "trap_id", "a", "I_over_I0", "dphi"]
         n_traps = small_run.plan.trap_count
-        expected = len(small_run.ratios) * 3 * n_traps  # 3 samples per refresh
-        assert len(rows) == expected
-        with open(out / "timing.csv") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["frame", "solve_ms"]
+        frames = len(small_run.frames)
+        schemas = {
+            "fields.csv": (["frame", "trap_id", "re", "im", "intensity", "phase"],
+                           frames * n_traps),
+            # 3 samples per refresh
+            "transients.csv": (["frame", "trap_id", "a", "I_over_I0", "dphi"],
+                               len(small_run.ratios) * 3 * n_traps),
+            "objectives.csv": (["frame", "iteration", "objective"],
+                               sum(len(r.objective) for r in small_run.frames)),
+            "timing.csv": (["frame", "solve_ms"], frames),
+        }
+        for name, (columns, count) in schemas.items():
+            with open(out / name) as fh:
+                reader = csv.reader(fh)
+                header = next(reader)
+                rows = list(reader)
+            assert header == columns, name
+            assert len(rows) == count, name
+            # every cell but the trap id reads back as a number
+            numeric = [i for i, column in enumerate(columns) if column != "trap_id"]
+            for row in rows:
+                for i in numeric:
+                    float(row[i])
 
     def test_objective_trace(self, tmp_path, small_run):
         out = save_run_record(tmp_path / "run5", small_run)

@@ -164,6 +164,30 @@ class TestTransientExact:
             e_ref = exact_reference(prop, m0, m1, a).amplitudes
             assert np.abs(field - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
+    @pytest.mark.parametrize("samples", [2, 3, 21, 201])
+    def test_evenly_spaced_a_matches_scalar_calls(self, prop, rng, samples):
+        # the recurrence multiplies by one step phasor per sample; at 201
+        # samples this bounds the rounding drift it accumulates along the grid
+        m0, m1 = branch_masks(rng)
+        a_grid = np.linspace(1.0, 0.0, samples)
+        fields = np.array([f.amplitudes for f in transient_exact(prop, m0, m1, a_grid)])
+        scalar = np.array([transient_exact(prop, m0, m1, float(a)).amplitudes for a in a_grid])
+        for field, expected in zip(fields, scalar):
+            assert np.abs(field - expected).max() <= 1e-12 * np.abs(expected).max()
+        # the first sample is computed as a scalar call computes it; the rest
+        # come from the recurrence, so they are not the scalar calls' bits
+        np.testing.assert_array_equal(fields[0], scalar[0])
+        assert not np.array_equal(fields[1:], scalar[1:])
+
+    def test_unevenly_spaced_a_takes_per_sample_path(self, prop, rng):
+        m0, m1 = branch_masks(rng)
+        a_grid = np.linspace(1.0, 0.0, 21)
+        a_grid[10] += 1e-9
+        fields = transient_exact(prop, m0, m1, a_grid)
+        for a, field in zip(a_grid, fields):
+            scalar = transient_exact(prop, m0, m1, float(a)).amplitudes
+            np.testing.assert_array_equal(field.amplitudes, scalar)
+
     def test_array_of_a_identity_with_interpolated_forward(self, prop, rng):
         m0, m1 = branch_masks(rng)
         a_grid = np.linspace(1.0, 0.0, 11)
@@ -272,10 +296,23 @@ class TestSampleRefresh:
         e0, e1 = forward(prop, m0), forward(prop, m1)
         model = RefreshModel(samples_per_refresh=9, order="exact")
         ratios = sample_refresh(prop, m0, m1, e0, e1, model)
-        expected = np.array(
-            [transient_exact(prop, m0, m1, a).intensity / e0.intensity for a in model.a_grid()]
-        )
-        np.testing.assert_array_equal(ratios, expected)
+        # the a grid is evenly spaced, so sample_refresh's call takes the
+        # recurrence and agrees with scalar calls and the sine-ratio oracle to
+        # rounding, not bit for bit
+        for exact in (transient_exact, exact_reference):
+            expected = np.array(
+                [exact(prop, m0, m1, a).intensity / e0.intensity for a in model.a_grid()]
+            )
+            np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0)
+
+    def test_exact_start_row_is_one(self, prop, rng):
+        # the a = 1 sample is the forward of mask_l computed as forward does it
+        m0, m1 = branch_masks(rng)
+        e0, e1 = forward(prop, m0), forward(prop, m1)
+        model = RefreshModel(order="exact")
+        ratios = sample_refresh(prop, m0, m1, e0, e1, model)
+        assert ratios.shape == (model.samples_per_refresh, 9)
+        np.testing.assert_array_equal(ratios[0], 1.0)
 
     def test_orders_agree_at_endpoints(self, prop, rng):
         m0, m1 = random_masks(rng)
