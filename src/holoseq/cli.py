@@ -168,6 +168,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     from .sequence import bench
     from .serial import write_bench_csv
+    from .solvers import DarkTrapError
 
     cfg = _load(args)
     plan = _plan_for(cfg)
@@ -180,6 +181,9 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:  # bad input, such as a warmup_frames that leaves no frame
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except DarkTrapError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     write_bench_csv(args.output, rows)
     for r in rows:
         print(

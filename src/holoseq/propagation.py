@@ -3,8 +3,10 @@
 Two routes compute the complex field at each trap from a pixelwise phase mask:
 
 * a separable path that factors the Fresnel kernel into per-axis matrices
-  ``kernel_x`` (N x grid_x) and ``kernel_y`` (N x grid_y), contracted as
-  ``E = scale * c * diag(U @ (A0 * exp(i*phi)) @ V^T)``;
+  ``kernel_x`` (R x grid_x, one row per distinct (x, z) pair of the N traps)
+  and ``kernel_y`` (N x grid_y), contracted as
+  ``E = scale * c * rowsum((U @ (A0 * exp(i*phi)))[x_rows] * V)``, where
+  ``x_rows`` maps trap n to its row of U;
 * a dense N x M matrix built independently from the single-exponential kernel,
   kept as a verification oracle for small problems.
 
@@ -113,6 +115,11 @@ class SeparablePropagator:
     the solvers cancel c between forward and back-propagation, and a phase
     left in trap_scale instead would rotate every realized trap phase each
     iteration and wreck frame-to-frame continuity.
+
+    kernel_x holds one row per distinct (x, z) pair of the layout, not one
+    per trap: the traps of a lattice transport share few x values in a frame,
+    and the x kernel depends on x and z only.  x_rows (N,) maps each trap to
+    its row.  kernel_y, axial_phase and trap_scale stay per trap.
     """
 
     config: OpticalConfig
@@ -121,6 +128,7 @@ class SeparablePropagator:
     kernel_x: np.ndarray = field(repr=False)
     kernel_y: np.ndarray = field(repr=False)
     trap_scale: np.ndarray = field(repr=False)
+    x_rows: np.ndarray = field(repr=False)
 
     @property
     def trap_count(self) -> int:
@@ -156,7 +164,9 @@ def build_separable(config: OpticalConfig, layout: TrapLayout) -> SeparablePropa
         raise ValueError("trap z must satisfy f + z > 0")
     u = config.pixel_coords_x()
     v = config.pixel_coords_y()
-    kernel_x = np.exp(-1j * _kernel_phase(layout.x, z, u, config))
+    # the x kernel depends on (x, z) only; -0.0 and 0.0 compare equal here
+    xz, x_rows = np.unique(np.stack([layout.x, z], axis=1), axis=0, return_inverse=True)
+    kernel_x = np.exp(-1j * _kernel_phase(xz[:, 0], xz[:, 1], u, config))
     kernel_y = np.exp(-1j * _kernel_phase(layout.y, z, v, config))
     axial = np.exp(
         1j * (TWO_PI * (2.0 * config.focal_length + z) / config.wavelength - np.pi / 2.0)
@@ -169,6 +179,8 @@ def build_separable(config: OpticalConfig, layout: TrapLayout) -> SeparablePropa
         kernel_x=kernel_x,
         kernel_y=kernel_y,
         trap_scale=scale,
+        # numpy 2.0.0 returns the inverse of an axis unique as 2-D
+        x_rows=x_rows.ravel(),
     )
 
 
@@ -183,7 +195,7 @@ def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> TrapFie
         f = np.asarray(pixel_field, dtype=complex)
     else:
         f = cfg.illumination * pixel_field
-    contracted = ((prop.kernel_x @ f) * prop.kernel_y).sum(axis=1)
+    contracted = ((prop.kernel_x @ f)[prop.x_rows] * prop.kernel_y).sum(axis=1)
     return TrapField(prop.trap_scale * prop.axial_phase * contracted)
 
 
@@ -193,7 +205,11 @@ def forward(prop: SeparablePropagator, mask: PhaseMask) -> TrapField:
 
 
 def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unit phasor of the back-propagated pixel field ``U^H diag(b) V^*``.
+    """Unit phasor of the back-propagated pixel field ``U[x_rows]^H diag(b) V^*``.
+
+    Traps that share a row of kernel_x (U) are summed before the x
+    contraction: b is scattered into an (R, N) matrix B at (x_rows[n], n),
+    and ``U[x_rows]^H diag(b) V^* = U^H (B V^*)``.
 
     Returns the (grid_x, grid_y) phasor ``pixel / |pixel|`` and the count of
     pixels whose back-propagated field is exactly zero; those pixels get the
@@ -203,7 +219,10 @@ def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray,
     b = np.asarray(b, dtype=complex)
     if b.shape != (prop.trap_count,):
         raise ValueError(f"b must have length {prop.trap_count}")
-    pixel = (np.conj(prop.kernel_x) * b[:, None]).T @ np.conj(prop.kernel_y)
+    n = prop.trap_count
+    by_row = np.zeros((len(prop.kernel_x), n), dtype=complex)
+    by_row[prop.x_rows, np.arange(n)] = b
+    pixel = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y))
     magnitude = np.abs(pixel)
     zero = magnitude == 0
     zero_pixels = int(np.count_nonzero(zero))

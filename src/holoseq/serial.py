@@ -51,17 +51,22 @@ _HEADER = struct.Struct("<4sBBHII")
 _MASK_DTYPES = {0: np.dtype("<f8"), 1: np.dtype(np.uint8)}  # by header dtype code
 
 
+def _quantize(canonical: np.ndarray) -> np.ndarray:
+    return (np.round(canonical / TWO_PI * 256.0).astype(np.int64) % 256).astype(np.uint8)
+
+
 def quantize_mask(mask: PhaseMask) -> np.ndarray:
     """8-bit export: phase mapped onto the full unsigned byte range."""
-    return (np.round(mask.canonical() / TWO_PI * 256.0).astype(np.int64) % 256).astype(np.uint8)
+    return _quantize(mask.canonical())
 
 
-def write_mask(path, mask: PhaseMask, quantized: bool = False) -> None:
+def write_mask(path, mask: PhaseMask, quantized: bool = False, canonical=None) -> None:
+    """Write one mask file; canonical is mask.canonical() when the caller has it."""
     gx, gy = mask.shape
     dtype_code = 1 if quantized else 0
-    payload = quantize_mask(mask).tobytes() if quantized else (
-        mask.canonical().astype("<f8").tobytes()
-    )
+    if canonical is None:
+        canonical = mask.canonical()
+    payload = _quantize(canonical).tobytes() if quantized else canonical.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MASK_MAGIC, MASK_VERSION, dtype_code, 0, gx, gy))
         fh.write(payload)
@@ -209,8 +214,10 @@ def save_run_record(outdir, record, config_text: str | None = None) -> Path:
     masks.mkdir(exist_ok=True)
     frames = record.frames
     for l, frame in enumerate(frames):
-        write_mask(masks / f"frame_{l:04d}.mask", frame.mask)
-        write_mask(masks / f"frame_{l:04d}.u8", frame.mask, quantized=True)
+        # both files of a frame come from one canonical fold of its phases
+        canonical = frame.mask.canonical()
+        write_mask(masks / f"frame_{l:04d}.mask", frame.mask, canonical=canonical)
+        write_mask(masks / f"frame_{l:04d}.u8", frame.mask, quantized=True, canonical=canonical)
     ids = record.plan.trap_ids
     write_fields_csv(out / "fields.csv", frames, ids)
     write_transients_csv(

@@ -1,9 +1,11 @@
 """Built-in oracle suites behind the `verify` subcommand.
 
 Each suite re-derives a core identity against an independent route: the
-separable propagator against the dense matrix, the exact transient against the
-dense propagation of the relaxing mask, the closed-form scale against random
-perturbations, and the assignment solver against exhaustive search.
+separable propagator's forward and back-propagation against the dense matrix
+(random layouts, plus lattice layouts whose traps share kernel_x rows), the
+exact transient against the dense propagation of the relaxing mask, the
+closed-form scale against random perturbations, and the assignment solver
+against exhaustive search.
 """
 
 from __future__ import annotations
@@ -25,21 +27,73 @@ def _random_layout(rng, n, z_choices=(-30e-6, 0.0, 30e-6)):
     return TrapLayout(tuple(f"v{i}" for i in range(n)), xyz)
 
 
+def _lattice_layouts():
+    """Layouts whose traps share kernel_x rows, which uniform random x never gives.
+
+    The same lattice on two z layers (equal x, different rows), and a
+    mid-transport frame of a small 2D plan (many traps per row).
+    """
+    from .geometry import build_lattice, concat_layouts, reconfig_2d_task
+    from .planner import plan_task
+
+    layers = concat_layouts([
+        build_lattice((3, 4), 5e-6, z=z, id_prefix=f"z{k}_")
+        for k, z in enumerate((-30e-6, 30e-6))
+    ])
+    plan = plan_task(reconfig_2d_task((5, 5), (4, 4), seed=1), max_step=0.5e-6)
+    return [layers, plan.layout(plan.frames // 2)]
+
+
+def _dense_deviation(cfg, layout, rng) -> float:
+    """Relative deviation of forward and adjoint_phase from the dense matrix.
+
+    The dense adjoint is ``conj(A).T @ b`` with b divided by the conjugate
+    per-trap prefactor, which leaves ``U^H diag(b) V^*`` on a uniformly
+    illuminated grid; adjoint_phase's unit phasor is scaled back by that
+    field's magnitude to compare.
+    """
+    from .propagation import (
+        PhaseMask,
+        adjoint_phase,
+        build_dense,
+        build_separable,
+        forward,
+        forward_dense,
+    )
+
+    prop = build_separable(cfg, layout)
+    dense = build_dense(cfg, layout)
+    mask = PhaseMask(rng.uniform(0, 2 * np.pi, (cfg.grid_x, cfg.grid_y)))
+    e_sep = forward(prop, mask).amplitudes
+    e_den = forward_dense(dense, mask).amplitudes
+    fwd = np.max(np.abs(e_sep - e_den)) / np.max(np.abs(e_den))
+    b = np.exp(1j * rng.uniform(-np.pi, np.pi, len(layout)))
+    raw = np.conj(dense.matrix).T @ (b / np.conj(prop.trap_scale * prop.axial_phase))
+    raw = raw.reshape(cfg.grid_x, cfg.grid_y)
+    pixel, _ = adjoint_phase(prop, b)
+    adj = np.max(np.abs(pixel * np.abs(raw) - raw)) / np.max(np.abs(raw))
+    return max(fwd, adj)
+
+
 def _check_propagation(rng, cases) -> tuple[bool, str]:
     from .geometry import OpticalConfig
-    from .propagation import PhaseMask, build_dense, build_separable, forward, forward_dense
+
+    def random_grid():
+        grid = int(rng.choice([16, 32, 64]))
+        return OpticalConfig(820e-9, 4e-3, grid, grid, 17e-6)
 
     worst = 0.0
     for _ in range(cases):
-        grid = int(rng.choice([16, 32, 64]))
-        cfg = OpticalConfig(820e-9, 4e-3, grid, grid, 17e-6)
+        cfg = random_grid()
         layout = _random_layout(rng, int(rng.integers(1, 17)))
-        mask = PhaseMask(rng.uniform(0, 2 * np.pi, (grid, grid)))
-        e_sep = forward(build_separable(cfg, layout), mask).amplitudes
-        e_den = forward_dense(build_dense(cfg, layout), mask).amplitudes
-        rel = np.max(np.abs(e_sep - e_den)) / np.max(np.abs(e_den))
-        worst = max(worst, rel)
-    return worst <= 1e-10, f"max relative deviation {worst:.3e} (tol 1e-10)"
+        worst = max(worst, _dense_deviation(cfg, layout, rng))
+    lattices = _lattice_layouts()
+    for layout in lattices:
+        worst = max(worst, _dense_deviation(random_grid(), layout, rng))
+    return worst <= 1e-10, (
+        f"max relative deviation {worst:.3e} (tol 1e-10), "
+        f"forward and adjoint, {len(lattices)} lattice layouts included"
+    )
 
 
 def _check_transient(rng, cases) -> tuple[bool, str]:

@@ -24,7 +24,7 @@ from holoseq.config import (
     save_config,
 )
 from holoseq.geometry import TaskSpec, offset_bilayer_task, reconfig_2d_task
-from holoseq.solvers import SolverSettings
+from holoseq.solvers import DarkTrapError, SolverSettings
 from holoseq.transient import RefreshModel
 
 
@@ -398,6 +398,20 @@ class TestCli:
         out = tmp_path / "bench.csv"
         assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 2
         assert "warmup_frames" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_failure_exit_code(self, tiny_config_file, tmp_path, capsys, monkeypatch):
+        # a dark trap is the documented exit 4 in bench as in run, not a traceback
+        def dark(*args, **kwargs):
+            raise DarkTrapError([0], 1)
+
+        monkeypatch.setattr(sequence, "wpgs_solve", dark)
+        monkeypatch.setattr(sequence, "wgs_solve", dark)
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]) == 4
+        assert "solver failure" in capsys.readouterr().err
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 4
+        assert "solver failure" in capsys.readouterr().err
         assert not out.exists()
 
     def test_landscape_command(self, tmp_path):

@@ -134,6 +134,26 @@ class TestRunDirectory:
             back = read_mask(out / "masks" / f"frame_{l:04d}.mask")
             np.testing.assert_array_equal(back.phases, frame.mask.canonical())
 
+    def test_one_canonical_fold_per_frame(self, tmp_path, small_run, monkeypatch):
+        # both mask files of a frame share one canonical(); their bytes are
+        # those write_mask produces on its own
+        calls = []
+        canonical = PhaseMask.canonical
+
+        def counted(mask):
+            calls.append(mask)
+            return canonical(mask)
+
+        monkeypatch.setattr(PhaseMask, "canonical", counted)
+        out = save_run_record(tmp_path / "run6", small_run)
+        assert len(calls) == len(small_run.frames)
+        for l, frame in enumerate(small_run.frames):
+            for suffix, quantized in ((".mask", False), (".u8", True)):
+                alone = tmp_path / f"alone{suffix}"
+                write_mask(alone, frame.mask, quantized=quantized)
+                saved = out / "masks" / f"frame_{l:04d}{suffix}"
+                assert saved.read_bytes() == alone.read_bytes()
+
     def test_metrics_json_keys(self, tmp_path, small_run):
         out = save_run_record(tmp_path / "run3", small_run)
         doc = json.loads((out / "metrics.json").read_text())
