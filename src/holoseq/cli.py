@@ -16,8 +16,6 @@ EXIT_SOLVER = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .solvers import SOLVER_KINDS
-
     p = argparse.ArgumentParser(
         prog="holoseq",
         description="Phase-stable hologram sequences for optical tweezer transport",
@@ -26,28 +24,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", help="YAML run configuration")
-    common.add_argument("--seed", type=int, help="override the task seed")
-    common.add_argument(
-        "--max-step", type=float, help="transport step bound in micrometers"
-    )
-    common.add_argument("--iterations", type=int, help="phase-constrained solve budget")
-    common.add_argument("--wgs-iterations", type=int, help="baseline / warm-up solve budget")
-    common.add_argument("--over-relaxation", type=float, help="late-stage weight relaxation beta")
-    common.add_argument(
-        "--over-relaxation-last-iters", type=int,
-        help="how many final iterations apply the relaxation",
-    )
-    common.add_argument("--solver-seed", type=int, help="initial-mask seed")
 
     sp = sub.add_parser("plan", parents=[common], help="assign and discretize a task")
     sp.add_argument("-o", "--output", default="plan.json")
 
     sr = sub.add_parser("run", parents=[common], help="run the hologram sequence pipeline")
     sr.add_argument("-o", "--output", help="output directory (defaults to config)")
-    sr.add_argument(
-        "--solver", action="append", choices=SOLVER_KINDS,
-        help="solver(s) to run (repeatable; defaults to config)",
-    )
 
     sb = sub.add_parser("bench", parents=[common], help="per-frame timing comparison")
     sb.add_argument("-o", "--output", default="bench.csv")
@@ -63,28 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    from dataclasses import replace
-
-    from .config import default_config, load_config
+    from .config import ConfigError, default_config, load_config
 
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, task=replace(cfg.task, seed=args.seed))
-        if getattr(args, "max_step", None) is not None:
-            cfg = replace(cfg, run=replace(cfg.run, max_step=args.max_step * 1e-6))
-        solver_overrides = {
-            key: getattr(args, key)
-            for key in ("iterations", "wgs_iterations", "over_relaxation",
-                        "over_relaxation_last_iters")
-            if getattr(args, key, None) is not None
-        }
-        if getattr(args, "solver_seed", None) is not None:
-            solver_overrides["seed"] = args.solver_seed
-        if solver_overrides:
-            cfg = replace(cfg, solver=replace(cfg.solver, **solver_overrides))
-        return cfg
-    except ValueError as exc:  # ConfigError, or a dataclass rejecting an override
+        return load_config(args.config) if args.config else default_config()
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
@@ -138,9 +103,8 @@ def _cmd_run(args) -> int:
 
     cfg = _load(args)
     plan = _plan_for(cfg)
-    solvers = tuple(args.solver) if args.solver else cfg.run.solvers
     outdir = Path(args.output or cfg.run.output_dir)
-    for kind in solvers:
+    for kind in cfg.run.solvers:
         try:
             record = run_sequence(cfg.optical, plan, kind, cfg.solver, cfg.refresh)
         except DarkTrapError as exc:
@@ -156,8 +120,10 @@ def _cmd_run(args) -> int:
         if m.transition is not None:
             line += f"  I/I0_min {m.transition.minimum:.4f}"
         # frame 0 pays one-time costs such as BLAS start-up, so it is shown
-        # apart; a plan has at least one step, so there is a frame 1
-        line += f"  frame0 {times[0]:.2f} ms  median_frame {np.median(times[1:]):.2f} ms"
+        # apart; a plan of zero steps has no later frame to take a median of
+        line += f"  frame0 {times[0]:.2f} ms"
+        if len(times) > 1:
+            line += f"  median_frame {np.median(times[1:]):.2f} ms"
         print(line)
         print(f"wrote {dest}")
         # each frame's mask stays in the record; let it go before the next solver runs
@@ -225,7 +191,6 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "plan": _cmd_plan,
         "run": _cmd_run,
@@ -233,7 +198,9 @@ def main(argv=None) -> int:
         "landscape": _cmd_landscape,
         "verify": _cmd_verify,
     }
+    # argparse exits 2 on a bad flag and 0 after --help; both become return codes
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK

@@ -190,7 +190,6 @@ _SOLVER = {
     "iterations": _int,
     "wgs_iterations": _int,
     "over_relaxation": _float,
-    "over_relaxation_last_iters": _int,
     "seed": _int,
 }
 _REFRESH = {"samples_per_refresh": _int, "order": _str}

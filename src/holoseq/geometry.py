@@ -36,19 +36,13 @@ TASK_KINDS = ("minimal_3x3", "reconfig_2d", "reconfig_3d_layers", "offset_bilaye
 
 @dataclass(frozen=True)
 class OpticalConfig:
-    """Phase-only SLM geometry plus illumination optics.
-
-    illumination is a per-pixel real amplitude map of shape (grid_x, grid_y);
-    None means uniform unit amplitude.  The map participates in propagation but
-    is excluded from equality comparisons (config files never carry it).
-    """
+    """Phase-only SLM geometry; every pixel sees the same unit incident amplitude."""
 
     wavelength: float
     focal_length: float
     grid_x: int
     grid_y: int
     pixel_pitch: float
-    illumination: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("wavelength", "focal_length", "pixel_pitch"):
@@ -56,28 +50,10 @@ class OpticalConfig:
                 raise ValueError(f"{name} must be finite and > 0")
         if self.grid_x < 1 or self.grid_y < 1:
             raise ValueError("grid dimensions must be >= 1")
-        if self.illumination is not None:
-            illum = np.array(self.illumination, dtype=float)
-            if illum.shape != (self.grid_x, self.grid_y):
-                raise ValueError(
-                    f"illumination shape {illum.shape} != grid ({self.grid_x}, {self.grid_y})"
-                )
-            if not np.isfinite(illum).all() or (illum < 0).any():
-                raise ValueError("illumination entries must be finite and >= 0")
-            if not illum.any():
-                raise ValueError("illumination must not be identically zero")
-            illum.setflags(write=False)
-            object.__setattr__(self, "illumination", illum)
 
     @property
     def pixel_count(self) -> int:
         return self.grid_x * self.grid_y
-
-    def illumination_map(self) -> np.ndarray:
-        """Illumination amplitude as an array (uniform ones when unset)."""
-        if self.illumination is None:
-            return np.ones((self.grid_x, self.grid_y))
-        return self.illumination
 
     def pixel_coords_x(self) -> np.ndarray:
         """Centers of pixel columns, centered on the SLM: (j - (M-1)/2) * pitch."""

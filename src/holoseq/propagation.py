@@ -5,7 +5,7 @@ Two routes compute the complex field at each trap from a pixelwise phase mask:
 * a separable path that factors the Fresnel kernel into per-axis matrices
   ``kernel_x`` (R x grid_x, one row per distinct (x, z) pair of the N traps)
   and ``kernel_y`` (N x grid_y), contracted as
-  ``E = scale * c * rowsum((U @ (A0 * exp(i*phi)))[x_rows] * V)``, where
+  ``E = scale * c * rowsum((U @ exp(i*phi))[x_rows] * V)``, where
   ``x_rows`` maps trap n to its row of U;
 * a dense N x M matrix built independently from the single-exponential kernel,
   kept as a verification oracle for small problems.
@@ -185,16 +185,13 @@ def build_separable(config: OpticalConfig, layout: TrapLayout) -> SeparablePropa
 
 
 def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> TrapField:
-    """Propagate an arbitrary complex pixel field (illumination applied here)."""
+    """Propagate an arbitrary complex pixel field."""
     cfg = prop.config
     if pixel_field.shape != (cfg.grid_x, cfg.grid_y):
         raise ValueError(
             f"pixel field shape {pixel_field.shape} != grid ({cfg.grid_x}, {cfg.grid_y})"
         )
-    if cfg.illumination is None:
-        f = np.asarray(pixel_field, dtype=complex)
-    else:
-        f = cfg.illumination * pixel_field
+    f = np.asarray(pixel_field, dtype=complex)
     contracted = ((prop.kernel_x @ f)[prop.x_rows] * prop.kernel_y).sum(axis=1)
     return TrapField(prop.trap_scale * prop.axial_phase * contracted)
 
@@ -236,7 +233,7 @@ def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray,
 def build_dense(config: OpticalConfig, layout: TrapLayout) -> DensePropagator:
     """Dense oracle matrix; independent of the separable factorization.
 
-    Entry (n, j) is scale_n * c_n * exp(-i * Delta_j^n) * A0_j with the full
+    Entry (n, j) is scale_n * c_n * exp(-i * Delta_j^n) with the full
     2D exponent evaluated in one expression, pixels flattened row-major
     (j = jx * grid_y + jy).
     """
@@ -258,7 +255,6 @@ def build_dense(config: OpticalConfig, layout: TrapLayout) -> DensePropagator:
     axial = np.exp(1j * TWO_PI * (2.0 * f + z) / lam)
     scale = config.pixel_pitch**2 / (1j * lam * (f + z))
     matrix = (scale * axial)[:, None] * np.exp(-1j * delta)
-    matrix *= config.illumination_map().ravel()[None, :]
     return DensePropagator(config=config, layout=layout, matrix=matrix)
 
 

@@ -98,14 +98,13 @@ class SolverSettings:
     """Iteration budgets and weight-relaxation knobs.
 
     iterations is the phase-constrained budget; wgs_iterations the baseline /
-    warm-up budget.  The last over_relaxation_last_iters iterations damp the
-    normalized weight update by over_relaxation (0 disables the advance).
+    warm-up budget.  The last iteration damps the normalized weight update by
+    over_relaxation (0 disables the advance).
     """
 
     iterations: int = 5
     wgs_iterations: int = 26
     over_relaxation: float = 0.85
-    over_relaxation_last_iters: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -113,8 +112,6 @@ class SolverSettings:
             raise ValueError("iteration counts must be >= 1")
         if not (0.0 <= self.over_relaxation < 1.0):
             raise ValueError("over_relaxation must lie in [0, 1)")
-        if self.over_relaxation_last_iters < 0:
-            raise ValueError("over_relaxation_last_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -193,14 +190,6 @@ def random_mask(config, seed: int) -> PhaseMask:
     return PhaseMask(rng.uniform(0.0, 2.0 * np.pi, size=(config.grid_x, config.grid_y)))
 
 
-def _relax_active(k: int, total: int, settings: SolverSettings) -> bool:
-    return (
-        settings.over_relaxation > 0.0
-        and settings.over_relaxation_last_iters > 0
-        and k > total - settings.over_relaxation_last_iters
-    )
-
-
 def _solve(
     prop: SeparablePropagator,
     target_amp: np.ndarray,
@@ -238,7 +227,7 @@ def _solve(
         e = realized.amplitudes
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
         w_hat = weight_update(w, np.abs(e), weight_target, iteration=k)
-        if _relax_active(k, total, settings):
+        if k == total and settings.over_relaxation > 0.0:
             w_new = over_relax(w, w_tilde_prev, w_hat, settings.over_relaxation)
         else:
             w_new = w_hat

@@ -48,9 +48,8 @@ def _dense_deviation(cfg, layout, rng) -> float:
     """Relative deviation of forward and adjoint_phase from the dense matrix.
 
     The dense adjoint is ``conj(A).T @ b`` with b divided by the conjugate
-    per-trap prefactor, which leaves ``U^H diag(b) V^*`` on a uniformly
-    illuminated grid; adjoint_phase's unit phasor is scaled back by that
-    field's magnitude to compare.
+    per-trap prefactor, which leaves ``U^H diag(b) V^*``; adjoint_phase's
+    unit phasor is scaled back by that field's magnitude to compare.
     """
     from .propagation import (
         PhaseMask,

@@ -50,9 +50,10 @@ def test_plan_optimal_on_layered_plan(tmp_path):
             ],
             "target_layers": [{"dims": [3, 3], "spacing": "5 um", "z": z} for z, _ in layers],
         },
+        "run": {"max_step": "1 um"},
     }))
     plan = tmp_path / "plan.json"
-    assert main(["plan", "-c", str(config), "-o", str(plan), "--max-step", "1"]) == 0
+    assert main(["plan", "-c", str(config), "-o", str(plan)]) == 0
     assert _checks().check_plan_optimal(plan, config) == []
 
 

@@ -219,14 +219,15 @@ _STRICT_BASE = {
         (("task",), "sed"),
         (("task", "source_layers", 0), "fill"),
         (("solver",), "iteration"),
+        (("solver",), "over_relaxation_last_iters"),
         (("refresh",), "tau"),
         (("run",), "threads"),
         (("run",), "over_relax_tail_fraction"),
         (("run",), "tie_break"),
     ],
     ids=[
-        "top", "optical", "task", "lattice", "solver", "refresh", "run", "run_tail_fraction",
-        "run_tie_break",
+        "top", "optical", "task", "lattice", "solver", "solver_relax_last_iters", "refresh",
+        "run", "run_tail_fraction", "run_tie_break",
     ],
 )
 def test_unknown_key_rejected(section, key):
@@ -315,9 +316,25 @@ class TestCli:
 
         original = sequence.run_sequence
         monkeypatch.setattr(sequence, "run_sequence", run_sequence)
-        argv = ["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]
-        assert main(argv + ["--solver", "wpgs", "--solver", "wgs"]) == 0
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["run"]["solvers"] = ["wpgs", "wgs"]
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]) == 0
         assert len(records) == 2
+
+    def test_zero_step_plan_run(self, tmp_path, capsys):
+        # a displacement of 0 plans no step: frame 0 is the only frame, and
+        # there is no later frame to take a median time of
+        doc = config_to_dict(RunConfig())
+        doc["optical"].update(grid_x=32, grid_y=32)
+        doc["task"]["displacement"] = 0
+        path = tmp_path / "zero.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert re.search(r"^wpgs: .*  frame0 \d+\.\d\d ms\n", text, re.MULTILINE)
+        assert "median_frame" not in text
+        assert len(list((tmp_path / "out" / "wgs" / "masks").iterdir())) == 2
 
     def test_infeasible_plan_exit_code(self, tmp_path):
         doc = {
@@ -338,11 +355,9 @@ class TestCli:
         assert main(["plan", "-c", str(tmp_path / "missing.yaml")]) == 2
         path.write_text("run: {tie_break: lex}")  # a removed planner option
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
-        path.write_text("run: {max_step: 0}")
-        assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
-        # the flag goes through the same check as the file
-        assert main(["plan", "--max-step", "-0.5", "-o", str(tmp_path / "p.json")]) == 2
-        assert main(["plan", "--max-step", "inf", "-o", str(tmp_path / "p.json")]) == 2
+        for step in ("0", "-0.5 um", ".inf"):
+            path.write_text(f"run: {{max_step: {step}}}")
+            assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
         assert not (tmp_path / "p.json").exists()
         # non-finite numbers in the file exit 2 before any solve, where they
         # used to end in a traceback, a solver failure or an infeasible plan
@@ -380,6 +395,16 @@ class TestCli:
         path = tmp_path / "threads.yaml"
         path.write_text("run: {threads: 2}")
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
+
+    def test_unknown_flag_exit_code(self, tiny_config_file, tmp_path, capsys):
+        # run parameters come from the config file only: a flag such as --seed
+        # is a usage error that main returns, not raises, and nothing is written
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out), "--seed", "3"]) == 2
+        assert main(["plan", "--max-step", "1", "-o", str(tmp_path / "p.json")]) == 2
+        assert main(["plan", "--bogus"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "p.json").exists()
 
     def test_bench_command(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -438,16 +463,15 @@ class TestCli:
         assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_solver_flag_overrides(self, tiny_config_file, tmp_path, capsys):
+    def test_solver_budgets_from_config(self, tiny_config_file, tmp_path, capsys):
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["solver"].update(iterations=3, wgs_iterations=6)
+        tiny_config_file.write_text(yaml.safe_dump(doc))
         out = tmp_path / "bench2.csv"
-        code = main(
-            ["bench", "-c", str(tiny_config_file), "-o", str(out),
-             "--iterations", "3", "--wgs-iterations", "6"]
-        )
-        assert code == 0
+        assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 0
         with open(out) as fh:
             rows = list(csv.reader(fh))
-        assert rows[1][2] == "3"  # wpgs row reports the overridden budget
+        assert rows[1][2] == "3"  # wpgs row reports the configured budget
 
     def test_verify_quick(self, capsys):
         assert main(["verify", "--quick"]) == 0

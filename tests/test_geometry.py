@@ -30,17 +30,6 @@ class TestOpticalConfig:
         with pytest.raises(ValueError):
             OpticalConfig(820e-9, 4e-3, 8, 8, -17e-6)
 
-    def test_illumination_checks(self):
-        with pytest.raises(ValueError):
-            OpticalConfig(820e-9, 4e-3, 8, 8, 17e-6, illumination=np.ones((4, 8)))
-        with pytest.raises(ValueError):
-            OpticalConfig(820e-9, 4e-3, 8, 8, 17e-6, illumination=np.zeros((8, 8)))
-        with pytest.raises(ValueError):
-            OpticalConfig(820e-9, 4e-3, 8, 8, 17e-6, illumination=-np.ones((8, 8)))
-        cfg = OpticalConfig(820e-9, 4e-3, 8, 8, 17e-6)
-        assert cfg.illumination_map().shape == (8, 8)
-        assert cfg.illumination_map().min() == 1.0
-
     def test_pixel_coords_centered(self):
         cfg = OpticalConfig(820e-9, 4e-3, 4, 5, 2e-6)
         np.testing.assert_allclose(cfg.pixel_coords_x(), [-3e-6, -1e-6, 1e-6, 3e-6])

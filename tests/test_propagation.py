@@ -62,8 +62,7 @@ LAYOUT_KINDS = ["random", "two_layer_lattice", "mid_transport"]
 
 def per_trap_forward(prop, pixel_field):
     """Forward contraction over one kernel_x row per trap: the oracle for the row map."""
-    f = prop.config.illumination_map() * pixel_field
-    contracted = ((prop.kernel_x[prop.x_rows] @ f) * prop.kernel_y).sum(axis=1)
+    contracted = ((prop.kernel_x[prop.x_rows] @ pixel_field) * prop.kernel_y).sum(axis=1)
     return prop.trap_scale * prop.axial_phase * contracted
 
 
@@ -131,8 +130,7 @@ class TestSeparable:
         np.testing.assert_allclose(prop.kernel_x, 1.0)
         np.testing.assert_allclose(prop.kernel_y, 1.0)
         field = forward(prop, PhaseMask(np.zeros((64, 64))))
-        total = small_config.illumination_map().sum()
-        expected = prop.trap_scale[0] * prop.axial_phase[0] * total
+        expected = prop.trap_scale[0] * prop.axial_phase[0] * small_config.pixel_count
         np.testing.assert_allclose(field.amplitudes[0], expected, rtol=1e-12)
 
     def test_factorization_matches_dense(self, small_config, grid_3x3):
@@ -315,8 +313,8 @@ class TestAdjoint:
     @pytest.mark.parametrize("kind", LAYOUT_KINDS)
     def test_matches_dense_oracle(self, small_config, rng, kind):
         # conj(A).T @ b with the per-trap prefactor c_n * scale_n divided out of
-        # b leaves U^H diag(b) V^* (uniform illumination); measured max 9.8e-12
-        # over 20 draws of each layout kind
+        # b leaves U^H diag(b) V^*; measured max 9.8e-12 over 20 draws of each
+        # layout kind
         layout = layout_of_kind(kind, rng)
         prop = build_separable(small_config, layout)
         dense = build_dense(small_config, layout)

@@ -71,8 +71,6 @@ class TestSolverSettings:
             SolverSettings(iterations=0)
         with pytest.raises(ValueError):
             SolverSettings(over_relaxation=1.0)
-        with pytest.raises(ValueError):
-            SolverSettings(over_relaxation_last_iters=-1)
 
 
 class TestWeightUpdate:
