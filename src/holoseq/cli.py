@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: plan, run, bench, landscape, verify.  Exit codes: 0 success,
-2 configuration error, 3 infeasible plan, 4 solver failure.
+2 configuration error or an output path (-o) that cannot be written,
+3 infeasible plan, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def _load(args):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _output_error(path, exc: OSError) -> int:
+    print(f"output error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _plan_for(cfg):
     from .planner import InfeasibleAssignmentError, plan_task
 
@@ -83,7 +89,10 @@ def _cmd_plan(args) -> int:
 
     cfg = _load(args)
     plan = _plan_for(cfg)
-    write_plan_json(args.output, plan)
+    try:
+        write_plan_json(args.output, plan)
+    except OSError as exc:
+        return _output_error(args.output, exc)
     mean_d, max_d = plan.displacement_stats()
     print(f"plan: {plan.trap_count} traps, {plan.frames} steps")
     print(f"displacement mean {mean_d * 1e6:.3f} um, max {max_d * 1e6:.3f} um")
@@ -104,13 +113,22 @@ def _cmd_run(args) -> int:
     cfg = _load(args)
     plan = _plan_for(cfg)
     outdir = Path(args.output or cfg.run.output_dir)
+    # an unusable output path fails here, not after every frame is solved;
+    # a config or plan error above leaves no directory behind
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(outdir, exc)
     for kind in cfg.run.solvers:
         try:
             record = run_sequence(cfg.optical, plan, kind, cfg.solver, cfg.refresh)
         except DarkTrapError as exc:
             print(f"solver failure ({kind}): {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        dest = save_run_record(outdir / kind, record, config_text=config_to_yaml(cfg))
+        try:
+            dest = save_run_record(outdir / kind, record, config_text=config_to_yaml(cfg))
+        except OSError as exc:
+            return _output_error(outdir / kind, exc)
         m = record.metrics
         times = record.solve_times * 1e3
         line = (
@@ -150,7 +168,10 @@ def _cmd_bench(args) -> int:
     except DarkTrapError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    write_bench_csv(args.output, rows)
+    try:
+        write_bench_csv(args.output, rows)
+    except OSError as exc:
+        return _output_error(args.output, exc)
     for r in rows:
         print(
             f"{r.task} {r.solver}: iter {r.iterations}, phase_std {r.phase_std:.4f}, "
@@ -173,12 +194,15 @@ def _cmd_landscape(args) -> int:
             return EXIT_CONFIG
     a_values = np.linspace(0.0, 1.0, args.a_steps)
     dphi_values = np.linspace(0.0, np.pi, args.dphi_steps)
-    with open(args.output, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["a", "dphi", "intensity"])
-        for a in a_values:
-            for d in dphi_values:
-                w.writerow([repr(float(a)), repr(float(d)), repr(intensity_model(a, d))])
+    try:
+        with open(args.output, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["a", "dphi", "intensity"])
+            for a in a_values:
+                for d in dphi_values:
+                    w.writerow([repr(float(a)), repr(float(d)), repr(intensity_model(a, d))])
+    except OSError as exc:
+        return _output_error(args.output, exc)
     print(f"wrote {args.output} ({args.a_steps * args.dphi_steps} cells)")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ matching cost.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -249,16 +250,31 @@ class TransportPlan:
     target_intensity: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        frames = operator.index(self.frames)
+        if frames < 0:
+            raise ValueError(f"frames must be >= 0, not {frames}")
         wp = np.asarray(self.waypoints, dtype=float)
-        if wp.ndim != 3 or wp.shape[1] != self.frames + 1 or wp.shape[2] != 3:
+        if wp.ndim != 3 or wp.shape[1] != frames + 1 or wp.shape[2] != 3:
             raise ValueError("waypoints must have shape (n_traps, frames+1, 3)")
+        if not np.isfinite(wp).all():
+            raise ValueError("waypoints must be finite")
+        for name, ids in (("trap_ids", self.trap_ids), ("source_ids", self.source_ids)):
+            if len(ids) != wp.shape[0]:
+                raise ValueError(f"{name} has {len(ids)} entries for {wp.shape[0]} traps")
+        max_step = float(self.max_step)
+        if not (math.isfinite(max_step) and max_step > 0):
+            raise ValueError(f"max_step must be finite and > 0, not {max_step!r}")
         inten = np.asarray(self.target_intensity, dtype=float)
         if inten.shape != (wp.shape[0],):
             raise ValueError("target_intensity must have one entry per trap")
+        if not (np.isfinite(inten) & (inten > 0)).all():
+            raise ValueError("target_intensity must be finite and > 0")
         wp = wp.copy()
         wp.setflags(write=False)
         inten = inten.copy()
         inten.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "max_step", max_step)
         object.__setattr__(self, "waypoints", wp)
         object.__setattr__(self, "target_intensity", inten)
 

@@ -14,11 +14,24 @@ Phase-mask binary layout (little-endian throughout):
 Float masks are written in canonical [0, 2*pi) form.  Quantized masks store
 round(phi / (2*pi) * 256) mod 256 per pixel.  CSV/JSON schemas are documented
 on the individual writers.
+
+Text contract.  fields.csv, transients.csv and plan.json are assembled as
+strings rather than through csv.writer and json.dumps, and keep the bytes
+those would write:
+
+- every CSV row ends in "\r\n", the csv module's default line terminator;
+- a trap id is quoted as the csv module's default dialect quotes it (each id
+  goes through csv.writer once per call);
+- every float is its repr, Python's shortest round-trip spelling, which is
+  also how json spells a finite float;
+- plan.json has the json.dumps(doc, indent=1) layout, with strings and ints
+  through json.dumps; TransportPlan admits finite floats only.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
 from pathlib import Path
@@ -97,19 +110,32 @@ def read_mask(path) -> PhaseMask:
     return PhaseMask(data)
 
 
+def _csv_cells(values) -> list[str]:
+    """Each value as the csv module's default dialect writes it in a row."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    cells = []
+    for v in values:
+        buf.seek(0)
+        buf.truncate()
+        # a second, empty cell keeps the one-empty-field rule ('""') out of it
+        w.writerow((v, ""))
+        cells.append(buf.getvalue()[:-3])  # drop ',\r\n'
+    return cells
+
+
 def write_fields_csv(path, frames, ids) -> None:
     """Schema: frame,trap_id,re,im,intensity,phase."""
+    cells = _csv_cells(ids)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame", "trap_id", "re", "im", "intensity", "phase"])
+        fh.write("frame,trap_id,re,im,intensity,phase\r\n")
         for l, frame in enumerate(frames):
             field = frame.field
-            # tolist gives Python floats, whose repr is a plain number
             columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
-            w.writerows(
-                [l, tid, *map(repr, values)]
-                for tid, *values in zip(ids, *(c.tolist() for c in columns))
-            )
+            fh.write("".join([
+                f"{l},{c},{re!r},{im!r},{i!r},{ph!r}\r\n"
+                for c, re, im, i, ph in zip(cells, *(col.tolist() for col in columns))
+            ]))
 
 
 def write_transients_csv(path, ratios, a_values, ids, dphi_vectors) -> None:
@@ -117,18 +143,18 @@ def write_transients_csv(path, ratios, a_values, ids, dphi_vectors) -> None:
 
     `frame` is the index of the refresh interval's starting frame; ratios holds
     one (samples, traps) I/I0 array per interval, its rows at a_values; dphi is
-    the per-trap wrapped phase change across that interval.
+    the per-trap wrapped phase change across that interval.  One write per
+    sample row: the file is never held whole in memory.
     """
+    cells = _csv_cells(ids)
     a_text = [repr(float(a)) for a in a_values]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame", "trap_id", "a", "I_over_I0", "dphi"])
+        fh.write("frame,trap_id,a,I_over_I0,dphi\r\n")
         for l, interval in enumerate(ratios):
-            dphi_text = [repr(d) for d in dphi_vectors[l].tolist()]
+            heads = [f"{l},{c}," for c in cells]
+            tails = [f",{d!r}\r\n" for d in dphi_vectors[l].tolist()]
             for a, row in zip(a_text, interval.tolist()):
-                w.writerows(
-                    [l, tid, a, repr(ratio), d] for tid, ratio, d in zip(ids, row, dphi_text)
-                )
+                fh.write("".join([f"{h}{a},{r!r}{t}" for h, r, t in zip(heads, row, tails)]))
 
 
 def write_timing_csv(path, solve_times) -> None:
@@ -155,23 +181,28 @@ def write_metrics_json(path, report: MetricsReport) -> None:
 
 
 def write_plan_json(path, plan: TransportPlan) -> None:
-    """Plan document: frames, max_step, traps[{id, source_id, target_intensity, waypoints}]."""
-    doc = {
-        "frames": plan.frames,
-        "max_step": plan.max_step,
-        "traps": [
-            {
-                "id": tid,
-                "source_id": sid,
-                "target_intensity": float(iv),
-                "waypoints": plan.waypoints[i].tolist(),
-            }
-            for i, (tid, sid, iv) in enumerate(
-                zip(plan.trap_ids, plan.source_ids, plan.target_intensity)
+    """Plan document: frames, max_step, traps[{id, source_id, target_intensity, waypoints}].
+
+    The json.dumps(doc, indent=1) layout, written one trap at a time.
+    """
+    with open(path, "w") as fh:
+        fh.write(
+            f'{{\n "frames": {json.dumps(plan.frames)},\n'
+            f' "max_step": {plan.max_step!r},\n "traps": ['
+        )
+        for i, (tid, sid, iv) in enumerate(
+            zip(plan.trap_ids, plan.source_ids, plan.target_intensity.tolist())
+        ):
+            points = ",\n".join([
+                f"    [\n     {x!r},\n     {y!r},\n     {z!r}\n    ]"
+                for x, y, z in plan.waypoints[i].tolist()
+            ])
+            fh.write(
+                f'{"," if i else ""}\n  {{\n   "id": {json.dumps(tid)},\n'
+                f'   "source_id": {json.dumps(sid)},\n   "target_intensity": {iv!r},\n'
+                f'   "waypoints": [\n{points}\n   ]\n  }}'
             )
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
+        fh.write("\n ]\n}" if plan.trap_ids else "]\n}")
 
 
 def read_plan_json(path) -> TransportPlan:

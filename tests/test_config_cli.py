@@ -439,6 +439,35 @@ class TestCli:
         assert "solver failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unusable_output_path_exit_code(self, tiny_config_file, tmp_path, capsys,
+                                            monkeypatch):
+        # run checks its output directory before it solves any frame
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was checked")
+
+        monkeypatch.setattr(sequence, "run_sequence", no_solve)
+        existing = tmp_path / "existing.txt"
+        existing.write_text("x")
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(existing)]) == 2
+        assert str(existing) in capsys.readouterr().err
+        monkeypatch.undo()
+
+        missing = tmp_path / "missing_dir"
+        for args in (["plan", "-c", str(tiny_config_file)],
+                     ["bench", "-c", str(tiny_config_file)],
+                     ["landscape", "--a-steps", "2", "--dphi-steps", "2"]):
+            out = missing / f"{args[0]}.out"
+            assert main([*args, "-o", str(out)]) == 2, args[0]
+            assert str(out) in capsys.readouterr().err, args[0]
+        assert not missing.exists()
+
+        # a solver's directory that cannot be made is exit 2 as well
+        outdir = tmp_path / "run"
+        outdir.mkdir()
+        (outdir / "wpgs").write_text("x")
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(outdir)]) == 2
+        assert str(outdir / "wpgs") in capsys.readouterr().err
+
     def test_landscape_command(self, tmp_path):
         out = tmp_path / "landscape.csv"
         code = main(["landscape", "--a-steps", "5", "--dphi-steps", "9", "-o", str(out)])

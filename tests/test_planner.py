@@ -23,6 +23,7 @@ from holoseq.geometry import (
 from holoseq.planner import (
     _TIE_RTOL,
     InfeasibleAssignmentError,
+    TransportPlan,
     _cost_matrix,
     _lex_matching,
     assign,
@@ -292,6 +293,41 @@ class TestDiscretize:
                 plan.waypoints[:, -1, :],
                 assign(src, tgt).targets.xyz,
             )
+
+
+class TestTransportPlan:
+    def fields(self, **changes):
+        wp = np.zeros((1, 2, 3))
+        wp[0, 1, 0] = 1e-6
+        fields = dict(frames=1, waypoints=wp, trap_ids=("t0",), source_ids=("s0",),
+                      max_step=1e-6, target_intensity=np.ones(1))
+        fields.update(changes)
+        return fields
+
+    def test_numpy_scalars_become_python_numbers(self):
+        # plan.json spells max_step by repr, which is plain only on a float
+        plan = TransportPlan(**self.fields(frames=np.int64(1), max_step=np.float64(1e-6)))
+        assert type(plan.frames) is int and type(plan.max_step) is float
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(waypoints=np.full((1, 2, 3), np.nan)), "waypoints must be finite"),
+            (dict(waypoints=np.full((1, 2, 3), np.inf)), "waypoints must be finite"),
+            (dict(max_step=float("nan")), "max_step"),
+            (dict(max_step=float("inf")), "max_step"),
+            (dict(max_step=0.0), "max_step"),
+            (dict(target_intensity=np.array([-1.0])), "target_intensity"),
+            (dict(target_intensity=np.array([0.0])), "target_intensity"),
+            (dict(target_intensity=np.array([np.nan])), "target_intensity"),
+            (dict(trap_ids=("t0", "t1")), "trap_ids has 2 entries for 1 traps"),
+            (dict(source_ids=()), "source_ids has 0 entries for 1 traps"),
+            (dict(frames=-1, waypoints=np.zeros((1, 0, 3))), "frames"),
+        ],
+    )
+    def test_bad_input_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            TransportPlan(**self.fields(**changes))
 
 
 class TestPlanTask:

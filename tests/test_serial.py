@@ -1,15 +1,21 @@
 import csv
+import dataclasses
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holoseq.config import load_config
 from holoseq.geometry import custom_task
-from holoseq.planner import plan_task
+from holoseq.planner import TransportPlan, plan_task
 from holoseq.propagation import TWO_PI, PhaseMask
 from holoseq.sequence import bench, run_sequence
 from holoseq.serial import (
@@ -18,8 +24,10 @@ from holoseq.serial import (
     read_plan_json,
     save_run_record,
     write_bench_csv,
+    write_fields_csv,
     write_mask,
     write_plan_json,
+    write_transients_csv,
 )
 from holoseq.solvers import SolverSettings
 from holoseq.transient import RefreshModel
@@ -34,6 +42,119 @@ def small_run(small_config):
     plan = plan_task(spec, max_step=0.25e-6)
     settings = SolverSettings(iterations=2, wgs_iterations=4, seed=0)
     return run_sequence(small_config, plan, "wpgs", settings, RefreshModel(samples_per_refresh=3))
+
+
+# Reference writers: fields.csv, transients.csv and plan.json as csv.writer and
+# json.dumps(indent=1) write them.  The package assembles the same bytes by hand.
+def oracle_fields_csv(path, frames, ids):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["frame", "trap_id", "re", "im", "intensity", "phase"])
+        for l, frame in enumerate(frames):
+            field = frame.field
+            columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
+            w.writerows(
+                [l, tid, *map(repr, values)]
+                for tid, *values in zip(ids, *(c.tolist() for c in columns))
+            )
+
+
+def oracle_transients_csv(path, ratios, a_values, ids, dphi_vectors):
+    a_text = [repr(float(a)) for a in a_values]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["frame", "trap_id", "a", "I_over_I0", "dphi"])
+        for l, interval in enumerate(ratios):
+            dphi_text = [repr(d) for d in dphi_vectors[l].tolist()]
+            for a, row in zip(a_text, interval.tolist()):
+                w.writerows(
+                    [l, tid, a, repr(ratio), d] for tid, ratio, d in zip(ids, row, dphi_text)
+                )
+
+
+def oracle_plan_json(path, plan):
+    doc = {
+        "frames": plan.frames,
+        "max_step": plan.max_step,
+        "traps": [
+            {
+                "id": tid,
+                "source_id": sid,
+                "target_intensity": float(iv),
+                "waypoints": plan.waypoints[i].tolist(),
+            }
+            for i, (tid, sid, iv) in enumerate(
+                zip(plan.trap_ids, plan.source_ids, plan.target_intensity)
+            )
+        ],
+    }
+    Path(path).write_text(json.dumps(doc, indent=1))
+
+
+def assert_writers_match_oracle(tmp_path, record):
+    """Each hand-assembled artifact has the reference writer's bytes."""
+    ids = record.plan.trap_ids
+    pairs = (
+        (write_fields_csv, oracle_fields_csv, "fields.csv", (record.frames, ids)),
+        (write_transients_csv, oracle_transients_csv, "transients.csv",
+         (record.ratios, record.refresh.a_grid(), ids, record.dphi)),
+        (write_plan_json, oracle_plan_json, "plan.json", (record.plan,)),
+    )
+    for writer, oracle, name, args in pairs:
+        writer(tmp_path / name, *args)
+        oracle(tmp_path / f"oracle-{name}", *args)
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"oracle-{name}").read_bytes(), name
+
+
+def _perfbench_workload(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS[name]
+
+
+class TestWriterOracle:
+    def test_small_run(self, tmp_path, small_run):
+        assert_writers_match_oracle(tmp_path, small_run)
+
+    def test_perfbench_run(self, tmp_path):
+        # plan-144: 144 traps, many refresh intervals of 21 samples
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(_perfbench_workload("plan-144").config_for(0)))
+        cfg = load_config(config)
+        plan = plan_task(cfg.task, max_step=cfg.run.max_step, cost=cfg.run.cost)
+        record = run_sequence(cfg.optical, plan, "wpgs", cfg.solver, cfg.refresh)
+        assert len(record.ratios) > 1
+        assert_writers_match_oracle(tmp_path, record)
+
+    def test_ids_that_need_quoting(self, tmp_path, small_config):
+        spec = custom_task(
+            source_points=[(-10e-6, 0, 0), (0, 0, 0), (10e-6, 0, 0)],
+            target_points=[(-10e-6, 0, 0), (0, 0.5e-6, 0), (10e-6, 0, 0)],
+            intensities=[1.0, 1.5, 1.0],
+        )
+        plan = dataclasses.replace(
+            plan_task(spec, max_step=0.25e-6),
+            trap_ids=("a,b", 'q"x', "t\u00b5"),
+            source_ids=("s,0", 's"1', "s\u00b5"),
+        )
+        settings = SolverSettings(iterations=2, wgs_iterations=4, seed=0)
+        record = run_sequence(small_config, plan, "wpgs", settings,
+                              RefreshModel(samples_per_refresh=3))
+        assert_writers_match_oracle(tmp_path, record)
+        # the contract the oracle pins: csv quoting, "\r\n" rows, json escapes
+        fields = (tmp_path / "fields.csv").read_bytes()
+        assert fields.startswith(b"frame,trap_id,re,im,intensity,phase\r\n")
+        assert b'\r\n0,"a,b",' in fields and b'\r\n0,"q""x",' in fields
+        assert fields.count(b"\r\n") == fields.count(b"\n") == 1 + 3 * len(record.frames)
+        text = (tmp_path / "plan.json").read_text()
+        assert '"id": "q\\"x"' in text and '"id": "t\\u00b5"' in text
+        assert read_plan_json(tmp_path / "plan.json").trap_ids == plan.trap_ids
 
 
 class TestMaskFiles:
@@ -114,6 +235,22 @@ class TestPlanJson:
         assert back.trap_ids == plan.trap_ids
         np.testing.assert_allclose(back.waypoints, plan.waypoints)
         np.testing.assert_allclose(back.target_intensity, plan.target_intensity)
+
+    def test_non_finite_number_rejected(self, tmp_path):
+        plan = plan_task(
+            custom_task(source_points=[(0, 0, 0)], target_points=[(1e-6, 0, 0)]),
+            max_step=0.5e-6,
+        )
+        path = tmp_path / "plan.json"
+        write_plan_json(path, plan)
+        text = path.read_text()
+        for old, new in (('"max_step": 5e-07', '"max_step": NaN'),
+                         ('"target_intensity": 1.0', '"target_intensity": Infinity'),
+                         ("     1e-06,", "     NaN,")):
+            assert old in text
+            path.write_text(text.replace(old, new, 1))
+            with pytest.raises(ValueError, match="finite"):
+                read_plan_json(path)
 
 
 class TestRunDirectory:
