@@ -61,9 +61,12 @@ class Histogram:
         ]
 
 
+def _clipped_counts(samples: np.ndarray, bins: int, lo: float, hi: float):
+    return np.histogram(np.clip(samples, lo, hi), bins=bins, range=(lo, hi))
+
+
 def _clipped_histogram(samples: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:
-    clipped = np.clip(samples, lo, hi)
-    counts, edges = np.histogram(clipped, bins=bins, range=(lo, hi))
+    counts, edges = _clipped_counts(samples, bins, lo, hi)
     return Histogram(bin_edges=edges, percent=100.0 * counts / samples.size)
 
 
@@ -136,18 +139,33 @@ def transition_distribution(
     ratios: Iterable,
     thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS,
 ) -> TransitionStats:
-    """Minimum, below-threshold fractions, and histogram of pooled I/I0 samples."""
-    pooled = [np.asarray(r, dtype=float).ravel() for r in ratios]
-    if not pooled:
-        raise ValueError("transition_distribution needs samples")
-    samples = np.concatenate(pooled)
-    if samples.size == 0:
+    """Minimum, below-threshold fractions, and histogram of pooled I/I0 samples.
+
+    The samples are pooled one interval at a time, as a running minimum and
+    summed threshold and bin counts, never as one concatenated array; the
+    numbers are those of the concatenation.
+    """
+    count = 0
+    minimum = np.inf
+    below = np.zeros(len(thresholds), dtype=np.int64)
+    bin_counts = np.zeros(DEFAULT_RATIO_BINS, dtype=np.int64)
+    edges = None
+    for r in ratios:
+        samples = np.asarray(r, dtype=float).ravel()
+        if samples.size == 0:
+            continue
+        count += samples.size
+        minimum = np.minimum(minimum, samples.min())
+        below += [np.count_nonzero(samples < t) for t in thresholds]
+        counts, edges = _clipped_counts(samples, DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE)
+        bin_counts += counts
+    if count == 0:
         raise ValueError("transition_distribution needs samples")
     return TransitionStats(
-        count=int(samples.size),
-        minimum=float(samples.min()),
-        fraction_below={float(t): float(np.mean(samples < t)) for t in thresholds},
-        histogram=_clipped_histogram(samples, DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE),
+        count=count,
+        minimum=float(minimum),
+        fraction_below={float(t): float(b / count) for t, b in zip(thresholds, below)},
+        histogram=Histogram(bin_edges=edges, percent=100.0 * bin_counts / count),
     )
 
 

@@ -4,9 +4,9 @@ Two routes compute the complex field at each trap from a pixelwise phase mask:
 
 * a separable path that factors the Fresnel kernel into per-axis matrices
   ``kernel_x`` (R x grid_x, one row per distinct (x, z) pair of the N traps)
-  and ``kernel_y`` (N x grid_y), contracted as
-  ``E = scale * c * rowsum((U @ exp(i*phi))[x_rows] * V)``, where
-  ``x_rows`` maps trap n to its row of U;
+  and ``kernel_y`` (one row per distinct (y, z) pair), contracted as
+  ``E = scale * c * rowsum((U @ exp(i*phi))[x_rows] * V[y_rows])``, where
+  ``x_rows`` and ``y_rows`` map trap n to its rows of U and V;
 * a dense N x M matrix built independently from the single-exponential kernel,
   kept as a verification oracle for small problems.
 
@@ -43,11 +43,22 @@ __all__ = [
 DENSE_ENTRY_LIMIT = 8_388_608
 
 TWO_PI = 2.0 * np.pi
+# forward_field gathers and sums the contracted rows of this many complex
+# entries at a time (128 KB): N x grid_y at once is a large temporary
+ROW_BLOCK_ENTRIES = 8192
 
 
-def wrap_phase(x):
-    """Wrap angles into (-pi, pi]; ties at +-pi map to +pi."""
-    return np.pi - np.mod(np.pi - np.asarray(x, dtype=float), TWO_PI)
+def wrap_phase(x, out=None):
+    """Wrap angles into (-pi, pi]; ties at +-pi map to +pi.
+
+    With out, a float array of x's shape (x itself allowed), the same
+    operations write the result there instead of into new arrays.
+    """
+    if out is None:
+        return np.pi - np.mod(np.pi - np.asarray(x, dtype=float), TWO_PI)
+    np.subtract(np.pi, x, out=out)
+    np.mod(out, TWO_PI, out=out)
+    return np.subtract(np.pi, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,9 @@ class SeparablePropagator:
     kernel_x holds one row per distinct (x, z) pair of the layout, not one
     per trap: the traps of a lattice transport share few x values in a frame,
     and the x kernel depends on x and z only.  x_rows (N,) maps each trap to
-    its row.  kernel_y, axial_phase and trap_scale stay per trap.
+    its row.  kernel_y and y_rows do the same for the distinct (y, z) pairs;
+    kernel_y[y_rows] is the per-trap y kernel, bit for bit.  axial_phase and
+    trap_scale stay per trap.
     """
 
     config: OpticalConfig
@@ -129,6 +142,7 @@ class SeparablePropagator:
     kernel_y: np.ndarray = field(repr=False)
     trap_scale: np.ndarray = field(repr=False)
     x_rows: np.ndarray = field(repr=False)
+    y_rows: np.ndarray = field(repr=False)
 
     @property
     def trap_count(self) -> int:
@@ -167,7 +181,8 @@ def build_separable(config: OpticalConfig, layout: TrapLayout) -> SeparablePropa
     # the x kernel depends on (x, z) only; -0.0 and 0.0 compare equal here
     xz, x_rows = np.unique(np.stack([layout.x, z], axis=1), axis=0, return_inverse=True)
     kernel_x = np.exp(-1j * _kernel_phase(xz[:, 0], xz[:, 1], u, config))
-    kernel_y = np.exp(-1j * _kernel_phase(layout.y, z, v, config))
+    yz, y_rows = np.unique(np.stack([layout.y, z], axis=1), axis=0, return_inverse=True)
+    kernel_y = np.exp(-1j * _kernel_phase(yz[:, 0], yz[:, 1], v, config))
     axial = np.exp(
         1j * (TWO_PI * (2.0 * config.focal_length + z) / config.wavelength - np.pi / 2.0)
     )
@@ -181,6 +196,7 @@ def build_separable(config: OpticalConfig, layout: TrapLayout) -> SeparablePropa
         trap_scale=scale,
         # numpy 2.0.0 returns the inverse of an axis unique as 2-D
         x_rows=x_rows.ravel(),
+        y_rows=y_rows.ravel(),
     )
 
 
@@ -192,7 +208,15 @@ def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> TrapFie
             f"pixel field shape {pixel_field.shape} != grid ({cfg.grid_x}, {cfg.grid_y})"
         )
     f = np.asarray(pixel_field, dtype=complex)
-    contracted = ((prop.kernel_x @ f)[prop.x_rows] * prop.kernel_y).sum(axis=1)
+    contracted_x = prop.kernel_x @ f
+    # a block of traps at a time; each trap's row sum is the same either way
+    contracted = np.empty(prop.trap_count, dtype=complex)
+    block = max(1, ROW_BLOCK_ENTRIES // cfg.grid_y)
+    for start in range(0, prop.trap_count, block):
+        stop = start + block
+        rows = contracted_x[prop.x_rows[start:stop]]
+        rows *= prop.kernel_y[prop.y_rows[start:stop]]
+        rows.sum(axis=1, out=contracted[start:stop])
     return TrapField(prop.trap_scale * prop.axial_phase * contracted)
 
 
@@ -204,6 +228,7 @@ def forward(prop: SeparablePropagator, mask: PhaseMask) -> TrapField:
 def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Unit phasor of the back-propagated pixel field ``U[x_rows]^H diag(b) V^*``.
 
+    V = kernel_y[y_rows] is the per-trap y kernel, formed for the call.
     Traps that share a row of kernel_x (U) are summed before the x
     contraction: b is scattered into an (R, N) matrix B at (x_rows[n], n),
     and ``U[x_rows]^H diag(b) V^* = U^H (B V^*)``.
@@ -219,14 +244,18 @@ def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray,
     n = prop.trap_count
     by_row = np.zeros((len(prop.kernel_x), n), dtype=complex)
     by_row[prop.x_rows, np.arange(n)] = b
-    pixel = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y))
+    pixel = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y)[prop.y_rows])
     magnitude = np.abs(pixel)
     zero = magnitude == 0
     zero_pixels = int(np.count_nonzero(zero))
     if zero_pixels:
         pixel[zero] = 1.0
         magnitude[zero] = 1.0
-    pixel /= magnitude
+    # numpy divides a complex by a real as a product with its reciprocal, so
+    # this gives the bits of pixel /= magnitude (up to the sign of a zero
+    # real or imaginary part) at less cost
+    np.reciprocal(magnitude, out=magnitude)
+    pixel *= magnitude
     return pixel, zero_pixels
 
 

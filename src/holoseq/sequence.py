@@ -2,13 +2,16 @@
 
 Frame 0 is always solved from scratch with the amplitude-only baseline (its
 iteration budget doubles as the warm-up for the phase-constrained solver).
-Every later frame warm-starts from the previous frame's mask and weights; the
-phase-constrained solver additionally takes the previous frame's realized trap
-phases as its target phases, which is what couples consecutive holograms.
+Every later frame warm-starts from the previous frame's pixel phasor and
+weights; the phase-constrained solver additionally takes the previous frame's
+realized trap phases as its target phases, which is what couples consecutive
+holograms.  Passing the phasor, not the mask, means a run takes one complex
+exp over the pixel grid (frame 0's random mask), not two per frame.
 After each solve the refresh interval from the previous mask is sampled at
 the new frame's trap positions, from the two fields that solve computed (its
 starting field and its result).  A RunRecord holds each frame's SolveResult
-(``record.frames``), one (samples, traps) I/I0 array per interval
+(``record.frames``, with ``pixel`` None: only the newest frame's phasor is
+alive during a run), one (samples, traps) I/I0 array per interval
 (``record.ratios``) and the per-frame wall times (``record.solve_times``),
 which cover propagator build plus the solve only (transient sampling and
 metric assembly are excluded).
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,14 +68,14 @@ def _solve_frame(
         if solver_kind != "wpgs":
             return warm
         target = TargetSpec(plan.target_intensity, warm.field.phase)
-        return wpgs_solve(prop, target, settings, init_mask=warm.mask, init_weights=warm.weights)
+        return wpgs_solve(prop, target, settings, init_mask=warm.pixel, init_weights=warm.weights)
     if solver_kind == "wpgs":
         target = TargetSpec(plan.target_intensity, prev.field.phase)
         return wpgs_solve(
-            prop, target, settings, init_mask=prev.mask, init_weights=prev.weights
+            prop, target, settings, init_mask=prev.pixel, init_weights=prev.weights
         )
     return wgs_solve(
-        prop, plan.target_intensity, settings, init_mask=prev.mask, init_weights=prev.weights
+        prop, plan.target_intensity, settings, init_mask=prev.pixel, init_weights=prev.weights
     )
 
 
@@ -92,23 +95,26 @@ def run_sequence(
     frames: list[SolveResult] = []
     times: list[float] = []
     ratios: list[np.ndarray] = []
+    # the newest result, phasor included: the only phasor alive between solves
     prev: SolveResult | None = None
     for l in range(plan.frames + 1):
         layout = plan.layout(l)
         t0 = time.perf_counter()
         prop = build_separable(config, layout)
         try:
-            result = _solve_frame(prop, plan, solver_kind, settings, prev)
+            prev = _solve_frame(prop, plan, solver_kind, settings, prev)
         except Exception as exc:
             exc.args = (f"frame {l}: {exc}",) + exc.args[1:]
             raise
         times.append(time.perf_counter() - t0)
+        # rebinding prev above dropped the previous phasor; the record keeps none
+        result = replace(prev, pixel=None)
         frames.append(result)
         if l > 0:
             ratios.append(sample_refresh(
-                prop, prev.mask, result.mask, result.init_field, result.field, refresh
+                prop, frames[l - 1].mask, result.mask, result.init_field, result.field, refresh
             ))
-        prev = result
+    prev = None  # the metrics below need no phasor
 
     dphi = tuple(
         phase_diff(frames[l].field.phase, frames[l + 1].field.phase)

@@ -15,6 +15,12 @@ whether the target phases are pinned:
 
 The weight, scale, objective and back-propagation formulas are the public
 step functions, which take arrays; the loop calls them and nothing else.
+
+The loop's pixel state is a unit phasor, never a phase array.  A solve's
+result carries its last phasor (``SolveResult.pixel``), and a solve started
+from such a phasor forward-propagates it as it is, so a sequence of warm-started
+solves takes no complex exp at all: only a ``PhaseMask`` start (frame 0's random
+mask, a mask read from disk) pays one, in ``forward``.
 """
 
 from __future__ import annotations
@@ -116,11 +122,14 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A finished solve; init_field is the field the init mask gives at these traps.
+    """A finished solve; init_field is the field the solve's start gives at these traps.
 
-    mask is built once, from the angle of the loop's final pixel phasor, and
-    field is forward(prop, mask) bit for bit, so the refresh transient can
-    start and end on these fields.
+    pixel is the loop's final unit pixel phasor and field is
+    forward_field(prop, pixel) bit for bit.  mask, the angle of pixel, is the
+    export and record form: forward(prop, mask) rebuilds the phasor with a
+    complex exp and agrees with field to rounding (about 1e-15 relative).
+    pixel is the next solve's start; a run keeps it for the newest frame only,
+    and its recorded frames hold None.
     """
 
     mask: PhaseMask
@@ -131,6 +140,7 @@ class SolveResult:
     scale: complex
     solver: str = ""
     adjoint_zero_pixels: int = field(default=0, compare=False)
+    pixel: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _check_bright(field_abs: np.ndarray, iteration=None) -> None:
@@ -195,23 +205,22 @@ def _solve(
     target_amp: np.ndarray,
     pinned_field: np.ndarray | None,
     settings: SolverSettings,
-    init_mask: PhaseMask | None,
+    init_mask: PhaseMask | np.ndarray | None,
     init_weights: np.ndarray | None,
 ) -> SolveResult:
     """The loop behind both solvers; pinned_field None selects the WGS rules.
 
     target_amp is |E_tar,n| under the WPGS rules and sqrt(I_n) under the WGS
-    rules.  The loop's pixel state is the unit phasor from phase_step: each
-    phase step but the last is forward-propagated as it is, without a phase
-    array or a complex exp.  After the loop the phasor's angle becomes the
-    one PhaseMask of the solve, and result.field is that mask's forward, so
-    it corresponds to result.mask bit for bit as result.init_field does to
-    the initial mask.  A solve costs 1 + iterations forward contractions and
-    two complex exps (the initial and the final mask).
+    rules.  The loop's pixel state is the unit phasor from phase_step, and
+    every phase step is forward-propagated as it is, without a phase array or
+    a complex exp; result.field is the last one's forward.  After the loop
+    the phasor's angle becomes the one PhaseMask of the solve.  A solve costs
+    1 + iterations forward contractions; a complex exp only when it starts
+    from a PhaseMask.
     """
     n = len(target_amp)
     pinned = pinned_field is not None
-    phi = init_mask if init_mask is not None else random_mask(prop.config, settings.seed)
+    start = init_mask if init_mask is not None else random_mask(prop.config, settings.seed)
     w = np.ones(n) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
     if (w <= 0).any():
         raise ValueError("initial weights must be positive")
@@ -222,7 +231,11 @@ def _solve(
     objectives = []
     s = 1.0 + 0.0j
     zero_pixels = 0
-    realized = init_field = forward(prop, phi)
+    if isinstance(start, PhaseMask):
+        init_field = forward(prop, start)
+    else:  # a pixel phasor, propagated as it is; forward_field checks its shape
+        init_field = forward_field(prop, np.asarray(start))
+    realized = init_field
     for k in range(1, total + 1):
         e = realized.amplitudes
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
@@ -239,13 +252,14 @@ def _solve(
         objectives.append(objective(weighted, s, e_tar))
         pixel, nz = phase_step(prop, w, s, e_tar)
         zero_pixels += nz
+        realized = forward_field(prop, pixel)
         if k < total:
-            realized = forward_field(prop, pixel)
+            # a forwarded phasor is dropped before the next phase step makes
+            # its successor, so two loop phasors never coexist
+            pixel = None
 
-    mask = PhaseMask(np.angle(pixel))
-    realized = forward(prop, mask)
     return SolveResult(
-        mask=mask,
+        mask=PhaseMask(np.angle(pixel)),
         weights=w,
         field=realized,
         init_field=init_field,
@@ -253,6 +267,7 @@ def _solve(
         scale=s,
         solver="wpgs" if pinned else "wgs",
         adjoint_zero_pixels=zero_pixels,
+        pixel=pixel,
     )
 
 
@@ -260,13 +275,15 @@ def wpgs_solve(
     prop: SeparablePropagator,
     target: TargetSpec,
     settings: SolverSettings,
-    init_mask: PhaseMask | None = None,
+    init_mask: PhaseMask | np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
 ) -> SolveResult:
     """Phase-constrained solve (settings.iterations iterations).
 
     The target field, trap phases included, stays fixed; the complex scale is
     refit every iteration and each trap's weight targets its own |E_tar,n|.
+    init_mask is a PhaseMask or a unit pixel phasor of the grid's shape, such
+    as a previous result's pixel; None starts from random_mask(settings.seed).
     """
     n = prop.trap_count
     if len(target) != n:
@@ -279,7 +296,7 @@ def wgs_solve(
     prop: SeparablePropagator,
     target_intensity: np.ndarray,
     settings: SolverSettings,
-    init_mask: PhaseMask | None = None,
+    init_mask: PhaseMask | np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
 ) -> SolveResult:
     """Amplitude-only baseline solve (settings.wgs_iterations iterations).
@@ -288,6 +305,7 @@ def wgs_solve(
     the current mask realizes, the global scale stays 1, and the weight rule
     uses the mean target amplitude.  The recorded objective is the same
     matching residual evaluated against that iteration's phase-adapted target.
+    init_mask and init_weights are as for wpgs_solve.
     """
     n = prop.trap_count
     inten = np.asarray(target_intensity, dtype=float)

@@ -106,22 +106,27 @@ def transient_exact(
     if not ((a_values >= 0.0) & (a_values <= 1.0)).all():
         raise ValueError("a must lie in [0, 1]")
     phi_l = mask_l.phases
-    dphi = wrap_phase(mask_l1.phases - phi_l)
     a_flat = a_values.ravel()
     # every sample's phasor is written into one buffer: fresh grid-sized
     # temporaries per sample are page-faulted in again each time
-    pixel = np.empty(dphi.shape, dtype=complex)
+    pixel = np.empty(phi_l.shape, dtype=complex)
     h = _uniform_step(a_flat)
     if h is None:
+        dphi = wrap_phase(mask_l1.phases - phi_l)
         fields = [
             forward_field(prop, _relaxing_phasor(phi_l, dphi, 1.0 - a_k, pixel))
             for a_k in a_flat
         ]
     else:
         # exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k with P the a_0 phasor and
-        # Q = exp(i*h*dphi): one complex multiply per sample instead of an exp
-        step = _relaxing_phasor(0.0, dphi, h, np.empty_like(pixel))
-        fields = [forward_field(prop, _relaxing_phasor(phi_l, dphi, 1.0 - a_flat[0], pixel))]
+        # Q = exp(i*h*dphi): one complex multiply per sample instead of an exp.
+        # dphi is wrapped inside Q's buffer, which Q then overwrites: no
+        # grid-sized array lives beside P and Q
+        step = np.empty_like(pixel)
+        dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
+        _relaxing_phasor(phi_l, dphi, 1.0 - a_flat[0], pixel)
+        _relaxing_phasor(0.0, dphi, h, step)
+        fields = [forward_field(prop, pixel)]
         for _ in range(1, a_flat.size):
             pixel *= step
             fields.append(forward_field(prop, pixel))

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from holoseq.metrics import (
+    DEFAULT_RATIO_BINS,
+    DEFAULT_RATIO_RANGE,
+    DEFAULT_RATIO_THRESHOLDS,
+    Histogram,
+    TransitionStats,
     aggregate,
     compute_report,
     layer_split,
@@ -75,7 +80,58 @@ class TestAggregate:
             aggregate([])
 
 
+def concatenated_transition_distribution(ratios, thresholds=DEFAULT_RATIO_THRESHOLDS):
+    """The pooled statistics from one concatenated sample array: the oracle."""
+    samples = np.concatenate([np.asarray(r, dtype=float).ravel() for r in ratios])
+    lo, hi = DEFAULT_RATIO_RANGE
+    clipped = np.clip(samples, lo, hi)
+    counts, edges = np.histogram(clipped, bins=DEFAULT_RATIO_BINS, range=(lo, hi))
+    return TransitionStats(
+        count=int(samples.size),
+        minimum=float(samples.min()),
+        fraction_below={float(t): float(np.mean(samples < t)) for t in thresholds},
+        histogram=Histogram(bin_edges=edges, percent=100.0 * counts / samples.size),
+    )
+
+
+def assert_same_transition(got, want):
+    assert got.count == want.count
+    assert got.minimum == want.minimum
+    assert got.fraction_below == want.fraction_below
+    np.testing.assert_array_equal(got.histogram.bin_edges, want.histogram.bin_edges)
+    np.testing.assert_array_equal(got.histogram.percent, want.histogram.percent)
+
+
 class TestTransitionDistribution:
+    def test_matches_concatenation(self, rng):
+        # intervals of (samples, traps) ratios, some outside [0, 1.2], some
+        # exactly at a threshold or a bin edge, and empty intervals between
+        edges = np.linspace(*DEFAULT_RATIO_RANGE, DEFAULT_RATIO_BINS + 1)
+        ratios = [
+            rng.uniform(-0.3, 1.6, (21, 13)),
+            np.empty((0, 13)),
+            np.array([
+                list(DEFAULT_RATIO_THRESHOLDS) * 3,
+                edges[[0, 17, 143, 171, 199, 200, 100, 1, 2]],
+            ]),
+            np.array([[-0.0, 0.0, 1.2, 1.2000000000000002, 5.0, -1.0]]),
+            np.empty((21, 0)),
+            rng.uniform(0.85, 0.97, (21, 13)),
+        ]
+        assert_same_transition(
+            transition_distribution(ratios), concatenated_transition_distribution(ratios)
+        )
+        custom = (0.0, 0.5, 1.2)
+        assert_same_transition(
+            transition_distribution(iter(ratios), thresholds=custom),
+            concatenated_transition_distribution(ratios, thresholds=custom),
+        )
+
+    @pytest.mark.parametrize("ratios", [[], [np.empty((21, 0))], [np.empty(0), np.empty((0, 4))]])
+    def test_no_samples_raise(self, ratios):
+        with pytest.raises(ValueError, match="needs samples"):
+            transition_distribution(ratios)
+
     def test_constant_sequence(self):
         stats = transition_distribution([np.ones(50)])
         assert stats.minimum == 1.0

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from holoseq import propagation
 from holoseq.geometry import (
     OpticalConfig,
     TrapLayout,
@@ -62,13 +63,16 @@ LAYOUT_KINDS = ["random", "two_layer_lattice", "mid_transport"]
 
 def per_trap_forward(prop, pixel_field):
     """Forward contraction over one kernel_x row per trap: the oracle for the row map."""
-    contracted = ((prop.kernel_x[prop.x_rows] @ pixel_field) * prop.kernel_y).sum(axis=1)
+    contracted = (
+        (prop.kernel_x[prop.x_rows] @ pixel_field) * prop.kernel_y[prop.y_rows]
+    ).sum(axis=1)
     return prop.trap_scale * prop.axial_phase * contracted
 
 
 def per_trap_adjoint(prop, b):
     """Back-propagated pixel field summed trap by trap: the oracle for the row map."""
-    return (np.conj(prop.kernel_x[prop.x_rows]) * b[:, None]).T @ np.conj(prop.kernel_y)
+    kernel_x = prop.kernel_x[prop.x_rows]
+    return (np.conj(kernel_x) * b[:, None]).T @ np.conj(prop.kernel_y[prop.y_rows])
 
 
 def phasor_deviation(pixel, raw):
@@ -86,6 +90,14 @@ class TestWrapPhase:
     def test_antisymmetry_off_tie(self, rng):
         x = rng.uniform(-3, 3, 100)
         np.testing.assert_allclose(wrap_phase(x), -wrap_phase(-x), atol=1e-12)
+
+    def test_out_matches_new_array(self, rng):
+        # ties, multiples of 2*pi and large angles, written in place of x
+        x = np.concatenate([rng.uniform(-40, 40, 200), np.pi * np.arange(-6.0, 7.0)])
+        want = wrap_phase(x)
+        buf = x.copy()
+        assert wrap_phase(buf, out=buf) is buf
+        np.testing.assert_array_equal(buf.view(np.uint64), want.view(np.uint64))
 
 
 class TestPhaseMask:
@@ -133,6 +145,40 @@ class TestSeparable:
         expected = prop.trap_scale[0] * prop.axial_phase[0] * small_config.pixel_count
         np.testing.assert_allclose(field.amplitudes[0], expected, rtol=1e-12)
 
+    @staticmethod
+    def per_trap_kernel_y(config, layout):
+        return np.exp(-1j * propagation._kernel_phase(
+            layout.y, layout.z, config.pixel_coords_y(), config
+        ))
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS + ["three_layer_lattice"])
+    def test_kernel_y_matches_per_trap_build(self, small_config, rng, kind):
+        # one exp row per distinct (y, z) pair, gathered per trap through
+        # y_rows: the same bits as one exp row per trap
+        if kind == "three_layer_lattice":
+            layout = concat_layouts([
+                build_lattice((3, 3), 5e-6, z=z, id_prefix=f"z{k}_")
+                for k, z in enumerate((-30e-6, 0.0, 30e-6))
+            ])
+        else:
+            layout = layout_of_kind(kind, rng)
+        prop = build_separable(small_config, layout)
+        pairs = {(float(y), float(z)) for y, z in zip(layout.y, layout.z)}
+        assert prop.kernel_y.shape == (len(pairs), small_config.grid_y)
+        gathered = prop.kernel_y[prop.y_rows]
+        per_trap = self.per_trap_kernel_y(small_config, layout)
+        np.testing.assert_array_equal(gathered.view(np.uint64), per_trap.view(np.uint64))
+
+    def test_signed_zero_y_shares_a_kernel_y_row(self, small_config):
+        # (y, z) = (-0.0, -0.0) shares the (0.0, 0.0) row: equal values, though
+        # an exactly zero imaginary part may carry the other sign
+        layout = TrapLayout(("p", "m"), [(3e-6, 0.0, 0.0), (-3e-6, -0.0, -0.0)])
+        prop = build_separable(small_config, layout)
+        np.testing.assert_array_equal(prop.y_rows, [0, 0])
+        np.testing.assert_array_equal(
+            prop.kernel_y[prop.y_rows], self.per_trap_kernel_y(small_config, layout)
+        )
+
     def test_factorization_matches_dense(self, small_config, grid_3x3):
         # A_nj proportional to c_n * U_{n,jx} * V_{n,jy}: compare per-row
         # ratios so the huge-argument axial prefactor (whose last-digit
@@ -140,7 +186,8 @@ class TestSeparable:
         prop = build_separable(small_config, grid_3x3)
         dense = build_dense(small_config, grid_3x3)
         kernel_x = prop.kernel_x[prop.x_rows]
-        kron = (kernel_x[:, :, None] * prop.kernel_y[:, None, :]).reshape(9, -1)
+        kernel_y = prop.kernel_y[prop.y_rows]
+        kron = (kernel_x[:, :, None] * kernel_y[:, None, :]).reshape(9, -1)
         rel = np.abs(
             dense.matrix / dense.matrix[:, :1] - kron / kron[:, :1]
         ).max()
@@ -189,6 +236,22 @@ class TestForward:
         lhs = forward_field(prop, a * f1 + b * f2).amplitudes
         rhs = a * forward_field(prop, f1).amplitudes + b * forward_field(prop, f2).amplitudes
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+    @pytest.mark.parametrize("block_traps", [None, 1, 5])
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_blocked_row_product_bits(self, small_config, rng, kind, block_traps, monkeypatch):
+        # forward_field gathers, multiplies and sums the rows a block of
+        # traps at a time, in place: the bits of the one-shot expression
+        if block_traps is not None:
+            monkeypatch.setattr(propagation, "ROW_BLOCK_ENTRIES", block_traps * small_config.grid_y)
+        prop = build_separable(small_config, layout_of_kind(kind, rng))
+        f = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        rows = (prop.kernel_x @ f)[prop.x_rows] * prop.kernel_y[prop.y_rows]
+        contracted = rows.sum(axis=1)
+        want = prop.trap_scale * prop.axial_phase * contracted
+        np.testing.assert_array_equal(
+            forward_field(prop, f).amplitudes.view(np.uint64), want.view(np.uint64)
+        )
 
     def test_dimension_mismatch(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
@@ -246,13 +309,27 @@ class TestAdjoint:
             # rad in angle where |raw| is small; TestRowMap checks that order.
             by_row = np.zeros((len(prop.kernel_x), 9), dtype=complex)
             by_row[prop.x_rows, np.arange(9)] = b
-            raw = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y))
+            raw = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y)[prop.y_rows])
             assert n_zero == 0
             # measured max deviation 4.44e-16, two ulps of 1 (np.abs rounds too)
             np.testing.assert_allclose(np.abs(pixel), 1.0, rtol=0, atol=2 * np.finfo(float).eps)
             np.testing.assert_allclose(
                 wrap_phase(np.angle(pixel) - np.angle(raw)), 0.0, rtol=0, atol=1e-15
             )
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_normalization_matches_division(self, desk_config, rng, kind):
+        # adjoint_phase multiplies by the reciprocal magnitude; the division
+        # it replaced is kept here as the reference, bit for bit
+        prop = build_separable(desk_config, layout_of_kind(kind, rng))
+        n = prop.trap_count
+        b = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        by_row = np.zeros((len(prop.kernel_x), n), dtype=complex)
+        by_row[prop.x_rows, np.arange(n)] = b
+        raw = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y)[prop.y_rows])
+        assert (raw != 0).all()
+        pixel, _ = adjoint_phase(prop, b)
+        np.testing.assert_array_equal(pixel.view(np.uint64), (raw / np.abs(raw)).view(np.uint64))
 
     def test_zero_pixel_is_unit_phasor_and_counted(self, small_config, grid_3x3, rng):
         # a zero column of kernel_x makes one pixel row back-propagate to exactly 0

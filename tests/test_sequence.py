@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from holoseq.geometry import custom_task
 from holoseq.planner import plan_task
 from holoseq.propagation import build_separable, forward
 from holoseq.sequence import bench, run_sequence
-from holoseq.solvers import DarkTrapError, SolverSettings
+from holoseq.solvers import DarkTrapError, SolverSettings, TargetSpec, wgs_solve, wpgs_solve
 from holoseq.transient import RefreshModel, sample_refresh
 
 
@@ -23,6 +25,15 @@ def tiny_plan():
         target_points=[(-10e-6, 0, 0), (10e-6, 1.0e-6, 0)],
     )
     return plan_task(spec, max_step=0.25e-6)
+
+
+@pytest.fixture(scope="module")
+def six_trap_plan():
+    # two rows of three traps moving 0.5 um in two steps: enough traps that
+    # a mask's exp and the phasor it is the angle of propagate to other bits
+    src = [(x, y, 0.0) for y in (-8e-6, 6e-6) for x in (-10e-6, 0.0, 10e-6)]
+    tgt = [(x + 0.5e-6, y, z) for x, y, z in src]
+    return plan_task(custom_task(source_points=src, target_points=tgt), max_step=0.25e-6)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +92,9 @@ class TestRunSequence:
     @pytest.mark.parametrize("order", ["leading", "exact"])
     def test_refresh_from_solve_fields(self, small_config, tiny_plan, fast_settings, order):
         # each interval's ratios equal sampling from freshly propagated endpoint
-        # fields: the previous mask and the new mask at the new frame's traps
+        # fields: the previous mask and the new mask at the new frame's traps.
+        # The run propagates the phasors those masks are the angles of, so
+        # the two agree to rounding, not bit for bit.
         refresh = RefreshModel(samples_per_refresh=5, order=order)
         record = run_sequence(small_config, tiny_plan, "wpgs", fast_settings, refresh)
         for l, ratios in enumerate(record.ratios, start=1):
@@ -91,7 +104,81 @@ class TestRunSequence:
                 prop, prev.mask, frame.mask,
                 forward(prop, prev.mask), forward(prop, frame.mask), refresh,
             )
-            np.testing.assert_array_equal(ratios, expected)
+            np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0)
+
+    def test_record_holds_no_phasor(self, tiny_run):
+        assert all(frame.pixel is None for frame in tiny_run.frames)
+
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_only_the_newest_phasor_stays_alive(
+        self, small_config, tiny_plan, fast_settings, kind, monkeypatch
+    ):
+        # each solve's phasor is freed once the next frame is solved, before
+        # that frame's refresh sampling, and the last one before the metrics
+        phasors = []
+        alive = []
+
+        def record_phasor(solve):
+            def solved(*args, **kwargs):
+                result = solve(*args, **kwargs)
+                phasors.append(weakref.ref(result.pixel))
+                return result
+            return solved
+
+        def count_alive(fn):
+            def counted(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in phasors))
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("wpgs_solve", "wgs_solve"):
+            monkeypatch.setattr(sequence_mod, name, record_phasor(getattr(sequence_mod, name)))
+        for name in ("sample_refresh", "compute_report"):
+            monkeypatch.setattr(sequence_mod, name, count_alive(getattr(sequence_mod, name)))
+        run_sequence(small_config, tiny_plan, kind, fast_settings, RefreshModel())
+        assert alive == [1] * tiny_plan.frames + [0]
+
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_frames_equal_hand_threaded_solves(
+        self, small_config, six_trap_plan, fast_settings, kind
+    ):
+        # each frame starts from the previous result's phasor, frame 0's WPGS
+        # polish from the warm-up's, and samples from the two masks it joins
+        plan = six_trap_plan
+        refresh = RefreshModel(samples_per_refresh=5)
+        record = run_sequence(small_config, plan, kind, fast_settings, refresh)
+        inten = plan.target_intensity
+        prev = None
+        for l in range(plan.frames + 1):
+            prop = build_separable(small_config, plan.layout(l))
+            if prev is None:
+                res = wgs_solve(prop, inten, fast_settings)
+                if kind == "wpgs":
+                    res = wpgs_solve(
+                        prop, TargetSpec(inten, res.field.phase), fast_settings,
+                        init_mask=res.pixel, init_weights=res.weights,
+                    )
+            elif kind == "wpgs":
+                res = wpgs_solve(
+                    prop, TargetSpec(inten, prev.field.phase), fast_settings,
+                    init_mask=prev.pixel, init_weights=prev.weights,
+                )
+            else:
+                res = wgs_solve(
+                    prop, inten, fast_settings, init_mask=prev.pixel, init_weights=prev.weights
+                )
+            frame = record.frames[l]
+            np.testing.assert_array_equal(frame.mask.phases, res.mask.phases)
+            np.testing.assert_array_equal(frame.field.amplitudes, res.field.amplitudes)
+            np.testing.assert_array_equal(frame.init_field.amplitudes, res.init_field.amplitudes)
+            np.testing.assert_array_equal(frame.weights, res.weights)
+            assert frame.objective == res.objective and frame.scale == res.scale
+            if prev is not None:
+                expected = sample_refresh(
+                    prop, prev.mask, res.mask, res.init_field, res.field, refresh
+                )
+                np.testing.assert_array_equal(record.ratios[l - 1], expected)
+            prev = res
 
     def test_solver_kind_validated(self, small_config, tiny_plan, fast_settings):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from holoseq import solvers
 from holoseq.geometry import TrapLayout
 from holoseq.metrics import uniformity
-from holoseq.propagation import TrapField, build_separable, forward, wrap_phase
+from holoseq.propagation import TrapField, build_separable, forward, forward_field, wrap_phase
 from holoseq.solvers import (
     SOLVER_KINDS,
     DarkTrapError,
@@ -288,26 +288,19 @@ class TestWgsSolve:
 
 
 class TestLoopStructure:
-    """The loop carries a pixel phasor; only the initial and final masks take an exp."""
+    """The loop carries a pixel phasor; only a PhaseMask start takes an exp."""
 
     @pytest.fixture()
     def solves(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
         settings = SolverSettings(iterations=4, wgs_iterations=7, seed=3)
         return prop, settings, {
-            "wpgs": lambda: wpgs_solve(prop, uniform_target(9), settings),
-            "wgs": lambda: wgs_solve(prop, np.ones(9), settings),
+            "wpgs": lambda **start: wpgs_solve(prop, uniform_target(9), settings, **start),
+            "wgs": lambda **start: wgs_solve(prop, np.ones(9), settings, **start),
         }
 
-    @pytest.mark.parametrize("kind", SOLVER_KINDS)
-    def test_field_is_forward_of_mask(self, solves, kind):
-        prop, _, solve = solves
-        res = solve[kind]()
-        np.testing.assert_array_equal(res.field.amplitudes, forward(prop, res.mask).amplitudes)
-
-    @pytest.mark.parametrize("kind", SOLVER_KINDS)
-    def test_contraction_counts(self, solves, kind, monkeypatch):
-        _, settings, solve = solves
+    @pytest.fixture()
+    def counted_calls(self, monkeypatch):
         calls = {"forward": 0, "forward_field": 0}
 
         def counted(name):
@@ -321,10 +314,61 @@ class TestLoopStructure:
 
         for name in calls:
             monkeypatch.setattr(solvers, name, counted(name))
+        return calls
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_field_is_forward_of_pixel(self, solves, kind):
+        prop, _, solve = solves
+        res = solve[kind]()
+        remade = forward_field(prop, res.pixel).amplitudes
+        np.testing.assert_array_equal(res.field.amplitudes, remade)
+        np.testing.assert_array_equal(res.mask.phases, np.angle(res.pixel))
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_field_is_forward_of_mask(self, solves, kind):
+        # the mask's exp rebuilds the phasor to rounding, not bit for bit
+        prop, _, solve = solves
+        res = solve[kind]()
+        remade = forward(prop, res.mask).amplitudes
+        rel = np.abs(remade - res.field.amplitudes).max() / np.abs(res.field.amplitudes).max()
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_contraction_counts(self, solves, kind, counted_calls):
+        # a random start takes the solve's one exp, in forward
+        _, settings, solve = solves
         res = solve[kind]()
         iterations = settings.iterations if kind == "wpgs" else settings.wgs_iterations
         assert len(res.objective) == iterations
-        assert calls == {"forward": 2, "forward_field": iterations - 1}
+        assert counted_calls == {"forward": 1, "forward_field": iterations}
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_phasor_start_takes_no_exp(self, solves, kind, counted_calls):
+        _, settings, solve = solves
+        first = solve[kind]()
+        counted_calls.update(forward=0, forward_field=0)
+        res = solve[kind](init_mask=first.pixel)
+        iterations = settings.iterations if kind == "wpgs" else settings.wgs_iterations
+        assert counted_calls == {"forward": 0, "forward_field": iterations + 1}
+        # the phasor start's field is the previous result's field as it is
+        np.testing.assert_array_equal(res.init_field.amplitudes, first.field.amplitudes)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_mask_start_equals_its_phasor_start(self, solves, kind):
+        prop, _, solve = solves
+        mask = random_mask(prop.config, 11)
+        a = solve[kind](init_mask=mask)
+        b = solve[kind](init_mask=np.exp(1j * mask.phases))
+        np.testing.assert_array_equal(a.init_field.amplitudes, b.init_field.amplitudes)
+        np.testing.assert_array_equal(a.pixel, b.pixel)
+        np.testing.assert_array_equal(a.field.amplitudes, b.field.amplitudes)
+
+    @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64 * 64,)])
+    def test_phasor_start_of_wrong_shape_raises(self, solves, shape):
+        _, _, solve = solves
+        for kind in SOLVER_KINDS:
+            with pytest.raises(ValueError, match="shape"):
+                solve[kind](init_mask=np.ones(shape, dtype=complex))
 
 
 class TestPinnedTraces:
