@@ -51,11 +51,10 @@ ROW_BLOCK_ENTRIES = 8192
 def wrap_phase(x, out=None):
     """Wrap angles into (-pi, pi]; ties at +-pi map to +pi.
 
-    With out, a float array of x's shape (x itself allowed), the same
-    operations write the result there instead of into new arrays.
+    The result goes to out, a float array of x's shape (x itself allowed),
+    or to a new array.
     """
-    if out is None:
-        return np.pi - np.mod(np.pi - np.asarray(x, dtype=float), TWO_PI)
+    out = np.empty(np.shape(x)) if out is None else out
     np.subtract(np.pi, x, out=out)
     np.mod(out, TWO_PI, out=out)
     return np.subtract(np.pi, out, out=out)

@@ -234,7 +234,13 @@ def _solve(
     if isinstance(start, PhaseMask):
         init_field = forward(prop, start)
     else:  # a pixel phasor, propagated as it is; forward_field checks its shape
-        init_field = forward_field(prop, np.asarray(start))
+        start = np.asarray(start)
+        if not np.iscomplexobj(start):
+            raise ValueError(
+                f"init_mask must be a PhaseMask or a complex unit pixel phasor, not a "
+                f"{start.dtype} array (for phases, pass PhaseMask(phases))"
+            )
+        init_field = forward_field(prop, start)
     realized = init_field
     for k in range(1, total + 1):
         e = realized.amplitudes

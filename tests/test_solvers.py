@@ -370,6 +370,14 @@ class TestLoopStructure:
             with pytest.raises(ValueError, match="shape"):
                 solve[kind](init_mask=np.ones(shape, dtype=complex))
 
+    def test_phase_array_start_raises(self, solves):
+        # a real array of the grid's shape (a mask's phases) is not a phasor
+        prop, _, solve = solves
+        phases = random_mask(prop.config, 11).phases
+        for kind in SOLVER_KINDS:
+            with pytest.raises(ValueError, match="phasor"):
+                solve[kind](init_mask=phases)
+
 
 class TestPinnedTraces:
     """Both rule sets reproduce their recorded objective traces and weights."""
