@@ -9,7 +9,7 @@ the focal point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,7 +31,25 @@ __all__ = [
     "paper_optical_config",
 ]
 
-TASK_KINDS = ("minimal_3x3", "reconfig_2d", "reconfig_3d_layers", "offset_bilayer", "custom")
+_LAYERED = ("source_layers", "target_layers", "layer_intensity")
+# the TaskSpec fields each kind reads besides kind, seed and max_step; any
+# other field set away from its default would be ignored, so TaskSpec refuses it
+_KIND_FIELDS = {
+    "minimal_3x3": ("source_layers", "target_layers", "displacement"),
+    "reconfig_2d": _LAYERED,
+    "reconfig_3d_layers": _LAYERED,
+    "offset_bilayer": _LAYERED,
+    "custom": ("custom_source", "custom_target", "custom_intensity"),
+}
+TASK_KINDS = tuple(_KIND_FIELDS)
+
+
+def freeze_array(record, name: str, dtype=float) -> np.ndarray:
+    """Set a frozen record's array field to a read-only copy of its value, and return it."""
+    arr = np.array(getattr(record, name), dtype=dtype, order="C")
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -80,7 +98,7 @@ def paper_optical_config(grid: int = 1024) -> OpticalConfig:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrapLayout:
     """Trap centers in trap-index order: trap n is ids[n] at xyz[n] = (x, y, z)."""
 
@@ -89,7 +107,7 @@ class TrapLayout:
 
     def __post_init__(self):
         ids = tuple(self.ids)
-        xyz = np.array(self.xyz, dtype=float)
+        xyz = freeze_array(self, "xyz")
         if not ids:
             raise ValueError("layout needs at least one trap")
         if xyz.shape != (len(ids), 3):
@@ -99,9 +117,7 @@ class TrapLayout:
         bad = ~np.isfinite(xyz).all(axis=1)
         if bad.any():
             raise ValueError(f"trap {ids[int(bad.argmax())]!r} has non-finite coordinates")
-        xyz.setflags(write=False)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "xyz", xyz)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -175,6 +191,8 @@ class LatticeSpec:
     filling: float = 1.0
 
     def __post_init__(self):
+        if len(self.dims) != 2 or len(self.center) != 2:
+            raise ValueError("lattice dims and center must be pairs")
         if self.dims[0] < 1 or self.dims[1] < 1:
             raise ValueError("lattice dims must be >= 1x1")
         if not (0 < self.spacing < math.inf):
@@ -197,7 +215,9 @@ class TaskSpec:
     ascending z.  layer_intensity gives one target-intensity value per target
     layer (empty = uniform 1).  custom kinds carry explicit point lists as
     (x, y, z) tuples.  max_step, when set, is the task's preferred transport
-    discretization step in meters (callers may override).
+    discretization step in meters (callers may override).  A field the kind
+    does not read (_KIND_FIELDS) must keep its default, and every check that
+    needs no sampling is made here, so a malformed task fails on construction.
     """
 
     kind: str
@@ -214,10 +234,18 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; expected one of {TASK_KINDS}")
+        for f in fields(self):
+            # every field a kind may leave unread defaults to () or 0.0
+            if f.name not in ("kind", "seed", "max_step", *_KIND_FIELDS[self.kind]) and (
+                getattr(self, f.name)
+            ):
+                raise ValueError(f"{self.kind} tasks take no {f.name}")
         for layers in (self.source_layers, self.target_layers):
             zs = [l.z for l in layers]
             if zs != sorted(zs):
                 raise ValueError("layers must be listed in ascending z")
+        if any(l.filling < 1.0 for l in self.target_layers):
+            raise ValueError("target layers must have filling 1: every target site is filled")
         if self.layer_intensity and len(self.layer_intensity) != len(self.target_layers):
             raise ValueError("layer_intensity length must match target_layers")
         if not all(0 < v < math.inf for v in (*self.layer_intensity, *self.custom_intensity)):
@@ -232,11 +260,27 @@ class TaskSpec:
         if self.kind == "custom":
             if not self.custom_source or not self.custom_target:
                 raise ValueError("custom tasks need custom_source and custom_target points")
+            if self.custom_intensity and len(self.custom_intensity) != len(self.custom_target):
+                raise ValueError("custom_intensity length must match custom_target")
         elif self.kind == "minimal_3x3":
             if len(self.source_layers) != 1 or len(self.target_layers) != 1:
                 raise ValueError("minimal_3x3 needs exactly one source and target layer")
+            if self.target_layers != self.source_layers:
+                raise ValueError("minimal_3x3's target layer must equal its source layer")
         elif not self.source_layers or not self.target_layers:
             raise ValueError(f"{self.kind} tasks need source and target layers")
+        elif self.kind == "offset_bilayer":
+            if len(self.source_layers) != 2 or len(self.target_layers) != 2:
+                raise ValueError("offset_bilayer needs exactly two source and target layers")
+            # each target layer takes the opposite source layer's occupancy
+            src_a, src_b = self.source_layers
+            tgt_a, tgt_b = self.target_layers
+            if tgt_a.count != src_b.count or tgt_b.count != src_a.count:
+                raise ValueError(
+                    "bilayer source and target lattices must have matching site counts"
+                )
+        elif len(self.source_layers) != len(self.target_layers):
+            raise ValueError("source and target layer counts must match")
 
 
 class TaskInstance(NamedTuple):
@@ -272,12 +316,7 @@ def instantiate_task(spec: TaskSpec) -> TaskInstance:
         n_src, n_tgt = len(spec.custom_source), len(spec.custom_target)
         if n_tgt > n_src:
             raise ValueError(f"{n_tgt} targets but only {n_src} sources")
-        if spec.custom_intensity:
-            if len(spec.custom_intensity) != n_tgt:
-                raise ValueError("custom_intensity length must match custom_target")
-            inten = np.array(spec.custom_intensity, dtype=float)
-        else:
-            inten = np.ones(n_tgt)
+        inten = np.array(spec.custom_intensity or np.ones(n_tgt), dtype=float)
         src = TrapLayout(tuple(f"s{i}" for i in range(n_src)), spec.custom_source)
         tgt = TrapLayout(tuple(f"t{i}" for i in range(n_tgt)), spec.custom_target)
         return TaskInstance(src, tgt, inten)
@@ -293,8 +332,6 @@ def instantiate_task(spec: TaskSpec) -> TaskInstance:
         return TaskInstance(src, tgt, np.ones(len(tgt)))
 
     if spec.kind in ("reconfig_2d", "reconfig_3d_layers"):
-        if len(spec.source_layers) != len(spec.target_layers):
-            raise ValueError("source and target layer counts must match")
         srcs, tgts, inten_parts = [], [], []
         for li, (s_spec, t_spec) in enumerate(zip(spec.source_layers, spec.target_layers)):
             lattice, occupied = _sample_layer(s_spec, rng, prefix=f"s{li}_")
@@ -311,14 +348,10 @@ def instantiate_task(spec: TaskSpec) -> TaskInstance:
         return TaskInstance(concat_layouts(srcs), concat_layouts(tgts), np.concatenate(inten_parts))
 
     if spec.kind == "offset_bilayer":
-        if len(spec.source_layers) != 2 or len(spec.target_layers) != 2:
-            raise ValueError("offset_bilayer needs exactly two source and target layers")
         lat_a, occ_a = _sample_layer(spec.source_layers[0], rng, prefix="sA_")
         lat_b, occ_b = _sample_layer(spec.source_layers[1], rng, prefix="sB_")
         tgt_a_full = _lattice(spec.target_layers[0], "tA_")
         tgt_b_full = _lattice(spec.target_layers[1], "tB_")
-        if len(tgt_a_full) != len(lat_b) or len(tgt_b_full) != len(lat_a):
-            raise ValueError("bilayer source and target lattices must have matching site counts")
         # target occupancy is the opposite layer's source pattern, so the count
         # imbalance forces interlayer moves while total targets == total sources
         if not (occ_a.any() or occ_b.any()):

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .geometry import freeze_array
 from .propagation import wrap_phase
 
 __all__ = [
@@ -35,7 +36,7 @@ DEFAULT_RATIO_RANGE = (0.0, 1.2)
 DEFAULT_RATIO_THRESHOLDS = (0.86, 0.91, 0.96)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Percent-valued histogram over fixed bin edges."""
 
@@ -43,16 +44,10 @@ class Histogram:
     percent: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        pct = np.asarray(self.percent, dtype=float)
+        edges = freeze_array(self, "bin_edges")
+        pct = freeze_array(self, "percent")
         if edges.ndim != 1 or pct.shape != (edges.size - 1,):
             raise ValueError("need len(bin_edges) == len(percent) + 1")
-        edges = edges.copy()
-        pct = pct.copy()
-        edges.setflags(write=False)
-        pct.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "percent", pct)
 
     def to_rows(self) -> list[tuple[float, float, float]]:
         return [
@@ -93,7 +88,7 @@ def phase_diff(phases_l, phases_l1) -> np.ndarray:
     return wrap_phase(b - a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateStats:
     """Pooled phase-difference statistics over traps and transport steps."""
 
@@ -125,7 +120,7 @@ def aggregate(dphi_vectors: Iterable[np.ndarray]) -> AggregateStats:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionStats:
     """Distribution of transition-inclusive relative intensities I/I0."""
 
@@ -169,7 +164,7 @@ def transition_distribution(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     """Per-run evaluation bundle; layer_reports holds per-z sub-reports."""
 

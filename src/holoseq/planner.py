@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import TaskSpec, TrapLayout, concat_layouts, instantiate_task
+from .geometry import TaskSpec, TrapLayout, concat_layouts, freeze_array, instantiate_task
 
 __all__ = [
     "InfeasibleAssignmentError",
@@ -51,14 +51,13 @@ class InfeasibleAssignmentError(ValueError):
     """Fewer occupied sources than target sites."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """Matched traps ordered by target index: sources[k] moves to targets[k]."""
 
     sources: TrapLayout
     targets: TrapLayout
     total_cost: float
-    cost: str = DEFAULT_COST
 
     @property
     def distances(self) -> np.ndarray:
@@ -181,7 +180,7 @@ def assign(sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST) -
     # every target is matched, so ordering the matched sources by their
     # target gives the source of target 0, 1, ...
     source_of = sorted(matching, key=matching.get)
-    return _assignment(sources, targets, source_of, c, cost)
+    return _assignment(sources, targets, source_of, c)
 
 
 def brute_force_assign(
@@ -221,18 +220,16 @@ def brute_force_assign(
         if t >= 0:
             source_of[t] = i
             m ^= 1 << t
-    return _assignment(sources, targets, source_of, c, cost)
+    return _assignment(sources, targets, source_of, c)
 
 
-def _assignment(
-    sources: TrapLayout, targets: TrapLayout, source_of, c: np.ndarray, cost: str
-) -> Assignment:
+def _assignment(sources: TrapLayout, targets: TrapLayout, source_of, c: np.ndarray) -> Assignment:
     """The Assignment moving source source_of[t] to target t, for every t."""
     total = float(c[source_of, range(len(targets))].sum())
-    return Assignment(sources.take(source_of), targets, total_cost=total, cost=cost)
+    return Assignment(sources.take(source_of), targets, total_cost=total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Straight-line waypoints for every matched trap.
 
@@ -253,7 +250,7 @@ class TransportPlan:
         frames = operator.index(self.frames)
         if frames < 0:
             raise ValueError(f"frames must be >= 0, not {frames}")
-        wp = np.asarray(self.waypoints, dtype=float)
+        wp = freeze_array(self, "waypoints")
         if wp.ndim != 3 or wp.shape[1] != frames + 1 or wp.shape[2] != 3:
             raise ValueError("waypoints must have shape (n_traps, frames+1, 3)")
         if not np.isfinite(wp).all():
@@ -264,19 +261,13 @@ class TransportPlan:
         max_step = float(self.max_step)
         if not (math.isfinite(max_step) and max_step > 0):
             raise ValueError(f"max_step must be finite and > 0, not {max_step!r}")
-        inten = np.asarray(self.target_intensity, dtype=float)
+        inten = freeze_array(self, "target_intensity")
         if inten.shape != (wp.shape[0],):
             raise ValueError("target_intensity must have one entry per trap")
         if not (np.isfinite(inten) & (inten > 0)).all():
             raise ValueError("target_intensity must be finite and > 0")
-        wp = wp.copy()
-        wp.setflags(write=False)
-        inten = inten.copy()
-        inten.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "max_step", max_step)
-        object.__setattr__(self, "waypoints", wp)
-        object.__setattr__(self, "target_intensity", inten)
 
     @property
     def trap_count(self) -> int:
@@ -359,7 +350,6 @@ def plan_task(
             concat_layouts([a.sources for a in parts]),
             concat_layouts([a.targets for a in parts]),
             total_cost=float(sum(a.total_cost for a in parts)),
-            cost=cost,
         )
     else:
         assignment = assign(source, target, cost=cost)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OpticalConfig, TrapLayout
+from .geometry import OpticalConfig, TrapLayout, freeze_array
 
 __all__ = [
     "PhaseMask",
@@ -60,7 +60,7 @@ def wrap_phase(x, out=None):
     return np.subtract(np.pi, out, out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseMask:
     """Pixelwise SLM phases in radians, shape (grid_x, grid_y).
 
@@ -71,14 +71,11 @@ class PhaseMask:
     phases: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.phases, dtype=float)
+        arr = freeze_array(self, "phases")
         if arr.ndim != 2:
             raise ValueError("phase mask must be 2D")
         if not np.isfinite(arr).all():
             raise ValueError("phase mask entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "phases", arr)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,19 +85,15 @@ class PhaseMask:
         return np.mod(self.phases, TWO_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrapField:
     """Complex field amplitudes at the trap centers."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.ndim != 1:
+        if freeze_array(self, "amplitudes", complex).ndim != 1:
             raise ValueError("trap field must be a 1D complex vector")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -114,7 +107,7 @@ class TrapField:
         return np.angle(self.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparablePropagator:
     """Factored Fresnel propagator for one (config, layout) pair.
 
@@ -148,7 +141,7 @@ class SeparablePropagator:
         return len(self.layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensePropagator:
     """Explicit N x M propagation matrix (row-major pixel flattening)."""
 

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """A finished run: each frame's solve and wall time, per-interval I/I0 and dphi, metrics."""
 
@@ -63,17 +63,14 @@ def _solve_frame(
 ) -> SolveResult:
     if prev is None:
         # frame 0 from scratch: amplitude-only warm-up; the phase-constrained
-        # solver then polishes with the warm-up's realized phases as targets
-        warm = wgs_solve(prop, plan.target_intensity, settings)
-        if solver_kind != "wpgs":
-            return warm
-        target = TargetSpec(plan.target_intensity, warm.field.phase)
-        return wpgs_solve(prop, target, settings, init_mask=warm.pixel, init_weights=warm.weights)
+        # solver then polishes it as it does every later frame, with the
+        # warm-up's realized phases as targets
+        prev = wgs_solve(prop, plan.target_intensity, settings)
+        if solver_kind == "wgs":
+            return prev
     if solver_kind == "wpgs":
         target = TargetSpec(plan.target_intensity, prev.field.phase)
-        return wpgs_solve(
-            prop, target, settings, init_mask=prev.pixel, init_weights=prev.weights
-        )
+        return wpgs_solve(prop, target, settings, init_mask=prev.pixel, init_weights=prev.weights)
     return wgs_solve(
         prop, plan.target_intensity, settings, init_mask=prev.pixel, init_weights=prev.weights
     )

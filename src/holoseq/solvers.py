@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import freeze_array
 from .propagation import (
     PhaseMask,
     SeparablePropagator,
@@ -68,7 +69,7 @@ class DarkTrapError(RuntimeError):
         super().__init__(f"dark trap(s) {self.indices}{where}: field magnitude below floor")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpec:
     """Per-trap target intensity and phase defining the complex target field."""
 
@@ -76,20 +77,14 @@ class TargetSpec:
     target_phase: np.ndarray
 
     def __post_init__(self):
-        inten = np.asarray(self.target_intensity, dtype=float)
-        phase = np.asarray(self.target_phase, dtype=float)
+        inten = freeze_array(self, "target_intensity")
+        phase = freeze_array(self, "target_phase")
         if inten.ndim != 1 or phase.shape != inten.shape:
             raise ValueError("target intensity and phase must be 1D arrays of equal length")
         if not (inten > 0).all():
             raise ValueError("target intensities must be > 0 elementwise")
         if not np.isfinite(phase).all():
             raise ValueError("target phases must be finite")
-        inten = inten.copy()
-        phase = phase.copy()
-        inten.setflags(write=False)
-        phase.setflags(write=False)
-        object.__setattr__(self, "target_intensity", inten)
-        object.__setattr__(self, "target_phase", phase)
 
     def __len__(self) -> int:
         return len(self.target_intensity)
@@ -120,7 +115,7 @@ class SolverSettings:
             raise ValueError("over_relaxation must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """A finished solve; init_field is the field the solve's start gives at these traps.
 
@@ -139,8 +134,8 @@ class SolveResult:
     objective: tuple[float, ...]
     scale: complex
     solver: str = ""
-    adjoint_zero_pixels: int = field(default=0, compare=False)
-    pixel: np.ndarray | None = field(default=None, compare=False, repr=False)
+    adjoint_zero_pixels: int = 0
+    pixel: np.ndarray | None = field(default=None, repr=False)
 
 
 def _check_bright(field_abs: np.ndarray, iteration=None) -> None:

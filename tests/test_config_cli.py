@@ -179,23 +179,35 @@ run: {max_step: 1e-7}
             load_config(path)
 
     def test_yaml_stable_with_every_task_field(self):
-        doc = {
-            "task": {
+        # no kind takes every field (a field the kind ignores is refused), so
+        # three kinds between them set each field away from its default
+        layer = {"dims": [3, 3], "spacing": "5 um"}
+        tasks = [
+            {
                 "kind": "custom",
                 "seed": 5,
-                "source_layers": [{"dims": [2, 2], "spacing": "5 um", "z": "-1 um"}],
-                "target_layers": [{"dims": [1, 2], "spacing": "4 um", "center": [1e-6, 0.0]}],
-                "layer_intensity": [1.5],
                 "custom_source": [[0.0, 0.0, 0.0], ["1 um", 0.0, 0.0]],
                 "custom_target": [[0.0, "2 um", 0.0], [1e-6, 1e-6, 0.0]],
                 "custom_intensity": [1.0, 2.0],
-                "displacement": "2 um",
                 "max_step": "0.2 um",
-            }
-        }
-        text = config_to_yaml(config_from_dict(doc))
-        assert set(yaml.safe_load(text)["task"]) == {f.name for f in fields(TaskSpec)}
-        assert config_to_yaml(config_from_dict(yaml.safe_load(text))) == text
+            },
+            {
+                "kind": "reconfig_2d",
+                "source_layers": [{"dims": [2, 2], "spacing": "5 um", "z": "-1 um"}],
+                "target_layers": [
+                    {"dims": [1, 2], "spacing": "4 um", "center": [1e-6, 0.0], "z": "-1 um"}
+                ],
+                "layer_intensity": [1.5],
+            },
+            {"kind": "minimal_3x3", "source_layers": [layer], "target_layers": [layer],
+             "displacement": "2 um"},
+        ]
+        written = set()
+        for task in tasks:
+            text = config_to_yaml(config_from_dict({"task": task}))
+            written |= set(yaml.safe_load(text)["task"])
+            assert config_to_yaml(config_from_dict(yaml.safe_load(text))) == text
+        assert written == {f.name for f in fields(TaskSpec)}
 
 
 _STRICT_BASE = {
@@ -347,6 +359,36 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 3
+
+    @pytest.mark.parametrize("task, code", [
+        # a malformed task is a config error (these planned, or failed in
+        # planning with exit 3, before TaskSpec checked them)
+        ({"kind": "reconfig_3d_layers",
+          "source_layers": [{"dims": [3, 3], "spacing": "5 um", "z": "-10 um"},
+                            {"dims": [3, 3], "spacing": "5 um", "z": "10 um"}],
+          "target_layers": [{"dims": [2, 2], "spacing": "5 um", "z": "-10 um"}]}, 2),
+        ({"kind": "custom", "custom_source": [[0, 0, 0], ["5 um", 0, 0]],
+          "custom_target": [[0, "5 um", 0], ["5 um", "5 um", 0]], "custom_intensity": [1.0]}, 2),
+        ({"kind": "reconfig_2d", "displacement": "2 um", "custom_source": [[0, 0, 0]],
+          "source_layers": [{"dims": [3, 3], "spacing": "5 um"}],
+          "target_layers": [{"dims": [2, 2], "spacing": "5 um", "filling": 0.5}]}, 2),
+        # a lattice whose dims are not a pair (a traceback or exit 3 before)
+        ({"kind": "reconfig_2d", "source_layers": [{"dims": [3], "spacing": "5 um"}],
+          "target_layers": [{"dims": [2, 2, 2], "spacing": "5 um"}]}, 2),
+        # too few occupied sources depends on the sampled occupancy: still 3
+        ({"kind": "reconfig_2d", "seed": 0,
+          "source_layers": [{"dims": [3, 3], "spacing": "5 um", "filling": 0.1}],
+          "target_layers": [{"dims": [2, 2], "spacing": "5 um"}]}, 3),
+    ], ids=["layer-counts", "custom-intensity", "ignored-fields", "lattice-dims",
+            "sampled-short"])
+    def test_task_exit_codes(self, tmp_path, task, code):
+        path = tmp_path / "task.yaml"
+        doc = {"optical": {"grid_x": 32, "grid_y": 32}, "task": task,
+               "run": {"solvers": ["wpgs"], "max_step": "1 um"}}
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == code
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == code
+        assert not (tmp_path / "p.json").exists() and not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.yaml"

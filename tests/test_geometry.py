@@ -118,6 +118,11 @@ class TestTaskSpecValidation:
         with pytest.raises(ValueError):
             TaskSpec(kind="nope")
 
+    def test_dims_and_center_are_pairs(self):
+        for kwargs in (dict(dims=(2,)), dict(dims=(2, 2, 2)), dict(dims=(2, 2), center=(0.0,))):
+            with pytest.raises(ValueError, match="pairs"):
+                LatticeSpec(spacing=1e-6, **kwargs)
+
     def test_filling_range(self):
         with pytest.raises(ValueError):
             LatticeSpec(dims=(2, 2), spacing=1e-6, filling=0.0)
@@ -133,6 +138,75 @@ class TestTaskSpecValidation:
     def test_custom_needs_points(self):
         with pytest.raises(ValueError):
             TaskSpec(kind="custom")
+
+
+_SITES_3 = LatticeSpec(dims=(3, 1), spacing=5e-6)
+_SITES_4 = LatticeSpec(dims=(2, 2), spacing=5e-6)
+_HALF_FILLED = LatticeSpec(dims=(2, 2), spacing=5e-6, filling=0.5)
+_POINTS = {"custom_source": ((0, 0, 0),), "custom_target": ((0, 0, 0),)}
+# every check that needs no sampling fails when the TaskSpec is built, so a
+# config file holding such a task is a config error, not a planning failure
+_MALFORMED_TASKS = {
+    "reconfig layer counts": (
+        "layer counts must match",
+        dict(kind="reconfig_3d_layers", source_layers=(_SITES_4, replace(_SITES_4, z=1e-6)),
+             target_layers=(_SITES_4,)),
+    ),
+    "bilayer layer count": (
+        "exactly two",
+        dict(kind="offset_bilayer", source_layers=(_SITES_4,), target_layers=(_SITES_4,)),
+    ),
+    "bilayer site counts": (
+        "matching site counts",
+        dict(kind="offset_bilayer", source_layers=(_SITES_4, replace(_SITES_4, z=1e-6)),
+             target_layers=(_SITES_3, replace(_SITES_4, z=1e-6))),
+    ),
+    "custom intensity count": (
+        "custom_intensity length",
+        dict(kind="custom", custom_intensity=(1.0, 2.0), **_POINTS),
+    ),
+    "displacement off minimal_3x3": (
+        "take no displacement",
+        dict(kind="reconfig_2d", source_layers=(_SITES_4,), target_layers=(_SITES_4,),
+             displacement=1e-6),
+    ),
+    "custom points off custom": (
+        "take no custom_source",
+        dict(kind="reconfig_2d", source_layers=(_SITES_4,), target_layers=(_SITES_4,),
+             custom_source=((0, 0, 0),)),
+    ),
+    "layers on custom": (
+        "take no source_layers",
+        dict(kind="custom", source_layers=(_SITES_4,), **_POINTS),
+    ),
+    "layer_intensity on minimal_3x3": (
+        "take no layer_intensity",
+        dict(kind="minimal_3x3", source_layers=(_SITES_4,), target_layers=(_SITES_4,),
+             layer_intensity=(2.0,)),
+    ),
+    "partly filled target": (
+        "filling 1",
+        dict(kind="reconfig_2d", source_layers=(_SITES_4,), target_layers=(_HALF_FILLED,)),
+    ),
+    "minimal_3x3 target differs": (
+        "must equal its source layer",
+        dict(kind="minimal_3x3", source_layers=(_SITES_4,), target_layers=(_SITES_3,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_TASKS))
+def test_malformed_task_refused_on_construction(case):
+    match, kwargs = _MALFORMED_TASKS[case]
+    with pytest.raises(ValueError, match=match):
+        TaskSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kind", ["minimal_3x3", "reconfig_2d", "offset_bilayer", "custom"])
+def test_seed_and_max_step_legal_for_every_kind(kind):
+    layers = (_SITES_4, replace(_SITES_4, z=1e-6)) if kind == "offset_bilayer" else (_SITES_4,)
+    kwargs = _POINTS if kind == "custom" else dict(source_layers=layers, target_layers=layers)
+    TaskSpec(kind=kind, seed=3, max_step=0.2e-6, **kwargs)
 
 
 _LAYER = LatticeSpec(dims=(2, 2), spacing=1e-6)
