@@ -101,9 +101,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    import statistics
     from pathlib import Path
-
-    import numpy as np
 
     from .config import config_to_yaml
     from .sequence import run_sequence
@@ -141,7 +140,7 @@ def _cmd_run(args) -> int:
         # apart; a plan of zero steps has no later frame to take a median of
         line += f"  frame0 {times[0]:.2f} ms"
         if len(times) > 1:
-            line += f"  median_frame {np.median(times[1:]):.2f} ms"
+            line += f"  median_frame {statistics.median(times[1:].tolist()):.2f} ms"
         print(line)
         print(f"wrote {dest}")
         # each frame's mask stays in the record; let it go before the next solver runs

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; load it on import, not mid-run
+import numpy.random
 
 __all__ = [
     "OpticalConfig",

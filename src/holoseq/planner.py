@@ -16,16 +16,32 @@ on 1000-trap reconfigurations), and since the frame count scales with the
 longest segment, squared cost keeps transport sequences short.  Displacement
 statistics are always reported as true Euclidean lengths regardless of the
 matching cost.
+
+The solver is scipy's compiled extension ``scipy.optimize._lsap``, a private
+module whose ``linear_sum_assignment`` is the function that
+``scipy.optimize`` re-exports.  ``_load_lsa`` loads that one file by spec, so
+importing the planner does not run ``scipy/__init__.py`` or
+``scipy/optimize/__init__.py``; those also import scipy.linalg and
+scipy.sparse, and took more than half of ``import holoseq``.  The module is
+registered under its own name, so a later ``import scipy.optimize`` reuses
+it and both names give one function object.  If the file cannot be found or
+loaded, the public ``from scipy.optimize import linear_sum_assignment`` is
+used instead.  The function stays bound as
+``planner.linear_sum_assignment``, the name callers and tracers look it up
+by.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import TaskSpec, TrapLayout, concat_layouts, freeze_array, instantiate_task
 
@@ -45,6 +61,44 @@ BRUTE_FORCE_MAX_TARGETS = 8
 
 # relative slack when deciding whether an edge is co-optimal
 _TIE_RTOL = 1e-9
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _load_lsa():
+    """scipy's compiled linear_sum_assignment, without importing scipy.optimize.
+
+    Tries ``<scipy>/optimize/_lsap<suffix>`` for each extension suffix and
+    falls back to the public import on any failure (see the module docstring).
+    """
+    try:
+        module = sys.modules.get(_LSAP)
+        if module is None:
+            bases = importlib.util.find_spec("scipy").submodule_search_locations
+            paths = [
+                os.path.join(base, "optimize", "_lsap" + suffix)
+                for base in bases
+                for suffix in importlib.machinery.EXTENSION_SUFFIXES
+            ]
+            path = next(p for p in paths if os.path.isfile(p))
+            spec = importlib.util.spec_from_file_location(_LSAP, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_LSAP] = module
+            try:
+                spec.loader.exec_module(module)
+            except Exception:
+                # a half-loaded module would break the public import below
+                del sys.modules[_LSAP]
+                raise
+        return module.linear_sum_assignment
+    except Exception:
+        # whatever failed, the public import gives the same function or the real error
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsa()
 
 
 class InfeasibleAssignmentError(ValueError):

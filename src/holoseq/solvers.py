@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; load it on import, not mid-run
+import numpy.random
 
 from .geometry import freeze_array
 from .propagation import (

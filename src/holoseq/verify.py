@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+import numpy.random
 
 __all__ = ["run_verification"]
 

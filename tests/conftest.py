@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import holoseq
 from holoseq.geometry import (
     OpticalConfig,
     TrapLayout,
@@ -49,3 +55,25 @@ def criterion_4_instances():
             n_src = n_tgt + int(rng.integers(0, 3))
             instances.append((cost, layout("s", n_src), layout("t", n_tgt)))
     return instances
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python code in a new interpreter, as a user's command starts; returns stdout.
+
+    The interpreter imports holoseq from this checkout and turns every
+    warning into an error; it must exit 0 with nothing on stderr.
+    """
+    src = str(Path(holoseq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(code, *args):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        return proc.stdout
+
+    return run

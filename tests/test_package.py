@@ -1,4 +1,6 @@
+import ast
 import importlib
+import json
 import pkgutil
 import re
 import shlex
@@ -105,3 +107,57 @@ def test_array_records_compare_by_identity(name):
 def test_config_records_compare_by_value(make):
     # records without arrays keep value equality: config round trips compare by it
     assert make() == make() and hash(make()) == hash(make())
+
+
+def test_scipy_imported_only_by_the_planner_loader():
+    # importing scipy.optimize costs 0.4-0.7 s of start-up; only the
+    # planner's loader may import scipy, as its fallback
+    found = []
+    for path in sorted(Path(holoseq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "planner.py":
+            (loader,) = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "_load_lsa"]
+            allowed = {id(node) for node in ast.walk(loader)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            scipy = any(n == "scipy" or n.startswith("scipy.") for n in names)
+            if scipy and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(fresh_python):
+    out = fresh_python("import sys, holoseq.cli; print('scipy.optimize' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+# snapshots sys.modules at the first plan_task call of a `holoseq run`
+_RUN_PROBE = """
+import json, sys
+import holoseq.cli, holoseq.planner
+before = []
+plan_task = holoseq.planner.plan_task
+def first_plan(*args, **kwargs):
+    if not before:
+        before.extend(sys.modules)
+    return plan_task(*args, **kwargs)
+holoseq.planner.plan_task = first_plan
+code = holoseq.cli.main(["run", "-c", sys.argv[1], "-o", sys.argv[2]])
+print(json.dumps([code, bool(before), sorted(set(sys.modules) - set(before))]))
+"""
+
+
+def test_run_loads_no_module_after_planning(fresh_python, tmp_path):
+    # a module loaded mid-run (numpy.random, numpy.ma, ...) is paid for in
+    # the run's time rather than at start-up
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"optical": {"grid_x": 16, "grid_y": 16}}))
+    out = fresh_python(_RUN_PROBE, config, tmp_path / "out")
+    assert json.loads(out.splitlines()[-1]) == [0, True, []]

@@ -1,7 +1,10 @@
 import hashlib
+import importlib.machinery
 import importlib.util
 import itertools
+import json
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +224,72 @@ class TestLexMatching:
             cases.append(rng.integers(0, int(rng.integers(1, 4)), (n_src, n_tgt)).astype(float))
         for c in cases:
             assert _lex_matching(c) == _lex_refine(c, _lsa_total(c)), c
+
+
+# loads the planner first, solves, then imports scipy.optimize and compares
+_LSA_PROBE = """
+import json, sys
+import numpy as np
+from holoseq.planner import linear_sum_assignment as loaded
+unloaded = "scipy.optimize" not in sys.modules
+rng = np.random.default_rng(17)
+shapes = [(1, 1), (6, 6), (5, 9), (9, 5), (40, 40), (30, 50), (50, 30)]
+costs = [rng.random(shape) for shape in shapes]
+costs += [rng.integers(0, 3, shape).astype(float) for shape in shapes]
+costs += [np.zeros((4, 4)), np.ones((3, 5)), np.ones((5, 3))]
+got = [loaded(c) for c in costs]
+import scipy.optimize
+public = scipy.optimize.linear_sum_assignment
+same = all(np.array_equal(r, pr) and np.array_equal(c, pc)
+           for (r, c), (pr, pc) in zip(got, map(public, costs)))
+print(json.dumps([unloaded, same, public is loaded, len(costs)]))
+"""
+
+
+class TestLoadLsa:
+    """The planner's assignment solver is scipy's, loaded without scipy.optimize."""
+
+    def test_same_function_as_public_import(self, fresh_python):
+        # fresh_python also fails on any warning the loading emits
+        assert json.loads(fresh_python(_LSA_PROBE)) == [True, True, True, 17]
+
+    def test_reuses_an_imported_scipy_optimize(self, fresh_python):
+        # scipy.optimize first: the planner takes its module, not a second load
+        code = (
+            "import sys, scipy.optimize; lsap = sys.modules['scipy.optimize._lsap']; "
+            "import holoseq.planner as p; "
+            "print(p.linear_sum_assignment is scipy.optimize.linear_sum_assignment, "
+            "sys.modules['scipy.optimize._lsap'] is lsap)"
+        )
+        assert fresh_python(code).split() == ["True", "True"]
+
+    @pytest.mark.parametrize("breakage", ["no-spec", "no-suffix", "no-attribute", "load-fails"])
+    def test_falls_back_to_public_import(self, breakage, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.delitem(sys.modules, planner._LSAP, raising=False)
+        if breakage == "no-spec":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        elif breakage == "no-suffix":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        elif breakage == "no-attribute":
+            monkeypatch.setitem(sys.modules, planner._LSAP, types.ModuleType(planner._LSAP))
+        else:
+            class Broken:
+                def create_module(self, spec):
+                    return None
+
+                def exec_module(self, module):
+                    raise ImportError("cannot load")
+
+            monkeypatch.setattr(
+                importlib.util, "spec_from_file_location",
+                lambda name, path: importlib.machinery.ModuleSpec(name, Broken(), origin=path),
+            )
+        assert planner._load_lsa() is scipy.optimize.linear_sum_assignment
+        if breakage == "load-fails":
+            # a half-loaded module would shadow the real one
+            assert planner._LSAP not in sys.modules
 
 
 class TestBruteForce:
