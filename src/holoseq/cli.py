@@ -106,7 +106,7 @@ def _cmd_run(args) -> int:
 
     from .config import config_to_yaml
     from .sequence import run_sequence
-    from .serial import save_run_record
+    from .serial import RunWriter, save_run_record
     from .solvers import DarkTrapError
 
     cfg = _load(args)
@@ -118,16 +118,20 @@ def _cmd_run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _output_error(outdir, exc)
+    config_text = config_to_yaml(cfg)
     for kind in cfg.run.solvers:
+        dest = outdir / kind
+        # each frame's files are written as the frame is solved; metrics.json
+        # is written last, so a failed run leaves none
         try:
-            record = run_sequence(cfg.optical, plan, kind, cfg.solver, cfg.refresh)
+            with RunWriter(dest, plan, cfg.refresh) as sink:
+                record = run_sequence(cfg.optical, plan, kind, cfg.solver, cfg.refresh, sink=sink)
+            save_run_record(dest, record, config_text=config_text)
         except DarkTrapError as exc:
             print(f"solver failure ({kind}): {exc}", file=sys.stderr)
             return EXIT_SOLVER
-        try:
-            dest = save_run_record(outdir / kind, record, config_text=config_to_yaml(cfg))
         except OSError as exc:
-            return _output_error(outdir / kind, exc)
+            return _output_error(dest, exc)
         m = record.metrics
         times = record.solve_times * 1e3
         line = (
@@ -143,7 +147,8 @@ def _cmd_run(args) -> int:
             line += f"  median_frame {statistics.median(times[1:].tolist()):.2f} ms"
         print(line)
         print(f"wrote {dest}")
-        # each frame's mask stays in the record; let it go before the next solver runs
+        # the record holds every interval's I/I0 array; let it go before the
+        # next solver runs
         del record
     return EXIT_OK
 

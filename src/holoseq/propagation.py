@@ -82,7 +82,18 @@ class PhaseMask:
         return self.phases.shape
 
     def canonical(self) -> np.ndarray:
-        return np.mod(self.phases, TWO_PI)
+        """The phases folded into [0, 2*pi), bit for bit as np.mod(phases, 2*pi).
+
+        Inside (-2*pi, 2*pi), where a solve's angles lie, np.mod adds 2*pi to
+        each negative phase and turns -0.0 into +0.0; one masked add does the
+        same in about half np.mod's time.
+        """
+        x = self.phases
+        if x.size and -TWO_PI < x.min() and x.max() < TWO_PI:
+            out = x + 0.0  # a copy, and -0.0 + 0.0 is +0.0
+            np.add(out, TWO_PI, out=out, where=x < 0)
+            return out
+        return np.mod(x, TWO_PI)
 
 
 @dataclass(frozen=True, eq=False)

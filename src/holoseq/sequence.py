@@ -9,12 +9,17 @@ holograms.  Passing the phasor, not the mask, means a run takes one complex
 exp over the pixel grid (frame 0's random mask), not two per frame.
 After each solve the refresh interval from the previous mask is sampled at
 the new frame's trap positions, from the two fields that solve computed (its
-starting field and its result).  A RunRecord holds each frame's SolveResult
-(``record.frames``, with ``pixel`` None: only the newest frame's phasor is
-alive during a run), one (samples, traps) I/I0 array per interval
-(``record.ratios``) and the per-frame wall times (``record.solve_times``),
-which cover propagator build plus the solve only (transient sampling and
-metric assembly are excluded).
+starting field and its result).
+
+A run streams: each frame's SolveResult (with ``pixel`` None) goes to the
+caller's sink as soon as its interval is sampled, and the run keeps nothing
+grid-sized past the next interval: the previous frame's mask, which the exact
+transient reads, and the newest phasor, which starts the next solve.  A
+RunRecord is the summary: one (samples, traps) I/I0 array per interval
+(``record.ratios``), the per-interval dphi vectors, the metrics, and the
+per-frame wall times (``record.solve_times``), which cover propagator build
+plus the solve only (transient sampling, the sink and metric assembly are
+excluded).  A caller that wants the frames collects them through the sink.
 """
 
 from __future__ import annotations
@@ -42,9 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """A finished run: each frame's solve and wall time, per-interval I/I0 and dphi, metrics."""
+    """A finished run: per-frame wall times, per-interval I/I0 and dphi, metrics."""
 
-    frames: tuple[SolveResult, ...]
     solve_times: np.ndarray
     ratios: tuple[np.ndarray, ...]
     dphi: tuple[np.ndarray, ...]
@@ -82,18 +86,27 @@ def run_sequence(
     solver_kind: str,
     settings: SolverSettings,
     refresh: RefreshModel,
+    sink=None,
 ) -> RunRecord:
     """Solve every frame of a plan and sample each refresh interval.
 
-    Raises the solver's DarkTrapError annotated with the failing frame index.
+    sink, when given, is called in frame order as sink(l, frame, ratios, dphi)
+    with frame l's SolveResult (``pixel`` None) and, for l >= 1, the I/I0
+    array and dphi vector of the interval that ends at frame l (None at frame
+    0).  The run drops its own reference to frame l once interval l + 1 is
+    sampled.  Raises the solver's DarkTrapError annotated with the failing
+    frame index.
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
-    frames: list[SolveResult] = []
     times: list[float] = []
+    intensities: list[np.ndarray] = []
     ratios: list[np.ndarray] = []
+    dphi: list[np.ndarray] = []
     # the newest result, phasor included: the only phasor alive between solves
     prev: SolveResult | None = None
+    # the previous frame without its phasor: the interval's starting mask and phases
+    last: SolveResult | None = None
     for l in range(plan.frames + 1):
         layout = plan.layout(l)
         t0 = time.perf_counter()
@@ -104,37 +117,39 @@ def run_sequence(
             exc.args = (f"frame {l}: {exc}",) + exc.args[1:]
             raise
         times.append(time.perf_counter() - t0)
-        # rebinding prev above dropped the previous phasor; the record keeps none
-        result = replace(prev, pixel=None)
-        frames.append(result)
-        if l > 0:
-            ratios.append(sample_refresh(
-                prop, frames[l - 1].mask, result.mask, result.init_field, result.field, refresh
-            ))
-    prev = None  # the metrics below need no phasor
+        # rebinding prev above dropped the previous phasor; no frame passed on holds one
+        frame = replace(prev, pixel=None)
+        intensities.append(frame.field.intensity)
+        interval = d = None
+        if last is not None:
+            interval = sample_refresh(
+                prop, last.mask, frame.mask, frame.init_field, frame.field, refresh
+            )
+            d = phase_diff(last.field.phase, frame.field.phase)
+            ratios.append(interval)
+            dphi.append(d)
+        if sink is not None:
+            sink(l, frame, interval, d)
+        last = frame
+    prev = last = frame = None  # the metrics below need no grid-sized array
 
-    dphi = tuple(
-        phase_diff(frames[l].field.phase, frames[l + 1].field.phase)
-        for l in range(len(frames) - 1)
-    )
     return RunRecord(
-        frames=tuple(frames),
         solve_times=np.array(times),
         ratios=tuple(ratios),
-        dphi=dphi,
-        metrics=_run_metrics(plan, frames, ratios, dphi),
+        dphi=tuple(dphi),
+        metrics=_run_metrics(plan, intensities, ratios, dphi),
         plan=plan,
         refresh=refresh,
         solver_kind=solver_kind,
     )
 
 
-def _run_metrics(plan, frames, ratios, dphi) -> MetricsReport:
+def _run_metrics(plan, intensities, ratios, dphi) -> MetricsReport:
     if not dphi:
         dphi = [np.zeros(plan.trap_count)]
     mean_d, max_d = plan.displacement_stats()
     return compute_report(
-        frame_intensities=[f.field.intensity for f in frames],
+        frame_intensities=intensities,
         dphi_vectors=dphi,
         ratio_samples=ratios,
         displacement_mean=mean_d,

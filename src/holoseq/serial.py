@@ -15,6 +15,14 @@ Float masks are written in canonical [0, 2*pi) form.  Quantized masks store
 round(phi / (2*pi) * 256) mod 256 per pixel.  CSV/JSON schemas are documented
 on the individual writers.
 
+A run directory is written as the run goes.  RunWriter is run_sequence's
+sink: it opens the directory before the first solve, writes each frame's two
+mask files and appends its fields.csv, objectives.csv and transients.csv rows
+as the frame arrives, through the per-frame section writers below, and keeps
+none of it.  save_run_record then adds timing.csv, plan.json, settings.yaml
+and, last, metrics.json, so a directory without metrics.json holds an
+unfinished run.
+
 Text contract.  fields.csv, transients.csv and plan.json are assembled as
 strings rather than through csv.writer and json.dumps, and keep the bytes
 those would write:
@@ -31,6 +39,7 @@ those would write:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import struct
@@ -55,6 +64,7 @@ __all__ = [
     "write_plan_json",
     "read_plan_json",
     "write_bench_csv",
+    "RunWriter",
     "save_run_record",
 ]
 
@@ -110,7 +120,8 @@ def read_mask(path) -> PhaseMask:
     return PhaseMask(data)
 
 
-def _csv_cells(values) -> list[str]:
+@functools.lru_cache(maxsize=8)
+def _csv_cells(values: tuple) -> tuple[str, ...]:
     """Each value as the csv module's default dialect writes it in a row."""
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -121,40 +132,48 @@ def _csv_cells(values) -> list[str]:
         # a second, empty cell keeps the one-empty-field rule ('""') out of it
         w.writerow((v, ""))
         cells.append(buf.getvalue()[:-3])  # drop ',\r\n'
-    return cells
+    return tuple(cells)
 
 
-def write_fields_csv(path, frames, ids) -> None:
-    """Schema: frame,trap_id,re,im,intensity,phase."""
-    cells = _csv_cells(ids)
-    with open(path, "w", newline="") as fh:
-        fh.write("frame,trap_id,re,im,intensity,phase\r\n")
-        for l, frame in enumerate(frames):
-            field = frame.field
-            columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
-            fh.write("".join([
-                f"{l},{c},{re!r},{im!r},{i!r},{ph!r}\r\n"
-                for c, re, im, i, ph in zip(cells, *(col.tolist() for col in columns))
-            ]))
+FIELDS_HEADER = "frame,trap_id,re,im,intensity,phase\r\n"
+OBJECTIVES_HEADER = "frame,iteration,objective\r\n"
+TRANSIENTS_HEADER = "frame,trap_id,a,I_over_I0,dphi\r\n"
 
 
-def write_transients_csv(path, ratios, a_values, ids, dphi_vectors) -> None:
-    """Schema: frame,trap_id,a,I_over_I0,dphi.
+def write_fields_csv(fh, l, field, ids) -> None:
+    """Frame l's rows of fields.csv to an open text file.
 
-    `frame` is the index of the refresh interval's starting frame; ratios holds
-    one (samples, traps) I/I0 array per interval, its rows at a_values; dphi is
-    the per-trap wrapped phase change across that interval.  One write per
-    sample row: the file is never held whole in memory.
+    Schema (FIELDS_HEADER): frame,trap_id,re,im,intensity,phase; field is the
+    frame's TrapField and ids the plan's trap ids, in the field's order.
     """
-    cells = _csv_cells(ids)
-    a_text = [repr(float(a)) for a in a_values]
-    with open(path, "w", newline="") as fh:
-        fh.write("frame,trap_id,a,I_over_I0,dphi\r\n")
-        for l, interval in enumerate(ratios):
-            heads = [f"{l},{c}," for c in cells]
-            tails = [f",{d!r}\r\n" for d in dphi_vectors[l].tolist()]
-            for a, row in zip(a_text, interval.tolist()):
-                fh.write("".join([f"{h}{a},{r!r}{t}" for h, r, t in zip(heads, row, tails)]))
+    columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
+    fh.write("".join([
+        f"{l},{c},{re!r},{im!r},{i!r},{ph!r}\r\n"
+        for c, re, im, i, ph in zip(_csv_cells(tuple(ids)), *(col.tolist() for col in columns))
+    ]))
+
+
+def write_transients_csv(fh, l, ratios, a_values, ids, dphi) -> None:
+    """Refresh interval l's rows of transients.csv to an open text file.
+
+    Schema (TRANSIENTS_HEADER): frame,trap_id,a,I_over_I0,dphi.  `frame` is
+    the index of the interval's starting frame; ratios is its (samples, traps)
+    I/I0 array, its rows at a_values; dphi is the per-trap wrapped phase change
+    across the interval.  One write per sample row.
+    """
+    heads = [f"{l},{c}," for c in _csv_cells(tuple(ids))]
+    tails = [f",{d!r}\r\n" for d in dphi.tolist()]
+    for a, row in zip(a_values, ratios.tolist()):
+        a = repr(float(a))
+        fh.write("".join([f"{h}{a},{r!r}{t}" for h, r, t in zip(heads, row, tails)]))
+
+
+def write_objective_csv(fh, l, objective) -> None:
+    """Frame l's per-iteration matching objective to an open text file.
+
+    Schema (OBJECTIVES_HEADER): frame,iteration,objective.
+    """
+    csv.writer(fh).writerows([l, k, repr(float(j))] for k, j in enumerate(objective, start=1))
 
 
 def write_timing_csv(path, solve_times) -> None:
@@ -164,16 +183,6 @@ def write_timing_csv(path, solve_times) -> None:
         w.writerow(["frame", "solve_ms"])
         for l, t in enumerate(solve_times):
             w.writerow([l, repr(float(t) * 1e3)])
-
-
-def write_objective_csv(path, frames) -> None:
-    """Per-iteration matching-objective trace.  Schema: frame,iteration,objective."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame", "iteration", "objective"])
-        for l, frame in enumerate(frames):
-            for k, j in enumerate(frame.objective, start=1):
-                w.writerow([l, k, repr(float(j))])
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:
@@ -232,32 +241,79 @@ def write_bench_csv(path, rows) -> None:
             )
 
 
-def save_run_record(outdir, record, config_text: str | None = None) -> Path:
-    """Persist a run to a directory.
+# written when a run ends; an earlier run's are removed when a writer opens
+_END_FILES = ("timing.csv", "plan.json", "settings.yaml", "metrics.json")
 
-    Layout: settings.yaml (when provided), masks/frame_NNNN.mask (+ .u8),
-    fields.csv, transients.csv, objectives.csv, metrics.json, timing.csv,
-    plan.json.
+
+class RunWriter:
+    """run_sequence's sink: writes each frame's artifacts under outdir as it arrives.
+
+    Opening makes outdir and outdir/masks, removes what an earlier run left
+    there (every masks/frame_*.mask and masks/frame_*.u8, and the end-of-run
+    files) and opens fields.csv, objectives.csv and transients.csv with their
+    header rows.  Calling it with (l, frame, ratios, dphi) writes
+    masks/frame_NNNN.mask and .u8 from one canonical fold of frame l's phases,
+    frame l's fields.csv and objectives.csv rows and, for l >= 1, the
+    transients.csv rows of the interval that ends at frame l.  Use it as a
+    context manager, or call close().
     """
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    masks = out / "masks"
-    masks.mkdir(exist_ok=True)
-    frames = record.frames
-    for l, frame in enumerate(frames):
+
+    def __init__(self, outdir, plan: TransportPlan, refresh):
+        self.outdir = Path(outdir)
+        self.masks = self.outdir / "masks"
+        self.masks.mkdir(parents=True, exist_ok=True)
+        for name in _END_FILES:
+            (self.outdir / name).unlink(missing_ok=True)
+        for pattern in ("frame_*.mask", "frame_*.u8"):
+            for path in self.masks.glob(pattern):
+                path.unlink()
+        self.ids = plan.trap_ids
+        self.a_values = refresh.a_grid()
+        self._files = []
+        self._fields = self._open("fields.csv", FIELDS_HEADER)
+        self._objectives = self._open("objectives.csv", OBJECTIVES_HEADER)
+        self._transients = self._open("transients.csv", TRANSIENTS_HEADER)
+
+    def _open(self, name, header):
+        fh = open(self.outdir / name, "w", newline="")
+        self._files.append(fh)
+        fh.write(header)
+        return fh
+
+    def __call__(self, l, frame, ratios, dphi) -> None:
         # both files of a frame come from one canonical fold of its phases
         canonical = frame.mask.canonical()
-        write_mask(masks / f"frame_{l:04d}.mask", frame.mask, canonical=canonical)
-        write_mask(masks / f"frame_{l:04d}.u8", frame.mask, quantized=True, canonical=canonical)
-    ids = record.plan.trap_ids
-    write_fields_csv(out / "fields.csv", frames, ids)
-    write_transients_csv(
-        out / "transients.csv", record.ratios, record.refresh.a_grid(), ids, record.dphi
-    )
+        stem = self.masks / f"frame_{l:04d}"
+        write_mask(stem.with_suffix(".mask"), frame.mask, canonical=canonical)
+        write_mask(stem.with_suffix(".u8"), frame.mask, quantized=True, canonical=canonical)
+        write_fields_csv(self._fields, l, frame.field, self.ids)
+        write_objective_csv(self._objectives, l, frame.objective)
+        if ratios is not None:
+            write_transients_csv(self._transients, l - 1, ratios, self.a_values, self.ids, dphi)
+
+    def close(self) -> None:
+        while self._files:
+            self._files.pop().close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def save_run_record(outdir, record, config_text: str | None = None) -> Path:
+    """Finish a run directory that a RunWriter streamed the frames into.
+
+    Writes timing.csv, plan.json, settings.yaml (when config_text is given)
+    and, last, metrics.json.  Layout of the whole directory: settings.yaml,
+    masks/frame_NNNN.mask (+ .u8), fields.csv, transients.csv, objectives.csv,
+    metrics.json, timing.csv, plan.json.
+    """
+    out = Path(outdir)
     write_timing_csv(out / "timing.csv", record.solve_times)
-    write_objective_csv(out / "objectives.csv", frames)
-    write_metrics_json(out / "metrics.json", record.metrics)
     write_plan_json(out / "plan.json", record.plan)
     if config_text is not None:
         (out / "settings.yaml").write_text(config_text)
+    write_metrics_json(out / "metrics.json", record.metrics)
     return out

@@ -258,8 +258,10 @@ def test_criterion_7_layers_and_bilayer(desk_config, settings, refresh):
 
     specb = offset_bilayer_task(dims=(6, 6), seed=1)
     planb = plan_task(specb)
-    recb = run_sequence(desk_config, planb, "wpgs", settings, refresh)
-    final = recb.frames[-1]
+    frames = []
+    run_sequence(desk_config, planb, "wpgs", settings, refresh,
+                 sink=lambda l, frame, ratios, dphi: frames.append(frame))
+    final = frames[-1]
     r = np.abs(final.field.amplitudes) / np.sqrt(planb.target_intensity)
     spread = float((r.max() - r.min()) / r.mean())
     report(

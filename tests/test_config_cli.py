@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from holoseq import sequence
+from holoseq import sequence, serial
 from holoseq.cli import main
 from holoseq.config import (
     ConfigError,
@@ -314,7 +314,7 @@ class TestCli:
             assert first.read_bytes() == second.read_bytes(), name
 
     def test_run_releases_each_record(self, tiny_config_file, tmp_path, monkeypatch):
-        # every frame's mask lives in the run record; one solver's record must
+        # a record holds every interval's I/I0 array; one solver's record must
         # be gone before the next solver's run starts
         records = []
 
@@ -333,6 +333,67 @@ class TestCli:
         tiny_config_file.write_text(yaml.safe_dump(doc))
         assert main(["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]) == 0
         assert len(records) == 2
+
+    def test_shorter_rerun_leaves_no_stale_masks(self, tiny_config_file, tmp_path):
+        # a 9-frame run, then a 3-frame run into the same directory: the masks
+        # are the second run's, a .mask and a .u8 per frame
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        out = tmp_path / "run"
+        for max_step, frames in ((0.0625e-6, 9), (0.25e-6, 3)):
+            doc["run"]["max_step"] = max_step
+            tiny_config_file.write_text(yaml.safe_dump(doc))
+            assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 0
+            masks = out / "wpgs" / "masks"
+            assert len(list(masks.glob("frame_*.mask"))) == frames
+            assert len(list(masks.glob("frame_*.u8"))) == frames
+            assert len(list(masks.iterdir())) == 2 * frames
+            with open(out / "wpgs" / "timing.csv") as fh:
+                assert len(fh.readlines()) == 1 + frames
+
+    @staticmethod
+    def _failed_run_files(run_dir, k):
+        # frames 0..k-1 were streamed out; no end-of-run file was written
+        masks = sorted(p.name for p in (run_dir / "masks").iterdir())
+        assert masks == [f"frame_{l:04d}{suffix}" for l in range(k) for suffix in (".mask", ".u8")]
+        for name in ("metrics.json", "timing.csv", "plan.json", "settings.yaml"):
+            assert not (run_dir / name).exists(), name
+        with open(run_dir / "fields.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert sorted({int(row[0]) for row in rows}) == list(range(k))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dark_trap_at_frame_k(self, tiny_config_file, tmp_path, capsys, monkeypatch, k):
+        # frame 0 calls wpgs_solve once, after its warm-up, and so does each later frame
+        real = sequence.wpgs_solve
+        calls = []
+
+        def dark_at_k(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > k:
+                raise DarkTrapError([0], 1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sequence, "wpgs_solve", dark_at_k)
+        out = tmp_path / "run"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 4
+        assert f"solver failure (wpgs): frame {k}:" in capsys.readouterr().err
+        self._failed_run_files(out / "wpgs", k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_write_error_at_frame_k(self, tiny_config_file, tmp_path, capsys, monkeypatch, k):
+        real = serial.write_mask
+
+        def full_at_k(path, *args, **kwargs):
+            if path.name.startswith(f"frame_{k:04d}"):
+                raise OSError(28, "No space left on device")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(serial, "write_mask", full_at_k)
+        out = tmp_path / "run"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"output error: cannot write {out / 'wpgs'}: No space left on device" in err
+        self._failed_run_files(out / "wpgs", k)
 
     def test_zero_step_plan_run(self, tmp_path, capsys):
         # a displacement of 0 plans no step: frame 0 is the only frame, and

@@ -51,11 +51,17 @@ def test_readme_library_example_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) >= block.count("print(")
 
 
-def _tiny_run():
+def _tiny_run(sink=None):
     optical = holoseq.OpticalConfig(820e-9, 4e-3, 16, 16, 17e-6)
     plan = holoseq.plan_task(holoseq.minimal_3x3_task(displacement=0.2e-6))
     settings = holoseq.SolverSettings(iterations=2, wgs_iterations=2)
-    return holoseq.run_sequence(optical, plan, "wpgs", settings, holoseq.RefreshModel(3))
+    return holoseq.run_sequence(optical, plan, "wpgs", settings, holoseq.RefreshModel(3), sink)
+
+
+def _tiny_frame():
+    frames = []
+    _tiny_run(lambda l, frame, ratios, dphi: frames.append(frame))
+    return frames[0]
 
 
 def _tiny_layout():
@@ -71,7 +77,7 @@ _ARRAY_RECORDS = {
     "DensePropagator": lambda: holoseq.build_dense(
         holoseq.OpticalConfig(820e-9, 4e-3, 4, 4, 17e-6), _tiny_layout()),
     "TargetSpec": lambda: holoseq.TargetSpec(np.ones(2), np.zeros(2)),
-    "SolveResult": lambda: _tiny_run().frames[0],
+    "SolveResult": _tiny_frame,
     "Histogram": lambda: metrics.Histogram(np.arange(3.0), np.full(2, 50.0)),
     "AggregateStats": lambda: holoseq.aggregate([np.zeros(2)]),
     "TransitionStats": lambda: holoseq.transition_distribution([np.ones(2)]),

@@ -111,6 +111,24 @@ class TestPhaseMask:
         assert (c >= 0).all() and (c < 2 * np.pi).all()
         np.testing.assert_allclose(np.exp(1j * c), np.exp(1j * m.phases), atol=1e-12)
 
+    @pytest.mark.parametrize("outside", [[], [2 * np.pi], [-2 * np.pi], [7.0, -100.0]],
+                             ids=["inside", "2pi", "-2pi", "far"])
+    def test_canonical_is_np_mod_bit_for_bit(self, rng, outside):
+        # inside (-2pi, 2pi) canonical() adds 2pi where negative; any value
+        # outside takes np.mod itself.  Both give np.mod's bits, -0.0 -> +0.0
+        two_pi = 2 * np.pi
+        tiny = np.finfo(float).smallest_subnormal
+        special = [0.0, -0.0, np.pi, -np.pi, tiny, -tiny, 1e-310, -1e-310,
+                   np.finfo(float).tiny, -np.finfo(float).tiny, -1e-17, 1e-17,
+                   np.nextafter(two_pi, 0), np.nextafter(-two_pi, 0),
+                   np.nextafter(np.nextafter(-two_pi, 0), 0), two_pi - 1e-15, -two_pi + 1e-15]
+        uniform = rng.uniform(-two_pi, two_pi, 4000 - len(special) - len(outside))
+        values = np.concatenate([special, outside, uniform])
+        phases = values.reshape(40, 100)
+        got = PhaseMask(phases).canonical()
+        want = np.mod(phases, two_pi)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestTrapField:
     def test_derived_quantities(self):

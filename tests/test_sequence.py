@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +10,7 @@ from holoseq.geometry import custom_task
 from holoseq.planner import plan_task
 from holoseq.propagation import build_separable, forward
 from holoseq.sequence import bench, run_sequence
+from holoseq.serial import RunWriter
 from holoseq.solvers import DarkTrapError, SolverSettings, TargetSpec, wgs_solve, wpgs_solve
 from holoseq.transient import RefreshModel, sample_refresh
 
@@ -36,18 +39,38 @@ def six_trap_plan():
     return plan_task(custom_task(source_points=src, target_points=tgt), max_step=0.25e-6)
 
 
+def run_frames(*args):
+    """run_sequence with a sink that keeps every frame: (record, frames)."""
+    frames = []
+    record = run_sequence(*args, sink=lambda l, frame, ratios, dphi: frames.append(frame))
+    return record, frames
+
+
 @pytest.fixture(scope="module")
 def tiny_run(small_config, tiny_plan, fast_settings):
-    return run_sequence(
+    return run_frames(
         small_config, tiny_plan, "wpgs", fast_settings, RefreshModel(samples_per_refresh=5)
     )
 
 
 class TestRunSequence:
     def test_frame_count(self, tiny_plan, tiny_run):
-        assert len(tiny_run.frames) == tiny_plan.frames + 1
-        assert len(tiny_run.ratios) == tiny_plan.frames
-        assert len(tiny_run.solve_times) == tiny_plan.frames + 1
+        record, frames = tiny_run
+        assert len(frames) == tiny_plan.frames + 1
+        assert len(record.ratios) == len(record.dphi) == tiny_plan.frames
+        assert len(record.solve_times) == tiny_plan.frames + 1
+
+    def test_sink_gets_each_frame_and_interval(self, small_config, tiny_plan, fast_settings):
+        # in frame order, with the interval that ends at the frame from frame 1 on
+        calls = []
+        record = run_sequence(
+            small_config, tiny_plan, "wgs", fast_settings, RefreshModel(samples_per_refresh=5),
+            sink=lambda *args: calls.append(args),
+        )
+        assert [c[0] for c in calls] == list(range(tiny_plan.frames + 1))
+        assert calls[0][2:] == (None, None)
+        for (l, _, ratios, dphi), kept, d in zip(calls[1:], record.ratios, record.dphi):
+            assert ratios is kept and dphi is d
 
     def test_static_plan_single_frame(self, small_config, fast_settings):
         spec = custom_task(
@@ -55,37 +78,39 @@ class TestRunSequence:
             target_points=[(0, 0, 0), (8e-6, 0, 0)],
         )
         plan = plan_task(spec, max_step=0.1e-6)
-        record = run_sequence(small_config, plan, "wgs", fast_settings, RefreshModel())
+        record, frames = run_frames(small_config, plan, "wgs", fast_settings, RefreshModel())
         assert plan.frames == 0
-        assert len(record.frames) == 1
-        assert record.ratios == ()
+        assert len(frames) == 1
+        assert record.ratios == () and record.dphi == ()
         assert record.metrics.transition is None
 
     def test_frame_field_consistency(self, small_config, tiny_plan, tiny_run):
-        for l, frame in enumerate(tiny_run.frames):
+        for l, frame in enumerate(tiny_run[1]):
             prop = build_separable(small_config, tiny_plan.layout(l))
             re_run = forward(prop, frame.mask).amplitudes
             rel = np.abs(re_run - frame.field.amplitudes).max() / np.abs(re_run).max()
             assert rel <= 1e-12
 
     def test_replay_bit_identical(self, small_config, tiny_plan, fast_settings, tiny_run):
-        again = run_sequence(
+        _, again = run_frames(
             small_config, tiny_plan, "wpgs", fast_settings, RefreshModel(samples_per_refresh=5)
         )
-        for f1, f2 in zip(tiny_run.frames, again.frames):
+        for f1, f2 in zip(tiny_run[1], again):
             np.testing.assert_array_equal(f1.mask.phases, f2.mask.phases)
             np.testing.assert_array_equal(f1.field.amplitudes, f2.field.amplitudes)
 
     def test_target_attainment(self, tiny_plan, tiny_run):
-        final = tiny_plan.layout(len(tiny_run.frames) - 1)
+        record, frames = tiny_run
+        final = tiny_plan.layout(len(frames) - 1)
         np.testing.assert_array_equal(final.positions(), tiny_plan.waypoints[:, -1, :])
-        nus = tiny_run.metrics.frame_uniformity
+        nus = record.metrics.frame_uniformity
         assert nus[-1] >= min(nus)
 
     def test_transition_min_dominated_by_endpoints(self, tiny_run):
-        sample_min = tiny_run.metrics.transition.minimum
+        record, _ = tiny_run
+        sample_min = record.metrics.transition.minimum
         endpoint_min = min(
-            min(interval[0].min(), interval[-1].min()) for interval in tiny_run.ratios
+            min(interval[0].min(), interval[-1].min()) for interval in record.ratios
         )
         assert sample_min <= endpoint_min + 1e-15
 
@@ -98,9 +123,9 @@ class TestRunSequence:
         # rounding.  Exact ratios read the masks and take only I0 from a
         # field, and on this plan they agree bit for bit.
         refresh = RefreshModel(samples_per_refresh=5, order=order)
-        record = run_sequence(small_config, tiny_plan, "wpgs", fast_settings, refresh)
+        record, frames = run_frames(small_config, tiny_plan, "wpgs", fast_settings, refresh)
         for l, ratios in enumerate(record.ratios, start=1):
-            prev, frame = record.frames[l - 1], record.frames[l]
+            prev, frame = frames[l - 1], frames[l]
             prop = build_separable(small_config, tiny_plan.layout(l))
             expected = sample_refresh(
                 prop, prev.mask, frame.mask,
@@ -111,8 +136,8 @@ class TestRunSequence:
             else:
                 np.testing.assert_array_equal(ratios, expected)
 
-    def test_record_holds_no_phasor(self, tiny_run):
-        assert all(frame.pixel is None for frame in tiny_run.frames)
+    def test_sink_gets_no_phasor(self, tiny_run):
+        assert all(frame.pixel is None for frame in tiny_run[1])
 
     @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
     def test_only_the_newest_phasor_stays_alive(
@@ -144,6 +169,61 @@ class TestRunSequence:
         assert alive == [1] * tiny_plan.frames + [0]
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
+    def test_no_mask_outlives_the_next_interval(
+        self, small_config, tiny_plan, fast_settings, order, monkeypatch
+    ):
+        # interval l samples from frame l - 1's mask before the sink gets
+        # frame l; every older mask is freed by then, and the last one before
+        # the metrics
+        refs = []
+        alive = []
+
+        def count_alive(fn):
+            def counted(*args, **kwargs):
+                alive.append([l for l, ref in enumerate(refs) if ref() is not None])
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("sample_refresh", "compute_report"):
+            monkeypatch.setattr(sequence_mod, name, count_alive(getattr(sequence_mod, name)))
+        run_sequence(
+            small_config, tiny_plan, "wpgs", fast_settings, RefreshModel(order=order),
+            sink=lambda l, frame, ratios, dphi: refs.append(weakref.ref(frame.mask)),
+        )
+        assert alive == [[l - 1] for l in range(1, tiny_plan.frames + 1)] + [[]]
+
+    def test_memory_does_not_grow_with_frame_count(self, small_config, fast_settings, tmp_path):
+        # a run streamed to disk holds no frame past the next interval, so
+        # twice the frames peak within one mask's bytes of the shorter run
+        def plan_of(dy):
+            spec = custom_task(
+                source_points=[(-10e-6, 0, 0), (10e-6, 0, 0)],
+                target_points=[(-10e-6, 0, 0), (10e-6, dy, 0)],
+            )
+            return plan_task(spec, max_step=0.1e-6)
+
+        refresh = RefreshModel(samples_per_refresh=5)
+
+        def streamed(plan, out):
+            with RunWriter(out, plan, refresh) as sink:
+                run_sequence(small_config, plan, "wpgs", fast_settings, refresh, sink=sink)
+
+        short, long = plan_of(1.0e-6), plan_of(2.0e-6)
+        assert (short.frames, long.frames) == (10, 20)
+        streamed(short, tmp_path / "warm-up")  # one-time allocations outside the trace
+        peaks = []
+        for plan in (short, long):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                streamed(plan, tmp_path / str(plan.frames))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        mask_bytes = small_config.grid_x * small_config.grid_y * 8
+        assert abs(peaks[1] - peaks[0]) < mask_bytes, peaks
+
+    @pytest.mark.parametrize("order", ["leading", "exact"])
     @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
     def test_frames_equal_hand_threaded_solves(
         self, small_config, six_trap_plan, fast_settings, kind, order
@@ -152,7 +232,7 @@ class TestRunSequence:
         # polish from the warm-up's, and samples from the two masks it joins
         plan = six_trap_plan
         refresh = RefreshModel(samples_per_refresh=5, order=order)
-        record = run_sequence(small_config, plan, kind, fast_settings, refresh)
+        record, frames = run_frames(small_config, plan, kind, fast_settings, refresh)
         inten = plan.target_intensity
         prev = None
         for l in range(plan.frames + 1):
@@ -173,7 +253,7 @@ class TestRunSequence:
                 res = wgs_solve(
                     prop, inten, fast_settings, init_mask=prev.pixel, init_weights=prev.weights
                 )
-            frame = record.frames[l]
+            frame = frames[l]
             np.testing.assert_array_equal(frame.mask.phases, res.mask.phases)
             np.testing.assert_array_equal(frame.field.amplitudes, res.field.amplitudes)
             np.testing.assert_array_equal(frame.init_field.amplitudes, res.init_field.amplitudes)

@@ -19,29 +19,56 @@ from holoseq.planner import TransportPlan, plan_task
 from holoseq.propagation import TWO_PI, PhaseMask
 from holoseq.sequence import bench, run_sequence
 from holoseq.serial import (
+    RunWriter,
     quantize_mask,
     read_mask,
     read_plan_json,
     save_run_record,
     write_bench_csv,
-    write_fields_csv,
     write_mask,
     write_plan_json,
-    write_transients_csv,
 )
 from holoseq.solvers import SolverSettings
 from holoseq.transient import RefreshModel
 
 
+SMALL_SETTINGS = SolverSettings(iterations=2, wgs_iterations=4, seed=0)
+SMALL_REFRESH = RefreshModel(samples_per_refresh=3)
+
+
+def stream_run(outdir, config, plan, settings, refresh, config_text=None):
+    """A WPGS run that a RunWriter streams into outdir and save_run_record finishes.
+
+    Returns the record and every frame the sink was given.
+    """
+    frames = []
+    with RunWriter(outdir, plan, refresh) as writer:
+        def sink(l, frame, ratios, dphi):
+            frames.append(frame)
+            writer(l, frame, ratios, dphi)
+
+        record = run_sequence(config, plan, "wpgs", settings, refresh, sink=sink)
+    save_run_record(outdir, record, config_text=config_text)
+    return record, frames
+
+
 @pytest.fixture(scope="module")
-def small_run(small_config):
+def small_plan():
     spec = custom_task(
         source_points=[(-10e-6, 0, 0), (10e-6, 0, 0)],
         target_points=[(-10e-6, 0, 0), (10e-6, 0.5e-6, 0)],
     )
-    plan = plan_task(spec, max_step=0.25e-6)
-    settings = SolverSettings(iterations=2, wgs_iterations=4, seed=0)
-    return run_sequence(small_config, plan, "wpgs", settings, RefreshModel(samples_per_refresh=3))
+    return plan_task(spec, max_step=0.25e-6)
+
+
+@pytest.fixture(scope="module")
+def small_run(small_config, small_plan, tmp_path_factory):
+    """(run directory, record, frames) of one streamed run."""
+    out = tmp_path_factory.mktemp("small") / "run"
+    record, frames = stream_run(
+        out, small_config, small_plan, SMALL_SETTINGS, SMALL_REFRESH, config_text="solver: {}\n"
+    )
+    return out, record, frames
 
 
 # Reference writers: fields.csv, transients.csv and plan.json as csv.writer and
@@ -91,19 +118,29 @@ def oracle_plan_json(path, plan):
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def assert_writers_match_oracle(tmp_path, record):
-    """Each hand-assembled artifact has the reference writer's bytes."""
-    ids = record.plan.trap_ids
+def assert_writers_match_oracle(tmp_path, config, plan, settings, refresh):
+    """Each hand-assembled artifact has the reference writer's bytes.
+
+    fields.csv and transients.csv come from a run streamed one frame at a
+    time, plan.json from write_plan_json on its own as well as from the run.
+    Returns the record and the frames.
+    """
+    out = tmp_path / "run"
+    record, frames = stream_run(out, config, plan, settings, refresh)
+    write_plan_json(tmp_path / "plan.json", plan)
+    ids = plan.trap_ids
     pairs = (
-        (write_fields_csv, oracle_fields_csv, "fields.csv", (record.frames, ids)),
-        (write_transients_csv, oracle_transients_csv, "transients.csv",
-         (record.ratios, record.refresh.a_grid(), ids, record.dphi)),
-        (write_plan_json, oracle_plan_json, "plan.json", (record.plan,)),
+        (out / "fields.csv", oracle_fields_csv, (frames, ids)),
+        (out / "transients.csv", oracle_transients_csv,
+         (record.ratios, refresh.a_grid(), ids, record.dphi)),
+        (out / "plan.json", oracle_plan_json, (plan,)),
+        (tmp_path / "plan.json", oracle_plan_json, (plan,)),
     )
-    for writer, oracle, name, args in pairs:
-        writer(tmp_path / name, *args)
-        oracle(tmp_path / f"oracle-{name}", *args)
-        assert (tmp_path / name).read_bytes() == (tmp_path / f"oracle-{name}").read_bytes(), name
+    for path, oracle, args in pairs:
+        expected = tmp_path / f"oracle-{path.name}"
+        oracle(expected, *args)
+        assert path.read_bytes() == expected.read_bytes(), path
+    return record, frames
 
 
 def _perfbench_workload(name):
@@ -119,8 +156,9 @@ def _perfbench_workload(name):
 
 
 class TestWriterOracle:
-    def test_small_run(self, tmp_path, small_run):
-        assert_writers_match_oracle(tmp_path, small_run)
+    def test_small_run(self, tmp_path, small_config, small_plan):
+        assert_writers_match_oracle(tmp_path, small_config, small_plan, SMALL_SETTINGS,
+                                    SMALL_REFRESH)
 
     def test_perfbench_run(self, tmp_path):
         # plan-144: 144 traps, many refresh intervals of 21 samples
@@ -128,9 +166,9 @@ class TestWriterOracle:
         config.write_text(yaml.safe_dump(_perfbench_workload("plan-144").config_for(0)))
         cfg = load_config(config)
         plan = plan_task(cfg.task, max_step=cfg.run.max_step, cost=cfg.run.cost)
-        record = run_sequence(cfg.optical, plan, "wpgs", cfg.solver, cfg.refresh)
+        record, _ = assert_writers_match_oracle(tmp_path, cfg.optical, plan, cfg.solver,
+                                                cfg.refresh)
         assert len(record.ratios) > 1
-        assert_writers_match_oracle(tmp_path, record)
 
     def test_ids_that_need_quoting(self, tmp_path, small_config):
         spec = custom_task(
@@ -143,15 +181,13 @@ class TestWriterOracle:
             trap_ids=("a,b", 'q"x', "t\u00b5"),
             source_ids=("s,0", 's"1', "s\u00b5"),
         )
-        settings = SolverSettings(iterations=2, wgs_iterations=4, seed=0)
-        record = run_sequence(small_config, plan, "wpgs", settings,
-                              RefreshModel(samples_per_refresh=3))
-        assert_writers_match_oracle(tmp_path, record)
+        _, frames = assert_writers_match_oracle(tmp_path, small_config, plan, SMALL_SETTINGS,
+                                                SMALL_REFRESH)
         # the contract the oracle pins: csv quoting, "\r\n" rows, json escapes
-        fields = (tmp_path / "fields.csv").read_bytes()
+        fields = (tmp_path / "run" / "fields.csv").read_bytes()
         assert fields.startswith(b"frame,trap_id,re,im,intensity,phase\r\n")
         assert b'\r\n0,"a,b",' in fields and b'\r\n0,"q""x",' in fields
-        assert fields.count(b"\r\n") == fields.count(b"\n") == 1 + 3 * len(record.frames)
+        assert fields.count(b"\r\n") == fields.count(b"\n") == 1 + 3 * len(frames)
         text = (tmp_path / "plan.json").read_text()
         assert '"id": "q\\"x"' in text and '"id": "t\\u00b5"' in text
         assert read_plan_json(tmp_path / "plan.json").trap_ids == plan.trap_ids
@@ -254,24 +290,25 @@ class TestPlanJson:
 
 
 class TestRunDirectory:
-    def test_artifact_tree(self, tmp_path, small_run):
-        out = save_run_record(tmp_path / "run", small_run, config_text="solver: {}\n")
+    def test_artifact_tree(self, small_run):
+        out, _, frames = small_run
         assert (out / "metrics.json").exists()
         assert (out / "fields.csv").exists()
         assert (out / "transients.csv").exists()
         assert (out / "timing.csv").exists()
         assert (out / "plan.json").exists()
-        assert (out / "settings.yaml").exists()
+        assert (out / "settings.yaml").read_text() == "solver: {}\n"
         masks = sorted((out / "masks").glob("*.mask"))
-        assert len(masks) == len(small_run.frames)
+        assert len(masks) == len(frames)
 
-    def test_saved_masks_match_frames(self, tmp_path, small_run):
-        out = save_run_record(tmp_path / "run2", small_run)
-        for l, frame in enumerate(small_run.frames):
+    def test_saved_masks_match_frames(self, small_run):
+        out, _, frames = small_run
+        for l, frame in enumerate(frames):
             back = read_mask(out / "masks" / f"frame_{l:04d}.mask")
             np.testing.assert_array_equal(back.phases, frame.mask.canonical())
 
-    def test_one_canonical_fold_per_frame(self, tmp_path, small_run, monkeypatch):
+    def test_one_canonical_fold_per_frame(self, tmp_path, small_config, small_plan,
+                                          monkeypatch):
         # both mask files of a frame share one canonical(); their bytes are
         # those write_mask produces on its own
         calls = []
@@ -282,35 +319,34 @@ class TestRunDirectory:
             return canonical(mask)
 
         monkeypatch.setattr(PhaseMask, "canonical", counted)
-        out = save_run_record(tmp_path / "run6", small_run)
-        assert len(calls) == len(small_run.frames)
-        for l, frame in enumerate(small_run.frames):
+        out = tmp_path / "run"
+        _, frames = stream_run(out, small_config, small_plan, SMALL_SETTINGS, SMALL_REFRESH)
+        assert len(calls) == len(frames)
+        for l, frame in enumerate(frames):
             for suffix, quantized in ((".mask", False), (".u8", True)):
                 alone = tmp_path / f"alone{suffix}"
                 write_mask(alone, frame.mask, quantized=quantized)
                 saved = out / "masks" / f"frame_{l:04d}{suffix}"
                 assert saved.read_bytes() == alone.read_bytes()
 
-    def test_metrics_json_keys(self, tmp_path, small_run):
-        out = save_run_record(tmp_path / "run3", small_run)
-        doc = json.loads((out / "metrics.json").read_text())
+    def test_metrics_json_keys(self, small_run):
+        doc = json.loads((small_run[0] / "metrics.json").read_text())
         assert "frame_uniformity" in doc and "dphi" in doc and "transition" in doc
         hist = doc["dphi"]["histogram"]
         assert abs(sum(row[2] for row in hist) - 100.0) <= 1e-9
 
-    def test_csv_schemas(self, tmp_path, small_run):
-        out = save_run_record(tmp_path / "run4", small_run)
-        n_traps = small_run.plan.trap_count
-        frames = len(small_run.frames)
+    def test_csv_schemas(self, small_run):
+        out, record, frames = small_run
+        n_traps = record.plan.trap_count
         schemas = {
             "fields.csv": (["frame", "trap_id", "re", "im", "intensity", "phase"],
-                           frames * n_traps),
+                           len(frames) * n_traps),
             # 3 samples per refresh
             "transients.csv": (["frame", "trap_id", "a", "I_over_I0", "dphi"],
-                               len(small_run.ratios) * 3 * n_traps),
+                               len(record.ratios) * 3 * n_traps),
             "objectives.csv": (["frame", "iteration", "objective"],
-                               sum(len(r.objective) for r in small_run.frames)),
-            "timing.csv": (["frame", "solve_ms"], frames),
+                               sum(len(r.objective) for r in frames)),
+            "timing.csv": (["frame", "solve_ms"], len(frames)),
         }
         for name, (columns, count) in schemas.items():
             with open(out / name) as fh:
@@ -325,9 +361,8 @@ class TestRunDirectory:
                 for i in numeric:
                     float(row[i])
 
-    def test_objective_trace(self, tmp_path, small_run):
-        out = save_run_record(tmp_path / "run5", small_run)
-        with open(out / "objectives.csv") as fh:
+    def test_objective_trace(self, small_run):
+        with open(small_run[0] / "objectives.csv") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
@@ -339,12 +374,29 @@ class TestRunDirectory:
         assert len(per_frame[1]) == 2  # iterations=2 in the fixture
         assert all(j >= 0 for js in per_frame.values() for j in js)
 
+    def test_reopen_removes_only_an_earlier_runs_files(self, tmp_path, small_config,
+                                                       small_plan):
+        # a writer that opens over a longer run's directory removes its frame
+        # masks and end-of-run files, and leaves other files in masks/ alone
+        out = tmp_path / "run"
+        stream_run(out, small_config, small_plan, SMALL_SETTINGS, SMALL_REFRESH, "a: 1\n")
+        (out / "masks" / "frame_0099.mask").write_bytes(b"stale")
+        (out / "masks" / "frame_0099.u8").write_bytes(b"stale")
+        (out / "masks" / "notes.txt").write_text("kept")
+        (out / "masks" / "frame_0099.png").write_bytes(b"kept")
+        with RunWriter(out, small_plan, SMALL_REFRESH):
+            assert sorted(p.name for p in (out / "masks").iterdir()) == [
+                "frame_0099.png", "notes.txt"]
+            assert not any((out / name).exists() for name in
+                           ("metrics.json", "timing.csv", "plan.json", "settings.yaml"))
+        assert (out / "fields.csv").read_text() == "frame,trap_id,re,im,intensity,phase\n"
+
 
 class TestBenchCsv:
-    def test_header_schema(self, tmp_path, small_config, small_run):
+    def test_header_schema(self, tmp_path, small_config, small_plan):
         rows = bench(
             small_config,
-            small_run.plan,
+            small_plan,
             [("wgs", SolverSettings(iterations=2, wgs_iterations=4))],
             warmup_frames=0,
             task_label="t",
