@@ -60,7 +60,6 @@ from .transient import (
     sample_refresh,
     transient_exact,
     transient_leading,
-    transient_second,
 )
 
 __version__ = "0.1.0"

@@ -137,7 +137,10 @@ class TrapLayout:
         return self.xyz[:, 2]
 
     def positions(self) -> np.ndarray:
-        """(N, 3) coordinate array, the same read-only array as xyz."""
+        """(N, 3) coordinate array, the same read-only array as xyz.
+
+        Kept for perfbench's plan-optimality check, its one caller.
+        """
         return self.xyz
 
     def take(self, index) -> TrapLayout:

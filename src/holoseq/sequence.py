@@ -54,7 +54,6 @@ class RunRecord:
     dphi: tuple[np.ndarray, ...]
     metrics: MetricsReport
     plan: TransportPlan
-    refresh: RefreshModel
     solver_kind: str
 
 
@@ -139,7 +138,6 @@ def run_sequence(
         dphi=tuple(dphi),
         metrics=_run_metrics(plan, intensities, ratios, dphi),
         plan=plan,
-        refresh=refresh,
         solver_kind=solver_kind,
     )
 

@@ -89,7 +89,8 @@ def write_mask(path, mask: PhaseMask, quantized: bool = False, canonical=None) -
     dtype_code = 1 if quantized else 0
     if canonical is None:
         canonical = mask.canonical()
-    payload = _quantize(canonical).tobytes() if quantized else canonical.astype("<f8").tobytes()
+    # the array's own buffer is written: no copy of the payload is made
+    payload = _quantize(canonical) if quantized else np.ascontiguousarray(canonical, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MASK_MAGIC, MASK_VERSION, dtype_code, 0, gx, gy))
         fh.write(payload)

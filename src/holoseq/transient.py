@@ -6,23 +6,22 @@ While the liquid crystal relaxes, each pixel's phase follows
 parameterized by the interpolation factor ``a`` directly; tau would only map
 ``a`` to wall-clock time, which no model or artifact uses.
 
-Field models, from exact to cheapest:
+Field models:
 
-* ``transient_exact``     -- forward propagation of the relaxing mask
+* ``transient_exact``   -- forward propagation of the relaxing mask
   ``phi_l + (1-a)*wrap(phi_l1 - phi_l)``;
-* ``transient_second``    -- two-term interpolation with amplitude
-  renormalization ``alpha = 1 + O(<dphi^2>)/6`` on each endpoint field;
-* ``transient_leading``   -- plain complex interpolation
-  ``a*E_old + (1-a)*E_new``.
+* ``transient_leading`` -- plain complex interpolation
+  ``a*E_old + (1-a)*E_new``, whose error grows linearly with the mean squared
+  excursion ``mean_sq_excursion``.
 
 ``sample_refresh`` with the exact model makes one ``transient_exact`` call per
 interval with the whole a grid; that call wraps ``dphi`` once and makes one
-forward contraction per sample.  When the a values are evenly spaced, as
-``RefreshModel.a_grid`` is, each sample's relaxing phasor comes from the last
-one by the recurrence ``exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k``, with
+forward contraction per sample.  The a values must be evenly spaced, as
+``RefreshModel.a_grid`` is, and each sample's relaxing phasor comes from the
+last one by the recurrence ``exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k``, with
 ``P = exp(i(phi_l + (1-a_0)*dphi))`` and ``Q = exp(i*h*dphi)`` for the spacing
-h: two complex exps per interval and one complex multiply per sample.  A scalar
-a or unevenly spaced values take one complex exp per sample instead.
+h: two complex exps per interval and one complex multiply per sample.  A
+scalar a is a one-sample grid, P alone.
 """
 
 from __future__ import annotations
@@ -46,14 +45,13 @@ __all__ = [
     "pixel_interpolate",
     "transient_exact",
     "transient_leading",
-    "transient_second",
     "mean_sq_excursion",
     "intensity_model",
     "sample_refresh",
 ]
 
-TRANSIENT_ORDERS = ("exact", "leading", "second")
-# a values within this many ulps of 1 of an evenly spaced grid take the recurrence
+TRANSIENT_ORDERS = ("exact", "leading")
+# how far, in ulps of 1, an a value may sit from an evenly spaced grid
 UNIFORM_ULPS = 4
 
 
@@ -95,8 +93,9 @@ def transient_exact(
 ) -> TrapField | list[TrapField]:
     """Exact transient field: the forward of the relaxing mask at each a.
 
-    A float a gives one TrapField; a 1-D array gives a list with one TrapField
-    per value, in order.
+    A float a gives one TrapField; an evenly spaced 1-D array gives a list with
+    one TrapField per value, in order.  Unevenly spaced values are a
+    ValueError.
     """
     if mask_l.shape != mask_l1.shape:
         raise ValueError("masks must share dimensions")
@@ -105,28 +104,23 @@ def transient_exact(
         raise ValueError("a must be a float or a 1-D array")
     if not ((a_values >= 0.0) & (a_values <= 1.0)).all():
         raise ValueError("a must lie in [0, 1]")
-    phi_l = mask_l.phases
     a_flat = a_values.ravel()
-    # every sample's phasor is written into one buffer: fresh grid-sized
-    # temporaries per sample are page-faulted in again each time
-    pixel = np.empty(phi_l.shape, dtype=complex)
     h = _uniform_step(a_flat)
-    if h is None:
-        dphi = wrap_phase(mask_l1.phases - phi_l)
-        fields = [
-            forward_field(prop, _relaxing_phasor(phi_l, dphi, 1.0 - a_k, pixel))
-            for a_k in a_flat
-        ]
-    else:
-        # exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k with P the a_0 phasor and
-        # Q = exp(i*h*dphi): one complex multiply per sample instead of an exp.
-        # dphi is wrapped inside Q's buffer, which Q then overwrites: no
-        # grid-sized array lives beside P and Q
-        step = np.empty_like(pixel)
-        dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
+    phi_l = mask_l.phases
+    # exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k with P the a_0 phasor and
+    # Q = exp(i*h*dphi): one complex multiply per sample instead of an exp.
+    # Every sample's phasor is written into P's buffer, and dphi is wrapped
+    # inside Q's buffer, which Q then overwrites: no grid-sized array lives
+    # beside P and Q, and none is page-faulted in again per sample
+    pixel = np.empty(phi_l.shape, dtype=complex)
+    step = np.empty_like(pixel)
+    dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
+    fields = []
+    if a_flat.size:
         _relaxing_phasor(phi_l, dphi, 1.0 - a_flat[0], pixel)
+        fields.append(forward_field(prop, pixel))
+    if a_flat.size > 1:
         _relaxing_phasor(0.0, dphi, h, step)
-        fields = [forward_field(prop, pixel)]
         for _ in range(1, a_flat.size):
             pixel *= step
             fields.append(forward_field(prop, pixel))
@@ -142,39 +136,25 @@ def _relaxing_phasor(phi_l, dphi, c, out):
 
 
 def _uniform_step(a):
-    """The spacing h when a[k] = a[0] - k*h to a few ulps for every k, else None.
+    """The spacing h with a[k] = a[0] - k*h to a few ulps for every k.
 
-    Fewer than two samples have no spacing.  a lies in [0, 1], so the absolute
-    tolerance UNIFORM_ULPS * eps is at most that many ulps of the largest a,
-    and the phase error the recurrence's own grid adds stays below
-    UNIFORM_ULPS * eps * pi.
+    Fewer than two samples have no spacing (0.0).  a lies in [0, 1], so the
+    absolute tolerance UNIFORM_ULPS * eps is at most that many ulps of the
+    largest a, and the phase error the recurrence's own grid adds stays below
+    UNIFORM_ULPS * eps * pi.  Values off an even grid are a ValueError.
     """
     if a.size < 2:
-        return None
+        return 0.0
     h = (a[0] - a[-1]) / (a.size - 1)
-    drift = np.abs(a - (a[0] - h * np.arange(a.size)))
-    return h if drift.max() <= UNIFORM_ULPS * np.finfo(float).eps else None
+    drift = np.abs(a - (a[0] - h * np.arange(a.size))).max()
+    if drift > UNIFORM_ULPS * np.finfo(float).eps:
+        raise ValueError(f"a must be evenly spaced; a value is {drift:.3g} off the even grid")
+    return h
 
 
 def transient_leading(field_l: TrapField, field_l1: TrapField, a: float) -> TrapField:
     """Leading-order interpolation a*E_l + (1-a)*E_l1."""
     return TrapField(a * field_l.amplitudes + (1.0 - a) * field_l1.amplitudes)
-
-
-def transient_second(
-    field_l: TrapField, field_l1: TrapField, a: float, mean_sq_excursion: float
-) -> TrapField:
-    """Second-order model: endpoint amplitudes renormalized by alpha factors.
-
-    alpha_l = 1 + (1-a^2)*<dphi^2>/6, alpha_l1 = 1 + a*(2-a)*<dphi^2>/6.
-    """
-    if mean_sq_excursion < 0:
-        raise ValueError("mean squared excursion must be >= 0")
-    alpha_l = 1.0 + (1.0 - a * a) * mean_sq_excursion / 6.0
-    alpha_l1 = 1.0 + a * (2.0 - a) * mean_sq_excursion / 6.0
-    return TrapField(
-        a * alpha_l * field_l.amplitudes + (1.0 - a) * alpha_l1 * field_l1.amplitudes
-    )
 
 
 def mean_sq_excursion(mask_l: PhaseMask, mask_l1: PhaseMask) -> float:
@@ -209,9 +189,6 @@ def sample_refresh(
     i0 = field_l.intensity
     if model.order == "exact":
         fields = transient_exact(prop, mask_l, mask_l1, model.a_grid())
-    elif model.order == "second":
-        msq = mean_sq_excursion(mask_l, mask_l1)
-        fields = [transient_second(field_l, field_l1, a, msq) for a in model.a_grid()]
     else:
         fields = [transient_leading(field_l, field_l1, a) for a in model.a_grid()]
     return np.array([f.intensity / i0 for f in fields])

@@ -87,7 +87,7 @@ class TestConfigRoundTrip:
         cfg = RunConfig(
             task=offset_bilayer_task(dims=(4, 4), seed=9),
             solver=SolverSettings(iterations=7, seed=3),
-            refresh=RefreshModel(samples_per_refresh=11, order="second"),
+            refresh=RefreshModel(samples_per_refresh=11, order="exact"),
             run=RunOptions(solvers=("wpgs",), max_step=0.2e-6, cost="euclidean"),
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -498,6 +498,17 @@ class TestCli:
         path = tmp_path / "threads.yaml"
         path.write_text("run: {threads: 2}")
         assert main(["plan", "-c", str(path), "-o", str(tmp_path / "p.json")]) == 2
+
+    def test_retired_refresh_order_exit_code(self, tiny_config_file, tmp_path, capsys):
+        # only the exact and leading refresh models exist: naming another is a config error
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["refresh"] = {"order": "second"}
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        for command in ("plan", "run", "bench"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, "-c", str(tiny_config_file), "-o", str(out)]) == 2, command
+            assert "order must be one of" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_flag_exit_code(self, tiny_config_file, tmp_path, capsys):
         # run parameters come from the config file only: a flag such as --seed

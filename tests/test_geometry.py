@@ -241,11 +241,11 @@ class TestInstantiate:
         src, tgt, inten = instantiate_task(minimal_3x3_task())
         assert len(src) == 9 and len(tgt) == 9
         np.testing.assert_allclose(inten, 1.0)
-        moved = np.linalg.norm(tgt.positions() - src.positions(), axis=1)
+        moved = np.linalg.norm(tgt.xyz - src.xyz, axis=1)
         # middle row (indices 3..5) moves 2 um along the diagonal, rest static
         np.testing.assert_allclose(moved[3:6], 2e-6, rtol=1e-12)
         np.testing.assert_allclose(moved[[0, 1, 2, 6, 7, 8]], 0.0)
-        d = tgt.positions()[4] - src.positions()[4]
+        d = tgt.xyz[4] - src.xyz[4]
         assert d[0] == pytest.approx(2e-6 / np.sqrt(2))
         assert d[1] == pytest.approx(-2e-6 / np.sqrt(2))
 
@@ -258,8 +258,8 @@ class TestInstantiate:
         spec = reconfig_2d_task(source_dims=(10, 10), target_dims=(8, 8), filling=0.79, seed=7)
         a = instantiate_task(spec)
         b = instantiate_task(spec)
-        np.testing.assert_array_equal(a.source.positions(), b.source.positions())
-        np.testing.assert_array_equal(a.target.positions(), b.target.positions())
+        np.testing.assert_array_equal(a.source.xyz, b.source.xyz)
+        np.testing.assert_array_equal(a.target.xyz, b.target.xyz)
 
     def test_occupancy_expectation_matches_filling(self):
         counts = []

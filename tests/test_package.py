@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import holoseq
-from holoseq import config, metrics, sequence
+from holoseq import config, geometry, metrics, planner, sequence, transient
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(holoseq.__path__, "holoseq."))
 
@@ -33,6 +33,25 @@ def test_readme_matches_config_and_cli():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```yaml\n(.*?)```", text, re.DOTALL)
     config_from_dict(yaml.safe_load(block))
+    # every `a | b | c` list in the block's comments is the set the code
+    # accepts for its key, so a removed value cannot stay documented
+    accepted = {
+        "kind": geometry.TASK_KINDS,
+        "order": transient.TRANSIENT_ORDERS,
+        "cost": planner.COST_KINDS,
+    }
+    documented = {}
+    key = None
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip():
+            key = code.split(":")[0].strip()
+        # a comment-only line continues the list of the key above it
+        for listed in re.findall(r"\w+(?:\s*\|\s*\w+)+", comment):
+            documented.setdefault(key, []).extend(v.strip() for v in listed.split("|"))
+    assert {k: sorted(v) for k, v in documented.items()} == {
+        k: sorted(v) for k, v in accepted.items()
+    }
     cli = text[text.index("## CLI"):text.index("### Configuration")]
     commands = [line for line in re.findall(r"```sh\n(.*?)```", cli, re.DOTALL)[0].splitlines()
                 if line.startswith("holoseq ")]

@@ -306,7 +306,7 @@ class TestBruteForce:
             n_src = n_tgt + int(rng.integers(0, 3))
             src = random_layout(rng, n_src, "s")
             tgt = random_layout(rng, n_tgt, "t")
-            d = np.linalg.norm(tgt.positions()[None] - src.positions()[:, None], axis=2)
+            d = np.linalg.norm(tgt.xyz[None] - src.xyz[:, None], axis=2)
             best = min(
                 itertools.permutations(range(n_src), n_tgt),
                 key=lambda perm: (d * d)[list(perm), range(n_tgt)].sum(),
@@ -472,7 +472,7 @@ class TestPlanTask:
         lay0 = plan.layout(0)
         layL = plan.layout(plan.frames)
         assert len(lay0) == len(layL) == 9
-        np.testing.assert_array_equal(layL.positions(), plan.waypoints[:, -1, :])
+        np.testing.assert_array_equal(layL.xyz, plan.waypoints[:, -1, :])
 
 
 def _digest(ids, *arrays):
@@ -532,8 +532,8 @@ def test_trap_sets_pinned(task):
     source, target, inten = instantiate_task(spec)
     plan = plan_task(spec, max_step=max_step)
     assert (len(source), len(target), plan.frames) == counts
-    assert _digest(source.ids, source.positions()) == source_digest
-    assert _digest(target.ids, target.positions(), inten) == target_digest
+    assert _digest(source.ids, source.xyz) == source_digest
+    assert _digest(target.ids, target.xyz, inten) == target_digest
     assert _digest(
         plan.trap_ids + plan.source_ids, plan.waypoints, plan.target_intensity
     ) == plan_digest

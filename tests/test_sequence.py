@@ -102,7 +102,7 @@ class TestRunSequence:
     def test_target_attainment(self, tiny_plan, tiny_run):
         record, frames = tiny_run
         final = tiny_plan.layout(len(frames) - 1)
-        np.testing.assert_array_equal(final.positions(), tiny_plan.waypoints[:, -1, :])
+        np.testing.assert_array_equal(final.xyz, tiny_plan.waypoints[:, -1, :])
         nus = record.metrics.frame_uniformity
         assert nus[-1] >= min(nus)
 

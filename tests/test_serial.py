@@ -4,6 +4,7 @@ import importlib.util
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,21 @@ class TestMaskFiles:
         back = read_mask(path)
         err = np.abs(np.exp(1j * back.phases) - np.exp(1j * mask.phases))
         assert err.max() <= 2 * np.pi / 256
+
+    def test_float_write_copies_no_payload(self, tmp_path, rng):
+        # the canonical array's own buffer is written: the peak stays under one
+        # mask's bytes, where a copy for the file would add one or two of them
+        mask = PhaseMask(rng.uniform(0, 2 * np.pi, (256, 256)))
+        canonical = mask.canonical()
+        path = tmp_path / "m.mask"
+        tracemalloc.start()
+        try:
+            write_mask(path, mask, canonical=canonical)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < canonical.nbytes
+        assert path.read_bytes()[16:] == canonical.astype("<f8").tobytes()
 
     def test_quantize_range(self, rng):
         q = quantize_mask(PhaseMask(rng.uniform(-10, 10, (16, 16))))
