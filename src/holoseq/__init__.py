@@ -42,7 +42,7 @@ from .propagation import (
     forward_dense,
     wrap_phase,
 )
-from .sequence import RunRecord, bench, run_sequence
+from .sequence import RunRecord, run_sequence
 from .solvers import (
     DarkTrapError,
     SolveResult,

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: plan, run, bench, landscape, verify.  Exit codes: 0 success,
+Subcommands: plan, run, landscape, verify.  Exit codes: 0 success,
 2 configuration error or an output path (-o) that cannot be written,
 3 infeasible plan, 4 solver failure.
 """
@@ -31,9 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sr = sub.add_parser("run", parents=[common], help="run the hologram sequence pipeline")
     sr.add_argument("-o", "--output", help="output directory (defaults to config)")
-
-    sb = sub.add_parser("bench", parents=[common], help="per-frame timing comparison")
-    sb.add_argument("-o", "--output", default="bench.csv")
 
     sl = sub.add_parser("landscape", help="two-frame interference landscape sweep")
     sl.add_argument("--a-steps", type=int, default=101)
@@ -153,38 +150,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    from .sequence import bench
-    from .serial import write_bench_csv
-    from .solvers import DarkTrapError
-
-    cfg = _load(args)
-    plan = _plan_for(cfg)
-    entries = [(kind, cfg.solver) for kind in cfg.run.solvers]
-    try:
-        rows = bench(
-            cfg.optical, plan, entries, refresh=cfg.refresh,
-            warmup_frames=cfg.run.warmup_frames, task_label=cfg.task.kind,
-        )
-    except ValueError as exc:  # bad input, such as a warmup_frames that leaves no frame
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DarkTrapError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        write_bench_csv(args.output, rows)
-    except OSError as exc:
-        return _output_error(args.output, exc)
-    for r in rows:
-        print(
-            f"{r.task} {r.solver}: iter {r.iterations}, phase_std {r.phase_std:.4f}, "
-            f"mean {r.mean_ms:.3f} ms over {r.frames} frames"
-        )
-    print(f"wrote {args.output}")
-    return EXIT_OK
-
-
 def _cmd_landscape(args) -> int:
     import csv
 
@@ -222,7 +187,6 @@ def main(argv=None) -> int:
     handlers = {
         "plan": _cmd_plan,
         "run": _cmd_run,
-        "bench": _cmd_bench,
         "landscape": _cmd_landscape,
         "verify": _cmd_verify,
     }

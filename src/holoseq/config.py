@@ -73,7 +73,6 @@ class RunOptions:
     output_dir: str = "out"
     max_step: float | None = None
     cost: str = "squared"
-    warmup_frames: int = 3
 
     def __post_init__(self):
         for s in self.solvers:
@@ -83,8 +82,6 @@ class RunOptions:
             raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
         if self.max_step is not None and not (0 < self.max_step < math.inf):
             raise ConfigError(f"max_step must be finite and > 0, not {self.max_step!r}")
-        if self.warmup_frames < 0:
-            raise ConfigError("warmup_frames must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,12 +143,11 @@ def _section(name: str, table: dict, make):
                 values[key] = table[key](value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
+        # the caller names this section's key, so the message stands alone
         try:
             return make(**values)
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {name}: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
 
     return convert
 
@@ -198,7 +194,6 @@ _RUN = {
     "output_dir": _str,
     "max_step": _optional(parse_length),
     "cost": _str,
-    "warmup_frames": _int,
 }
 _SECTIONS = {
     "optical": (_OPTICAL, lambda **values: replace(RunConfig().optical, **values)),

@@ -70,6 +70,13 @@ def _load_lsa():
 
     Tries ``<scipy>/optimize/_lsap<suffix>`` for each extension suffix and
     falls back to the public import on any failure (see the module docstring).
+
+    The module is registered in ``sys.modules`` before its package exists, so
+    a later ``import scipy.optimize`` reuses it but does not set it as the
+    package attribute: ``scipy.optimize._lsap`` is then missing, although
+    ``sys.modules["scipy.optimize._lsap"]`` is there.  Nothing reaches that
+    attribute.  What stays true: ``planner.linear_sum_assignment`` and
+    ``scipy.optimize.linear_sum_assignment`` are one function object.
     """
     try:
         module = sys.modules.get(_LSAP)

@@ -19,12 +19,12 @@ RunRecord is the summary: one (samples, traps) I/I0 array per interval
 (``record.ratios``), the per-interval dphi vectors, the metrics, and the
 per-frame wall times (``record.solve_times``), which cover propagator build
 plus the solve only (transient sampling, the sink and metric assembly are
-excluded).  A caller that wants the frames collects them through the sink.
+excluded); ``holoseq run`` writes them to timing.csv.  A caller that wants
+the frames collects them through the sink.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -39,9 +39,7 @@ from .transient import RefreshModel, sample_refresh
 
 __all__ = [
     "RunRecord",
-    "BenchRow",
     "run_sequence",
-    "bench",
 ]
 
 
@@ -154,56 +152,3 @@ def _run_metrics(plan, intensities, ratios, dphi) -> MetricsReport:
         displacement_max=max_d,
         trap_z=plan.target_z,
     )
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    task: str
-    solver: str
-    iterations: int
-    phase_std: float
-    mean_ms: float
-    median_ms: float
-    std_ms: float
-    frames: int
-
-
-def bench(
-    config: OpticalConfig,
-    plan: TransportPlan,
-    entries,
-    refresh: RefreshModel | None = None,
-    warmup_frames: int = 3,
-    task_label: str = "",
-) -> list[BenchRow]:
-    """Timing comparison across solver configurations on one plan.
-
-    entries is an iterable of (solver_kind, SolverSettings).  The first
-    warmup_frames frame times of each run are excluded from the statistics;
-    a warmup_frames that leaves no frame to time is a ValueError, raised
-    before any solve.
-    """
-    if not (0 <= warmup_frames <= plan.frames):
-        raise ValueError(
-            f"warmup_frames must lie in [0, {plan.frames}] for a plan of "
-            f"{plan.frames + 1} frames, not {warmup_frames}"
-        )
-    refresh = refresh or RefreshModel()
-    rows: list[BenchRow] = []
-    for solver_kind, settings in entries:
-        record = run_sequence(config, plan, solver_kind, settings, refresh)
-        times = record.solve_times[warmup_frames:] * 1e3
-        iters = settings.iterations if solver_kind == "wpgs" else settings.wgs_iterations
-        rows.append(
-            BenchRow(
-                task=task_label,
-                solver=solver_kind,
-                iterations=iters,
-                phase_std=record.metrics.dphi.std,
-                mean_ms=float(times.mean()),
-                median_ms=float(statistics.median(times.tolist())),
-                std_ms=float(times.std()),
-                frames=int(times.size),
-            )
-        )
-    return rows

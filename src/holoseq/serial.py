@@ -63,7 +63,6 @@ __all__ = [
     "write_metrics_json",
     "write_plan_json",
     "read_plan_json",
-    "write_bench_csv",
     "RunWriter",
     "save_run_record",
 ]
@@ -226,20 +225,6 @@ def read_plan_json(path) -> TransportPlan:
         max_step=float(doc["max_step"]),
         target_intensity=np.array([t["target_intensity"] for t in traps], dtype=float),
     )
-
-
-def write_bench_csv(path, rows) -> None:
-    """Schema: task,solver,iterations,phase_std,mean_ms,median_ms,std_ms,frames."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["task", "solver", "iterations", "phase_std", "mean_ms", "median_ms", "std_ms", "frames"]
-        )
-        for r in rows:
-            w.writerow(
-                [r.task, r.solver, r.iterations, repr(r.phase_std), repr(r.mean_ms),
-                 repr(r.median_ms), repr(r.std_ms), r.frames]
-            )
 
 
 # written when a run ends; an earlier run's are removed when a writer opens

@@ -71,7 +71,7 @@ class RefreshModel:
         if self.samples_per_refresh < 2:
             raise ValueError("samples_per_refresh must be >= 2")
         if self.order not in TRANSIENT_ORDERS:
-            raise ValueError(f"order must be one of {TRANSIENT_ORDERS}")
+            raise ValueError(f"order must be one of {TRANSIENT_ORDERS}, not {self.order!r}")
 
     def a_grid(self) -> np.ndarray:
         """Interpolation factors in time order (1 -> 0)."""

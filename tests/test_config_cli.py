@@ -219,7 +219,7 @@ _STRICT_BASE = {
     },
     "solver": {"iterations": 2},
     "refresh": {"samples_per_refresh": 3},
-    "run": {"warmup_frames": 0},
+    "run": {"solvers": ["wpgs"]},
 }
 
 
@@ -267,7 +267,7 @@ def tiny_config_file(tmp_path):
         "solver": {"iterations": 2, "wgs_iterations": 4, "seed": 0},
         "refresh": {"samples_per_refresh": 3},
         "run": {"solvers": ["wpgs"], "output_dir": str(tmp_path / "out"),
-                "max_step": 0.25e-6, "warmup_frames": 0},
+                "max_step": 0.25e-6},
     }
     path = tmp_path / "tiny.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -488,11 +488,10 @@ class TestCli:
         assert main(["run", "-c", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        for command in ("plan", "bench"):
-            out = tmp_path / f"{command}.out"
-            assert main([command, "-c", str(path), "-o", str(out)]) == 2
-            assert "focal_length + z > 0" in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / "plan.json"
+        assert main(["plan", "-c", str(path), "-o", str(out)]) == 2
+        assert "focal_length + z > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exit_code(self, tmp_path):
         path = tmp_path / "threads.yaml"
@@ -504,10 +503,28 @@ class TestCli:
         doc = yaml.safe_load(tiny_config_file.read_text())
         doc["refresh"] = {"order": "second"}
         tiny_config_file.write_text(yaml.safe_dump(doc))
-        for command in ("plan", "run", "bench"):
+        for command in ("plan", "run"):
             out = tmp_path / f"{command}.out"
             assert main([command, "-c", str(tiny_config_file), "-o", str(out)]) == 2, command
-            assert "order must be one of" in capsys.readouterr().err
+            assert capsys.readouterr().err.splitlines()[0] == (
+                "config error: refresh: order must be one of ('exact', 'leading'), not 'second'"
+            )
+            assert not out.exists()
+
+    def test_retired_bench_exit_code(self, tiny_config_file, tmp_path, capsys):
+        # `run` writes every frame's time to timing.csv; the bench command and
+        # its warmup_frames key are gone, and naming either exits 2
+        assert main(["bench", "-c", str(tiny_config_file)]) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["run"]["warmup_frames"] = 3
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        for command in ("plan", "run"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, "-c", str(tiny_config_file), "-o", str(out)]) == 2, command
+            assert capsys.readouterr().err.splitlines()[0] == (
+                "config error: run: unknown run keys ['warmup_frames']"
+            )
             assert not out.exists()
 
     def test_unknown_flag_exit_code(self, tiny_config_file, tmp_path, capsys):
@@ -520,27 +537,8 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "p.json").exists()
 
-    def test_bench_command(self, tiny_config_file, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "-c", str(tiny_config_file), "-o", str(out)])
-        assert code == 0
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][0] == "task"
-        assert len(rows) == 2  # single solver -> one data row
-
-    def test_bench_warmup_covering_every_frame(self, tiny_config_file, tmp_path, capsys):
-        # the tiny plan has three frames: a warm-up of three leaves none to time
-        doc = yaml.safe_load(tiny_config_file.read_text())
-        doc["run"]["warmup_frames"] = 3
-        tiny_config_file.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 2
-        assert "warmup_frames" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_solver_failure_exit_code(self, tiny_config_file, tmp_path, capsys, monkeypatch):
-        # a dark trap is the documented exit 4 in bench as in run, not a traceback
+        # a dark trap is the documented exit 4, not a traceback
         def dark(*args, **kwargs):
             raise DarkTrapError([0], 1)
 
@@ -548,10 +546,6 @@ class TestCli:
         monkeypatch.setattr(sequence, "wgs_solve", dark)
         assert main(["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]) == 4
         assert "solver failure" in capsys.readouterr().err
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 4
-        assert "solver failure" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unusable_output_path_exit_code(self, tiny_config_file, tmp_path, capsys,
                                             monkeypatch):
@@ -568,7 +562,6 @@ class TestCli:
 
         missing = tmp_path / "missing_dir"
         for args in (["plan", "-c", str(tiny_config_file)],
-                     ["bench", "-c", str(tiny_config_file)],
                      ["landscape", "--a-steps", "2", "--dphi-steps", "2"]):
             out = missing / f"{args[0]}.out"
             assert main([*args, "-o", str(out)]) == 2, args[0]
@@ -606,15 +599,19 @@ class TestCli:
         assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_solver_budgets_from_config(self, tiny_config_file, tmp_path, capsys):
+    def test_solver_budgets_from_config(self, tiny_config_file, tmp_path):
+        # each frame's objectives.csv rows are its solve's iterations: the
+        # configured budget of its solver, frame 0's WPGS polish included
         doc = yaml.safe_load(tiny_config_file.read_text())
         doc["solver"].update(iterations=3, wgs_iterations=6)
+        doc["run"]["solvers"] = ["wpgs", "wgs"]
         tiny_config_file.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "bench2.csv"
-        assert main(["bench", "-c", str(tiny_config_file), "-o", str(out)]) == 0
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[1][2] == "3"  # wpgs row reports the configured budget
+        out = tmp_path / "run"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 0
+        for kind, budget in (("wpgs", 3), ("wgs", 6)):
+            with open(out / kind / "objectives.csv") as fh:
+                frames = [int(row[0]) for row in list(csv.reader(fh))[1:]]
+            assert frames == [l for l in range(3) for _ in range(budget)], kind
 
     def test_verify_quick(self, capsys):
         assert main(["verify", "--quick"]) == 0

@@ -9,7 +9,7 @@ import holoseq.sequence as sequence_mod
 from holoseq.geometry import custom_task
 from holoseq.planner import plan_task
 from holoseq.propagation import build_separable, forward
-from holoseq.sequence import bench, run_sequence
+from holoseq.sequence import run_sequence
 from holoseq.serial import RunWriter
 from holoseq.solvers import DarkTrapError, SolverSettings, TargetSpec, wgs_solve, wpgs_solve
 from holoseq.transient import RefreshModel, sample_refresh
@@ -266,6 +266,29 @@ class TestRunSequence:
                 np.testing.assert_array_equal(record.ratios[l - 1], expected)
             prev = res
 
+    def test_frame_time_scales_with_iterations(self, small_config):
+        # per-frame solve time is dominated by the iteration loop, so doubling
+        # the budget roughly doubles the time (generous 30 percent slack); the
+        # host's speed can swing by 2x within a second, so the ratio is taken
+        # within each of nine back-to-back pairs, run in alternating order,
+        # and the median kept; the first two frames pay one-time costs
+        spec = custom_task(
+            source_points=[(-10e-6, 0, 0), (10e-6, 0, 0)],
+            target_points=[(-10e-6, 0, 0), (10e-6, 2.0e-6, 0)],
+        )
+        plan = plan_task(spec, max_step=0.25e-6)
+        budgets = [20, 40]
+        ratios = []
+        for _ in range(9):
+            ms = {}
+            for k in budgets:
+                settings = SolverSettings(iterations=3, wgs_iterations=k, seed=0)
+                record = run_sequence(small_config, plan, "wgs", settings, RefreshModel())
+                ms[k] = np.median(record.solve_times[2:])
+            ratios.append(ms[40] / ms[20])
+            budgets.reverse()
+        assert np.median(ratios) == pytest.approx(2.0, rel=0.3)
+
     def test_solver_kind_validated(self, small_config, tiny_plan, fast_settings):
         with pytest.raises(ValueError):
             run_sequence(small_config, tiny_plan, "gs", fast_settings, RefreshModel())
@@ -285,58 +308,3 @@ class TestRunSequence:
         monkeypatch.setattr(sequence_mod, "wpgs_solve", failing)
         with pytest.raises(DarkTrapError, match="frame 1"):
             run_sequence(small_config, tiny_plan, "wpgs", fast_settings, RefreshModel())
-
-
-class TestBench:
-    def test_empty_matrix(self, small_config, tiny_plan):
-        assert bench(small_config, tiny_plan, []) == []
-
-    def test_warmup_must_leave_a_frame(self, small_config, tiny_plan, fast_settings, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("bench solved before checking warmup_frames")
-
-        monkeypatch.setattr(sequence_mod, "run_sequence", no_solve)
-        entries = [("wgs", fast_settings)]
-        for warmup in (tiny_plan.frames + 1, 100, -1):
-            with pytest.raises(ValueError, match="warmup_frames"):
-                bench(small_config, tiny_plan, entries, warmup_frames=warmup)
-        monkeypatch.undo()
-        # the largest warm-up leaves the last frame alone
-        rows = bench(small_config, tiny_plan, entries, warmup_frames=tiny_plan.frames)
-        assert rows[0].frames == 1
-
-    def test_rows_and_iteration_counts(self, small_config, tiny_plan, fast_settings):
-        rows = bench(
-            small_config,
-            tiny_plan,
-            [("wpgs", fast_settings), ("wgs", fast_settings)],
-            warmup_frames=1,
-            task_label="tiny",
-        )
-        assert [r.solver for r in rows] == ["wpgs", "wgs"]
-        assert rows[0].iterations == fast_settings.iterations
-        assert rows[1].iterations == fast_settings.wgs_iterations
-        assert all(r.task == "tiny" and r.mean_ms > 0 for r in rows)
-
-    def test_time_scales_with_iterations(self, small_config, fast_settings):
-        # per-frame solve time is dominated by the iteration loop, so doubling
-        # the budget roughly doubles the time (generous 30 percent slack); the
-        # host's speed can swing by 2x within a second, so the ratio is taken
-        # within each of nine back-to-back pairs, run in alternating order,
-        # and the median kept
-        spec = custom_task(
-            source_points=[(-10e-6, 0, 0), (10e-6, 0, 0)],
-            target_points=[(-10e-6, 0, 0), (10e-6, 2.0e-6, 0)],
-        )
-        plan = plan_task(spec, max_step=0.25e-6)
-        base = SolverSettings(iterations=3, wgs_iterations=20, seed=0)
-        double = SolverSettings(iterations=3, wgs_iterations=40, seed=0)
-        entries = [("wgs", base), ("wgs", double)]
-        ratios = []
-        for _ in range(9):
-            rows = bench(small_config, plan, entries, warmup_frames=2)
-            ms = {r.iterations: r.median_ms for r in rows}
-            ratios.append(ms[40] / ms[20])
-            entries.reverse()
-        ratio = np.median(ratios)
-        assert ratio == pytest.approx(2.0, rel=0.3)

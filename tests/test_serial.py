@@ -18,14 +18,13 @@ from holoseq.config import load_config
 from holoseq.geometry import custom_task
 from holoseq.planner import TransportPlan, plan_task
 from holoseq.propagation import TWO_PI, PhaseMask
-from holoseq.sequence import bench, run_sequence
+from holoseq.sequence import run_sequence
 from holoseq.serial import (
     RunWriter,
     quantize_mask,
     read_mask,
     read_plan_json,
     save_run_record,
-    write_bench_csv,
     write_mask,
     write_plan_json,
 )
@@ -406,22 +405,3 @@ class TestRunDirectory:
             assert not any((out / name).exists() for name in
                            ("metrics.json", "timing.csv", "plan.json", "settings.yaml"))
         assert (out / "fields.csv").read_text() == "frame,trap_id,re,im,intensity,phase\n"
-
-
-class TestBenchCsv:
-    def test_header_schema(self, tmp_path, small_config, small_plan):
-        rows = bench(
-            small_config,
-            small_plan,
-            [("wgs", SolverSettings(iterations=2, wgs_iterations=4))],
-            warmup_frames=0,
-            task_label="t",
-        )
-        path = tmp_path / "bench.csv"
-        write_bench_csv(path, rows)
-        with open(path) as fh:
-            header = next(csv.reader(fh))
-        assert header == [
-            "task", "solver", "iterations", "phase_std",
-            "mean_ms", "median_ms", "std_ms", "frames",
-        ]
