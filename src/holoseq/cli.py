@@ -144,9 +144,6 @@ def _cmd_run(args) -> int:
             line += f"  median_frame {statistics.median(times[1:].tolist()):.2f} ms"
         print(line)
         print(f"wrote {dest}")
-        # the record holds every interval's I/I0 array; let it go before the
-        # next solver runs
-        del record
     return EXIT_OK
 
 

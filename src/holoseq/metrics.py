@@ -2,9 +2,11 @@
 
 Covers intensity uniformity, wrapped frame-to-frame trap-phase differences
 with their aggregate statistics, transition-inclusive relative-intensity
-distributions from refresh sampling, and layer-resolved splits.  Histograms
-are emitted as percentages over fixed bin ranges with out-of-range samples
-clipped into the edge bins, so bin mass always sums to 100.
+distributions from refresh sampling, and layer-resolved splits.  A run's
+metrics are folded as its frames arrive (RunMetrics), so no I/I0 array is
+kept past the interval it belongs to.  Histograms are emitted as percentages
+over fixed bin ranges with out-of-range samples clipped into the edge bins,
+so bin mass always sums to 100.
 """
 
 from __future__ import annotations
@@ -130,38 +132,51 @@ class TransitionStats:
     histogram: Histogram
 
 
+class _RatioFold:
+    """Running count, minimum, threshold counts and bin counts of I/I0 samples."""
+
+    def __init__(self, thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS):
+        self.thresholds = thresholds
+        self.count, self.minimum = 0, np.inf
+        self.below = np.zeros(len(thresholds), dtype=np.int64)
+        self.bin_counts = np.zeros(DEFAULT_RATIO_BINS, dtype=np.int64)
+        self.edges = None
+
+    def add(self, ratios) -> None:
+        samples = np.asarray(ratios, dtype=float).ravel()
+        if samples.size == 0:
+            return
+        self.count += samples.size
+        self.minimum = np.minimum(self.minimum, samples.min())
+        self.below += [np.count_nonzero(samples < t) for t in self.thresholds]
+        counts, self.edges = _clipped_counts(samples, DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE)
+        self.bin_counts += counts
+
+    def stats(self) -> TransitionStats:
+        n = self.count
+        if n == 0:
+            raise ValueError("transition_distribution needs samples")
+        return TransitionStats(
+            count=n,
+            minimum=float(self.minimum),
+            fraction_below={float(t): float(b / n) for t, b in zip(self.thresholds, self.below)},
+            histogram=Histogram(bin_edges=self.edges, percent=100.0 * self.bin_counts / n),
+        )
+
+
 def transition_distribution(
     ratios: Iterable,
     thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS,
 ) -> TransitionStats:
     """Minimum, below-threshold fractions, and histogram of pooled I/I0 samples.
 
-    The samples are pooled one interval at a time, as a running minimum and
-    summed threshold and bin counts, never as one concatenated array; the
-    numbers are those of the concatenation.
+    The samples are folded in one interval at a time, never concatenated;
+    the numbers are those of the concatenation.
     """
-    count = 0
-    minimum = np.inf
-    below = np.zeros(len(thresholds), dtype=np.int64)
-    bin_counts = np.zeros(DEFAULT_RATIO_BINS, dtype=np.int64)
-    edges = None
+    fold = _RatioFold(thresholds)
     for r in ratios:
-        samples = np.asarray(r, dtype=float).ravel()
-        if samples.size == 0:
-            continue
-        count += samples.size
-        minimum = np.minimum(minimum, samples.min())
-        below += [np.count_nonzero(samples < t) for t in thresholds]
-        counts, edges = _clipped_counts(samples, DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE)
-        bin_counts += counts
-    if count == 0:
-        raise ValueError("transition_distribution needs samples")
-    return TransitionStats(
-        count=count,
-        minimum=float(minimum),
-        fraction_below={float(t): float(b / count) for t, b in zip(thresholds, below)},
-        histogram=Histogram(bin_edges=edges, percent=100.0 * bin_counts / count),
-    )
+        fold.add(r)
+    return fold.stats()
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,56 +216,65 @@ class MetricsReport:
         return out
 
 
-def compute_report(
-    frame_intensities: Sequence[np.ndarray],
-    dphi_vectors: Sequence[np.ndarray],
-    ratio_samples: Sequence[np.ndarray],
-    displacement_mean: float,
-    displacement_max: float,
-    trap_z: np.ndarray | None = None,
-) -> MetricsReport:
-    """Assemble a MetricsReport, with per-layer splits when trap_z is layered.
+class _Pool:
+    """The metric inputs of one trap group; idx picks its n traps."""
 
-    frame_intensities and dphi_vectors/ratio_samples must be indexed per trap
-    along their last axis so layer grouping can slice them.
+    def __init__(self, idx, n: int):
+        self.idx, self.n = idx, n
+        self.frame_uniformity: list[float] = []
+        self.dphi: list[np.ndarray] = []
+        self.transition = _RatioFold()
+
+    def add(self, intensity: np.ndarray, ratios, dphi) -> None:
+        self.frame_uniformity.append(uniformity(intensity[self.idx]))
+        if dphi is not None:
+            self.dphi.append(dphi[self.idx])
+            self.transition.add(ratios[..., self.idx])
+
+    def report(self, displacement_mean, displacement_max, layer_reports=None) -> MetricsReport:
+        return MetricsReport(
+            frame_uniformity=tuple(self.frame_uniformity),
+            # a run of one frame has no interval: its dphi stats are those of zeros
+            dphi=aggregate(self.dphi or [np.zeros(self.n)]),
+            transition=self.transition.stats() if self.dphi else None,
+            displacement_mean=displacement_mean,
+            displacement_max=displacement_max,
+            layer_reports=layer_reports or {},
+        )
+
+
+class RunMetrics:
+    """A run's metric inputs, folded as its frames arrive.
+
+    Called with a run sink's arguments (l, frame, ratios, dphi), it keeps,
+    for all traps and for each layer when trap_z spans more than one z, each
+    frame's uniformity, each interval's dphi vector (one float per trap) and
+    the running I/I0 counts.  It keeps no I/I0 array.
     """
-    layered = trap_z is not None and len(set(np.asarray(trap_z, dtype=float).tolist())) > 1
-    return MetricsReport(
-        frame_uniformity=tuple(uniformity(i) for i in frame_intensities),
-        dphi=aggregate(dphi_vectors),
-        transition=(
-            transition_distribution(ratio_samples) if len(ratio_samples) else None
-        ),
-        displacement_mean=displacement_mean,
-        displacement_max=displacement_max,
-        layer_reports=(
-            layer_split(
-                frame_intensities, dphi_vectors, ratio_samples, trap_z,
-                displacement_mean, displacement_max,
-            )
-            if layered else {}
-        ),
-    )
+
+    def __init__(self, trap_z: np.ndarray):
+        z = np.asarray(trap_z, dtype=float)
+        self.pool = _Pool(slice(None), z.size)
+        levels = sorted(set(z.tolist()))
+        self.layers = {zv: _Pool(np.flatnonzero(z == zv), np.count_nonzero(z == zv))
+                       for zv in levels} if len(levels) > 1 else {}
+
+    def __call__(self, l, frame, ratios, dphi) -> None:
+        intensity = frame.field.intensity
+        for pool in (self.pool, *self.layers.values()):
+            pool.add(intensity, ratios, dphi)
+
+
+def compute_report(
+    run: RunMetrics, displacement_mean: float, displacement_max: float
+) -> MetricsReport:
+    """The run's MetricsReport, with per-layer reports when its traps are layered."""
+    layers = layer_split(run, displacement_mean, displacement_max) if run.layers else {}
+    return run.pool.report(displacement_mean, displacement_max, layers)
 
 
 def layer_split(
-    frame_intensities: Sequence[np.ndarray],
-    dphi_vectors: Sequence[np.ndarray],
-    ratio_samples: Sequence[np.ndarray],
-    trap_z: np.ndarray,
-    displacement_mean: float = 0.0,
-    displacement_max: float = 0.0,
+    run: RunMetrics, displacement_mean: float = 0.0, displacement_max: float = 0.0
 ) -> dict[float, MetricsReport]:
-    """Group per-trap metric inputs by layer z and build one report per layer."""
-    z = np.asarray(trap_z, dtype=float)
-    out: dict[float, MetricsReport] = {}
-    for zv in sorted(set(z.tolist())):
-        idx = np.flatnonzero(z == zv)
-        out[zv] = compute_report(
-            [np.asarray(i)[idx] for i in frame_intensities],
-            [np.asarray(v)[idx] for v in dphi_vectors],
-            [np.asarray(r)[..., idx] for r in ratio_samples],
-            displacement_mean,
-            displacement_max,
-        )
-    return out
+    """One report per layer z of a layered run, in increasing z."""
+    return {zv: pool.report(displacement_mean, displacement_max) for zv, pool in run.layers.items()}

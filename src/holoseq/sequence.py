@@ -14,13 +14,13 @@ starting field and its result).
 A run streams: each frame's SolveResult (with ``pixel`` None) goes to the
 caller's sink as soon as its interval is sampled, and the run keeps nothing
 grid-sized past the next interval: the previous frame's mask, which the exact
-transient reads, and the newest phasor, which starts the next solve.  A
-RunRecord is the summary: one (samples, traps) I/I0 array per interval
-(``record.ratios``), the per-interval dphi vectors, the metrics, and the
-per-frame wall times (``record.solve_times``), which cover propagator build
-plus the solve only (transient sampling, the sink and metric assembly are
-excluded); ``holoseq run`` writes them to timing.csv.  A caller that wants
-the frames collects them through the sink.
+transient reads, and the newest phasor, which starts the next solve.  The
+metrics fold each frame in as it arrives (metrics.RunMetrics takes the sink's
+arguments), so no I/I0 array outlives the calls that receive it.  A RunRecord
+is the summary: the metrics and the per-frame wall times (``solve_times``:
+propagator build plus the solve, without transient sampling, the sink or the
+metrics), which ``holoseq run`` writes to timing.csv.  A caller that wants the
+frames or the intervals collects them through the sink.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import OpticalConfig
-from .metrics import MetricsReport, compute_report, phase_diff
+from .metrics import MetricsReport, RunMetrics, compute_report, phase_diff
 from .planner import TransportPlan
 from .propagation import build_separable
 from .solvers import SOLVER_KINDS, SolveResult, SolverSettings, TargetSpec, wgs_solve, wpgs_solve
@@ -45,11 +45,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """A finished run: per-frame wall times, per-interval I/I0 and dphi, metrics."""
+    """A finished run: per-frame wall times and metrics."""
 
     solve_times: np.ndarray
-    ratios: tuple[np.ndarray, ...]
-    dphi: tuple[np.ndarray, ...]
     metrics: MetricsReport
     plan: TransportPlan
     solver_kind: str
@@ -97,9 +95,7 @@ def run_sequence(
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
     times: list[float] = []
-    intensities: list[np.ndarray] = []
-    ratios: list[np.ndarray] = []
-    dphi: list[np.ndarray] = []
+    metrics = RunMetrics(plan.target_z)
     # the newest result, phasor included: the only phasor alive between solves
     prev: SolveResult | None = None
     # the previous frame without its phasor: the interval's starting mask and phases
@@ -116,39 +112,21 @@ def run_sequence(
         times.append(time.perf_counter() - t0)
         # rebinding prev above dropped the previous phasor; no frame passed on holds one
         frame = replace(prev, pixel=None)
-        intensities.append(frame.field.intensity)
         interval = d = None
         if last is not None:
             interval = sample_refresh(
                 prop, last.mask, frame.mask, frame.init_field, frame.field, refresh
             )
             d = phase_diff(last.field.phase, frame.field.phase)
-            ratios.append(interval)
-            dphi.append(d)
+        metrics(l, frame, interval, d)
         if sink is not None:
             sink(l, frame, interval, d)
-        last = frame
-    prev = last = frame = None  # the metrics below need no grid-sized array
+        last, interval = frame, None
+    prev = last = frame = None  # the report below needs no grid-sized array
 
     return RunRecord(
         solve_times=np.array(times),
-        ratios=tuple(ratios),
-        dphi=tuple(dphi),
-        metrics=_run_metrics(plan, intensities, ratios, dphi),
+        metrics=compute_report(metrics, *plan.displacement_stats()),
         plan=plan,
         solver_kind=solver_kind,
-    )
-
-
-def _run_metrics(plan, intensities, ratios, dphi) -> MetricsReport:
-    if not dphi:
-        dphi = [np.zeros(plan.trap_count)]
-    mean_d, max_d = plan.displacement_stats()
-    return compute_report(
-        frame_intensities=intensities,
-        dphi_vectors=dphi,
-        ratio_samples=ratios,
-        displacement_mean=mean_d,
-        displacement_max=max_d,
-        trap_z=plan.target_z,
     )

@@ -1,9 +1,7 @@
 import copy
 import csv
-import gc
 import json
 import re
-import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -312,27 +310,6 @@ class TestCli:
         for name in names:
             first, second = (d / "wpgs" / name for d in runs)
             assert first.read_bytes() == second.read_bytes(), name
-
-    def test_run_releases_each_record(self, tiny_config_file, tmp_path, monkeypatch):
-        # a record holds every interval's I/I0 array; one solver's record must
-        # be gone before the next solver's run starts
-        records = []
-
-        def run_sequence(*args, **kwargs):
-            if records:
-                gc.collect()
-                assert records[-1]() is None
-            record = original(*args, **kwargs)
-            records.append(weakref.ref(record))
-            return record
-
-        original = sequence.run_sequence
-        monkeypatch.setattr(sequence, "run_sequence", run_sequence)
-        doc = yaml.safe_load(tiny_config_file.read_text())
-        doc["run"]["solvers"] = ["wpgs", "wgs"]
-        tiny_config_file.write_text(yaml.safe_dump(doc))
-        assert main(["run", "-c", str(tiny_config_file), "-o", str(tmp_path / "run")]) == 0
-        assert len(records) == 2
 
     def test_shorter_rerun_leaves_no_stale_masks(self, tiny_config_file, tmp_path):
         # a 9-frame run, then a 3-frame run into the same directory: the masks

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,8 @@ from holoseq.metrics import (
     DEFAULT_RATIO_RANGE,
     DEFAULT_RATIO_THRESHOLDS,
     Histogram,
+    MetricsReport,
+    RunMetrics,
     TransitionStats,
     aggregate,
     compute_report,
@@ -14,6 +20,7 @@ from holoseq.metrics import (
     transition_distribution,
     uniformity,
 )
+from holoseq.propagation import TrapField
 
 
 class TestUniformity:
@@ -154,33 +161,111 @@ class TestTransitionDistribution:
         assert stats.fraction_below == {0.5: 0.5}
 
 
+def concatenated_report(intensities, intervals, trap_z, displacement_mean, displacement_max):
+    """A run's report from every frame's intensity and interval kept to the end: the oracle.
+
+    Slices each kept array per layer and pools the slices, as the report was
+    built before the metrics were folded frame by frame.
+    """
+    z = np.asarray(trap_z, dtype=float)
+
+    def report(idx, layer_reports):
+        ratios = [r[..., idx] for r, _ in intervals]
+        return MetricsReport(
+            frame_uniformity=tuple(uniformity(i[idx]) for i in intensities),
+            dphi=aggregate([d[idx] for _, d in intervals] or [np.zeros(idx.size)]),
+            transition=concatenated_transition_distribution(ratios) if ratios else None,
+            displacement_mean=displacement_mean,
+            displacement_max=displacement_max,
+            layer_reports=layer_reports,
+        )
+
+    levels = sorted(set(z.tolist()))
+    layers = {zv: report(np.flatnonzero(z == zv), {}) for zv in levels} if len(levels) > 1 else {}
+    return report(np.arange(z.size), layers)
+
+
+def fold_run(intensities, intervals, trap_z):
+    """A RunMetrics fed one frame at a time, as run_sequence feeds it."""
+    run = RunMetrics(trap_z)
+    for l, inten in enumerate(intensities):
+        frame = SimpleNamespace(field=TrapField(np.sqrt(inten)))
+        ratios, dphi = intervals[l - 1] if l else (None, None)
+        run(l, frame, ratios, dphi)
+    return run
+
+
+def random_run(rng, trap_z, frames, samples=5):
+    """Per-frame intensities and per-interval (I/I0, dphi), as a run's sink gets them.
+
+    The intensities are those of the TrapField a frame carries, so the fold
+    and the oracle see the same bits; some I/I0 samples fall outside [0, 1.2].
+    """
+    n = len(trap_z)
+    intensities = [TrapField(np.sqrt(rng.uniform(0.5, 1.5, n))).intensity for _ in range(frames)]
+    intervals = [
+        (rng.uniform(-0.2, 1.4, (samples, n)), rng.uniform(-np.pi, np.pi, n))
+        for _ in range(frames - 1)
+    ]
+    return intensities, intervals
+
+
 class TestLayerSplit:
+    @pytest.mark.parametrize("trap_z", [
+        np.zeros(6),
+        np.array([-1e-6, -1e-6, 1e-6, 1e-6]),
+        # three layers, listed out of z order
+        np.array([30e-6, -30e-6, 0.0, 30e-6, 0.0, -30e-6, -30e-6, 30e-6, 0.0]),
+    ])
+    @pytest.mark.parametrize("frames", [1, 2, 6])
+    def test_fold_matches_concatenation(self, rng, trap_z, frames):
+        # bit for bit, whole run and each layer, with and without intervals
+        intensities, intervals = random_run(rng, trap_z, frames)
+        run = fold_run(intensities, intervals, trap_z)
+        want = concatenated_report(intensities, intervals, trap_z, 1e-6, 2e-6)
+        got = compute_report(run, 1e-6, 2e-6)
+        assert got.to_dict() == want.to_dict()
+        layers = layer_split(run, 1e-6, 2e-6)
+        assert list(layers) == list(want.layer_reports)
+        for zv, rep in layers.items():
+            assert rep.to_dict() == want.layer_reports[zv].to_dict()
+
     def test_single_layer_matches_global(self, rng):
-        inten = [rng.uniform(0.5, 1.5, 6) for _ in range(3)]
-        dphi = [rng.uniform(-0.1, 0.1, 6) for _ in range(2)]
-        ratios = [rng.uniform(0.9, 1.0, 6) for _ in range(4)]
-        z = np.zeros(6)
-        layers = layer_split(inten, dphi, ratios, z)
-        assert list(layers) == [0.0]
-        rep = layers[0.0]
-        assert rep.dphi.std == pytest.approx(aggregate(dphi).std)
-        assert rep.frame_uniformity[0] == pytest.approx(uniformity(inten[0]))
+        # one z: the whole-run report is the only one, equal to the global stats
+        intensities, intervals = random_run(rng, np.zeros(6), 3)
+        run = fold_run(intensities, intervals, np.zeros(6))
+        assert layer_split(run) == {}
+        report = compute_report(run, 0.0, 0.0)
+        assert report.layer_reports == {}
+        assert report.dphi.std == aggregate([d for _, d in intervals]).std
+        assert report.frame_uniformity[0] == uniformity(intensities[0])
+
+    def test_zero_intervals_layered(self):
+        # a single frame: no transition, and each layer's dphi is that of zeros
+        z = np.array([-1e-6, 1e-6, 1e-6])
+        report = compute_report(fold_run([np.ones(3)], [], z), 0.0, 0.0)
+        assert report.transition is None and report.dphi.count == 3
+        for zv, count in ((-1e-6, 1), (1e-6, 2)):
+            rep = report.layer_reports[zv]
+            assert rep.transition is None
+            expected = aggregate([np.zeros(count)])
+            assert (rep.dphi.count, rep.dphi.std, rep.dphi.mean) == (count, 0.0, 0.0)
+            np.testing.assert_array_equal(rep.dphi.histogram.percent, expected.histogram.percent)
 
     def test_perturbed_layer_isolated(self):
         z = np.array([-1e-6, -1e-6, 1e-6, 1e-6])
         clean = np.array([1.0, 1.0, 1.0, 1.0])
         perturbed = np.array([1.0, 1.0, 1.0, 0.5])  # only upper layer degraded
-        layers = layer_split([clean, perturbed], [np.zeros(4)], [], z)
+        run = fold_run([clean, perturbed], [(np.ones((3, 4)), np.zeros(4))], z)
+        layers = layer_split(run)
         lower, upper = layers[-1e-6], layers[1e-6]
         assert lower.frame_uniformity == (1.0, 1.0)
         assert upper.frame_uniformity[1] == pytest.approx(uniformity([1.0, 0.5]))
 
     def test_report_round_trip_keys(self, rng):
-        inten = [rng.uniform(0.5, 1.5, 4) for _ in range(2)]
-        dphi = [rng.uniform(-0.1, 0.1, 4)]
-        ratios = [rng.uniform(0.9, 1.0, 4)]
         z = np.array([-1e-6, -1e-6, 1e-6, 1e-6])
-        report = compute_report(inten, dphi, ratios, 1e-6, 2e-6, trap_z=z)
+        intensities, intervals = random_run(rng, z, 2, samples=1)
+        report = compute_report(fold_run(intensities, intervals, z), 1e-6, 2e-6)
         doc = report.to_dict()
         assert set(doc) >= {
             "frame_uniformity", "uniformity_min", "dphi",
@@ -188,3 +273,14 @@ class TestLayerSplit:
         }
         assert set(doc["layers"]) == {"-1e-06", "1e-06"}
         assert doc["dphi"]["count"] == 4
+
+    def test_keeps_no_interval_array(self, rng):
+        # the fold keeps each interval's dphi but none of its I/I0 arrays
+        z = np.array([-1e-6, -1e-6, 1e-6, 1e-6])
+        intensities, intervals = random_run(rng, z, 4)
+        refs = [weakref.ref(ratios) for ratios, _ in intervals]
+        run = fold_run(intensities, intervals, z)
+        del intervals
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
+        assert compute_report(run, 0.0, 0.0).transition.count == 3 * 5 * 4

@@ -15,6 +15,10 @@ from holoseq.solvers import DarkTrapError, SolverSettings, TargetSpec, wgs_solve
 from holoseq.transient import RefreshModel, sample_refresh
 
 
+# a 7x7 grid at 5 um pitch, centred on the axis
+GRID_7 = [(5e-6 * (i - 3), 5e-6 * (j - 3)) for i in range(7) for j in range(7)]
+
+
 @pytest.fixture(scope="module")
 def fast_settings():
     return SolverSettings(iterations=3, wgs_iterations=8, seed=0)
@@ -40,10 +44,20 @@ def six_trap_plan():
 
 
 def run_frames(*args):
-    """run_sequence with a sink that keeps every frame: (record, frames)."""
-    frames = []
-    record = run_sequence(*args, sink=lambda l, frame, ratios, dphi: frames.append(frame))
-    return record, frames
+    """run_sequence with a sink that keeps every frame and interval.
+
+    Returns (record, frames, intervals), with one (ratios, dphi) pair per
+    interval, the interval that ends at frame l at index l - 1.
+    """
+    frames, intervals = [], []
+
+    def sink(l, frame, ratios, dphi):
+        frames.append(frame)
+        if l:
+            intervals.append((ratios, dphi))
+
+    record = run_sequence(*args, sink=sink)
+    return record, frames, intervals
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +69,9 @@ def tiny_run(small_config, tiny_plan, fast_settings):
 
 class TestRunSequence:
     def test_frame_count(self, tiny_plan, tiny_run):
-        record, frames = tiny_run
+        record, frames, intervals = tiny_run
         assert len(frames) == tiny_plan.frames + 1
-        assert len(record.ratios) == len(record.dphi) == tiny_plan.frames
+        assert len(intervals) == tiny_plan.frames
         assert len(record.solve_times) == tiny_plan.frames + 1
 
     def test_sink_gets_each_frame_and_interval(self, small_config, tiny_plan, fast_settings):
@@ -69,8 +83,14 @@ class TestRunSequence:
         )
         assert [c[0] for c in calls] == list(range(tiny_plan.frames + 1))
         assert calls[0][2:] == (None, None)
-        for (l, _, ratios, dphi), kept, d in zip(calls[1:], record.ratios, record.dphi):
-            assert ratios is kept and dphi is d
+        n = tiny_plan.trap_count
+        for _, _, ratios, dphi in calls[1:]:
+            assert ratios.shape == (5, n) and dphi.shape == (n,)
+        # the record's metrics are those of the intervals the sink was given
+        m = record.metrics
+        assert m.transition.count == tiny_plan.frames * 5 * n
+        assert m.transition.minimum == min(c[2].min() for c in calls[1:])
+        assert m.dphi.std == float(np.std(np.concatenate([c[3] for c in calls[1:]])))
 
     def test_static_plan_single_frame(self, small_config, fast_settings):
         spec = custom_task(
@@ -78,10 +98,12 @@ class TestRunSequence:
             target_points=[(0, 0, 0), (8e-6, 0, 0)],
         )
         plan = plan_task(spec, max_step=0.1e-6)
-        record, frames = run_frames(small_config, plan, "wgs", fast_settings, RefreshModel())
+        record, frames, intervals = run_frames(
+            small_config, plan, "wgs", fast_settings, RefreshModel()
+        )
         assert plan.frames == 0
         assert len(frames) == 1
-        assert record.ratios == () and record.dphi == ()
+        assert intervals == []
         assert record.metrics.transition is None
 
     def test_frame_field_consistency(self, small_config, tiny_plan, tiny_run):
@@ -92,7 +114,7 @@ class TestRunSequence:
             assert rel <= 1e-12
 
     def test_replay_bit_identical(self, small_config, tiny_plan, fast_settings, tiny_run):
-        _, again = run_frames(
+        _, again, _ = run_frames(
             small_config, tiny_plan, "wpgs", fast_settings, RefreshModel(samples_per_refresh=5)
         )
         for f1, f2 in zip(tiny_run[1], again):
@@ -100,17 +122,17 @@ class TestRunSequence:
             np.testing.assert_array_equal(f1.field.amplitudes, f2.field.amplitudes)
 
     def test_target_attainment(self, tiny_plan, tiny_run):
-        record, frames = tiny_run
+        record, frames, _ = tiny_run
         final = tiny_plan.layout(len(frames) - 1)
         np.testing.assert_array_equal(final.xyz, tiny_plan.waypoints[:, -1, :])
         nus = record.metrics.frame_uniformity
         assert nus[-1] >= min(nus)
 
     def test_transition_min_dominated_by_endpoints(self, tiny_run):
-        record, _ = tiny_run
+        record, _, intervals = tiny_run
         sample_min = record.metrics.transition.minimum
         endpoint_min = min(
-            min(interval[0].min(), interval[-1].min()) for interval in record.ratios
+            min(interval[0].min(), interval[-1].min()) for interval, _ in intervals
         )
         assert sample_min <= endpoint_min + 1e-15
 
@@ -123,8 +145,8 @@ class TestRunSequence:
         # rounding.  Exact ratios read the masks and take only I0 from a
         # field, and on this plan they agree bit for bit.
         refresh = RefreshModel(samples_per_refresh=5, order=order)
-        record, frames = run_frames(small_config, tiny_plan, "wpgs", fast_settings, refresh)
-        for l, ratios in enumerate(record.ratios, start=1):
+        _, frames, intervals = run_frames(small_config, tiny_plan, "wpgs", fast_settings, refresh)
+        for l, (ratios, _) in enumerate(intervals, start=1):
             prev, frame = frames[l - 1], frames[l]
             prop = build_separable(small_config, tiny_plan.layout(l))
             expected = sample_refresh(
@@ -193,35 +215,45 @@ class TestRunSequence:
         assert alive == [[l - 1] for l in range(1, tiny_plan.frames + 1)] + [[]]
 
     def test_memory_does_not_grow_with_frame_count(self, small_config, fast_settings, tmp_path):
-        # a run streamed to disk holds no frame past the next interval, so
-        # twice the frames peak within one mask's bytes of the shorter run
-        def plan_of(dy):
-            spec = custom_task(
-                source_points=[(-10e-6, 0, 0), (10e-6, 0, 0)],
-                target_points=[(-10e-6, 0, 0), (10e-6, dy, 0)],
-            )
-            return plan_task(spec, max_step=0.1e-6)
-
-        refresh = RefreshModel(samples_per_refresh=5)
-
-        def streamed(plan, out):
-            with RunWriter(out, plan, refresh) as sink:
-                run_sequence(small_config, plan, "wpgs", fast_settings, refresh, sink=sink)
-
-        short, long = plan_of(1.0e-6), plan_of(2.0e-6)
-        assert (short.frames, long.frames) == (10, 20)
-        streamed(short, tmp_path / "warm-up")  # one-time allocations outside the trace
-        peaks = []
-        for plan in (short, long):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                streamed(plan, tmp_path / str(plan.frames))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        # a run streamed to disk holds no frame past the next interval and no
+        # interval's I/I0 array past its metrics and sink calls, so twice the
+        # frames peak within one mask's bytes of the shorter run
+        inputs = {
+            # one of two traps moves
+            "two": (lambda dy: ([(-10e-6, 0, 0), (10e-6, 0, 0)],
+                                [(-10e-6, 0, 0), (10e-6, dy, 0)]), 5),
+            # a 7x7 grid moves: each interval's I/I0 array (21 x 49 floats) is
+            # a quarter of a mask, so keeping them would outgrow the bound
+            "7x7": (lambda dy: ([(x, y, 0) for x, y in GRID_7],
+                                [(x, y + dy, 0) for x, y in GRID_7]), 21),
+        }
         mask_bytes = small_config.grid_x * small_config.grid_y * 8
-        assert abs(peaks[1] - peaks[0]) < mask_bytes, peaks
+        for name, (moves, samples) in inputs.items():
+            refresh = RefreshModel(samples_per_refresh=samples)
+
+            def plan_of(dy):
+                sources, targets = moves(dy)
+                spec = custom_task(source_points=sources, target_points=targets)
+                return plan_task(spec, max_step=0.1e-6)
+
+            def streamed(plan, out):
+                with RunWriter(out, plan, refresh) as sink:
+                    run_sequence(small_config, plan, "wpgs", fast_settings, refresh, sink=sink)
+
+            short, long = plan_of(1.0e-6), plan_of(2.0e-6)
+            assert (short.frames, long.frames) == (10, 20)
+            # one-time allocations outside the trace
+            streamed(short, tmp_path / name / "warm-up")
+            peaks = []
+            for plan in (short, long):
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    streamed(plan, tmp_path / name / str(plan.frames))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < mask_bytes, (name, peaks)
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
     @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
@@ -232,7 +264,7 @@ class TestRunSequence:
         # polish from the warm-up's, and samples from the two masks it joins
         plan = six_trap_plan
         refresh = RefreshModel(samples_per_refresh=5, order=order)
-        record, frames = run_frames(small_config, plan, kind, fast_settings, refresh)
+        _, frames, intervals = run_frames(small_config, plan, kind, fast_settings, refresh)
         inten = plan.target_intensity
         prev = None
         for l in range(plan.frames + 1):
@@ -263,7 +295,7 @@ class TestRunSequence:
                 expected = sample_refresh(
                     prop, prev.mask, res.mask, res.init_field, res.field, refresh
                 )
-                np.testing.assert_array_equal(record.ratios[l - 1], expected)
+                np.testing.assert_array_equal(intervals[l - 1][0], expected)
             prev = res
 
     def test_frame_time_scales_with_iterations(self, small_config):

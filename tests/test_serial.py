@@ -39,17 +39,20 @@ SMALL_REFRESH = RefreshModel(samples_per_refresh=3)
 def stream_run(outdir, config, plan, settings, refresh, config_text=None):
     """A WPGS run that a RunWriter streams into outdir and save_run_record finishes.
 
-    Returns the record and every frame the sink was given.
+    Returns the record, every frame the sink was given and every interval's
+    (ratios, dphi) pair.
     """
-    frames = []
+    frames, intervals = [], []
     with RunWriter(outdir, plan, refresh) as writer:
         def sink(l, frame, ratios, dphi):
             frames.append(frame)
+            if l:
+                intervals.append((ratios, dphi))
             writer(l, frame, ratios, dphi)
 
         record = run_sequence(config, plan, "wpgs", settings, refresh, sink=sink)
     save_run_record(outdir, record, config_text=config_text)
-    return record, frames
+    return record, frames, intervals
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +66,12 @@ def small_plan():
 
 @pytest.fixture(scope="module")
 def small_run(small_config, small_plan, tmp_path_factory):
-    """(run directory, record, frames) of one streamed run."""
+    """(run directory, record, frames, intervals) of one streamed run."""
     out = tmp_path_factory.mktemp("small") / "run"
-    record, frames = stream_run(
+    record, frames, intervals = stream_run(
         out, small_config, small_plan, SMALL_SETTINGS, SMALL_REFRESH, config_text="solver: {}\n"
     )
-    return out, record, frames
+    return out, record, frames, intervals
 
 
 # Reference writers: fields.csv, transients.csv and plan.json as csv.writer and
@@ -86,13 +89,13 @@ def oracle_fields_csv(path, frames, ids):
             )
 
 
-def oracle_transients_csv(path, ratios, a_values, ids, dphi_vectors):
+def oracle_transients_csv(path, intervals, a_values, ids):
     a_text = [repr(float(a)) for a in a_values]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frame", "trap_id", "a", "I_over_I0", "dphi"])
-        for l, interval in enumerate(ratios):
-            dphi_text = [repr(d) for d in dphi_vectors[l].tolist()]
+        for l, (interval, dphi) in enumerate(intervals):
+            dphi_text = [repr(d) for d in dphi.tolist()]
             for a, row in zip(a_text, interval.tolist()):
                 w.writerows(
                     [l, tid, a, repr(ratio), d] for tid, ratio, d in zip(ids, row, dphi_text)
@@ -123,16 +126,16 @@ def assert_writers_match_oracle(tmp_path, config, plan, settings, refresh):
 
     fields.csv and transients.csv come from a run streamed one frame at a
     time, plan.json from write_plan_json on its own as well as from the run.
-    Returns the record and the frames.
+    Returns the record, the frames and the intervals.
     """
     out = tmp_path / "run"
-    record, frames = stream_run(out, config, plan, settings, refresh)
+    record, frames, intervals = stream_run(out, config, plan, settings, refresh)
     write_plan_json(tmp_path / "plan.json", plan)
     ids = plan.trap_ids
     pairs = (
         (out / "fields.csv", oracle_fields_csv, (frames, ids)),
         (out / "transients.csv", oracle_transients_csv,
-         (record.ratios, refresh.a_grid(), ids, record.dphi)),
+         (intervals, refresh.a_grid(), ids)),
         (out / "plan.json", oracle_plan_json, (plan,)),
         (tmp_path / "plan.json", oracle_plan_json, (plan,)),
     )
@@ -140,7 +143,7 @@ def assert_writers_match_oracle(tmp_path, config, plan, settings, refresh):
         expected = tmp_path / f"oracle-{path.name}"
         oracle(expected, *args)
         assert path.read_bytes() == expected.read_bytes(), path
-    return record, frames
+    return record, frames, intervals
 
 
 def _perfbench_workload(name):
@@ -166,9 +169,9 @@ class TestWriterOracle:
         config.write_text(yaml.safe_dump(_perfbench_workload("plan-144").config_for(0)))
         cfg = load_config(config)
         plan = plan_task(cfg.task, max_step=cfg.run.max_step, cost=cfg.run.cost)
-        record, _ = assert_writers_match_oracle(tmp_path, cfg.optical, plan, cfg.solver,
-                                                cfg.refresh)
-        assert len(record.ratios) > 1
+        _, _, intervals = assert_writers_match_oracle(tmp_path, cfg.optical, plan, cfg.solver,
+                                                      cfg.refresh)
+        assert len(intervals) > 1
 
     def test_ids_that_need_quoting(self, tmp_path, small_config):
         spec = custom_task(
@@ -181,8 +184,8 @@ class TestWriterOracle:
             trap_ids=("a,b", 'q"x', "t\u00b5"),
             source_ids=("s,0", 's"1', "s\u00b5"),
         )
-        _, frames = assert_writers_match_oracle(tmp_path, small_config, plan, SMALL_SETTINGS,
-                                                SMALL_REFRESH)
+        _, frames, _ = assert_writers_match_oracle(tmp_path, small_config, plan, SMALL_SETTINGS,
+                                                   SMALL_REFRESH)
         # the contract the oracle pins: csv quoting, "\r\n" rows, json escapes
         fields = (tmp_path / "run" / "fields.csv").read_bytes()
         assert fields.startswith(b"frame,trap_id,re,im,intensity,phase\r\n")
@@ -306,7 +309,7 @@ class TestPlanJson:
 
 class TestRunDirectory:
     def test_artifact_tree(self, small_run):
-        out, _, frames = small_run
+        out, _, frames, _ = small_run
         assert (out / "metrics.json").exists()
         assert (out / "fields.csv").exists()
         assert (out / "transients.csv").exists()
@@ -317,7 +320,7 @@ class TestRunDirectory:
         assert len(masks) == len(frames)
 
     def test_saved_masks_match_frames(self, small_run):
-        out, _, frames = small_run
+        out, _, frames, _ = small_run
         for l, frame in enumerate(frames):
             back = read_mask(out / "masks" / f"frame_{l:04d}.mask")
             np.testing.assert_array_equal(back.phases, frame.mask.canonical())
@@ -335,7 +338,7 @@ class TestRunDirectory:
 
         monkeypatch.setattr(PhaseMask, "canonical", counted)
         out = tmp_path / "run"
-        _, frames = stream_run(out, small_config, small_plan, SMALL_SETTINGS, SMALL_REFRESH)
+        _, frames, _ = stream_run(out, small_config, small_plan, SMALL_SETTINGS, SMALL_REFRESH)
         assert len(calls) == len(frames)
         for l, frame in enumerate(frames):
             for suffix, quantized in ((".mask", False), (".u8", True)):
@@ -351,14 +354,14 @@ class TestRunDirectory:
         assert abs(sum(row[2] for row in hist) - 100.0) <= 1e-9
 
     def test_csv_schemas(self, small_run):
-        out, record, frames = small_run
+        out, record, frames, intervals = small_run
         n_traps = record.plan.trap_count
         schemas = {
             "fields.csv": (["frame", "trap_id", "re", "im", "intensity", "phase"],
                            len(frames) * n_traps),
             # 3 samples per refresh
             "transients.csv": (["frame", "trap_id", "a", "I_over_I0", "dphi"],
-                               len(record.ratios) * 3 * n_traps),
+                               len(intervals) * 3 * n_traps),
             "objectives.csv": (["frame", "iteration", "objective"],
                                sum(len(r.objective) for r in frames)),
             "timing.csv": (["frame", "solve_ms"], len(frames)),

@@ -89,3 +89,24 @@ def test_traced_exact_run(tracer, tmp_path):
     )
     assert samples == 21 * len(exact)
     assert not any("error" in span for span in spans)
+
+
+def test_traced_layered_run(tracer, tmp_path):
+    # a two-layer run builds its report with a layer split: each solver run
+    # opens one compute_report span with one layer_split span inside it.
+    # The benchmark only notes a span that never fires, so this is where a
+    # bypassed metrics binding fails.
+    source = [(-5e-6, 0, -10e-6), (5e-6, 0, -10e-6), (-5e-6, 0, 10e-6), (5e-6, 0, 10e-6)]
+    target = [(x, y + 0.5e-6, z) for x, y, z in source]
+    _run(tmp_path, {
+        "task": {"kind": "custom", "custom_source": source, "custom_target": target},
+        "run": {"solvers": ["wpgs", "wgs"], "max_step": 0.25e-6},
+    })
+    spans = tracer.spans
+    runs = [span["id"] for span in spans if span["name"] == "sequence.run_sequence"]
+    reports = [span for span in spans if span["name"] == "metrics.compute_report"]
+    splits = [span for span in spans if span["name"] == "metrics.layer_split"]
+    assert len(runs) == 2
+    assert sorted(span["parent"] for span in reports) == runs
+    assert sorted(span["parent"] for span in splits) == [span["id"] for span in reports]
+    assert not any("error" in span for span in spans)
