@@ -31,7 +31,11 @@ those would write:
 - a trap id is quoted as the csv module's default dialect quotes it (each id
   goes through csv.writer once per call);
 - every float is its repr, Python's shortest round-trip spelling, which is
-  also how json spells a finite float;
+  also how json spells a finite float.  The floats of fields.csv and
+  transients.csv are spelled one array at a time (_float_reprs): orjson
+  writes the array, and the values it spells otherwise than repr (non-finite
+  ones, |x| >= 1e16 and 0 < |x| < 1e-4) are put back through repr, so the
+  bytes are still repr's;
 - plan.json has the json.dumps(doc, indent=1) layout, with strings and ints
   through json.dumps; TransportPlan admits finite floats only.
 """
@@ -46,6 +50,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 # phase_diff stays bound here for perfbench/tracing.py, which rebinds it on this module
 from .metrics import MetricsReport, phase_diff  # noqa: F401
@@ -135,6 +140,26 @@ def _csv_cells(values: tuple) -> tuple[str, ...]:
     return tuple(cells)
 
 
+def _float_reprs(values) -> list[str]:
+    """repr(float(v)) of every value v of an array, taken as float64, in C order.
+
+    One orjson call spells the whole array; it agrees with repr on finite
+    values with 1e-4 <= |x| < 1e16 and on +-0.0.  The rest (orjson writes
+    null for nan and inf, 1e16 for 1e+16 and 1e-5 for 1e-05) are spelled
+    through repr one at a time.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if x.size == 0:
+        return []
+    tokens = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(x)
+    # nan compares False throughout, so only ~isfinite catches it
+    other = ~np.isfinite(x) | (mag >= 1e16) | ((mag < 1e-4) & (x != 0))
+    for i in np.flatnonzero(other).tolist():
+        tokens[i] = repr(float(x[i]))
+    return tokens
+
+
 FIELDS_HEADER = "frame,trap_id,re,im,intensity,phase\r\n"
 OBJECTIVES_HEADER = "frame,iteration,objective\r\n"
 TRANSIENTS_HEADER = "frame,trap_id,a,I_over_I0,dphi\r\n"
@@ -146,10 +171,15 @@ def write_fields_csv(fh, l, field, ids) -> None:
     Schema (FIELDS_HEADER): frame,trap_id,re,im,intensity,phase; field is the
     frame's TrapField and ids the plan's trap ids, in the field's order.
     """
-    columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
+    cells = _csv_cells(tuple(ids))
+    n = len(cells)
+    # one call on the (4, n) stack of the re, im, intensity and phase columns
+    text = _float_reprs(np.stack(
+        (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
+    ))
     fh.write("".join([
-        f"{l},{c},{re!r},{im!r},{i!r},{ph!r}\r\n"
-        for c, re, im, i, ph in zip(_csv_cells(tuple(ids)), *(col.tolist() for col in columns))
+        f"{l},{c},{re},{im},{i},{ph}\r\n"
+        for c, re, im, i, ph in zip(cells, *(text[k * n:(k + 1) * n] for k in range(4)))
     ]))
 
 
@@ -162,10 +192,12 @@ def write_transients_csv(fh, l, ratios, a_values, ids, dphi) -> None:
     across the interval.  One write per sample row.
     """
     heads = [f"{l},{c}," for c in _csv_cells(tuple(ids))]
-    tails = [f",{d!r}\r\n" for d in dphi.tolist()]
-    for a, row in zip(a_values, ratios.tolist()):
-        a = repr(float(a))
-        fh.write("".join([f"{h}{a},{r!r}{t}" for h, r, t in zip(heads, row, tails)]))
+    tails = [f",{d}\r\n" for d in _float_reprs(dphi)]
+    n = len(heads)
+    text = _float_reprs(ratios)
+    for k, a in enumerate(_float_reprs(a_values)):
+        row = text[k * n:(k + 1) * n]
+        fh.write("".join([f"{h}{a},{r}{t}" for h, r, t in zip(heads, row, tails)]))
 
 
 def write_objective_csv(fh, l, objective) -> None:

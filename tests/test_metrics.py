@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from holoseq.metrics import (
+    DEFAULT_DPHI_BINS,
     DEFAULT_RATIO_BINS,
     DEFAULT_RATIO_RANGE,
     DEFAULT_RATIO_THRESHOLDS,
@@ -13,6 +14,7 @@ from holoseq.metrics import (
     MetricsReport,
     RunMetrics,
     TransitionStats,
+    _clipped_counts,
     aggregate,
     compute_report,
     layer_split,
@@ -159,6 +161,45 @@ class TestTransitionDistribution:
     def test_custom_thresholds(self):
         stats = transition_distribution([np.array([0.2, 0.8])], thresholds=(0.5,))
         assert stats.fraction_below == {0.5: 0.5}
+
+
+# the two fixed ranges the package bins into: I/I0 and dphi
+HISTOGRAM_RANGES = [
+    (DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE),
+    (DEFAULT_DPHI_BINS, -np.pi, np.pi),
+]
+
+
+class TestClippedCounts:
+    @staticmethod
+    def assert_histogram_counts(samples, bins, lo, hi):
+        counts, edges = _clipped_counts(samples, bins, lo, hi)
+        want_counts, want_edges = np.histogram(np.clip(samples, lo, hi), bins=bins, range=(lo, hi))
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(edges, want_edges)
+        assert counts.dtype == want_counts.dtype
+
+    @pytest.mark.parametrize("bins, lo, hi", HISTOGRAM_RANGES)
+    def test_random_samples(self, rng, bins, lo, hi):
+        width = hi - lo
+        for samples in (rng.uniform(lo - 0.3 * width, hi + 0.3 * width, 20_000),
+                        rng.uniform(lo, hi, (21, 144)).ravel(),
+                        np.empty(0)):
+            self.assert_histogram_counts(samples, bins, lo, hi)
+
+    @pytest.mark.parametrize("bins, lo, hi", HISTOGRAM_RANGES)
+    def test_every_edge_and_its_neighbours(self, bins, lo, hi):
+        edges = np.linspace(lo, hi, bins + 1)
+        for samples in (edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)):
+            self.assert_histogram_counts(samples, bins, lo, hi)
+
+    @pytest.mark.parametrize("bins, lo, hi", HISTOGRAM_RANGES)
+    def test_clip_bounds_and_non_finite(self, bins, lo, hi):
+        samples = np.array([lo, hi, -0.0, 0.0, lo - 1.0, hi + 1.0, -np.inf, np.inf, np.nan,
+                            np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)])
+        self.assert_histogram_counts(samples, bins, lo, hi)
+        counts, _ = _clipped_counts(samples, bins, lo, hi)
+        assert counts.sum() == samples.size - 1  # nan is dropped, as np.histogram drops it
 
 
 def concatenated_report(intensities, intervals, trap_z, displacement_mean, displacement_max):

@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,16 +18,21 @@ from hypothesis.extra.numpy import arrays
 from holoseq.config import load_config
 from holoseq.geometry import custom_task
 from holoseq.planner import TransportPlan, plan_task
-from holoseq.propagation import TWO_PI, PhaseMask
+from holoseq.propagation import TWO_PI, PhaseMask, TrapField
 from holoseq.sequence import run_sequence
 from holoseq.serial import (
+    FIELDS_HEADER,
+    TRANSIENTS_HEADER,
     RunWriter,
+    _float_reprs,
     quantize_mask,
     read_mask,
     read_plan_json,
     save_run_record,
+    write_fields_csv,
     write_mask,
     write_plan_json,
+    write_transients_csv,
 )
 from holoseq.solvers import SolverSettings
 from holoseq.transient import RefreshModel
@@ -194,6 +200,75 @@ class TestWriterOracle:
         text = (tmp_path / "plan.json").read_text()
         assert '"id": "q\\"x"' in text and '"id": "t\\u00b5"' in text
         assert read_plan_json(tmp_path / "plan.json").trap_ids == plan.trap_ids
+
+
+# where orjson's spelling of a float starts or stops agreeing with repr's
+FLOAT_BOUNDARIES = [
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+    np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf),
+    5e-324, np.finfo(float).tiny, np.finfo(float).max, 0.0, np.nan, np.inf,
+]
+
+
+class TestFloatReprs:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(0, 5), st.integers(0, 40)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    def test_matches_repr(self, x):
+        assert _float_reprs(x) == [repr(v) for v in x.ravel().tolist()]
+
+    def test_boundaries(self):
+        x = np.array(FLOAT_BOUNDARIES)
+        for values in (x, -x, np.empty(0)):
+            assert _float_reprs(values) == [repr(v) for v in values.tolist()]
+        assert _float_reprs(np.array([-0.0, 0.0])) == ["-0.0", "0.0"]
+
+    def test_strided_and_float32_input(self):
+        # a view is spelled in C order, a float32 value as the float64 it widens to
+        x = np.arange(12.0).reshape(3, 4) / 7
+        assert _float_reprs(x.T) == [repr(v) for v in x.T.ravel().tolist()]
+        y = np.array([0.1, 1e-6, 3e20], dtype=np.float32)
+        assert _float_reprs(y) == [repr(float(v)) for v in y]
+
+
+class TestWritersOutOfRangeValues:
+    """Values that orjson spells otherwise than repr reach the files as repr."""
+
+    ids = ("t0", "t,1", "t2")
+    a_values = np.array([0.0, 1e-5, 0.5])
+
+    def test_transients(self, tmp_path):
+        intervals = [
+            (np.array([[1e-5, 0.0, 1.0], [np.nan, np.inf, -np.inf], [2e-300, 1e16, 0.9]]),
+             np.array([3e-7, -0.0, np.nan])),
+            (np.array([[0.0, -1e-5, 5e-324], [1.0, 1e-4, 1e20], [np.nan, 0.0, 0.5]]),
+             np.array([-0.0, np.inf, -3e-7])),
+        ]
+        got = tmp_path / "transients.csv"
+        with open(got, "w", newline="") as fh:
+            fh.write(TRANSIENTS_HEADER)
+            for l, (ratios, dphi) in enumerate(intervals):
+                write_transients_csv(fh, l, ratios, self.a_values, self.ids, dphi)
+        want = tmp_path / "oracle-transients.csv"
+        oracle_transients_csv(want, intervals, self.a_values, self.ids)
+        assert got.read_bytes() == want.read_bytes()
+        assert b",1e-05," in got.read_bytes() and b",nan\r\n" in got.read_bytes()
+
+    def test_fields(self, tmp_path):
+        frames = [
+            SimpleNamespace(field=TrapField(np.array([1e-5 + 3e-7j, -0.0 + 0.0j, np.nan + 1j]))),
+            SimpleNamespace(field=TrapField(np.array([np.inf + 0j, 1e9 - 2e-5j, 0.5 - 0.0j]))),
+        ]
+        got = tmp_path / "fields.csv"
+        with open(got, "w", newline="") as fh:
+            fh.write(FIELDS_HEADER)
+            for l, frame in enumerate(frames):
+                write_fields_csv(fh, l, frame.field, self.ids)
+        want = tmp_path / "oracle-fields.csv"
+        oracle_fields_csv(want, frames, self.ids)
+        assert got.read_bytes() == want.read_bytes()
+        assert b",1e-05,3e-07," in got.read_bytes() and b",inf," in got.read_bytes()
 
 
 class TestMaskFiles:
