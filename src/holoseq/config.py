@@ -78,6 +78,11 @@ class RunOptions:
         for s in self.solvers:
             if s not in SOLVER_KINDS:
                 raise ConfigError(f"unknown solver {s!r}")
+        # each solver writes into its own directory, so a repeat would overwrite a run
+        if not self.solvers or len(set(self.solvers)) != len(self.solvers):
+            raise ConfigError(
+                f"solvers must name one or more distinct solvers, not {self.solvers!r}"
+            )
         if self.cost not in COST_KINDS:
             raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
         if self.max_step is not None and not (0 < self.max_step < math.inf):

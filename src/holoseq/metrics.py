@@ -246,10 +246,10 @@ class MetricsReport:
 
 
 class _Pool:
-    """The metric inputs of one trap group; idx picks its n traps."""
+    """The metric inputs of one trap group: the traps idx picks, and their displacements."""
 
-    def __init__(self, idx, n: int):
-        self.idx, self.n = idx, n
+    def __init__(self, idx, displacement: np.ndarray):
+        self.idx, self.displacement = idx, displacement[idx]
         self.frame_uniformity: list[float] = []
         self.dphi: list[np.ndarray] = []
         self.transition = _RatioFold()
@@ -260,14 +260,14 @@ class _Pool:
             self.dphi.append(dphi[self.idx])
             self.transition.add(ratios[..., self.idx])
 
-    def report(self, displacement_mean, displacement_max, layer_reports=None) -> MetricsReport:
+    def report(self, layer_reports=None) -> MetricsReport:
         return MetricsReport(
             frame_uniformity=tuple(self.frame_uniformity),
             # a run of one frame has no interval: its dphi stats are those of zeros
-            dphi=aggregate(self.dphi or [np.zeros(self.n)]),
+            dphi=aggregate(self.dphi or [np.zeros(self.displacement.size)]),
             transition=self.transition.stats() if self.dphi else None,
-            displacement_mean=displacement_mean,
-            displacement_max=displacement_max,
+            displacement_mean=float(self.displacement.mean()),
+            displacement_max=float(self.displacement.max()),
             layer_reports=layer_reports or {},
         )
 
@@ -275,17 +275,22 @@ class _Pool:
 class RunMetrics:
     """A run's metric inputs, folded as its frames arrive.
 
-    Called with a run sink's arguments (l, frame, ratios, dphi), it keeps,
-    for all traps and for each layer when trap_z spans more than one z, each
-    frame's uniformity, each interval's dphi vector (one float per trap) and
-    the running I/I0 counts.  It keeps no I/I0 array.
+    Built from each trap's target z and source-to-target displacement and
+    called with a run sink's arguments (l, frame, ratios, dphi), it keeps,
+    for all traps and for each layer when trap_z spans more than one z, the
+    group's displacements, each frame's uniformity, each interval's dphi
+    vector (one float per trap) and the running I/I0 counts.  It keeps no
+    I/I0 array.
     """
 
-    def __init__(self, trap_z: np.ndarray):
+    def __init__(self, trap_z: np.ndarray, displacement: np.ndarray):
         z = np.asarray(trap_z, dtype=float)
-        self.pool = _Pool(slice(None), z.size)
+        d = np.asarray(displacement, dtype=float)
+        if d.shape != z.shape:
+            raise ValueError("need one displacement per trap z")
+        self.pool = _Pool(slice(None), d)
         levels = sorted(set(z.tolist()))
-        self.layers = {zv: _Pool(np.flatnonzero(z == zv), np.count_nonzero(z == zv))
+        self.layers = {zv: _Pool(np.flatnonzero(z == zv), d)
                        for zv in levels} if len(levels) > 1 else {}
 
     def __call__(self, l, frame, ratios, dphi) -> None:
@@ -294,16 +299,11 @@ class RunMetrics:
             pool.add(intensity, ratios, dphi)
 
 
-def compute_report(
-    run: RunMetrics, displacement_mean: float, displacement_max: float
-) -> MetricsReport:
+def compute_report(run: RunMetrics) -> MetricsReport:
     """The run's MetricsReport, with per-layer reports when its traps are layered."""
-    layers = layer_split(run, displacement_mean, displacement_max) if run.layers else {}
-    return run.pool.report(displacement_mean, displacement_max, layers)
+    return run.pool.report(layer_split(run) if run.layers else {})
 
 
-def layer_split(
-    run: RunMetrics, displacement_mean: float = 0.0, displacement_max: float = 0.0
-) -> dict[float, MetricsReport]:
-    """One report per layer z of a layered run, in increasing z."""
-    return {zv: pool.report(displacement_mean, displacement_max) for zv, pool in run.layers.items()}
+def layer_split(run: RunMetrics) -> dict[float, MetricsReport]:
+    """One report per layer z of a layered run, in increasing z, each over its own traps."""
+    return {zv: pool.report() for zv, pool in run.layers.items()}

@@ -342,8 +342,13 @@ class TransportPlan:
         """Trap layout at a given frame index (0 = source positions)."""
         return TrapLayout(self.trap_ids, self.waypoints[:, frame])
 
+    @property
+    def displacement(self) -> np.ndarray:
+        """Each trap's straight-line distance from source to target."""
+        return np.linalg.norm(self.waypoints[:, -1, :] - self.waypoints[:, 0, :], axis=1)
+
     def displacement_stats(self) -> tuple[float, float]:
-        d = np.linalg.norm(self.waypoints[:, -1, :] - self.waypoints[:, 0, :], axis=1)
+        d = self.displacement
         if d.size == 0:
             return 0.0, 0.0
         return float(d.mean()), float(d.max())

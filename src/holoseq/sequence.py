@@ -95,7 +95,7 @@ def run_sequence(
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
     times: list[float] = []
-    metrics = RunMetrics(plan.target_z)
+    metrics = RunMetrics(plan.target_z, plan.displacement)
     # the newest result, phasor included: the only phasor alive between solves
     prev: SolveResult | None = None
     # the previous frame without its phasor: the interval's starting mask and phases
@@ -126,7 +126,7 @@ def run_sequence(
 
     return RunRecord(
         solve_times=np.array(times),
-        metrics=compute_report(metrics, *plan.displacement_stats()),
+        metrics=compute_report(metrics),
         plan=plan,
         solver_kind=solver_kind,
     )

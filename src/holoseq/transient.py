@@ -6,22 +6,21 @@ While the liquid crystal relaxes, each pixel's phase follows
 parameterized by the interpolation factor ``a`` directly; tau would only map
 ``a`` to wall-clock time, which no model or artifact uses.
 
-Field models:
+A refresh interval is one complex (samples, traps) array whose row k is the
+field at ``a_k = 1 - k/(samples-1)``, the ``RefreshModel.a_grid`` order.  Two
+models produce it:
 
 * ``transient_exact``   -- forward propagation of the relaxing mask
-  ``phi_l + (1-a)*wrap(phi_l1 - phi_l)``;
+  ``phi_l + (1-a)*wrap(phi_l1 - phi_l)``, a function of the sample count;
 * ``transient_leading`` -- plain complex interpolation
   ``a*E_old + (1-a)*E_new``, whose error grows linearly with the mean squared
   excursion ``mean_sq_excursion``.
 
-``sample_refresh`` with the exact model makes one ``transient_exact`` call per
-interval with the whole a grid; that call wraps ``dphi`` once and makes one
-forward contraction per sample.  The a values must be evenly spaced, as
-``RefreshModel.a_grid`` is, and each sample's relaxing phasor comes from the
-last one by the recurrence ``exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k``, with
-``P = exp(i(phi_l + (1-a_0)*dphi))`` and ``Q = exp(i*h*dphi)`` for the spacing
-h: two complex exps per interval and one complex multiply per sample.  A
-scalar a is a one-sample grid, P alone.
+``transient_exact`` wraps ``dphi`` once and makes one forward contraction per
+sample.  Of S samples, row k's relaxing phasor comes from the last one by the
+recurrence ``exp(i(phi_l + (k/(S-1))*dphi)) = P * Q**k`` with
+``P = exp(i*phi_l)`` and ``Q = exp(i*dphi/(S-1))``: two complex exps per
+interval and one complex multiply per sample.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ __all__ = [
 ]
 
 TRANSIENT_ORDERS = ("exact", "leading")
-# how far, in ulps of 1, an a value may sit from an evenly spaced grid
-UNIFORM_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -89,42 +86,35 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
 
 
 def transient_exact(
-    prop: SeparablePropagator, mask_l: PhaseMask, mask_l1: PhaseMask, a: float | np.ndarray
-) -> TrapField | list[TrapField]:
-    """Exact transient field: the forward of the relaxing mask at each a.
+    prop: SeparablePropagator, mask_l: PhaseMask, mask_l1: PhaseMask, samples: int
+) -> np.ndarray:
+    """Exact transient field: the forward of the relaxing mask, (samples, traps).
 
-    A float a gives one TrapField; an evenly spaced 1-D array gives a list with
-    one TrapField per value, in order.  Unevenly spaced values are a
-    ValueError.
+    Row k is the field at a_k = 1 - k/(samples-1), RefreshModel(samples).a_grid()[k];
+    one sample is the a = 1 row alone.
     """
     if mask_l.shape != mask_l1.shape:
         raise ValueError("masks must share dimensions")
-    a_values = np.asarray(a, dtype=float)
-    if a_values.ndim > 1:
-        raise ValueError("a must be a float or a 1-D array")
-    if not ((a_values >= 0.0) & (a_values <= 1.0)).all():
-        raise ValueError("a must lie in [0, 1]")
-    a_flat = a_values.ravel()
-    h = _uniform_step(a_flat)
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, not {samples!r}")
     phi_l = mask_l.phases
-    # exp(i(phi_l + (1-a_k)*dphi)) = P * Q**k with P the a_0 phasor and
-    # Q = exp(i*h*dphi): one complex multiply per sample instead of an exp.
+    # exp(i(phi_l + k*h*dphi)) = P * Q**k with h = 1/(samples-1), P = exp(i*phi_l)
+    # and Q = exp(i*h*dphi): one complex multiply per sample instead of an exp.
     # Every sample's phasor is written into P's buffer, and dphi is wrapped
     # inside Q's buffer, which Q then overwrites: no grid-sized array lives
     # beside P and Q, and none is page-faulted in again per sample
     pixel = np.empty(phi_l.shape, dtype=complex)
     step = np.empty_like(pixel)
     dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
-    fields = []
-    if a_flat.size:
-        _relaxing_phasor(phi_l, dphi, 1.0 - a_flat[0], pixel)
-        fields.append(forward_field(prop, pixel))
-    if a_flat.size > 1:
-        _relaxing_phasor(0.0, dphi, h, step)
-        for _ in range(1, a_flat.size):
+    fields = np.empty((samples, prop.trap_count), dtype=complex)
+    _relaxing_phasor(phi_l, dphi, 0.0, pixel)
+    fields[0] = forward_field(prop, pixel).amplitudes
+    if samples > 1:
+        _relaxing_phasor(0.0, dphi, 1.0 / (samples - 1), step)
+        for k in range(1, samples):
             pixel *= step
-            fields.append(forward_field(prop, pixel))
-    return fields if a_values.ndim else fields[0]
+            fields[k] = forward_field(prop, pixel).amplitudes
+    return fields
 
 
 def _relaxing_phasor(phi_l, dphi, c, out):
@@ -135,26 +125,10 @@ def _relaxing_phasor(phi_l, dphi, c, out):
     return np.exp(out, out=out)
 
 
-def _uniform_step(a):
-    """The spacing h with a[k] = a[0] - k*h to a few ulps for every k.
-
-    Fewer than two samples have no spacing (0.0).  a lies in [0, 1], so the
-    absolute tolerance UNIFORM_ULPS * eps is at most that many ulps of the
-    largest a, and the phase error the recurrence's own grid adds stays below
-    UNIFORM_ULPS * eps * pi.  Values off an even grid are a ValueError.
-    """
-    if a.size < 2:
-        return 0.0
-    h = (a[0] - a[-1]) / (a.size - 1)
-    drift = np.abs(a - (a[0] - h * np.arange(a.size))).max()
-    if drift > UNIFORM_ULPS * np.finfo(float).eps:
-        raise ValueError(f"a must be evenly spaced; a value is {drift:.3g} off the even grid")
-    return h
-
-
-def transient_leading(field_l: TrapField, field_l1: TrapField, a: float) -> TrapField:
-    """Leading-order interpolation a*E_l + (1-a)*E_l1."""
-    return TrapField(a * field_l.amplitudes + (1.0 - a) * field_l1.amplitudes)
+def transient_leading(field_l: TrapField, field_l1: TrapField, a: np.ndarray) -> np.ndarray:
+    """Leading-order interpolation a*E_l + (1-a)*E_l1, one row per entry of the 1-D a."""
+    a = np.asarray(a, dtype=float)[:, None]
+    return a * field_l.amplitudes + (1.0 - a) * field_l1.amplitudes
 
 
 def mean_sq_excursion(mask_l: PhaseMask, mask_l1: PhaseMask) -> float:
@@ -186,9 +160,8 @@ def sample_refresh(
     taken against the start-of-interval intensity I0 = |field_l|^2, which makes
     the a=1 row 1.
     """
-    i0 = field_l.intensity
     if model.order == "exact":
-        fields = transient_exact(prop, mask_l, mask_l1, model.a_grid())
+        fields = transient_exact(prop, mask_l, mask_l1, model.samples_per_refresh)
     else:
-        fields = [transient_leading(field_l, field_l1, a) for a in model.a_grid()]
-    return np.array([f.intensity / i0 for f in fields])
+        fields = transient_leading(field_l, field_l1, model.a_grid())
+    return np.abs(fields) ** 2 / field_l.intensity

@@ -102,7 +102,6 @@ def _check_transient(rng, cases) -> tuple[bool, str]:
     from .transient import RefreshModel, pixel_interpolate, transient_exact
 
     cfg = OpticalConfig(820e-9, 4e-3, 32, 32, 17e-6)
-    a_grid = RefreshModel().a_grid()
     worst = 0.0
     for _ in range(cases):
         layout = _random_layout(rng, int(rng.integers(1, 10)))
@@ -110,14 +109,13 @@ def _check_transient(rng, cases) -> tuple[bool, str]:
         dense = build_dense(cfg, layout)
         m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (32, 32)))
         m1 = PhaseMask(rng.uniform(0, 2 * np.pi, (32, 32)))
-        a_scalar = np.linspace(0.1, 0.9, 9)
-        # scalar calls, and the whole a grid in one call as runs make it
-        e_exact = [transient_exact(prop, m0, m1, float(a)) for a in a_scalar]
-        e_exact += transient_exact(prop, m0, m1, a_grid)
-        for a, field in zip([*a_scalar, *a_grid], e_exact):
-            e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
-            rel = np.max(np.abs(field.amplitudes - e_dense)) / np.max(np.abs(e_dense))
-            worst = max(worst, rel)
+        # whole-grid calls as runs make them; 3 samples put one at a = 1/2
+        for samples in (3, 21):
+            a_grid = RefreshModel(samples).a_grid()
+            for a, field in zip(a_grid, transient_exact(prop, m0, m1, samples)):
+                e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
+                rel = np.max(np.abs(field - e_dense)) / np.max(np.abs(e_dense))
+                worst = max(worst, rel)
     return worst <= 1e-10, f"max relative deviation {worst:.3e} (tol 1e-10)"
 
 

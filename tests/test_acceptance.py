@@ -121,20 +121,17 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
     for _ in range(20):
         m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
         m1 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
-        for a in np.linspace(0.1, 0.9, 9):
-            relaxing = pixel_interpolate(m0, m1, float(a))
-            e_exact = transient_exact(prop, m0, m1, float(a)).amplitudes
-            e_ref = forward(prop, relaxing).amplitudes
-            worst = max(worst, np.abs(e_exact - e_ref).max() / np.abs(e_ref).max())
-            # independent route: the dense matrix on the relaxing mask
-            e_dense = forward_dense(dense, relaxing).amplitudes
-            worst_dense = max(worst_dense, np.abs(e_exact - e_dense).max() / np.abs(e_dense).max())
-        # the whole a grid in one call, as runs sample it
-        a_grid = RefreshModel().a_grid()
-        for a, field in zip(a_grid, transient_exact(prop, m0, m1, a_grid)):
-            e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
-            rel = np.abs(field.amplitudes - e_dense).max() / np.abs(e_dense).max()
-            worst_dense = max(worst_dense, rel)
+        # whole-grid calls: the grid a run samples, and three samples (a = 1/2)
+        for samples in (3, RefreshModel().samples_per_refresh):
+            a_grid = RefreshModel(samples).a_grid()
+            for a, e_exact in zip(a_grid, transient_exact(prop, m0, m1, samples)):
+                relaxing = pixel_interpolate(m0, m1, float(a))
+                e_ref = forward(prop, relaxing).amplitudes
+                worst = max(worst, np.abs(e_exact - e_ref).max() / np.abs(e_ref).max())
+                # independent route: the dense matrix on the relaxing mask
+                e_dense = forward_dense(dense, relaxing).amplitudes
+                rel = np.abs(e_exact - e_dense).max() / np.abs(e_dense).max()
+                worst_dense = max(worst_dense, rel)
 
     m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
     pattern = rng.uniform(-1, 1, (64, 64))
@@ -142,8 +139,8 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
     for s in np.geomspace(0.01, 0.3, 8):
         m1 = PhaseMask(m0.phases + s * pattern)
         e0, e1 = forward(prop, m0), forward(prop, m1)
-        ex = transient_exact(prop, m0, m1, 0.5).amplitudes
-        lead = transient_leading(e0, e1, 0.5).amplitudes
+        ex = transient_exact(prop, m0, m1, 3)[1]  # a = 1/2
+        lead = transient_leading(e0, e1, np.array([0.5]))[0]
         msqs.append(mean_sq_excursion(m0, m1))
         errs.append(np.linalg.norm(ex - lead) / np.linalg.norm(ex))
     slope = float(np.polyfit(np.log(msqs), np.log(errs), 1)[0])

@@ -504,6 +504,18 @@ class TestCli:
             )
             assert not out.exists()
 
+    @pytest.mark.parametrize("solvers", [[], ["wgs", "wgs"]], ids=["empty", "repeated"])
+    def test_run_solvers_exit_code(self, tiny_config_file, tmp_path, capsys, solvers):
+        # no solver would run nothing and exit 0; a repeat would run twice into
+        # one directory, the second run overwriting the first
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["run"]["solvers"] = solvers
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "run.out"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 2
+        assert "solvers must name one or more distinct solvers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exit_code(self, tiny_config_file, tmp_path, capsys):
         # run parameters come from the config file only: a flag such as --seed
         # is a usage error that main returns, not raises, and nothing is written

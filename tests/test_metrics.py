@@ -22,6 +22,8 @@ from holoseq.metrics import (
     transition_distribution,
     uniformity,
 )
+from holoseq.geometry import custom_task
+from holoseq.planner import plan_task
 from holoseq.propagation import TrapField
 
 
@@ -202,11 +204,12 @@ class TestClippedCounts:
         assert counts.sum() == samples.size - 1  # nan is dropped, as np.histogram drops it
 
 
-def concatenated_report(intensities, intervals, trap_z, displacement_mean, displacement_max):
+def concatenated_report(intensities, intervals, trap_z, displacement):
     """A run's report from every frame's intensity and interval kept to the end: the oracle.
 
     Slices each kept array per layer and pools the slices, as the report was
-    built before the metrics were folded frame by frame.
+    built before the metrics were folded frame by frame; each layer's
+    displacement stats are those of its own traps.
     """
     z = np.asarray(trap_z, dtype=float)
 
@@ -216,8 +219,8 @@ def concatenated_report(intensities, intervals, trap_z, displacement_mean, displ
             frame_uniformity=tuple(uniformity(i[idx]) for i in intensities),
             dphi=aggregate([d[idx] for _, d in intervals] or [np.zeros(idx.size)]),
             transition=concatenated_transition_distribution(ratios) if ratios else None,
-            displacement_mean=displacement_mean,
-            displacement_max=displacement_max,
+            displacement_mean=float(np.mean(displacement[idx])),
+            displacement_max=float(np.max(displacement[idx])),
             layer_reports=layer_reports,
         )
 
@@ -226,9 +229,11 @@ def concatenated_report(intensities, intervals, trap_z, displacement_mean, displ
     return report(np.arange(z.size), layers)
 
 
-def fold_run(intensities, intervals, trap_z):
-    """A RunMetrics fed one frame at a time, as run_sequence feeds it."""
-    run = RunMetrics(trap_z)
+def fold_run(intensities, intervals, trap_z, displacement=None):
+    """A RunMetrics fed one frame at a time, as run_sequence feeds it (no displacement: zeros)."""
+    if displacement is None:
+        displacement = np.zeros(len(trap_z))
+    run = RunMetrics(trap_z, displacement)
     for l, inten in enumerate(intensities):
         frame = SimpleNamespace(field=TrapField(np.sqrt(inten)))
         ratios, dphi = intervals[l - 1] if l else (None, None)
@@ -262,11 +267,12 @@ class TestLayerSplit:
     def test_fold_matches_concatenation(self, rng, trap_z, frames):
         # bit for bit, whole run and each layer, with and without intervals
         intensities, intervals = random_run(rng, trap_z, frames)
-        run = fold_run(intensities, intervals, trap_z)
-        want = concatenated_report(intensities, intervals, trap_z, 1e-6, 2e-6)
-        got = compute_report(run, 1e-6, 2e-6)
+        displacement = rng.uniform(0.0, 5e-6, len(trap_z))
+        run = fold_run(intensities, intervals, trap_z, displacement)
+        want = concatenated_report(intensities, intervals, trap_z, displacement)
+        got = compute_report(run)
         assert got.to_dict() == want.to_dict()
-        layers = layer_split(run, 1e-6, 2e-6)
+        layers = layer_split(run)
         assert list(layers) == list(want.layer_reports)
         for zv, rep in layers.items():
             assert rep.to_dict() == want.layer_reports[zv].to_dict()
@@ -276,7 +282,7 @@ class TestLayerSplit:
         intensities, intervals = random_run(rng, np.zeros(6), 3)
         run = fold_run(intensities, intervals, np.zeros(6))
         assert layer_split(run) == {}
-        report = compute_report(run, 0.0, 0.0)
+        report = compute_report(run)
         assert report.layer_reports == {}
         assert report.dphi.std == aggregate([d for _, d in intervals]).std
         assert report.frame_uniformity[0] == uniformity(intensities[0])
@@ -284,7 +290,7 @@ class TestLayerSplit:
     def test_zero_intervals_layered(self):
         # a single frame: no transition, and each layer's dphi is that of zeros
         z = np.array([-1e-6, 1e-6, 1e-6])
-        report = compute_report(fold_run([np.ones(3)], [], z), 0.0, 0.0)
+        report = compute_report(fold_run([np.ones(3)], [], z))
         assert report.transition is None and report.dphi.count == 3
         for zv, count in ((-1e-6, 1), (1e-6, 2)):
             rep = report.layer_reports[zv]
@@ -306,7 +312,7 @@ class TestLayerSplit:
     def test_report_round_trip_keys(self, rng):
         z = np.array([-1e-6, -1e-6, 1e-6, 1e-6])
         intensities, intervals = random_run(rng, z, 2, samples=1)
-        report = compute_report(fold_run(intensities, intervals, z), 1e-6, 2e-6)
+        report = compute_report(fold_run(intensities, intervals, z))
         doc = report.to_dict()
         assert set(doc) >= {
             "frame_uniformity", "uniformity_min", "dphi",
@@ -324,4 +330,34 @@ class TestLayerSplit:
         del intervals
         gc.collect()
         assert [ref() for ref in refs] == [None] * 3
-        assert compute_report(run, 0.0, 0.0).transition.count == 3 * 5 * 4
+        assert compute_report(run).transition.count == 3 * 5 * 4
+
+    def test_layer_displacement_from_own_traps(self):
+        # a three-layer plan whose layers move by different distances: each
+        # layer reports its own traps' norms, the whole run the plan's stats
+        src = [(x, 0.0, z) for z in (-30e-6, 0.0, 30e-6) for x in (-10e-6, 10e-6)]
+        moves = [(1e-6, 0.0), (2e-6, 0.0), (0.0, 0.5e-6), (0.0, 0.5e-6), (0.3e-6, 0.4e-6), (0, 0)]
+        tgt = [(x + dx, y + dy, z) for (x, y, z), (dx, dy) in zip(src, moves)]
+        plan = plan_task(custom_task(source_points=src, target_points=tgt), max_step=0.5e-6)
+        frames = plan.frames + 1
+        ones = [np.ones(plan.trap_count)] * frames
+        intervals = [(np.ones((3, plan.trap_count)), np.zeros(plan.trap_count))] * (frames - 1)
+        with pytest.raises(ValueError, match="one displacement per trap"):
+            RunMetrics(plan.target_z, plan.displacement[:-1])
+        run = RunMetrics(plan.target_z, plan.displacement)
+        for l, inten in enumerate(ones):
+            ratios, dphi = intervals[l - 1] if l else (None, None)
+            run(l, SimpleNamespace(field=TrapField(inten)), ratios, dphi)
+        report = compute_report(run)
+        assert (report.displacement_mean, report.displacement_max) == plan.displacement_stats()
+        wp = plan.waypoints
+        expected = {-30e-6: (1.5e-6, 2e-6), 0.0: (0.5e-6, 0.5e-6), 30e-6: (0.25e-6, 0.5e-6)}
+        assert set(report.layer_reports) == set(expected)
+        for zv, (mean, top) in expected.items():
+            norms = np.linalg.norm(wp[:, -1] - wp[:, 0], axis=1)[plan.target_z == zv]
+            rep = report.layer_reports[zv]
+            assert (rep.displacement_mean, rep.displacement_max) == (
+                float(norms.mean()), float(norms.max())
+            )
+            assert rep.displacement_mean == pytest.approx(mean, rel=1e-9)
+            assert rep.displacement_max == pytest.approx(top, rel=1e-9)

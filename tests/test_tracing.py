@@ -91,6 +91,20 @@ def test_traced_exact_run(tracer, tmp_path):
     assert not any("error" in span for span in spans)
 
 
+def test_traced_leading_run(tracer, tmp_path):
+    # the leading model interpolates a whole interval in one transient_leading
+    # call, looked up through holoseq.transient, so its span fires once per
+    # interval, inside that interval's sample_refresh span
+    _run(tmp_path, {"refresh": {"order": "leading"}, "run": {"solvers": ["wpgs"]}})
+    spans = tracer.spans
+    refreshes = [span["id"] for span in spans if span["name"] == "transient.sample_refresh"]
+    leading = [span for span in spans if span["name"] == "transient.transient_leading"]
+    assert len(refreshes) == 10  # the minimal 3x3 plan has 11 frames
+    assert sorted(span["parent"] for span in leading) == refreshes
+    assert not any(span["name"] == "transient.transient_exact" for span in spans)
+    assert not any("error" in span for span in spans)
+
+
 def test_traced_layered_run(tracer, tmp_path):
     # a two-layer run builds its report with a layer split: each solver run
     # opens one compute_report span with one layer_split span inside it.

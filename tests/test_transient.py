@@ -86,6 +86,19 @@ def exact_reference(prop, mask_l, mask_l1, a):
     return forward_field(prop, pixel)
 
 
+def per_sample_ratios(prop, mask_l, mask_l1, field_l, field_l1, model):
+    """sample_refresh as one TrapField per sample, each divided by I0 in turn."""
+    if model.order == "exact":
+        samples = model.samples_per_refresh
+        fields = [TrapField(row) for row in transient_exact(prop, mask_l, mask_l1, samples)]
+    else:
+        fields = [
+            TrapField(a * field_l.amplitudes + (1.0 - a) * field_l1.amplitudes)
+            for a in model.a_grid()
+        ]
+    return np.array([f.intensity / field_l.intensity for f in fields])
+
+
 class TestRefreshModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,90 +135,84 @@ class TestPixelInterpolate:
             pixel_interpolate(PhaseMask(np.zeros((2, 2))), PhaseMask(np.zeros((2, 3))), 0.5)
 
 
+def a_grid(samples):
+    """RefreshModel(samples).a_grid(), one sample (a = 1 alone) included."""
+    return np.linspace(1.0, 0.0, samples)
+
+
 class TestTransientExact:
     def test_identity_with_interpolated_forward(self, prop, rng):
         for _ in range(5):
             m0, m1 = random_masks(rng)
-            for a in np.linspace(0.1, 0.9, 9):
-                e_exact = transient_exact(prop, m0, m1, float(a)).amplitudes
+            fields = transient_exact(prop, m0, m1, 21)
+            for a, e_exact in zip(a_grid(21), fields):
                 e_ref = forward(prop, pixel_interpolate(m0, m1, float(a))).amplitudes
                 rel = np.abs(e_exact - e_ref).max() / np.abs(e_ref).max()
                 assert rel <= 1e-12
 
     def test_endpoint_reproduces_start_field(self, prop, rng):
         m0, m1 = random_masks(rng)
-        e1 = transient_exact(prop, m0, m1, 1.0).amplitudes
+        e1, e0 = transient_exact(prop, m0, m1, 2)
         np.testing.assert_allclose(e1, forward(prop, m0).amplitudes, rtol=1e-12)
-        e0 = transient_exact(prop, m0, m1, 0.0).amplitudes
         np.testing.assert_allclose(e0, forward(prop, m1).amplitudes, rtol=1e-12)
 
     def test_matches_dense_oracle(self, small_config, grid_3x3, rng):
+        from holoseq.propagation import forward_dense
+
         dense = build_dense(small_config, grid_3x3)
         prop = build_separable(small_config, grid_3x3)
         m0, m1 = random_masks(rng)
-        interp = pixel_interpolate(m0, m1, 0.5)
-        from holoseq.propagation import forward_dense
+        # three samples: a = 1, 1/2 and 0
+        fields = transient_exact(prop, m0, m1, 3)
+        assert fields.shape == (3, 9)
+        for a, e_exact in zip(a_grid(3), fields):
+            e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
+            rel = np.abs(e_exact - e_dense).max() / np.abs(e_dense).max()
+            assert rel <= 1e-10
 
-        e_exact = transient_exact(prop, m0, m1, 0.5).amplitudes
-        e_dense = forward_dense(dense, interp).amplitudes
-        rel = np.abs(e_exact - e_dense).max() / np.abs(e_dense).max()
-        assert rel <= 1e-10
-
-    def test_array_of_a_matches_scalar_calls(self, prop, rng):
+    @pytest.mark.parametrize("samples", [1, 2, 3, 21, 201])
+    def test_rows_match_sine_ratio_oracle(self, prop, rng, samples):
         m0, m1 = branch_masks(rng)
-        for a in (0.5, 1.0, 0.0, 0.3, 0.3, 0.95, 1e-9):
-            field = transient_exact(prop, m0, m1, a).amplitudes
-            # a one-sample array is the scalar call, bit for bit
-            (single,) = transient_exact(prop, m0, m1, np.array([a]))
-            np.testing.assert_array_equal(single.amplitudes, field)
-            # the sine-ratio oracle agrees to the identity tolerance of criterion 2
+        if samples > 1:
+            np.testing.assert_array_equal(a_grid(samples), RefreshModel(samples).a_grid())
+        fields = transient_exact(prop, m0, m1, samples)
+        assert fields.shape == (samples, 9) and fields.dtype == complex
+        for a, field in zip(a_grid(samples), fields):
             e_ref = exact_reference(prop, m0, m1, a).amplitudes
             assert np.abs(field - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
     @pytest.mark.parametrize("samples", [2, 3, 21, 201])
     def test_evenly_spaced_a_matches_scalar_calls(self, prop, rng, samples):
-        # the recurrence multiplies by one step phasor per sample; at 201
-        # samples this bounds the rounding drift it accumulates along the grid
+        # the scalar route: one forward of the interpolated mask per a.  The
+        # recurrence multiplies by one step phasor per sample; at 201 samples
+        # this bounds the rounding drift it accumulates along the grid
         m0, m1 = branch_masks(rng)
-        a_grid = np.linspace(1.0, 0.0, samples)
-        fields = np.array([f.amplitudes for f in transient_exact(prop, m0, m1, a_grid)])
-        scalar = np.array([transient_exact(prop, m0, m1, float(a)).amplitudes for a in a_grid])
+        fields = transient_exact(prop, m0, m1, samples)
+        scalar = np.array([
+            forward(prop, pixel_interpolate(m0, m1, float(a))).amplitudes
+            for a in a_grid(samples)
+        ])
         for field, expected in zip(fields, scalar):
             assert np.abs(field - expected).max() <= 1e-12 * np.abs(expected).max()
-        # the first sample is computed as a scalar call computes it; the rest
-        # come from the recurrence, so they are not the scalar calls' bits
+        # the a = 1 row is the forward of mask_l as forward computes it; the
+        # rest come from the recurrence, so they are not the scalar route's bits
         np.testing.assert_array_equal(fields[0], scalar[0])
         assert not np.array_equal(fields[1:], scalar[1:])
 
-    def test_unevenly_spaced_a_is_refused(self, prop, rng):
-        m0, m1 = branch_masks(rng)
-        a_grid = np.linspace(1.0, 0.0, 21)
-        a_grid[10] += 1e-9
-        with pytest.raises(ValueError, match="evenly spaced"):
-            transient_exact(prop, m0, m1, a_grid)
-        with pytest.raises(ValueError, match="evenly spaced"):
-            transient_exact(prop, m0, m1, np.array([0.5, 1.0, 0.0]))
-
     def test_array_of_a_identity_with_interpolated_forward(self, prop, rng):
         m0, m1 = branch_masks(rng)
-        a_grid = np.linspace(1.0, 0.0, 11)
-        for a, field in zip(a_grid, transient_exact(prop, m0, m1, a_grid)):
+        for a, field in zip(a_grid(11), transient_exact(prop, m0, m1, 11)):
             e_ref = forward(prop, pixel_interpolate(m0, m1, float(a))).amplitudes
-            assert np.abs(field.amplitudes - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
+            assert np.abs(field - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
-    def test_scalar_a_returns_one_field(self, prop, rng):
-        m0, m1 = branch_masks(rng)
-        for a in (0.25, np.float64(0.25), np.array(0.25)):
-            assert isinstance(transient_exact(prop, m0, m1, a), TrapField)
-        single = transient_exact(prop, m0, m1, np.array([0.25]))
-        assert isinstance(single, list) and len(single) == 1
-        assert transient_exact(prop, m0, m1, np.array([])) == []
-
-    def test_a_validation(self, prop, rng):
+    def test_samples_validation(self, prop, rng):
         m0, m1 = random_masks(rng)
-        for a in (-0.1, 1.5, float("nan"), np.array([0.5, 1.01]), np.full((2, 2), 0.5)):
-            with pytest.raises(ValueError):
-                transient_exact(prop, m0, m1, a)
+        for samples in (0, -1, 2.5, 21.0, np.array(21)):
+            with pytest.raises(ValueError, match="samples"):
+                transient_exact(prop, m0, m1, samples)
+        assert transient_exact(prop, m0, m1, np.int64(3)).shape == (3, 9)
+        with pytest.raises(ValueError, match="dimensions"):
+            transient_exact(prop, m0, PhaseMask(np.zeros((64, 32))), 21)
 
 
 class TestTransientApproximations:
@@ -213,10 +220,18 @@ class TestTransientApproximations:
         m0, m1 = random_masks(rng)
         e0 = forward(prop, m0)
         e1 = forward(prop, m1)
-        np.testing.assert_array_equal(transient_leading(e0, e1, 0.0).amplitudes, e1.amplitudes)
-        for a in (0.0, 0.3, 1.0):
-            static = transient_leading(e0, e0, a)
-            np.testing.assert_allclose(static.amplitudes, e0.amplitudes, rtol=1e-15)
+        np.testing.assert_array_equal(transient_leading(e0, e1, np.array([0.0]))[0], e1.amplitudes)
+        static = transient_leading(e0, e0, np.array([0.0, 0.3, 1.0]))
+        np.testing.assert_allclose(static, np.tile(e0.amplitudes, (3, 1)), rtol=1e-15)
+
+    def test_leading_rows_are_per_sample_interpolations(self, prop, rng):
+        m0, m1 = random_masks(rng)
+        e0, e1 = forward(prop, m0), forward(prop, m1)
+        grid = a_grid(21)
+        rows = transient_leading(e0, e1, grid)
+        assert rows.shape == (21, 9)
+        for a, row in zip(grid, rows):
+            np.testing.assert_array_equal(row, a * e0.amplitudes + (1.0 - a) * e1.amplitudes)
 
     def test_leading_error_scales_with_msq(self, prop, rng):
         m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
@@ -226,8 +241,8 @@ class TestTransientApproximations:
         for s in np.geomspace(0.02, 0.3, 5):
             m1 = PhaseMask(m0.phases + s * pattern)
             e0, e1 = forward(prop, m0), forward(prop, m1)
-            ex = transient_exact(prop, m0, m1, 0.5).amplitudes
-            lead = transient_leading(e0, e1, 0.5).amplitudes
+            ex = transient_exact(prop, m0, m1, 3)[1]  # a = 1/2
+            lead = transient_leading(e0, e1, np.array([0.5]))[0]
             errs.append(np.linalg.norm(ex - lead) / np.linalg.norm(ex))
             msqs.append(mean_sq_excursion(m0, m1))
         slope = np.polyfit(np.log(msqs), np.log(errs), 1)[0]
@@ -270,14 +285,20 @@ class TestSampleRefresh:
         e0, e1 = forward(prop, m0), forward(prop, m1)
         model = RefreshModel(samples_per_refresh=9, order="exact")
         ratios = sample_refresh(prop, m0, m1, e0, e1, model)
-        # the a grid is evenly spaced, so sample_refresh's call takes the
-        # recurrence and agrees with scalar calls and the sine-ratio oracle to
+        # the recurrence agrees with one sine-ratio oracle call per a to
         # rounding, not bit for bit
-        for exact in (transient_exact, exact_reference):
-            expected = np.array(
-                [exact(prop, m0, m1, a).intensity / e0.intensity for a in model.a_grid()]
-            )
-            np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0)
+        expected = np.array(
+            [exact_reference(prop, m0, m1, a).intensity / e0.intensity for a in model.a_grid()]
+        )
+        np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("order", ["exact", "leading"])
+    def test_matches_per_sample_formula(self, prop, rng, order):
+        m0, m1 = branch_masks(rng)
+        e0, e1 = forward(prop, m0), forward(prop, m1)
+        model = RefreshModel(order=order)
+        expected = per_sample_ratios(prop, m0, m1, e0, e1, model)
+        np.testing.assert_array_equal(sample_refresh(prop, m0, m1, e0, e1, model), expected)
 
     def test_exact_start_row_is_one(self, prop, rng):
         # the a = 1 sample is the forward of mask_l computed as forward does it
