@@ -34,7 +34,6 @@ from .propagation import (
     DensePropagator,
     PhaseMask,
     SeparablePropagator,
-    TrapField,
     adjoint_phase,
     build_dense,
     build_separable,
@@ -47,7 +46,6 @@ from .solvers import (
     DarkTrapError,
     SolveResult,
     SolverSettings,
-    TargetSpec,
     scale_update,
     weight_update,
     wgs_solve,

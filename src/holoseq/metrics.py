@@ -266,7 +266,8 @@ class _Pool:
             # a run of one frame has no interval: its dphi stats are those of zeros
             dphi=aggregate(self.dphi or [np.zeros(self.displacement.size)]),
             transition=self.transition.stats() if self.dphi else None,
-            displacement_mean=float(self.displacement.mean()),
+            # the mean of equal values can round one ulp above them
+            displacement_mean=float(min(self.displacement.mean(), self.displacement.max())),
             displacement_max=float(self.displacement.max()),
             layer_reports=layer_reports or {},
         )
@@ -294,7 +295,7 @@ class RunMetrics:
                        for zv in levels} if len(levels) > 1 else {}
 
     def __call__(self, l, frame, ratios, dphi) -> None:
-        intensity = frame.field.intensity
+        intensity = np.abs(frame.field) ** 2
         for pool in (self.pool, *self.layers.values()):
             pool.add(intensity, ratios, dphi)
 

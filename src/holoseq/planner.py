@@ -351,7 +351,8 @@ class TransportPlan:
         d = self.displacement
         if d.size == 0:
             return 0.0, 0.0
-        return float(d.mean()), float(d.max())
+        # the mean of equal values can round one ulp above them
+        return float(min(d.mean(), d.max())), float(d.max())
 
 
 def _frame_count(d_max: float, max_step: float) -> int:

@@ -27,7 +27,6 @@ from .geometry import OpticalConfig, TrapLayout, freeze_array
 
 __all__ = [
     "PhaseMask",
-    "TrapField",
     "SeparablePropagator",
     "DensePropagator",
     "wrap_phase",
@@ -94,28 +93,6 @@ class PhaseMask:
             np.add(out, TWO_PI, out=out, where=x < 0)
             return out
         return np.mod(x, TWO_PI)
-
-
-@dataclass(frozen=True, eq=False)
-class TrapField:
-    """Complex field amplitudes at the trap centers."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if freeze_array(self, "amplitudes", complex).ndim != 1:
-            raise ValueError("trap field must be a 1D complex vector")
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
-
-    @property
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +180,8 @@ def build_separable(config: OpticalConfig, layout: TrapLayout) -> SeparablePropa
     )
 
 
-def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> TrapField:
-    """Propagate an arbitrary complex pixel field."""
+def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> np.ndarray:
+    """Propagate an arbitrary complex pixel field to the (N,) complex trap field."""
     cfg = prop.config
     if pixel_field.shape != (cfg.grid_x, cfg.grid_y):
         raise ValueError(
@@ -220,11 +197,11 @@ def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> TrapFie
         rows = contracted_x[prop.x_rows[start:stop]]
         rows *= prop.kernel_y[prop.y_rows[start:stop]]
         rows.sum(axis=1, out=contracted[start:stop])
-    return TrapField(prop.trap_scale * prop.axial_phase * contracted)
+    return prop.trap_scale * prop.axial_phase * contracted
 
 
-def forward(prop: SeparablePropagator, mask: PhaseMask) -> TrapField:
-    """Trap field produced by a phase mask through the separable kernel."""
+def forward(prop: SeparablePropagator, mask: PhaseMask) -> np.ndarray:
+    """(N,) complex trap field produced by a phase mask through the separable kernel."""
     return forward_field(prop, np.exp(1j * mask.phases))
 
 
@@ -290,10 +267,10 @@ def build_dense(config: OpticalConfig, layout: TrapLayout) -> DensePropagator:
     return DensePropagator(config=config, layout=layout, matrix=matrix)
 
 
-def forward_dense(dense: DensePropagator, mask: PhaseMask) -> TrapField:
+def forward_dense(dense: DensePropagator, mask: PhaseMask) -> np.ndarray:
     """Oracle forward: E = A exp(i*phi), phases flattened row-major."""
     cfg = dense.config
     if mask.shape != (cfg.grid_x, cfg.grid_y):
         raise ValueError(f"mask shape {mask.shape} != grid ({cfg.grid_x}, {cfg.grid_y})")
-    return TrapField(dense.matrix @ np.exp(1j * mask.phases.ravel()))
+    return dense.matrix @ np.exp(1j * mask.phases.ravel())
 

@@ -34,7 +34,7 @@ from .geometry import OpticalConfig
 from .metrics import MetricsReport, RunMetrics, compute_report, phase_diff
 from .planner import TransportPlan
 from .propagation import build_separable
-from .solvers import SOLVER_KINDS, SolveResult, SolverSettings, TargetSpec, wgs_solve, wpgs_solve
+from .solvers import SOLVER_KINDS, SolveResult, SolverSettings, wgs_solve, wpgs_solve
 from .transient import RefreshModel, sample_refresh
 
 __all__ = [
@@ -68,8 +68,10 @@ def _solve_frame(
         if solver_kind == "wgs":
             return prev
     if solver_kind == "wpgs":
-        target = TargetSpec(plan.target_intensity, prev.field.phase)
-        return wpgs_solve(prop, target, settings, init_mask=prev.pixel, init_weights=prev.weights)
+        return wpgs_solve(
+            prop, plan.target_intensity, np.angle(prev.field), settings,
+            init_mask=prev.pixel, init_weights=prev.weights,
+        )
     return wgs_solve(
         prop, plan.target_intensity, settings, init_mask=prev.pixel, init_weights=prev.weights
     )
@@ -117,7 +119,7 @@ def run_sequence(
             interval = sample_refresh(
                 prop, last.mask, frame.mask, frame.init_field, frame.field, refresh
             )
-            d = phase_diff(last.field.phase, frame.field.phase)
+            d = phase_diff(np.angle(last.field), np.angle(frame.field))
         metrics(l, frame, interval, d)
         if sink is not None:
             sink(l, frame, interval, d)

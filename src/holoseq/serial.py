@@ -169,14 +169,12 @@ def write_fields_csv(fh, l, field, ids) -> None:
     """Frame l's rows of fields.csv to an open text file.
 
     Schema (FIELDS_HEADER): frame,trap_id,re,im,intensity,phase; field is the
-    frame's TrapField and ids the plan's trap ids, in the field's order.
+    frame's (N,) complex trap field and ids the plan's trap ids, in its order.
     """
     cells = _csv_cells(tuple(ids))
     n = len(cells)
     # one call on the (4, n) stack of the re, im, intensity and phase columns
-    text = _float_reprs(np.stack(
-        (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
-    ))
+    text = _float_reprs(np.stack((field.real, field.imag, np.abs(field) ** 2, np.angle(field))))
     fh.write("".join([
         f"{l},{c},{re},{im},{i},{ph}\r\n"
         for c, re, im, i, ph in zip(cells, *(text[k * n:(k + 1) * n] for k in range(4)))

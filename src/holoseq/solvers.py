@@ -35,7 +35,6 @@ from .geometry import freeze_array
 from .propagation import (
     PhaseMask,
     SeparablePropagator,
-    TrapField,
     adjoint_phase,
     forward,
     forward_field,
@@ -44,7 +43,6 @@ from .propagation import (
 __all__ = [
     "SOLVER_KINDS",
     "DarkTrapError",
-    "TargetSpec",
     "SolverSettings",
     "SolveResult",
     "weight_update",
@@ -69,31 +67,6 @@ class DarkTrapError(RuntimeError):
         self.iteration = iteration
         where = f" at iteration {iteration}" if iteration is not None else ""
         super().__init__(f"dark trap(s) {self.indices}{where}: field magnitude below floor")
-
-
-@dataclass(frozen=True, eq=False)
-class TargetSpec:
-    """Per-trap target intensity and phase defining the complex target field."""
-
-    target_intensity: np.ndarray
-    target_phase: np.ndarray
-
-    def __post_init__(self):
-        inten = freeze_array(self, "target_intensity")
-        phase = freeze_array(self, "target_phase")
-        if inten.ndim != 1 or phase.shape != inten.shape:
-            raise ValueError("target intensity and phase must be 1D arrays of equal length")
-        if not (inten > 0).all():
-            raise ValueError("target intensities must be > 0 elementwise")
-        if not np.isfinite(phase).all():
-            raise ValueError("target phases must be finite")
-
-    def __len__(self) -> int:
-        return len(self.target_intensity)
-
-    @property
-    def field(self) -> np.ndarray:
-        return np.sqrt(self.target_intensity) * np.exp(1j * self.target_phase)
 
 
 @dataclass(frozen=True)
@@ -121,6 +94,8 @@ class SolverSettings:
 class SolveResult:
     """A finished solve; init_field is the field the solve's start gives at these traps.
 
+    field and init_field are (N,) complex trap fields.  weights, field and
+    init_field are read-only copies; pixel, grid-sized, is kept as it is.
     pixel is the loop's final unit pixel phasor and field is
     forward_field(prop, pixel) bit for bit.  mask, the angle of pixel, is the
     export and record form: forward(prop, mask) rebuilds the phasor with a
@@ -131,13 +106,18 @@ class SolveResult:
 
     mask: PhaseMask
     weights: np.ndarray
-    field: TrapField
-    init_field: TrapField
+    field: np.ndarray
+    init_field: np.ndarray
     objective: tuple[float, ...]
     scale: complex
     solver: str = ""
     adjoint_zero_pixels: int = 0
     pixel: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        freeze_array(self, "weights")
+        freeze_array(self, "field", complex)
+        freeze_array(self, "init_field", complex)
 
 
 def _check_bright(field_abs: np.ndarray, iteration=None) -> None:
@@ -238,9 +218,8 @@ def _solve(
                 f"{start.dtype} array (for phases, pass PhaseMask(phases))"
             )
         init_field = forward_field(prop, start)
-    realized = init_field
+    e = init_field
     for k in range(1, total + 1):
-        e = realized.amplitudes
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
         w_hat = weight_update(w, np.abs(e), weight_target, iteration=k)
         if k == total and settings.over_relaxation > 0.0:
@@ -255,7 +234,7 @@ def _solve(
         objectives.append(objective(weighted, s, e_tar))
         pixel, nz = phase_step(prop, w, s, e_tar)
         zero_pixels += nz
-        realized = forward_field(prop, pixel)
+        e = forward_field(prop, pixel)
         if k < total:
             # a forwarded phasor is dropped before the next phase step makes
             # its successor, so two loop phasors never coexist
@@ -264,7 +243,7 @@ def _solve(
     return SolveResult(
         mask=PhaseMask(np.angle(pixel)),
         weights=w,
-        field=realized,
+        field=e,
         init_field=init_field,
         objective=tuple(objectives),
         scale=s,
@@ -274,24 +253,40 @@ def _solve(
     )
 
 
+def _target_intensity(prop: SeparablePropagator, target_intensity) -> np.ndarray:
+    n = prop.trap_count
+    inten = np.asarray(target_intensity, dtype=float)
+    if inten.shape != (n,):
+        raise ValueError(f"target intensity must have length {n}")
+    if not (inten > 0).all():
+        raise ValueError("target intensities must be > 0")
+    return inten
+
+
 def wpgs_solve(
     prop: SeparablePropagator,
-    target: TargetSpec,
+    target_intensity: np.ndarray,
+    target_phase: np.ndarray,
     settings: SolverSettings,
     init_mask: PhaseMask | np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
 ) -> SolveResult:
     """Phase-constrained solve (settings.iterations iterations).
 
-    The target field, trap phases included, stays fixed; the complex scale is
-    refit every iteration and each trap's weight targets its own |E_tar,n|.
+    The target field E_tar = sqrt(target_intensity) * exp(i * target_phase),
+    trap phases included, stays fixed; the complex scale is refit every
+    iteration and each trap's weight targets its own |E_tar,n|.  Both arrays
+    have one entry per trap; intensities must be > 0 and phases finite.
     init_mask is a PhaseMask or a unit pixel phasor of the grid's shape, such
     as a previous result's pixel; None starts from random_mask(settings.seed).
     """
-    n = prop.trap_count
-    if len(target) != n:
-        raise ValueError(f"target length {len(target)} != trap count {n}")
-    e_tar = target.field
+    inten = _target_intensity(prop, target_intensity)
+    phase = np.asarray(target_phase, dtype=float)
+    if phase.shape != inten.shape:
+        raise ValueError(f"target phase must have length {len(inten)}")
+    if not np.isfinite(phase).all():
+        raise ValueError("target phases must be finite")
+    e_tar = np.sqrt(inten) * np.exp(1j * phase)
     return _solve(prop, np.abs(e_tar), e_tar, settings, init_mask, init_weights)
 
 
@@ -310,10 +305,5 @@ def wgs_solve(
     matching residual evaluated against that iteration's phase-adapted target.
     init_mask and init_weights are as for wpgs_solve.
     """
-    n = prop.trap_count
-    inten = np.asarray(target_intensity, dtype=float)
-    if inten.shape != (n,):
-        raise ValueError(f"target intensity must have length {n}")
-    if not (inten > 0).all():
-        raise ValueError("target intensities must be > 0")
+    inten = _target_intensity(prop, target_intensity)
     return _solve(prop, np.sqrt(inten), None, settings, init_mask, init_weights)

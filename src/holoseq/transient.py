@@ -33,7 +33,6 @@ import numpy as np
 from .propagation import (  # noqa: F401
     PhaseMask,
     SeparablePropagator,
-    TrapField,
     forward,
     forward_field,
     wrap_phase,
@@ -108,12 +107,12 @@ def transient_exact(
     dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
     fields = np.empty((samples, prop.trap_count), dtype=complex)
     _relaxing_phasor(phi_l, dphi, 0.0, pixel)
-    fields[0] = forward_field(prop, pixel).amplitudes
+    fields[0] = forward_field(prop, pixel)
     if samples > 1:
         _relaxing_phasor(0.0, dphi, 1.0 / (samples - 1), step)
         for k in range(1, samples):
             pixel *= step
-            fields[k] = forward_field(prop, pixel).amplitudes
+            fields[k] = forward_field(prop, pixel)
     return fields
 
 
@@ -125,10 +124,13 @@ def _relaxing_phasor(phi_l, dphi, c, out):
     return np.exp(out, out=out)
 
 
-def transient_leading(field_l: TrapField, field_l1: TrapField, a: np.ndarray) -> np.ndarray:
-    """Leading-order interpolation a*E_l + (1-a)*E_l1, one row per entry of the 1-D a."""
+def transient_leading(field_l: np.ndarray, field_l1: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Leading-order interpolation a*E_l + (1-a)*E_l1, one row per entry of the 1-D a.
+
+    field_l and field_l1 are (N,) complex trap fields.
+    """
     a = np.asarray(a, dtype=float)[:, None]
-    return a * field_l.amplitudes + (1.0 - a) * field_l1.amplitudes
+    return a * field_l + (1.0 - a) * field_l1
 
 
 def mean_sq_excursion(mask_l: PhaseMask, mask_l1: PhaseMask) -> float:
@@ -149,19 +151,19 @@ def sample_refresh(
     prop: SeparablePropagator,
     mask_l: PhaseMask,
     mask_l1: PhaseMask,
-    field_l: TrapField,
-    field_l1: TrapField,
+    field_l: np.ndarray,
+    field_l1: np.ndarray,
     model: RefreshModel,
 ) -> np.ndarray:
     """I/I0 over one refresh interval, shape (samples, traps), rows in a_grid order.
 
-    field_l and field_l1 are the fields mask_l and mask_l1 give at prop's trap
-    positions (the new frame's SolveResult.init_field and .field).  Ratios are
-    taken against the start-of-interval intensity I0 = |field_l|^2, which makes
-    the a=1 row 1.
+    field_l and field_l1 are the (N,) complex fields mask_l and mask_l1 give at
+    prop's trap positions (the new frame's SolveResult.init_field and .field).
+    Ratios are taken against the start-of-interval intensity I0 = |field_l|^2,
+    which makes the a=1 row 1.
     """
     if model.order == "exact":
         fields = transient_exact(prop, mask_l, mask_l1, model.samples_per_refresh)
     else:
         fields = transient_leading(field_l, field_l1, model.a_grid())
-    return np.abs(fields) ** 2 / field_l.intensity
+    return np.abs(fields) ** 2 / np.abs(field_l) ** 2

@@ -6,6 +6,13 @@ separable propagator's forward and back-propagation against the dense matrix
 exact transient against the dense propagation of the relaxing mask, the
 closed-form scale against random perturbations, and the assignment solver
 against exhaustive search.
+
+The propagation and transient suites both report a maximum deviation of
+about 9.84e-12 at any seed and grid.  That is a floor set by the axial phase,
+not contraction error: build_separable and build_dense evaluate
+exp(i*2*pi*(2f + z)/lambda), an argument near 6e4 rad whose rounding is
+about 1e-11 rad, in two different orders (-pi/2 in the exponent against a
+1/i factor).  Both suites keep a 10x margin to their 1e-10 tolerance.
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ def _dense_deviation(cfg, layout, rng) -> float:
     prop = build_separable(cfg, layout)
     dense = build_dense(cfg, layout)
     mask = PhaseMask(rng.uniform(0, 2 * np.pi, (cfg.grid_x, cfg.grid_y)))
-    e_sep = forward(prop, mask).amplitudes
-    e_den = forward_dense(dense, mask).amplitudes
+    e_sep = forward(prop, mask)
+    e_den = forward_dense(dense, mask)
     fwd = np.max(np.abs(e_sep - e_den)) / np.max(np.abs(e_den))
     b = np.exp(1j * rng.uniform(-np.pi, np.pi, len(layout)))
     raw = np.conj(dense.matrix).T @ (b / np.conj(prop.trap_scale * prop.axial_phase))
@@ -113,20 +120,21 @@ def _check_transient(rng, cases) -> tuple[bool, str]:
         for samples in (3, 21):
             a_grid = RefreshModel(samples).a_grid()
             for a, field in zip(a_grid, transient_exact(prop, m0, m1, samples)):
-                e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a))).amplitudes
+                e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a)))
                 rel = np.max(np.abs(field - e_dense)) / np.max(np.abs(e_dense))
                 worst = max(worst, rel)
     return worst <= 1e-10, f"max relative deviation {worst:.3e} (tol 1e-10)"
 
 
 def _check_scale(rng, cases) -> tuple[bool, str]:
-    from .solvers import TargetSpec, objective, scale_update
+    from .solvers import objective, scale_update
 
     failures = 0
     for _ in range(cases):
         n = int(rng.integers(2, 12))
         field = rng.normal(size=n) + 1j * rng.normal(size=n)
-        e_tar = TargetSpec(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n)).field
+        inten, phase = rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n)
+        e_tar = np.sqrt(inten) * np.exp(1j * phase)
         weighted = rng.uniform(0.5, 1.5, n) * field
         s = scale_update(e_tar, weighted)
         base = objective(weighted, s, e_tar)

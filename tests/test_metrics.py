@@ -24,7 +24,6 @@ from holoseq.metrics import (
 )
 from holoseq.geometry import custom_task
 from holoseq.planner import plan_task
-from holoseq.propagation import TrapField
 
 
 class TestUniformity:
@@ -235,7 +234,7 @@ def fold_run(intensities, intervals, trap_z, displacement=None):
         displacement = np.zeros(len(trap_z))
     run = RunMetrics(trap_z, displacement)
     for l, inten in enumerate(intensities):
-        frame = SimpleNamespace(field=TrapField(np.sqrt(inten)))
+        frame = SimpleNamespace(field=np.sqrt(inten))
         ratios, dphi = intervals[l - 1] if l else (None, None)
         run(l, frame, ratios, dphi)
     return run
@@ -244,11 +243,11 @@ def fold_run(intensities, intervals, trap_z, displacement=None):
 def random_run(rng, trap_z, frames, samples=5):
     """Per-frame intensities and per-interval (I/I0, dphi), as a run's sink gets them.
 
-    The intensities are those of the TrapField a frame carries, so the fold
-    and the oracle see the same bits; some I/I0 samples fall outside [0, 1.2].
+    The intensities are the squared moduli of the fields a frame carries, so
+    the fold and the oracle see the same bits; some I/I0 samples fall outside [0, 1.2].
     """
     n = len(trap_z)
-    intensities = [TrapField(np.sqrt(rng.uniform(0.5, 1.5, n))).intensity for _ in range(frames)]
+    intensities = [np.abs(np.sqrt(rng.uniform(0.5, 1.5, n))) ** 2 for _ in range(frames)]
     intervals = [
         (rng.uniform(-0.2, 1.4, (samples, n)), rng.uniform(-np.pi, np.pi, n))
         for _ in range(frames - 1)
@@ -332,6 +331,16 @@ class TestLayerSplit:
         assert [ref() for ref in refs] == [None] * 3
         assert compute_report(run).transition.count == 3 * 5 * 4
 
+    def test_equal_displacements_mean_is_max(self):
+        # np.mean of seven equal values rounds one ulp above them; every layer
+        # report comes from the same pool report as this one
+        d = np.full(7, np.hypot(2.5e-6, 2.5e-6))
+        assert d.mean() > d.max()
+        run = RunMetrics(np.zeros(7), d)
+        run(0, SimpleNamespace(field=np.ones(7)), None, None)
+        report = compute_report(run)
+        assert report.displacement_mean == report.displacement_max == d.max()
+
     def test_layer_displacement_from_own_traps(self):
         # a three-layer plan whose layers move by different distances: each
         # layer reports its own traps' norms, the whole run the plan's stats
@@ -347,7 +356,7 @@ class TestLayerSplit:
         run = RunMetrics(plan.target_z, plan.displacement)
         for l, inten in enumerate(ones):
             ratios, dphi = intervals[l - 1] if l else (None, None)
-            run(l, SimpleNamespace(field=TrapField(inten)), ratios, dphi)
+            run(l, SimpleNamespace(field=inten), ratios, dphi)
         report = compute_report(run)
         assert (report.displacement_mean, report.displacement_max) == plan.displacement_stats()
         wp = plan.waypoints

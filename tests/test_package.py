@@ -94,12 +94,10 @@ def _tiny_layout():
 # every frozen record that holds an array, itself or through another record
 _ARRAY_RECORDS = {
     "PhaseMask": lambda: holoseq.PhaseMask(np.zeros((2, 2))),
-    "TrapField": lambda: holoseq.TrapField(np.ones(2)),
     "SeparablePropagator": lambda: holoseq.build_separable(
         holoseq.OpticalConfig(820e-9, 4e-3, 4, 4, 17e-6), _tiny_layout()),
     "DensePropagator": lambda: holoseq.build_dense(
         holoseq.OpticalConfig(820e-9, 4e-3, 4, 4, 17e-6), _tiny_layout()),
-    "TargetSpec": lambda: holoseq.TargetSpec(np.ones(2), np.zeros(2)),
     "SolveResult": _tiny_frame,
     "Histogram": lambda: metrics.Histogram(np.arange(3.0), np.full(2, 50.0)),
     "AggregateStats": lambda: holoseq.aggregate([np.zeros(2)]),

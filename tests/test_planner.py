@@ -376,6 +376,18 @@ class TestTransportPlan:
         fields.update(changes)
         return fields
 
+    def test_equal_displacements_mean_is_max(self):
+        # np.mean of seven equal hypot(2.5, 2.5) um moves rounds one ulp above them
+        wp = np.zeros((7, 2, 3))
+        wp[:, 1, :2] = 2.5e-6
+        plan = TransportPlan(**self.fields(
+            waypoints=wp, trap_ids=tuple(f"t{i}" for i in range(7)),
+            source_ids=tuple(f"s{i}" for i in range(7)), target_intensity=np.ones(7),
+        ))
+        assert plan.displacement.mean() > plan.displacement.max()
+        mean_d, max_d = plan.displacement_stats()
+        assert mean_d == max_d == plan.displacement.max()
+
     def test_numpy_scalars_become_python_numbers(self):
         # plan.json spells max_step by repr, which is plain only on a float
         plan = TransportPlan(**self.fields(frames=np.int64(1), max_step=np.float64(1e-6)))

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from holoseq.config import load_config
 from holoseq.geometry import custom_task
 from holoseq.planner import TransportPlan, plan_task
-from holoseq.propagation import TWO_PI, PhaseMask, TrapField
+from holoseq.propagation import TWO_PI, PhaseMask
 from holoseq.sequence import run_sequence
 from holoseq.serial import (
     FIELDS_HEADER,
@@ -88,7 +88,7 @@ def oracle_fields_csv(path, frames, ids):
         w.writerow(["frame", "trap_id", "re", "im", "intensity", "phase"])
         for l, frame in enumerate(frames):
             field = frame.field
-            columns = (field.amplitudes.real, field.amplitudes.imag, field.intensity, field.phase)
+            columns = (field.real, field.imag, np.abs(field) ** 2, np.angle(field))
             w.writerows(
                 [l, tid, *map(repr, values)]
                 for tid, *values in zip(ids, *(c.tolist() for c in columns))
@@ -257,8 +257,8 @@ class TestWritersOutOfRangeValues:
 
     def test_fields(self, tmp_path):
         frames = [
-            SimpleNamespace(field=TrapField(np.array([1e-5 + 3e-7j, -0.0 + 0.0j, np.nan + 1j]))),
-            SimpleNamespace(field=TrapField(np.array([np.inf + 0j, 1e9 - 2e-5j, 0.5 - 0.0j]))),
+            SimpleNamespace(field=np.array([1e-5 + 3e-7j, -0.0 + 0.0j, np.nan + 1j])),
+            SimpleNamespace(field=np.array([np.inf + 0j, 1e9 - 2e-5j, 0.5 - 0.0j])),
         ]
         got = tmp_path / "fields.csv"
         with open(got, "w", newline="") as fh:

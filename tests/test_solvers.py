@@ -4,12 +4,11 @@ import pytest
 from holoseq import solvers
 from holoseq.geometry import TrapLayout
 from holoseq.metrics import uniformity
-from holoseq.propagation import TrapField, build_separable, forward, forward_field, wrap_phase
+from holoseq.propagation import build_separable, forward, forward_field, wrap_phase
 from holoseq.solvers import (
     SOLVER_KINDS,
     DarkTrapError,
     SolverSettings,
-    TargetSpec,
     objective,
     over_relax,
     phase_step,
@@ -22,7 +21,12 @@ from holoseq.solvers import (
 
 
 def uniform_target(n, phase=0.0):
-    return TargetSpec(np.ones(n), np.full(n, phase))
+    """Unit target intensities and a common target phase, wpgs_solve's two arrays."""
+    return np.ones(n), np.full(n, phase)
+
+
+def target_field(intensity, phase):
+    return np.sqrt(intensity) * np.exp(1j * phase)
 
 
 # fixed-seed traces of the 3x3 lattice on the 64x64 grid (see TestPinnedTraces),
@@ -55,16 +59,6 @@ WPGS_WEIGHTS = [
 ]
 
 
-class TestTargetSpec:
-    def test_field(self):
-        t = TargetSpec(np.array([4.0]), np.array([np.pi / 2]))
-        np.testing.assert_allclose(t.field, [2j], atol=1e-12)
-
-    def test_positive_intensity_required(self):
-        with pytest.raises(ValueError):
-            TargetSpec(np.array([1.0, 0.0]), np.zeros(2))
-
-
 class TestSolverSettings:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,34 +69,34 @@ class TestSolverSettings:
 
 class TestWeightUpdate:
     def test_fixed_point(self):
-        target = uniform_target(3)
-        field = TrapField(np.exp(1j * np.array([0.1, 0.2, 0.3])))
-        w = weight_update(np.ones(3), np.abs(field.amplitudes), np.abs(target.field))
+        e_tar = target_field(*uniform_target(3))
+        field = np.exp(1j * np.array([0.1, 0.2, 0.3]))
+        w = weight_update(np.ones(3), np.abs(field), np.abs(e_tar))
         np.testing.assert_allclose(w, 1.0, atol=1e-15)
 
     def test_two_trap_example(self):
         # amplitudes (1, 2) against unit targets: raw (1, 0.5) -> (4/3, 2/3)
-        target = uniform_target(2)
-        field = TrapField(np.array([1.0 + 0j, 2.0 + 0j]))
-        w = weight_update(np.ones(2), np.abs(field.amplitudes), np.abs(target.field))
+        e_tar = target_field(*uniform_target(2))
+        field = np.array([1.0 + 0j, 2.0 + 0j])
+        w = weight_update(np.ones(2), np.abs(field), np.abs(e_tar))
         np.testing.assert_allclose(w, [4.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
 
     def test_unit_mean_invariant(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 20))
-            field = TrapField(rng.normal(size=n) + 1j * rng.normal(size=n) + 3.0)
-            target = TargetSpec(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
+            field = rng.normal(size=n) + 1j * rng.normal(size=n) + 3.0
+            e_tar = target_field(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
             w = weight_update(
-                rng.uniform(0.5, 1.5, n), np.abs(field.amplitudes), np.abs(target.field)
+                rng.uniform(0.5, 1.5, n), np.abs(field), np.abs(e_tar)
             )
             assert abs(w.mean() - 1.0) <= 1e-12
             assert (w > 0).all()
 
     def test_dark_trap_raises(self):
-        target = uniform_target(2)
-        field = TrapField(np.array([1.0 + 0j, 0.0 + 0j]))
+        e_tar = target_field(*uniform_target(2))
+        field = np.array([1.0 + 0j, 0.0 + 0j])
         with pytest.raises(DarkTrapError) as err:
-            weight_update(np.ones(2), np.abs(field.amplitudes), np.abs(target.field))
+            weight_update(np.ones(2), np.abs(field), np.abs(e_tar))
         assert 1 in err.value.indices
 
 
@@ -128,41 +122,40 @@ class TestOverRelax:
 
 class TestScaleUpdate:
     def test_exact_alignment(self):
-        target = TargetSpec(np.array([1.0, 2.0]), np.array([0.3, -0.7]))
+        e_tar = target_field(np.array([1.0, 2.0]), np.array([0.3, -0.7]))
         s_true = 2.0 * np.exp(1j * np.pi / 3)
-        field = TrapField(s_true * target.field)
-        s = scale_update(target.field, np.ones(2) * field.amplitudes)
+        field = s_true * e_tar
+        s = scale_update(e_tar, np.ones(2) * field)
         assert s == pytest.approx(s_true)
-        assert objective(np.ones(2) * field.amplitudes, s, target.field) == pytest.approx(
+        assert objective(np.ones(2) * field, s, e_tar) == pytest.approx(
             0.0, abs=1e-24
         )
 
     def test_orthogonal_field_gives_zero(self):
-        target = TargetSpec(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-        field = TrapField(np.array([1.0, -1.0]))  # orthogonal to (1, 1)
-        assert scale_update(target.field, np.ones(2) * field.amplitudes) == pytest.approx(0.0)
+        e_tar = target_field(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        field = np.array([1.0, -1.0])  # orthogonal to (1, 1)
+        assert scale_update(e_tar, np.ones(2) * field) == pytest.approx(0.0)
 
     def test_beats_random_perturbations(self, rng):
         for _ in range(20):
             n = 8
-            field = TrapField(rng.normal(size=n) + 1j * rng.normal(size=n))
-            target = TargetSpec(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
+            field = rng.normal(size=n) + 1j * rng.normal(size=n)
+            e_tar = target_field(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
             w = rng.uniform(0.5, 1.5, n)
-            we = w * field.amplitudes
-            s = scale_update(target.field, we)
-            base = objective(we, s, target.field)
+            we = w * field
+            s = scale_update(e_tar, we)
+            base = objective(we, s, e_tar)
             for _ in range(100):
                 delta = 0.3 * (rng.normal() + 1j * rng.normal())
-                assert objective(we, s + delta, target.field) >= base - 1e-12
+                assert objective(we, s + delta, e_tar) >= base - 1e-12
 
     def test_projective_identity(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            field = TrapField(rng.normal(size=n) + 1j * rng.normal(size=n))
-            target = TargetSpec(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
+            field = rng.normal(size=n) + 1j * rng.normal(size=n)
+            e_tar = target_field(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
             w = rng.uniform(0.5, 1.5, n)
-            e_tar = target.field
-            we = w * field.amplitudes
+            we = w * field
             s = scale_update(e_tar, we)
             j = objective(we, s, e_tar)
             p = np.outer(e_tar, np.conj(e_tar)) / np.vdot(e_tar, e_tar).real
@@ -174,8 +167,8 @@ class TestPhaseStep:
     def test_single_trap_steering(self, small_config):
         layout = TrapLayout(("t",), [(9e-6, -6e-6, 0.0)])
         prop = build_separable(small_config, layout)
-        target = TargetSpec(np.array([1.0]), np.array([0.4]))
-        pixel, _ = phase_step(prop, np.ones(1), 1.0 + 0j, target.field)
+        e_tar = target_field(np.array([1.0]), np.array([0.4]))
+        pixel, _ = phase_step(prop, np.ones(1), 1.0 + 0j, e_tar)
         expected = -(
             np.angle(prop.kernel_x[0])[:, None] + np.angle(prop.kernel_y[0])[None, :]
         ) + np.angle(np.conj(prop.axial_phase[0]) * np.exp(0.4j))
@@ -183,19 +176,19 @@ class TestPhaseStep:
 
     def test_positive_scaling_invariance(self, small_config, grid_3x3, rng):
         prop = build_separable(small_config, grid_3x3)
-        target = TargetSpec(rng.uniform(0.5, 2, 9), rng.uniform(-np.pi, np.pi, 9))
+        e_tar = target_field(rng.uniform(0.5, 2, 9), rng.uniform(-np.pi, np.pi, 9))
         w = rng.uniform(0.5, 1.5, 9)
-        m1, _ = phase_step(prop, w, 0.8 + 0j, target.field)
-        m2, _ = phase_step(prop, 3.0 * w, 0.8 + 0j, target.field)
+        m1, _ = phase_step(prop, w, 0.8 + 0j, e_tar)
+        m2, _ = phase_step(prop, 3.0 * w, 0.8 + 0j, e_tar)
         np.testing.assert_allclose(np.angle(m1), np.angle(m2), atol=1e-12)
 
     def test_unit_phase_scaling_shifts_mask(self, small_config, grid_3x3, rng):
         prop = build_separable(small_config, grid_3x3)
-        target = TargetSpec(rng.uniform(0.5, 2, 9), rng.uniform(-np.pi, np.pi, 9))
+        e_tar = target_field(rng.uniform(0.5, 2, 9), rng.uniform(-np.pi, np.pi, 9))
         w = rng.uniform(0.5, 1.5, 9)
         theta = 0.9
-        m1, _ = phase_step(prop, w, 1.0 + 0j, target.field)
-        m2, _ = phase_step(prop, w, np.exp(1j * theta), target.field)
+        m1, _ = phase_step(prop, w, 1.0 + 0j, e_tar)
+        m2, _ = phase_step(prop, w, np.exp(1j * theta), e_tar)
         np.testing.assert_allclose(
             wrap_phase(np.angle(m2) - np.angle(m1) - theta), 0.0, atol=1e-10
         )
@@ -205,19 +198,22 @@ class TestWpgsSolve:
     def test_single_trap_one_iteration(self, desk_config):
         layout = TrapLayout(("t",), [(12e-6, -7e-6, 0.0)])
         prop = build_separable(desk_config, layout)
-        target = TargetSpec(np.array([1.0]), np.array([0.7]))
-        res = wpgs_solve(prop, target, SolverSettings(iterations=1, seed=3))
-        assert uniformity(res.field.intensity) == 1.0
+        res = wpgs_solve(
+            prop, np.array([1.0]), np.array([0.7]), SolverSettings(iterations=1, seed=3)
+        )
+        assert uniformity(np.abs(res.field) ** 2) == 1.0
         predicted = 0.7 + np.angle(res.scale)
-        assert abs(wrap_phase(res.field.phase[0] - predicted)) <= 1e-6
+        assert abs(wrap_phase(np.angle(res.field)[0] - predicted)) <= 1e-6
 
     def test_3x3_uniform_converges(self, desk_config, grid_3x3):
         prop = build_separable(desk_config, grid_3x3)
         settings = SolverSettings(seed=0)
         warm = wgs_solve(prop, np.ones(9), settings)
-        target = TargetSpec(np.ones(9), warm.field.phase)
-        res = wpgs_solve(prop, target, settings, init_mask=warm.mask, init_weights=warm.weights)
-        assert uniformity(res.field.intensity) >= 0.99
+        res = wpgs_solve(
+            prop, np.ones(9), np.angle(warm.field), settings,
+            init_mask=warm.mask, init_weights=warm.weights,
+        )
+        assert uniformity(np.abs(res.field) ** 2) >= 0.99
         assert len(res.objective) == settings.iterations
         # J trend is recorded but not asserted: the warm-started solve sits at
         # the noise floor where monotone descent is not guaranteed
@@ -225,23 +221,23 @@ class TestWpgsSolve:
 
     def test_weights_stay_unit_mean(self, desk_config, grid_3x3):
         prop = build_separable(desk_config, grid_3x3)
-        res = wpgs_solve(prop, uniform_target(9), SolverSettings(seed=1))
+        res = wpgs_solve(prop, *uniform_target(9), SolverSettings(seed=1))
         assert abs(res.weights.mean() - 1.0) <= 1e-12
 
     def test_field_matches_mask(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
-        res = wpgs_solve(prop, uniform_target(9), SolverSettings(seed=2))
-        re_run = forward(prop, res.mask).amplitudes
-        np.testing.assert_allclose(res.field.amplitudes, re_run, rtol=1e-12)
+        res = wpgs_solve(prop, *uniform_target(9), SolverSettings(seed=2))
+        re_run = forward(prop, res.mask)
+        np.testing.assert_allclose(res.field, re_run, rtol=1e-12)
 
     def test_init_field_matches_init_mask(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
         init = random_mask(small_config, 4)
         for res in (
-            wpgs_solve(prop, uniform_target(9), SolverSettings(), init_mask=init),
+            wpgs_solve(prop, *uniform_target(9), SolverSettings(), init_mask=init),
             wgs_solve(prop, np.ones(9), SolverSettings(), init_mask=init),
         ):
-            np.testing.assert_array_equal(res.init_field.amplitudes, forward(prop, init).amplitudes)
+            np.testing.assert_array_equal(res.init_field, forward(prop, init))
 
     def test_nonuniform_target_fixed_point(self, desk_config, grid_3x3, rng):
         # converged solve: |E_n| proportional to |E_tar,n| within 2 percent
@@ -249,19 +245,37 @@ class TestWpgsSolve:
         inten = rng.uniform(0.5, 2.0, 9)
         settings = SolverSettings(seed=0)
         warm = wgs_solve(prop, inten, settings)
-        target = TargetSpec(inten, warm.field.phase)
         res = wpgs_solve(
-            prop, target, SolverSettings(iterations=20),
+            prop, inten, np.angle(warm.field), SolverSettings(iterations=20),
             init_mask=warm.mask, init_weights=warm.weights,
         )
-        ratio = np.abs(res.field.amplitudes) / np.sqrt(inten)
+        ratio = np.abs(res.field) / np.sqrt(inten)
         assert np.abs(ratio / ratio.mean() - 1.0).max() <= 0.02
+
+    @pytest.mark.parametrize("intensity, phase", [
+        (np.array([1.0] * 8 + [0.0]), np.zeros(9)),
+        (np.ones(9), np.array([0.0] * 8 + [np.nan])),
+        (np.ones(8), np.zeros(8)),
+        (np.ones(9), np.zeros(8)),
+    ], ids=["zero-intensity", "nan-phase", "short", "short-phase"])
+    def test_rejects_bad_target(self, small_config, grid_3x3, intensity, phase):
+        prop = build_separable(small_config, grid_3x3)
+        with pytest.raises(ValueError, match="target"):
+            wpgs_solve(prop, intensity, phase, SolverSettings())
+
+    def test_result_arrays_are_read_only(self, small_config, grid_3x3):
+        prop = build_separable(small_config, grid_3x3)
+        res = wpgs_solve(prop, *uniform_target(9), SolverSettings(iterations=2))
+        for name in ("weights", "field", "init_field"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(res, name)[:] = 1
+        res.pixel[0, 0] = 1  # grid-sized, kept as the solve left it
 
     def test_rejects_bad_weights(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
         with pytest.raises(ValueError):
             wpgs_solve(
-                prop, uniform_target(9), SolverSettings(), init_weights=np.zeros(9)
+                prop, *uniform_target(9), SolverSettings(), init_weights=np.zeros(9)
             )
 
 
@@ -269,7 +283,7 @@ class TestWgsSolve:
     def test_3x3_converges(self, desk_config, grid_3x3):
         prop = build_separable(desk_config, grid_3x3)
         res = wgs_solve(prop, np.ones(9), SolverSettings(seed=0))
-        assert uniformity(res.field.intensity) >= 0.99
+        assert uniformity(np.abs(res.field) ** 2) >= 0.99
         assert len(res.objective) == 26
         assert res.scale == 1.0 + 0j
 
@@ -278,8 +292,9 @@ class TestWgsSolve:
         prop = build_separable(small_config, layout)
         settings = SolverSettings(seed=5)
         res_wgs = wgs_solve(prop, np.ones(1), settings)
-        res_wpgs = wpgs_solve(prop, uniform_target(1), settings)
-        assert uniformity(res_wgs.field.intensity) == uniformity(res_wpgs.field.intensity) == 1.0
+        res_wpgs = wpgs_solve(prop, *uniform_target(1), settings)
+        for res in (res_wgs, res_wpgs):
+            assert uniformity(np.abs(res.field) ** 2) == 1.0
 
     def test_intensity_length_check(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
@@ -295,7 +310,7 @@ class TestLoopStructure:
         prop = build_separable(small_config, grid_3x3)
         settings = SolverSettings(iterations=4, wgs_iterations=7, seed=3)
         return prop, settings, {
-            "wpgs": lambda **start: wpgs_solve(prop, uniform_target(9), settings, **start),
+            "wpgs": lambda **start: wpgs_solve(prop, *uniform_target(9), settings, **start),
             "wgs": lambda **start: wgs_solve(prop, np.ones(9), settings, **start),
         }
 
@@ -320,8 +335,8 @@ class TestLoopStructure:
     def test_field_is_forward_of_pixel(self, solves, kind):
         prop, _, solve = solves
         res = solve[kind]()
-        remade = forward_field(prop, res.pixel).amplitudes
-        np.testing.assert_array_equal(res.field.amplitudes, remade)
+        remade = forward_field(prop, res.pixel)
+        np.testing.assert_array_equal(res.field, remade)
         np.testing.assert_array_equal(res.mask.phases, np.angle(res.pixel))
 
     @pytest.mark.parametrize("kind", SOLVER_KINDS)
@@ -329,8 +344,8 @@ class TestLoopStructure:
         # the mask's exp rebuilds the phasor to rounding, not bit for bit
         prop, _, solve = solves
         res = solve[kind]()
-        remade = forward(prop, res.mask).amplitudes
-        rel = np.abs(remade - res.field.amplitudes).max() / np.abs(res.field.amplitudes).max()
+        remade = forward(prop, res.mask)
+        rel = np.abs(remade - res.field).max() / np.abs(res.field).max()
         assert rel <= 1e-12
 
     @pytest.mark.parametrize("kind", SOLVER_KINDS)
@@ -351,7 +366,7 @@ class TestLoopStructure:
         iterations = settings.iterations if kind == "wpgs" else settings.wgs_iterations
         assert counted_calls == {"forward": 0, "forward_field": iterations + 1}
         # the phasor start's field is the previous result's field as it is
-        np.testing.assert_array_equal(res.init_field.amplitudes, first.field.amplitudes)
+        np.testing.assert_array_equal(res.init_field, first.field)
 
     @pytest.mark.parametrize("kind", SOLVER_KINDS)
     def test_mask_start_equals_its_phasor_start(self, solves, kind):
@@ -359,9 +374,9 @@ class TestLoopStructure:
         mask = random_mask(prop.config, 11)
         a = solve[kind](init_mask=mask)
         b = solve[kind](init_mask=np.exp(1j * mask.phases))
-        np.testing.assert_array_equal(a.init_field.amplitudes, b.init_field.amplitudes)
+        np.testing.assert_array_equal(a.init_field, b.init_field)
         np.testing.assert_array_equal(a.pixel, b.pixel)
-        np.testing.assert_array_equal(a.field.amplitudes, b.field.amplitudes)
+        np.testing.assert_array_equal(a.field, b.field)
 
     @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64 * 64,)])
     def test_phasor_start_of_wrong_shape_raises(self, solves, shape):
@@ -387,8 +402,10 @@ class TestPinnedTraces:
         prop = build_separable(small_config, grid_3x3)
         settings = SolverSettings(seed=0)
         warm = wgs_solve(prop, PINNED_INTENSITY, settings)
-        target = TargetSpec(PINNED_INTENSITY, warm.field.phase)
-        res = wpgs_solve(prop, target, settings, init_mask=warm.mask, init_weights=warm.weights)
+        res = wpgs_solve(
+            prop, PINNED_INTENSITY, np.angle(warm.field), settings,
+            init_mask=warm.mask, init_weights=warm.weights,
+        )
         return warm, res
 
     def test_wgs(self, solves):
