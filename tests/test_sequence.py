@@ -7,7 +7,7 @@ import pytest
 
 import holoseq.sequence as sequence_mod
 from holoseq.geometry import custom_task
-from holoseq.planner import plan_task
+from holoseq.planner import TransportPlan, plan_task
 from holoseq.propagation import build_separable, forward
 from holoseq.sequence import run_sequence
 from holoseq.serial import RunWriter
@@ -315,6 +315,37 @@ class TestRunSequence:
                 )
                 np.testing.assert_array_equal(intervals[l - 1][0], expected)
             prev = res
+
+    @pytest.mark.parametrize("order", ["leading", "exact"])
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_permuted_plan_permutes_per_trap_results(
+        self, small_config, six_trap_plan, fast_settings, kind, order
+    ):
+        # listing the traps in another order changes no trap's result: every
+        # per-trap array of every frame and interval is permuted with them, to
+        # rounding (the contractions sum the traps in another order)
+        plan = six_trap_plan
+        perm = np.array([4, 0, 5, 2, 1, 3])
+        permuted = TransportPlan(
+            frames=plan.frames,
+            waypoints=plan.waypoints[perm],
+            trap_ids=tuple(plan.trap_ids[i] for i in perm),
+            source_ids=tuple(plan.source_ids[i] for i in perm),
+            max_step=plan.max_step,
+            target_intensity=plan.target_intensity[perm],
+        )
+        refresh = RefreshModel(samples_per_refresh=5, order=order)
+        _, frames, intervals = run_frames(small_config, plan, kind, fast_settings, refresh)
+        _, frames_p, intervals_p = run_frames(small_config, permuted, kind, fast_settings, refresh)
+        tol = 1e-11
+        for frame, frame_p in zip(frames, frames_p, strict=True):
+            for name in ("field", "init_field"):
+                want = getattr(frame, name)[perm]
+                assert np.abs(getattr(frame_p, name) - want).max() <= tol * np.abs(want).max()
+            np.testing.assert_allclose(frame_p.weights, frame.weights[perm], rtol=tol, atol=0)
+        for (ratios, dphi), (ratios_p, dphi_p) in zip(intervals, intervals_p, strict=True):
+            np.testing.assert_allclose(ratios_p, ratios[:, perm], rtol=0, atol=tol)
+            np.testing.assert_allclose(dphi_p, dphi[perm], rtol=0, atol=tol)
 
     def test_frame_time_scales_with_iterations(self, small_config):
         # per-frame solve time is dominated by the iteration loop, so doubling

@@ -419,3 +419,94 @@ class TestPinnedTraces:
         np.testing.assert_allclose(res.objective, WPGS_OBJECTIVE, rtol=1e-9)
         np.testing.assert_allclose(res.weights, WPGS_WEIGHTS, rtol=1e-9)
         assert res.solver == "wpgs"
+
+
+def metamorphic_layout(kind, rng):
+    """12 traps on three z planes: a 2x2 lattice per plane, or random positions.
+
+    The lattice shares x and y values within a plane, so the solve runs
+    through the x_rows / y_rows row maps with fewer rows than traps.
+    """
+    planes = (-30e-6, 0.0, 30e-6)
+    if kind == "lattice":
+        xyz = [
+            (6e-6 * i + 2e-6 * k, 6e-6 * j - 3e-6 * k, z)
+            for k, z in enumerate(planes) for i in (-1, 1) for j in (-1, 1)
+        ]
+    else:
+        xyz = [
+            (rng.uniform(-20e-6, 20e-6), rng.uniform(-20e-6, 20e-6), z)
+            for z in planes for _ in range(4)
+        ]
+    return TrapLayout(tuple(f"m{i}" for i in range(12)), xyz)
+
+
+class TestMetamorphic:
+    """Relations that hold for whole solves, independent of pinned values.
+
+    At 64x64, with 12 traps on three z planes and 5 WPGS / 8 WGS iterations,
+    weights and fields agree to 1e-13 relative.  The pixel phasors are
+    compared by their RMS deviation, at most 1.6e-13 over these cases: a
+    pixel whose back-propagated field nearly cancels divides rounding by
+    that small magnitude, and the largest single deviation reached 1.1e-11
+    (lattice, WGS shift, 5 iterations) where the 99th percentile was 2.6e-13.
+    """
+
+    TOL = 1e-11
+    SETTINGS = SolverSettings(iterations=5, wgs_iterations=8, seed=0)
+
+    @pytest.fixture(params=["lattice", "random"])
+    def case(self, request, small_config, rng):
+        layout = metamorphic_layout(request.param, rng)
+        intensity = rng.uniform(0.7, 1.3, 12)
+        phase = rng.uniform(-np.pi, np.pi, 12)
+        start = np.exp(1j * random_mask(small_config, 5).phases)
+        return small_config, layout, intensity, phase, start
+
+    def solve(self, kind, config, layout, intensity, phase, start):
+        prop = build_separable(config, layout)
+        if kind == "wpgs":
+            return wpgs_solve(prop, intensity, phase, self.SETTINGS, init_mask=start)
+        return wgs_solve(prop, intensity, self.SETTINGS, init_mask=start)
+
+    def assert_same(self, got, pixel, weights, field):
+        """got's pixel phasor, weights and trap field equal the given ones."""
+        assert np.sqrt(np.mean(np.abs(got.pixel - pixel) ** 2)) <= self.TOL
+        np.testing.assert_allclose(got.weights, weights, rtol=self.TOL, atol=0)
+        assert np.abs(got.field - field).max() <= self.TOL * np.abs(field).max()
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_lateral_shift(self, case, kind):
+        # moving every trap by (dx, dy) multiplies each kernel by the conjugate
+        # of the ramp exp(i*2*pi*(dx*u + dy*v)/(lambda*f)): a start phasor
+        # times the ramp gives the same trap fields, and the solve the ramped pixel
+        config, layout, intensity, phase, start = case
+        dx, dy = 0.7e-6, -1.3e-6
+        u, v = config.pixel_coords_x(), config.pixel_coords_y()
+        lam_f = config.wavelength * config.focal_length
+        ramp = np.exp(1j * 2 * np.pi * (dx * u[:, None] + dy * v[None, :]) / lam_f)
+        moved = TrapLayout(layout.ids, layout.xyz + [dx, dy, 0.0])
+        base = self.solve(kind, config, layout, intensity, phase, start)
+        shifted = self.solve(kind, config, moved, intensity, phase, start * ramp)
+        self.assert_same(shifted, base.pixel * ramp, base.weights, base.field)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_global_phase(self, case, kind):
+        # WPGS: theta on every pinned phase and on the start phasor; WGS, with
+        # free trap phases, takes it on the start phasor only
+        config, layout, intensity, phase, start = case
+        theta = 0.9
+        turn = np.exp(1j * theta)
+        base = self.solve(kind, config, layout, intensity, phase, start)
+        turned = self.solve(kind, config, layout, intensity, phase + theta, start * turn)
+        self.assert_same(turned, base.pixel * turn, base.weights, base.field * turn)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_trap_permutation(self, case, kind, rng):
+        config, layout, intensity, phase, start = case
+        order = rng.permutation(12)
+        base = self.solve(kind, config, layout, intensity, phase, start)
+        permuted = self.solve(
+            kind, config, layout.take(order), intensity[order], phase[order], start
+        )
+        self.assert_same(permuted, base.pixel, base.weights[order], base.field[order])
