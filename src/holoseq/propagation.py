@@ -3,10 +3,14 @@
 Two routes compute the complex field at each trap from a pixelwise phase mask:
 
 * a separable path that factors the Fresnel kernel into per-axis matrices
-  ``kernel_x`` (R x grid_x, one row per distinct (x, z) pair of the N traps)
-  and ``kernel_y`` (one row per distinct (y, z) pair), contracted as
-  ``E = scale * c * rowsum((U @ exp(i*phi))[x_rows] * V[y_rows])``, where
-  ``x_rows`` and ``y_rows`` map trap n to its rows of U and V;
+  ``kernel_x`` (U, R_x x grid_x, one row per distinct (x, z) pair of the N
+  traps) and ``kernel_y`` (V, R_y x grid_y, one row per distinct (y, z)
+  pair); ``x_rows`` and ``y_rows`` map trap n to its rows of U and V.  The
+  forward contracts a pixel field F two-sided, ``E = scale * c *
+  ((U @ F) @ V.T)[x_rows, y_rows]``, when R_x*R_y <= TWO_SIDED_RATIO * N (a
+  lattice frame), and by row sums, ``rowsum((U @ F)[x_rows] * V[y_rows])``,
+  otherwise (scattered traps, where R_x = R_y = N).  The back-propagation is
+  always two-sided, through an R_x x R_y matrix of the trap sources;
 * a dense N x M matrix built independently from the single-exponential kernel,
   kept as a verification oracle for small problems.
 
@@ -45,17 +49,43 @@ TWO_PI = 2.0 * np.pi
 # forward_field gathers and sums the contracted rows of this many complex
 # entries at a time (128 KB): N x grid_y at once is a large temporary
 ROW_BLOCK_ENTRIES = 8192
+# forward_field contracts both axes by GEMM when R_x * R_y <= this * N, and
+# by row sums otherwise.  Measured with one BLAS thread on the step after
+# U @ F, the two routes break even near R_x*R_y/N = 16 at 256^2 and 1024^2:
+# scattered traps (R_x = R_y = N) at N = 16 took 0.014 vs 0.016 ms (row sums
+# vs two-sided) at 256^2 and 0.064 vs 0.073 ms at 1024^2, at N = 32 0.023 vs
+# 0.037 ms and 0.122 vs 0.222 ms; traps sharing rows at a ratio of 15.5
+# took 0.432 vs 0.400 ms at 1024^2, and a 32 x 32 lattice (ratio 1)
+# 3.40 vs 0.26 ms
+TWO_SIDED_RATIO = 16
+
+
+def _mod_two_pi(x):
+    """np.mod(x, 2*pi) in place on the float array x, bit for bit up to the sign of a zero.
+
+    Inside [-2*pi, 4*pi) np.mod adds 2*pi to each negative value and takes
+    2*pi from each value >= 2*pi, exactly (fmod is exact there); two masked
+    steps do the same in about half np.mod's time.  np.mod also turns -0.0
+    into +0.0, which this leaves to the caller.
+    """
+    if x.size and -TWO_PI <= x.min() and x.max() < 2.0 * TWO_PI:
+        low = x < 0
+        high = x >= TWO_PI
+        np.add(x, TWO_PI, out=x, where=low)
+        return np.subtract(x, TWO_PI, out=x, where=high)
+    return np.mod(x, TWO_PI, out=x)
 
 
 def wrap_phase(x, out=None):
     """Wrap angles into (-pi, pi]; ties at +-pi map to +pi.
 
-    The result goes to out, a float array of x's shape (x itself allowed),
-    or to a new array.
+    The bits are those of pi - np.mod(pi - x, 2*pi).  The result goes to
+    out, a float array of x's shape (x itself allowed), or to a new array.
     """
     out = np.empty(np.shape(x)) if out is None else out
     np.subtract(np.pi, x, out=out)
-    np.mod(out, TWO_PI, out=out)
+    # pi - x is never -0.0, and pi - (+-0.0) is pi either way
+    _mod_two_pi(out)
     return np.subtract(np.pi, out, out=out)
 
 
@@ -81,18 +111,8 @@ class PhaseMask:
         return self.phases.shape
 
     def canonical(self) -> np.ndarray:
-        """The phases folded into [0, 2*pi), bit for bit as np.mod(phases, 2*pi).
-
-        Inside (-2*pi, 2*pi), where a solve's angles lie, np.mod adds 2*pi to
-        each negative phase and turns -0.0 into +0.0; one masked add does the
-        same in about half np.mod's time.
-        """
-        x = self.phases
-        if x.size and -TWO_PI < x.min() and x.max() < TWO_PI:
-            out = x + 0.0  # a copy, and -0.0 + 0.0 is +0.0
-            np.add(out, TWO_PI, out=out, where=x < 0)
-            return out
-        return np.mod(x, TWO_PI)
+        """The phases folded into [0, 2*pi), bit for bit as np.mod(phases, 2*pi)."""
+        return _mod_two_pi(self.phases + 0.0)  # a copy, and -0.0 + 0.0 is +0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +132,9 @@ class SeparablePropagator:
     and the x kernel depends on x and z only.  x_rows (N,) maps each trap to
     its row.  kernel_y and y_rows do the same for the distinct (y, z) pairs;
     kernel_y[y_rows] is the per-trap y kernel, bit for bit.  axial_phase and
-    trap_scale stay per trap.
+    trap_scale stay per trap.  Trap n's kernel is the (x_rows[n], y_rows[n])
+    entry of the pair grid kernel_x x kernel_y, which the two-sided
+    contractions work on.
     """
 
     config: OpticalConfig
@@ -127,6 +149,11 @@ class SeparablePropagator:
     @property
     def trap_count(self) -> int:
         return len(self.layout)
+
+    @property
+    def two_sided(self) -> bool:
+        """Whether forward_field contracts both axes by GEMM: R_x*R_y <= TWO_SIDED_RATIO * N."""
+        return len(self.kernel_x) * len(self.kernel_y) <= TWO_SIDED_RATIO * self.trap_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,29 +216,38 @@ def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> np.ndar
         )
     f = np.asarray(pixel_field, dtype=complex)
     contracted_x = prop.kernel_x @ f
-    # a block of traps at a time; each trap's row sum is the same either way
-    contracted = np.empty(prop.trap_count, dtype=complex)
-    block = max(1, ROW_BLOCK_ENTRIES // cfg.grid_y)
-    for start in range(0, prop.trap_count, block):
-        stop = start + block
-        rows = contracted_x[prop.x_rows[start:stop]]
-        rows *= prop.kernel_y[prop.y_rows[start:stop]]
-        rows.sum(axis=1, out=contracted[start:stop])
+    if prop.two_sided:
+        # every (x row, y row) pair's sum, then the traps' pairs
+        contracted = (contracted_x @ prop.kernel_y.T)[prop.x_rows, prop.y_rows]
+    else:
+        # a block of traps at a time; each trap's row sum is the same either way
+        contracted = np.empty(prop.trap_count, dtype=complex)
+        block = max(1, ROW_BLOCK_ENTRIES // cfg.grid_y)
+        for start in range(0, prop.trap_count, block):
+            stop = start + block
+            rows = contracted_x[prop.x_rows[start:stop]]
+            rows *= prop.kernel_y[prop.y_rows[start:stop]]
+            rows.sum(axis=1, out=contracted[start:stop])
     return prop.trap_scale * prop.axial_phase * contracted
 
 
 def forward(prop: SeparablePropagator, mask: PhaseMask) -> np.ndarray:
     """(N,) complex trap field produced by a phase mask through the separable kernel."""
-    return forward_field(prop, np.exp(1j * mask.phases))
+    # exp(1j*phases) in one buffer, with the same bits
+    pixel = np.empty(mask.shape, dtype=complex)
+    pixel.imag = mask.phases
+    pixel.real = 0.0
+    return forward_field(prop, np.exp(pixel, out=pixel))
 
 
 def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unit phasor of the back-propagated pixel field ``U[x_rows]^H diag(b) V^*``.
+    """Unit phasor of the back-propagated pixel field ``U[x_rows]^H diag(b) V[y_rows]^*``.
 
-    V = kernel_y[y_rows] is the per-trap y kernel, formed for the call.
-    Traps that share a row of kernel_x (U) are summed before the x
-    contraction: b is scattered into an (R, N) matrix B at (x_rows[n], n),
-    and ``U[x_rows]^H diag(b) V^* = U^H (B V^*)``.
+    Traps that share a (kernel_x row, kernel_y row) pair share a kernel, so
+    b is summed into an R_x x R_y matrix B at (x_rows[n], y_rows[n]) (two
+    coincident traps add), and the field is ``U^H (B V^*)``: no per-trap
+    kernel row is formed.  Since R_y <= N, B V^* costs no more than one
+    N-row product.
 
     Returns the (grid_x, grid_y) phasor ``pixel / |pixel|`` and the count of
     pixels whose back-propagated field is exactly zero; those pixels get the
@@ -221,10 +257,9 @@ def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray,
     b = np.asarray(b, dtype=complex)
     if b.shape != (prop.trap_count,):
         raise ValueError(f"b must have length {prop.trap_count}")
-    n = prop.trap_count
-    by_row = np.zeros((len(prop.kernel_x), n), dtype=complex)
-    by_row[prop.x_rows, np.arange(n)] = b
-    pixel = np.conj(prop.kernel_x).T @ (by_row @ np.conj(prop.kernel_y)[prop.y_rows])
+    pairs = np.zeros((len(prop.kernel_x), len(prop.kernel_y)), dtype=complex)
+    np.add.at(pairs, (prop.x_rows, prop.y_rows), b)
+    pixel = np.conj(prop.kernel_x).T @ (pairs @ np.conj(prop.kernel_y))
     magnitude = np.abs(pixel)
     zero = magnitude == 0
     zero_pixels = int(np.count_nonzero(zero))

@@ -9,7 +9,9 @@ holograms.  Passing the phasor, not the mask, means a run takes one complex
 exp over the pixel grid (frame 0's random mask), not two per frame.
 After each solve the refresh interval from the previous mask is sampled at
 the new frame's trap positions, from the two fields that solve computed (its
-starting field and its result).
+starting field and its result); the exact model also starts from the
+previous frame's phasor, so under it the run keeps that phasor until the
+interval is sampled, and the transient overwrites it in place.
 
 A run streams: each frame's SolveResult (with ``pixel`` None) goes to the
 caller's sink as soon as its interval is sampled, and the run keeps nothing
@@ -102,8 +104,11 @@ def run_sequence(
     prev: SolveResult | None = None
     # the previous frame without its phasor: the interval's starting mask and phases
     last: SolveResult | None = None
+    exact = refresh.order == "exact"
     for l in range(plan.frames + 1):
         layout = plan.layout(l)
+        # the exact transient starts from the phasor the solve below starts from
+        start = prev.pixel if exact and prev is not None else None
         t0 = time.perf_counter()
         prop = build_separable(config, layout)
         try:
@@ -112,14 +117,16 @@ def run_sequence(
             exc.args = (f"frame {l}: {exc}",) + exc.args[1:]
             raise
         times.append(time.perf_counter() - t0)
-        # rebinding prev above dropped the previous phasor; no frame passed on holds one
+        # rebinding prev above dropped the previous phasor, unless start holds
+        # it; no frame passed on holds one
         frame = replace(prev, pixel=None)
         interval = d = None
         if last is not None:
             interval = sample_refresh(
-                prop, last.mask, frame.mask, frame.init_field, frame.field, refresh
+                prop, last.mask, frame.mask, frame.init_field, frame.field, refresh, start
             )
             d = phase_diff(np.angle(last.field), np.angle(frame.field))
+        start = None
         metrics(l, frame, interval, d)
         if sink is not None:
             sink(l, frame, interval, d)

@@ -100,8 +100,9 @@ class SolveResult:
     forward_field(prop, pixel) bit for bit.  mask, the angle of pixel, is the
     export and record form: forward(prop, mask) rebuilds the phasor with a
     complex exp and agrees with field to rounding (about 1e-15 relative).
-    pixel is the next solve's start; a run keeps it for the newest frame only,
-    and its recorded frames hold None.
+    pixel is the next solve's start; a run keeps it for the newest frame only
+    (under the exact refresh model, until the next interval's transient has
+    started from it and overwritten it), and its recorded frames hold None.
     """
 
     mask: PhaseMask

@@ -16,11 +16,15 @@ models produce it:
   ``a*E_old + (1-a)*E_new``, whose error grows linearly with the mean squared
   excursion ``mean_sq_excursion``.
 
-``transient_exact`` wraps ``dphi`` once and makes one forward contraction per
-sample.  Of S samples, row k's relaxing phasor comes from the last one by the
-recurrence ``exp(i(phi_l + (k/(S-1))*dphi)) = P * Q**k`` with
-``P = exp(i*phi_l)`` and ``Q = exp(i*dphi/(S-1))``: two complex exps per
-interval and one complex multiply per sample.
+Both take the interval's endpoint fields from the solve: the a = 1 row is
+the field of the previous frame's pixel phasor at the new traps (the new
+solve's ``init_field``) and the a = 0 row the new frame's ``field``.
+``transient_exact`` starts from the previous frame's unit pixel phasor P
+itself, whose angle is phi_l, wraps ``dphi`` once and makes one forward
+contraction per interior sample: of S samples, row k's relaxing phasor is
+``exp(i(phi_l + (k/(S-1))*dphi)) = P * Q**k`` with ``Q = exp(i*dphi/(S-1))``,
+one complex exp per interval and one complex multiply per sample, written
+into P's buffer.
 """
 
 from __future__ import annotations
@@ -85,43 +89,47 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
 
 
 def transient_exact(
-    prop: SeparablePropagator, mask_l: PhaseMask, mask_l1: PhaseMask, samples: int
+    prop: SeparablePropagator,
+    mask_l: PhaseMask,
+    mask_l1: PhaseMask,
+    field_l: np.ndarray,
+    field_l1: np.ndarray,
+    samples: int,
+    pixel_l: np.ndarray,
 ) -> np.ndarray:
     """Exact transient field: the forward of the relaxing mask, (samples, traps).
 
     Row k is the field at a_k = 1 - k/(samples-1), RefreshModel(samples).a_grid()[k];
-    one sample is the a = 1 row alone.
+    one sample is the a = 1 row alone.  pixel_l is the unit pixel phasor
+    whose angle is mask_l (a SolveResult's pixel), field_l its field at
+    prop's traps and field_l1 the field of mask_l1's phasor there; they are
+    the a = 1 and a = 0 rows as given.  The rows between are the forwards of
+    pixel_l * Q**k, computed in pixel_l's buffer, which is overwritten.
     """
     if mask_l.shape != mask_l1.shape:
         raise ValueError("masks must share dimensions")
+    if np.shape(pixel_l) != mask_l.shape:
+        raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l.shape}")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, not {samples!r}")
-    phi_l = mask_l.phases
-    # exp(i(phi_l + k*h*dphi)) = P * Q**k with h = 1/(samples-1), P = exp(i*phi_l)
-    # and Q = exp(i*h*dphi): one complex multiply per sample instead of an exp.
-    # Every sample's phasor is written into P's buffer, and dphi is wrapped
-    # inside Q's buffer, which Q then overwrites: no grid-sized array lives
-    # beside P and Q, and none is page-faulted in again per sample
-    pixel = np.empty(phi_l.shape, dtype=complex)
-    step = np.empty_like(pixel)
-    dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
     fields = np.empty((samples, prop.trap_count), dtype=complex)
-    _relaxing_phasor(phi_l, dphi, 0.0, pixel)
-    fields[0] = forward_field(prop, pixel)
+    fields[0] = field_l
     if samples > 1:
-        _relaxing_phasor(0.0, dphi, 1.0 / (samples - 1), step)
-        for k in range(1, samples):
-            pixel *= step
-            fields[k] = forward_field(prop, pixel)
+        fields[-1] = field_l1
+    if samples > 2:
+        # exp(i(phi_l + k*h*dphi)) = P * Q**k with h = 1/(samples-1), P = pixel_l
+        # and Q = exp(i*h*dphi): one complex multiply per sample instead of an
+        # exp.  dphi is wrapped inside Q's buffer, which Q then overwrites, and
+        # every sample's phasor goes to P's buffer: no other grid-sized array
+        step = np.empty(pixel_l.shape, dtype=complex)
+        dphi = wrap_phase(np.subtract(mask_l1.phases, mask_l.phases, out=step.imag), out=step.imag)
+        np.multiply(dphi, 1.0 / (samples - 1), out=step.imag)
+        step.real = 0.0
+        np.exp(step, out=step)
+        for k in range(1, samples - 1):
+            pixel_l *= step
+            fields[k] = forward_field(prop, pixel_l)
     return fields
-
-
-def _relaxing_phasor(phi_l, dphi, c, out):
-    """exp(1j*(phi_l + c*dphi)) computed in the complex buffer out."""
-    np.multiply(dphi, c, out=out.imag)
-    np.add(out.imag, phi_l, out=out.imag)
-    out.real = 0.0
-    return np.exp(out, out=out)
 
 
 def transient_leading(field_l: np.ndarray, field_l1: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -154,16 +162,23 @@ def sample_refresh(
     field_l: np.ndarray,
     field_l1: np.ndarray,
     model: RefreshModel,
+    pixel_l: np.ndarray | None = None,
 ) -> np.ndarray:
     """I/I0 over one refresh interval, shape (samples, traps), rows in a_grid order.
 
     field_l and field_l1 are the (N,) complex fields mask_l and mask_l1 give at
     prop's trap positions (the new frame's SolveResult.init_field and .field).
     Ratios are taken against the start-of-interval intensity I0 = |field_l|^2,
-    which makes the a=1 row 1.
+    which makes the a=1 row exactly 1.  The exact model also needs pixel_l,
+    the unit pixel phasor that field_l is the field of and mask_l the angle
+    of (the previous frame's SolveResult.pixel), and overwrites it.
     """
     if model.order == "exact":
-        fields = transient_exact(prop, mask_l, mask_l1, model.samples_per_refresh)
+        if pixel_l is None:
+            raise ValueError("the exact refresh model needs the start phasor pixel_l")
+        fields = transient_exact(
+            prop, mask_l, mask_l1, field_l, field_l1, model.samples_per_refresh, pixel_l
+        )
     else:
         fields = transient_leading(field_l, field_l1, model.a_grid())
     return np.abs(fields) ** 2 / np.abs(field_l) ** 2

@@ -2,14 +2,15 @@
 
 Each suite re-derives a core identity against an independent route: the
 separable propagator's forward and back-propagation against the dense matrix
-(random layouts, plus lattice layouts whose traps share kernel_x rows), the
-exact transient against the dense propagation of the relaxing mask, the
+(random layouts, plus lattice layouts whose traps share kernel_x rows, so
+that both forward routes, two-sided and row sums, run), the exact transient
+against the dense propagation of the relaxing mask, the
 closed-form scale against random perturbations, and the assignment solver
 against exhaustive search.
 
 The propagation and transient suites both report a maximum deviation of
-about 9.84e-12 at any seed and grid.  That is a floor set by the axial phase,
-not contraction error: build_separable and build_dense evaluate
+about 9.84e-12 to 9.9e-12 at any seed and grid.  That is a floor set by the
+axial phase, not contraction error: build_separable and build_dense evaluate
 exp(i*2*pi*(2f + z)/lambda), an argument near 6e4 rad whose rounding is
 about 1e-11 rad, in two different orders (-pi/2 in the exponent against a
 1/i factor).  Both suites keep a 10x margin to their 1e-10 tolerance.
@@ -52,12 +53,13 @@ def _lattice_layouts():
     return [layers, plan.layout(plan.frames // 2)]
 
 
-def _dense_deviation(cfg, layout, rng) -> float:
+def _dense_deviation(cfg, layout, rng) -> tuple[float, bool]:
     """Relative deviation of forward and adjoint_phase from the dense matrix.
 
     The dense adjoint is ``conj(A).T @ b`` with b divided by the conjugate
     per-trap prefactor, which leaves ``U^H diag(b) V^*``; adjoint_phase's
-    unit phasor is scaled back by that field's magnitude to compare.
+    unit phasor is scaled back by that field's magnitude to compare.  Also
+    returns whether the forward took the two-sided route.
     """
     from .propagation import (
         PhaseMask,
@@ -79,7 +81,7 @@ def _dense_deviation(cfg, layout, rng) -> float:
     raw = raw.reshape(cfg.grid_x, cfg.grid_y)
     pixel, _ = adjoint_phase(prop, b)
     adj = np.max(np.abs(pixel * np.abs(raw) - raw)) / np.max(np.abs(raw))
-    return max(fwd, adj)
+    return max(fwd, adj), prop.two_sided
 
 
 def _check_propagation(rng, cases) -> tuple[bool, str]:
@@ -89,23 +91,34 @@ def _check_propagation(rng, cases) -> tuple[bool, str]:
         grid = int(rng.choice([16, 32, 64]))
         return OpticalConfig(820e-9, 4e-3, grid, grid, 17e-6)
 
-    worst = 0.0
-    for _ in range(cases):
-        cfg = random_grid()
-        layout = _random_layout(rng, int(rng.integers(1, 17)))
-        worst = max(worst, _dense_deviation(cfg, layout, rng))
+    # up to 16 scattered traps (R_x*R_y = N^2 <= 16*N) and the lattices take the
+    # two-sided forward; more scattered traps take the row sums
+    layouts = [_random_layout(rng, int(rng.integers(1, 17))) for _ in range(cases)]
+    layouts += [_random_layout(rng, int(rng.integers(17, 41))) for _ in range(cases // 5 + 1)]
     lattices = _lattice_layouts()
-    for layout in lattices:
-        worst = max(worst, _dense_deviation(random_grid(), layout, rng))
-    return worst <= 1e-10, (
-        f"max relative deviation {worst:.3e} (tol 1e-10), "
-        f"forward and adjoint, {len(lattices)} lattice layouts included"
+    worst = 0.0
+    routes = {True: 0, False: 0}
+    for layout in layouts + lattices:
+        deviation, two_sided = _dense_deviation(random_grid(), layout, rng)
+        worst = max(worst, deviation)
+        routes[two_sided] += 1
+    return worst <= 1e-10 and all(routes.values()), (
+        f"max relative deviation {worst:.3e} (tol 1e-10), forward and adjoint, "
+        f"{len(lattices)} lattice layouts included; forward two-sided on "
+        f"{routes[True]} layouts, by row sums on {routes[False]}"
     )
 
 
 def _check_transient(rng, cases) -> tuple[bool, str]:
     from .geometry import OpticalConfig
-    from .propagation import PhaseMask, build_dense, build_separable, forward_dense
+    from .propagation import (
+        PhaseMask,
+        build_dense,
+        build_separable,
+        forward,
+        forward_dense,
+        forward_field,
+    )
     from .transient import RefreshModel, pixel_interpolate, transient_exact
 
     cfg = OpticalConfig(820e-9, 4e-3, 32, 32, 17e-6)
@@ -116,10 +129,13 @@ def _check_transient(rng, cases) -> tuple[bool, str]:
         dense = build_dense(cfg, layout)
         m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (32, 32)))
         m1 = PhaseMask(rng.uniform(0, 2 * np.pi, (32, 32)))
-        # whole-grid calls as runs make them; 3 samples put one at a = 1/2
+        # whole-grid calls as runs make them, from m0's phasor and the two
+        # endpoint fields; 3 samples put one at a = 1/2
         for samples in (3, 21):
             a_grid = RefreshModel(samples).a_grid()
-            for a, field in zip(a_grid, transient_exact(prop, m0, m1, samples)):
+            pixel = np.exp(1j * m0.phases)
+            ends = forward_field(prop, pixel), forward(prop, m1)
+            for a, field in zip(a_grid, transient_exact(prop, m0, m1, *ends, samples, pixel)):
                 e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a)))
                 rel = np.max(np.abs(field - e_dense)) / np.max(np.abs(e_dense))
                 worst = max(worst, rel)

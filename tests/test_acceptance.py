@@ -27,6 +27,7 @@ from holoseq.propagation import (
     build_separable,
     forward,
     forward_dense,
+    forward_field,
     wrap_phase,
 )
 from holoseq.sequence import run_sequence
@@ -124,7 +125,10 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
         # whole-grid calls: the grid a run samples, and three samples (a = 1/2)
         for samples in (3, RefreshModel().samples_per_refresh):
             a_grid = RefreshModel(samples).a_grid()
-            for a, e_exact in zip(a_grid, transient_exact(prop, m0, m1, samples)):
+            # from m0's phasor and the two endpoint fields, as a run passes them
+            pixel = np.exp(1j * m0.phases)
+            ends = forward_field(prop, pixel), forward(prop, m1)
+            for a, e_exact in zip(a_grid, transient_exact(prop, m0, m1, *ends, samples, pixel)):
                 relaxing = pixel_interpolate(m0, m1, float(a))
                 e_ref = forward(prop, relaxing)
                 worst = max(worst, np.abs(e_exact - e_ref).max() / np.abs(e_ref).max())
@@ -139,7 +143,7 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
     for s in np.geomspace(0.01, 0.3, 8):
         m1 = PhaseMask(m0.phases + s * pattern)
         e0, e1 = forward(prop, m0), forward(prop, m1)
-        ex = transient_exact(prop, m0, m1, 3)[1]  # a = 1/2
+        ex = transient_exact(prop, m0, m1, e0, e1, 3, np.exp(1j * m0.phases))[1]  # a = 1/2
         lead = transient_leading(e0, e1, np.array([0.5]))[0]
         msqs.append(mean_sq_excursion(m0, m1))
         errs.append(np.linalg.norm(ex - lead) / np.linalg.norm(ex))

@@ -98,6 +98,21 @@ class TestWrapPhase:
         assert wrap_phase(buf, out=buf) is buf
         np.testing.assert_array_equal(buf.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("outside", [[], [2 * np.pi + 1e-9], [-7.0, 40.0]],
+                             ids=["inside", "just-outside", "far"])
+    def test_bits_of_np_mod_form(self, rng, outside):
+        # within [-2pi, 2pi] (a difference of two angles) the wrap takes masked
+        # steps in place of np.mod, outside it np.mod itself: both give the
+        # bits of pi - np.mod(pi - x, 2pi)
+        two_pi = 2 * np.pi
+        special = [np.pi, -np.pi, two_pi, -two_pi, 0.0, -0.0, 1e-300, -1e-300,
+                   np.nextafter(np.pi, 0), np.nextafter(np.pi, 4), np.nextafter(-np.pi, 0),
+                   np.nextafter(-np.pi, -4), np.nextafter(two_pi, 0), np.nextafter(-two_pi, 0)]
+        uniform = rng.uniform(-two_pi, two_pi, 4000 - len(special) - len(outside))
+        x = np.concatenate([special, outside, uniform]).reshape(40, 100)
+        want = np.pi - np.mod(np.pi - x, two_pi)
+        np.testing.assert_array_equal(wrap_phase(x).view(np.uint64), want.view(np.uint64))
+
 
 class TestPhaseMask:
     def test_finite_required(self):
@@ -110,11 +125,14 @@ class TestPhaseMask:
         assert (c >= 0).all() and (c < 2 * np.pi).all()
         np.testing.assert_allclose(np.exp(1j * c), np.exp(1j * m.phases), atol=1e-12)
 
-    @pytest.mark.parametrize("outside", [[], [2 * np.pi], [-2 * np.pi], [7.0, -100.0]],
-                             ids=["inside", "2pi", "-2pi", "far"])
+    @pytest.mark.parametrize(
+        "outside", [[], [2 * np.pi], [-2 * np.pi], [3 * np.pi, 4 * np.pi - 1e-15], [7.0, -100.0]],
+        ids=["inside", "2pi", "-2pi", "below-4pi", "far"],
+    )
     def test_canonical_is_np_mod_bit_for_bit(self, rng, outside):
-        # inside (-2pi, 2pi) canonical() adds 2pi where negative; any value
-        # outside takes np.mod itself.  Both give np.mod's bits, -0.0 -> +0.0
+        # inside [-2pi, 4pi) canonical() adds 2pi where negative and takes it
+        # where >= 2pi; any value outside takes np.mod itself.  Both give
+        # np.mod's bits, -0.0 -> +0.0
         two_pi = 2 * np.pi
         tiny = np.finfo(float).smallest_subnormal
         special = [0.0, -0.0, np.pi, -np.pi, tiny, -tiny, 1e-310, -1e-310,
@@ -253,8 +271,10 @@ class TestForward:
     @pytest.mark.parametrize("block_traps", [None, 1, 5])
     @pytest.mark.parametrize("kind", LAYOUT_KINDS)
     def test_blocked_row_product_bits(self, small_config, rng, kind, block_traps, monkeypatch):
-        # forward_field gathers, multiplies and sums the rows a block of
-        # traps at a time, in place: the bits of the one-shot expression
+        # on the row-sum route forward_field gathers, multiplies and sums the
+        # rows a block of traps at a time, in place: the bits of the one-shot
+        # expression
+        monkeypatch.setattr(propagation, "TWO_SIDED_RATIO", 0)
         if block_traps is not None:
             monkeypatch.setattr(propagation, "ROW_BLOCK_ENTRIES", block_traps * small_config.grid_y)
         prop = build_separable(small_config, layout_of_kind(kind, rng))
@@ -265,6 +285,51 @@ class TestForward:
         np.testing.assert_array_equal(
             forward_field(prop, f).view(np.uint64), want.view(np.uint64)
         )
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_two_sided_product_bits(self, small_config, rng, kind, monkeypatch):
+        # the two-sided route: every (x row, y row) pair's sum by two GEMMs,
+        # then each trap's pair
+        monkeypatch.setattr(propagation, "TWO_SIDED_RATIO", np.inf)
+        prop = build_separable(small_config, layout_of_kind(kind, rng))
+        f = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        pairs = (prop.kernel_x @ f) @ prop.kernel_y.T
+        want = prop.trap_scale * prop.axial_phase * pairs[prop.x_rows, prop.y_rows]
+        np.testing.assert_array_equal(
+            forward_field(prop, f).view(np.uint64), want.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_routes_agree(self, small_config, rng, kind, monkeypatch):
+        # each route forced on each layout: they agree with each other to
+        # rounding and with the dense oracle to its 1e-10 floor
+        layout = layout_of_kind(kind, rng)
+        prop = build_separable(small_config, layout)
+        dense = build_dense(small_config, layout)
+        mask = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
+        e_dense = forward_dense(dense, mask)
+        by_route = {}
+        for route, ratio in (("row sums", 0), ("two-sided", np.inf)):
+            monkeypatch.setattr(propagation, "TWO_SIDED_RATIO", ratio)
+            by_route[route] = forward(prop, mask)
+            rel = np.abs(by_route[route] - e_dense).max() / np.abs(e_dense).max()
+            assert rel <= 1e-10, route
+        rows, two = by_route["row sums"], by_route["two-sided"]
+        assert np.abs(rows - two).max() <= 1e-13 * np.abs(rows).max()
+
+    def test_route_follows_pair_count(self, small_config, rng, monkeypatch):
+        # R_x * R_y <= TWO_SIDED_RATIO * N takes the two-sided route: an 8 x 8
+        # lattice (64 pairs for 64 traps) does, 40 scattered traps (1600 pairs)
+        # do not; each gives the bits of the route it takes
+        f = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        for layout, route in ((build_lattice((8, 8), 2e-6), np.inf), (random_layout(rng, 40), 0)):
+            prop = build_separable(small_config, layout)
+            assert prop.two_sided == (route == np.inf)
+            got = forward_field(prop, f)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagation, "TWO_SIDED_RATIO", route)
+                want = forward_field(prop, f)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_dimension_mismatch(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)
@@ -441,6 +506,22 @@ class TestRowMap:
         pixel, _ = adjoint_phase(pair, np.array([1.0, 1j]))
         expected, _ = adjoint_phase(single, np.array([1.0 + 1j]))
         np.testing.assert_allclose(pixel, expected, rtol=0, atol=1e-12)
+
+    def test_coincident_traps_add_in_the_pair_matrix(self, small_config, rng):
+        # two coincident traps among others scatter into one (x row, y row)
+        # pair, where their sources add: the bits of one trap driven by the sum
+        others = [(-6e-6, 2e-6, 0.0), (4e-6, 2e-6, 30e-6), (4e-6, -8e-6, 0.0)]
+        xyz = (4e-6, -8e-6, 0.0)
+        pair = build_separable(small_config, TrapLayout(("a", "b", "c", "d"), others + [xyz]))
+        merged = build_separable(small_config, TrapLayout(("a", "b", "c"), others))
+        assert (len(pair.kernel_x), len(pair.kernel_y)) == (len(merged.kernel_x), len(merged.kernel_y))
+        b = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
+        pixel, _ = adjoint_phase(pair, b)
+        expected, _ = adjoint_phase(merged, np.array([b[0], b[1], b[2] + b[3]]))
+        np.testing.assert_array_equal(pixel, expected)
+        # and not the bits of either trap alone
+        alone, _ = adjoint_phase(merged, b[:3])
+        assert np.abs(pixel - alone).max() > 0.1
 
     @pytest.mark.parametrize("kind", LAYOUT_KINDS)
     def test_matches_per_trap_contraction(self, small_config, rng, kind):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import holoseq.sequence as sequence_mod
+import holoseq.transient as transient_mod
 from holoseq.geometry import custom_task
 from holoseq.planner import TransportPlan, plan_task
 from holoseq.propagation import build_separable, forward
 from holoseq.sequence import run_sequence
 from holoseq.serial import RunWriter
 from holoseq.solvers import DarkTrapError, SolverSettings, wgs_solve, wpgs_solve
-from holoseq.transient import RefreshModel, sample_refresh
+from holoseq.transient import RefreshModel, pixel_interpolate, sample_refresh
 
 
 # a 7x7 grid at 5 um pitch, centred on the axis
@@ -156,12 +157,11 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
     def test_refresh_from_solve_fields(self, small_config, tiny_plan, fast_settings, order):
-        # each interval's ratios equal sampling from freshly propagated endpoint
-        # fields: the previous mask and the new mask at the new frame's traps.
-        # The run propagates the phasors those masks are the angles of, so
-        # leading-order ratios, which read both endpoint fields, agree to
-        # rounding.  Exact ratios read the masks and take only I0 from a
-        # field, and on this plan they agree bit for bit.
+        # each interval's ratios equal sampling from the previous mask's exp
+        # and freshly propagated endpoint fields: the previous mask and the
+        # new mask at the new frame's traps.  The run starts from the phasors
+        # those masks are the angles of, so both orders agree to rounding; the
+        # a = 1 row is the new solve's init_field, so its ratios are exactly 1
         refresh = RefreshModel(samples_per_refresh=5, order=order)
         _, frames, intervals = run_frames(small_config, tiny_plan, "wpgs", fast_settings, refresh)
         for l, (ratios, _) in enumerate(intervals, start=1):
@@ -170,21 +170,50 @@ class TestRunSequence:
             expected = sample_refresh(
                 prop, prev.mask, frame.mask,
                 forward(prop, prev.mask), forward(prop, frame.mask), refresh,
+                np.exp(1j * prev.mask.phases),
             )
-            if order == "leading":
-                np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0)
-            else:
-                np.testing.assert_array_equal(ratios, expected)
+            np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(ratios[0], 1.0)
+
+    def test_exact_interval_rows_from_the_solve(
+        self, small_config, six_trap_plan, fast_settings, monkeypatch
+    ):
+        # the exact interval's a = 1 row is the new frame's init_field and its
+        # a = 0 row the new frame's field, bit for bit; the rows between are
+        # the forwards of the relaxing mask to rounding
+        plan = six_trap_plan
+        refresh = RefreshModel(samples_per_refresh=7, order="exact")
+        sampled = []
+
+        def kept(*args):
+            fields = real(*args)
+            sampled.append(fields)
+            return fields
+
+        real = transient_mod.transient_exact
+        monkeypatch.setattr(transient_mod, "transient_exact", kept)
+        _, frames, _ = run_frames(small_config, plan, "wpgs", fast_settings, refresh)
+        assert len(sampled) == plan.frames
+        for l, fields in enumerate(sampled, start=1):
+            prev, frame = frames[l - 1], frames[l]
+            np.testing.assert_array_equal(fields[0], frame.init_field)
+            np.testing.assert_array_equal(fields[-1], frame.field)
+            prop = build_separable(small_config, plan.layout(l))
+            for a, row in zip(refresh.a_grid()[1:-1], fields[1:-1]):
+                want = forward(prop, pixel_interpolate(prev.mask, frame.mask, float(a)))
+                assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sink_gets_no_phasor(self, tiny_run):
         assert all(frame.pixel is None for frame in tiny_run[1])
 
+    @pytest.mark.parametrize("order", ["leading", "exact"])
     @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
     def test_only_the_newest_phasor_stays_alive(
-        self, small_config, tiny_plan, fast_settings, kind, monkeypatch
+        self, small_config, tiny_plan, fast_settings, kind, order, monkeypatch
     ):
         # each solve's phasor is freed once the next frame is solved, before
-        # that frame's refresh sampling, and the last one before the metrics
+        # that frame's refresh sampling (under the exact model, once that
+        # sampling has started from it), and the last one before the metrics
         phasors = []
         alive = []
 
@@ -205,8 +234,8 @@ class TestRunSequence:
             monkeypatch.setattr(sequence_mod, name, record_phasor(getattr(sequence_mod, name)))
         for name in ("sample_refresh", "compute_report"):
             monkeypatch.setattr(sequence_mod, name, count_alive(getattr(sequence_mod, name)))
-        run_sequence(small_config, tiny_plan, kind, fast_settings, RefreshModel())
-        assert alive == [1] * tiny_plan.frames + [0]
+        run_sequence(small_config, tiny_plan, kind, fast_settings, RefreshModel(order=order))
+        assert alive == [1 + (order == "exact")] * tiny_plan.frames + [0]
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
     def test_no_mask_outlives_the_next_interval(
@@ -310,8 +339,9 @@ class TestRunSequence:
             np.testing.assert_array_equal(frame.weights, res.weights)
             assert frame.objective == res.objective and frame.scale == res.scale
             if prev is not None:
+                # the exact model starts from the previous phasor, as the run does
                 expected = sample_refresh(
-                    prop, prev.mask, res.mask, res.init_field, res.field, refresh
+                    prop, prev.mask, res.mask, res.init_field, res.field, refresh, prev.pixel
                 )
                 np.testing.assert_array_equal(intervals[l - 1][0], expected)
             prev = res

@@ -85,10 +85,21 @@ def exact_reference(prop, mask_l, mask_l1, a):
     return forward_field(prop, pixel)
 
 
+def exact_fields(prop, mask_l, mask_l1, samples):
+    """transient_exact as a run calls it: from mask_l's phasor and both endpoint fields.
+
+    The phasor is exp(1j*phi_l) here, where a run passes the solve's unit
+    phasor whose angle phi_l is.
+    """
+    pixel = np.exp(1j * mask_l.phases)
+    field_l, field_l1 = forward_field(prop, pixel), forward(prop, mask_l1)
+    return transient_exact(prop, mask_l, mask_l1, field_l, field_l1, samples, pixel)
+
+
 def per_sample_ratios(prop, mask_l, mask_l1, field_l, field_l1, model):
     """sample_refresh one sample at a time, each divided by I0 in turn."""
     if model.order == "exact":
-        fields = transient_exact(prop, mask_l, mask_l1, model.samples_per_refresh)
+        fields = exact_fields(prop, mask_l, mask_l1, model.samples_per_refresh)
     else:
         fields = [a * field_l + (1.0 - a) * field_l1 for a in model.a_grid()]
     return np.array([np.abs(f) ** 2 / np.abs(field_l) ** 2 for f in fields])
@@ -139,17 +150,35 @@ class TestTransientExact:
     def test_identity_with_interpolated_forward(self, prop, rng):
         for _ in range(5):
             m0, m1 = random_masks(rng)
-            fields = transient_exact(prop, m0, m1, 21)
+            fields = exact_fields(prop, m0, m1, 21)
             for a, e_exact in zip(a_grid(21), fields):
                 e_ref = forward(prop, pixel_interpolate(m0, m1, float(a)))
                 rel = np.abs(e_exact - e_ref).max() / np.abs(e_ref).max()
                 assert rel <= 1e-12
 
     def test_endpoint_reproduces_start_field(self, prop, rng):
+        # the a = 1 and a = 0 rows are the given endpoint fields, bit for bit;
+        # the phasor is the working buffer only when there are rows between
         m0, m1 = random_masks(rng)
-        e1, e0 = transient_exact(prop, m0, m1, 2)
-        np.testing.assert_allclose(e1, forward(prop, m0), rtol=1e-12)
-        np.testing.assert_allclose(e0, forward(prop, m1), rtol=1e-12)
+        e1, e0 = forward(prop, m0), forward(prop, m1)
+        for samples in (1, 2, 5):
+            pixel = np.exp(1j * m0.phases)
+            fields = transient_exact(prop, m0, m1, e1, e0, samples, pixel)
+            np.testing.assert_array_equal(fields[0], e1)
+            if samples > 1:
+                np.testing.assert_array_equal(fields[-1], e0)
+            assert np.array_equal(pixel, np.exp(1j * m0.phases)) == (samples <= 2)
+
+    def test_interior_rows_start_from_the_phasor(self, prop, rng):
+        # the rows between the endpoints are the forwards of the recurrence
+        # started from the given phasor: a phasor turned by theta turns them
+        m0, m1 = random_masks(rng)
+        e1, e0 = forward(prop, m0), forward(prop, m1)
+        base = transient_exact(prop, m0, m1, e1, e0, 5, np.exp(1j * m0.phases))
+        turned = transient_exact(prop, m0, m1, e1, e0, 5, np.exp(1j * (m0.phases + 0.5)))
+        rel = np.abs(turned[1:-1] - base[1:-1] * np.exp(0.5j)).max() / np.abs(base).max()
+        assert rel <= 1e-12
+        np.testing.assert_array_equal(turned[[0, -1]], base[[0, -1]])
 
     def test_matches_dense_oracle(self, small_config, grid_3x3, rng):
         from holoseq.propagation import forward_dense
@@ -158,7 +187,7 @@ class TestTransientExact:
         prop = build_separable(small_config, grid_3x3)
         m0, m1 = random_masks(rng)
         # three samples: a = 1, 1/2 and 0
-        fields = transient_exact(prop, m0, m1, 3)
+        fields = exact_fields(prop, m0, m1, 3)
         assert fields.shape == (3, 9)
         for a, e_exact in zip(a_grid(3), fields):
             e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a)))
@@ -170,7 +199,7 @@ class TestTransientExact:
         m0, m1 = branch_masks(rng)
         if samples > 1:
             np.testing.assert_array_equal(a_grid(samples), RefreshModel(samples).a_grid())
-        fields = transient_exact(prop, m0, m1, samples)
+        fields = exact_fields(prop, m0, m1, samples)
         assert fields.shape == (samples, 9) and fields.dtype == complex
         for a, field in zip(a_grid(samples), fields):
             e_ref = exact_reference(prop, m0, m1, a)
@@ -182,21 +211,23 @@ class TestTransientExact:
         # recurrence multiplies by one step phasor per sample; at 201 samples
         # this bounds the rounding drift it accumulates along the grid
         m0, m1 = branch_masks(rng)
-        fields = transient_exact(prop, m0, m1, samples)
+        fields = exact_fields(prop, m0, m1, samples)
         scalar = np.array([
             forward(prop, pixel_interpolate(m0, m1, float(a)))
             for a in a_grid(samples)
         ])
         for field, expected in zip(fields, scalar):
             assert np.abs(field - expected).max() <= 1e-12 * np.abs(expected).max()
-        # the a = 1 row is the forward of mask_l as forward computes it; the
-        # rest come from the recurrence, so they are not the scalar route's bits
+        # the a = 1 row is the given forward of mask_l, here forward's bits;
+        # the rows between come from the recurrence, so they are not the
+        # scalar route's bits
         np.testing.assert_array_equal(fields[0], scalar[0])
-        assert not np.array_equal(fields[1:], scalar[1:])
+        if samples > 2:
+            assert not np.array_equal(fields[1:-1], scalar[1:-1])
 
     def test_array_of_a_identity_with_interpolated_forward(self, prop, rng):
         m0, m1 = branch_masks(rng)
-        for a, field in zip(a_grid(11), transient_exact(prop, m0, m1, 11)):
+        for a, field in zip(a_grid(11), exact_fields(prop, m0, m1, 11)):
             e_ref = forward(prop, pixel_interpolate(m0, m1, float(a)))
             assert np.abs(field - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
@@ -204,10 +235,27 @@ class TestTransientExact:
         m0, m1 = random_masks(rng)
         for samples in (0, -1, 2.5, 21.0, np.array(21)):
             with pytest.raises(ValueError, match="samples"):
-                transient_exact(prop, m0, m1, samples)
-        assert transient_exact(prop, m0, m1, np.int64(3)).shape == (3, 9)
+                exact_fields(prop, m0, m1, samples)
+        assert exact_fields(prop, m0, m1, np.int64(3)).shape == (3, 9)
+        e0, pixel = forward(prop, m0), np.exp(1j * m0.phases)
         with pytest.raises(ValueError, match="dimensions"):
-            transient_exact(prop, m0, PhaseMask(np.zeros((64, 32))), 21)
+            transient_exact(prop, m0, PhaseMask(np.zeros((64, 32))), e0, e0, 21, pixel)
+        with pytest.raises(ValueError, match="pixel_l shape"):
+            transient_exact(prop, m0, m1, e0, e0, 21, pixel[:, :32])
+
+    def test_dphi_wrap_is_wrap_phase_bits(self, prop):
+        # the recurrence's step is exp(1j * wrap(phi_l1 - phi_l) / (samples - 1)),
+        # the wrap bit for bit the np.mod form, on its edge cases too
+        edges = [np.pi, -np.pi, 2 * np.pi, -2 * np.pi, -0.0, 0.0, 1e-300, -1e-300]
+        phi_l = np.zeros((64, 64))
+        phi_l1 = np.random.default_rng(3).uniform(-2 * np.pi, 2 * np.pi, (64, 64))
+        phi_l1.flat[:len(edges)] = edges
+        m0, m1 = PhaseMask(phi_l), PhaseMask(phi_l1)
+        pixel = np.ones((64, 64), dtype=complex)
+        e0 = forward_field(prop, pixel)
+        transient_exact(prop, m0, m1, e0, e0, 3, pixel)
+        dphi = np.pi - np.mod(np.pi - (phi_l1 - phi_l), 2 * np.pi)
+        np.testing.assert_array_equal(pixel, np.exp(1j * (dphi * 0.5)))
 
 
 class TestTransientApproximations:
@@ -236,7 +284,7 @@ class TestTransientApproximations:
         for s in np.geomspace(0.02, 0.3, 5):
             m1 = PhaseMask(m0.phases + s * pattern)
             e0, e1 = forward(prop, m0), forward(prop, m1)
-            ex = transient_exact(prop, m0, m1, 3)[1]  # a = 1/2
+            ex = exact_fields(prop, m0, m1, 3)[1]  # a = 1/2
             lead = transient_leading(e0, e1, np.array([0.5]))[0]
             errs.append(np.linalg.norm(ex - lead) / np.linalg.norm(ex))
             msqs.append(mean_sq_excursion(m0, m1))
@@ -279,7 +327,7 @@ class TestSampleRefresh:
         m0, m1 = branch_masks(rng)
         e0, e1 = forward(prop, m0), forward(prop, m1)
         model = RefreshModel(samples_per_refresh=9, order="exact")
-        ratios = sample_refresh(prop, m0, m1, e0, e1, model)
+        ratios = sample_refresh(prop, m0, m1, e0, e1, model, np.exp(1j * m0.phases))
         # the recurrence agrees with one sine-ratio oracle call per a to
         # rounding, not bit for bit
         expected = np.array(
@@ -294,16 +342,23 @@ class TestSampleRefresh:
         e0, e1 = forward(prop, m0), forward(prop, m1)
         model = RefreshModel(order=order)
         expected = per_sample_ratios(prop, m0, m1, e0, e1, model)
-        np.testing.assert_array_equal(sample_refresh(prop, m0, m1, e0, e1, model), expected)
+        ratios = sample_refresh(prop, m0, m1, e0, e1, model, np.exp(1j * m0.phases))
+        np.testing.assert_array_equal(ratios, expected)
 
     def test_exact_start_row_is_one(self, prop, rng):
-        # the a = 1 sample is the forward of mask_l computed as forward does it
+        # the a = 1 sample is the given start field, so its ratio is exactly 1
         m0, m1 = branch_masks(rng)
         e0, e1 = forward(prop, m0), forward(prop, m1)
         model = RefreshModel(order="exact")
-        ratios = sample_refresh(prop, m0, m1, e0, e1, model)
+        ratios = sample_refresh(prop, m0, m1, e0, e1, model, np.exp(1j * m0.phases))
         assert ratios.shape == (model.samples_per_refresh, 9)
         np.testing.assert_array_equal(ratios[0], 1.0)
+
+    def test_exact_needs_the_start_phasor(self, prop, rng):
+        m0, m1 = random_masks(rng)
+        e0, e1 = forward(prop, m0), forward(prop, m1)
+        with pytest.raises(ValueError, match="pixel_l"):
+            sample_refresh(prop, m0, m1, e0, e1, RefreshModel(order="exact"))
 
     def test_orders_agree_at_endpoints(self, prop, rng):
         m0, m1 = random_masks(rng)
@@ -311,8 +366,8 @@ class TestSampleRefresh:
         by_order = {}
         for order in ("exact", "leading"):
             model = RefreshModel(samples_per_refresh=5, order=order)
-            by_order[order] = sample_refresh(prop, m0, m1, e0, e1, model)
+            pixel = np.exp(1j * m0.phases)
+            by_order[order] = sample_refresh(prop, m0, m1, e0, e1, model, pixel)
+        # both models take the endpoint rows from the given fields
         for idx in (0, -1):
-            np.testing.assert_allclose(
-                by_order["leading"][idx], by_order["exact"][idx], rtol=1e-10
-            )
+            np.testing.assert_array_equal(by_order["leading"][idx], by_order["exact"][idx])
