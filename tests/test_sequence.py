@@ -206,14 +206,9 @@ class TestRunSequence:
     def test_sink_gets_no_phasor(self, tiny_run):
         assert all(frame.pixel is None for frame in tiny_run[1])
 
-    @pytest.mark.parametrize("order", ["leading", "exact"])
-    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
-    def test_only_the_newest_phasor_stays_alive(
-        self, small_config, tiny_plan, fast_settings, kind, order, monkeypatch
-    ):
-        # each solve's phasor is freed once the next frame is solved, before
-        # that frame's refresh sampling (under the exact model, once that
-        # sampling has started from it), and the last one before the metrics
+    @staticmethod
+    def phasors_alive(config, plan, settings, kind, refresh, monkeypatch):
+        """Solve phasors alive at each sample_refresh call and at compute_report."""
         phasors = []
         alive = []
 
@@ -234,8 +229,31 @@ class TestRunSequence:
             monkeypatch.setattr(sequence_mod, name, record_phasor(getattr(sequence_mod, name)))
         for name in ("sample_refresh", "compute_report"):
             monkeypatch.setattr(sequence_mod, name, count_alive(getattr(sequence_mod, name)))
-        run_sequence(small_config, tiny_plan, kind, fast_settings, RefreshModel(order=order))
-        assert alive == [1 + (order == "exact")] * tiny_plan.frames + [0]
+        run_sequence(config, plan, kind, settings, refresh)
+        return alive
+
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_only_the_newest_phasor_stays_alive(
+        self, small_config, tiny_plan, fast_settings, kind, monkeypatch
+    ):
+        # each solve's phasor is freed once the next frame is solved, before
+        # that frame's refresh sampling, and the last one before the metrics
+        alive = self.phasors_alive(
+            small_config, tiny_plan, fast_settings, kind, RefreshModel(), monkeypatch
+        )
+        assert alive == [1] * tiny_plan.frames + [0]
+
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_exact_model_keeps_the_start_phasor_until_sampled(
+        self, small_config, tiny_plan, fast_settings, kind, monkeypatch
+    ):
+        # the exact transient starts from the previous solve's phasor, so it
+        # lives beside the newest one until its interval is sampled
+        refresh = RefreshModel(order="exact")
+        alive = self.phasors_alive(
+            small_config, tiny_plan, fast_settings, kind, refresh, monkeypatch
+        )
+        assert alive == [2] * tiny_plan.frames + [0]
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
     def test_no_mask_outlives_the_next_interval(
