@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: plan, run, landscape, verify.  Exit codes: 0 success,
-2 configuration error or an output path (-o) that cannot be written,
-3 infeasible plan, 4 solver failure.
+Subcommands: plan, run, verify.  Exit codes: 0 success, 1 an oracle suite
+of verify failed, 2 configuration error or an output path (-o) that cannot
+be written, 3 infeasible plan, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default="plan.json")
 
     sr = sub.add_parser("run", parents=[common], help="run the hologram sequence pipeline")
-    sr.add_argument("-o", "--output", help="output directory (defaults to config)")
-
-    sl = sub.add_parser("landscape", help="two-frame interference landscape sweep")
-    sl.add_argument("--a-steps", type=int, default=101)
-    sl.add_argument("--dphi-steps", type=int, default=101)
-    sl.add_argument("-o", "--output", default="landscape.csv")
+    sr.add_argument("-o", "--output", default="out", help="output directory")
 
     sv = sub.add_parser("verify", help="run the built-in oracle suites")
     sv.add_argument("--quick", action="store_true", help="fewer random cases")
@@ -61,7 +56,7 @@ def _plan_for(cfg):
     from .planner import InfeasibleAssignmentError, plan_task
 
     try:
-        plan = plan_task(cfg.task, max_step=cfg.run.max_step, cost=cfg.run.cost)
+        plan = plan_task(cfg.task, max_step=cfg.run.max_step)
     except InfeasibleAssignmentError as exc:
         print(f"infeasible plan: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INFEASIBLE)
@@ -108,7 +103,7 @@ def _cmd_run(args) -> int:
 
     cfg = _load(args)
     plan = _plan_for(cfg)
-    outdir = Path(args.output or cfg.run.output_dir)
+    outdir = Path(args.output)
     # an unusable output path fails here, not after every frame is solved;
     # a config or plan error above leaves no directory behind
     try:
@@ -147,32 +142,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_landscape(args) -> int:
-    import csv
-
-    import numpy as np
-
-    from .transient import intensity_model
-
-    for flag, steps in (("--a-steps", args.a_steps), ("--dphi-steps", args.dphi_steps)):
-        if steps < 1:
-            print(f"config error: {flag} must be >= 1, not {steps}", file=sys.stderr)
-            return EXIT_CONFIG
-    a_values = np.linspace(0.0, 1.0, args.a_steps)
-    dphi_values = np.linspace(0.0, np.pi, args.dphi_steps)
-    try:
-        with open(args.output, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a", "dphi", "intensity"])
-            for a in a_values:
-                for d in dphi_values:
-                    w.writerow([repr(float(a)), repr(float(d)), repr(intensity_model(a, d))])
-    except OSError as exc:
-        return _output_error(args.output, exc)
-    print(f"wrote {args.output} ({args.a_steps * args.dphi_steps} cells)")
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
     from .verify import run_verification
 
@@ -184,7 +153,6 @@ def main(argv=None) -> int:
     handlers = {
         "plan": _cmd_plan,
         "run": _cmd_run,
-        "landscape": _cmd_landscape,
         "verify": _cmd_verify,
     }
     # argparse exits 2 on a bad flag and 0 after --help; both become return codes

@@ -20,7 +20,6 @@ from pathlib import Path
 import yaml
 
 from .geometry import LatticeSpec, OpticalConfig, TaskSpec, minimal_3x3_task, paper_optical_config
-from .planner import COST_KINDS
 from .solvers import SOLVER_KINDS, SolverSettings
 from .transient import RefreshModel
 
@@ -51,7 +50,8 @@ def parse_length(value) -> float:
     YAML reads an exponent without a dot ("820e-9") as a string; it is meters too.
     A length that is not finite (a YAML .inf or .nan) is an error.
     """
-    if isinstance(value, (int, float)):
+    # YAML reads yes/no/on/off/true/false as booleans, and bool is an int
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         meters = float(value)
     elif isinstance(value, str):
         m = _LENGTH_RE.match(value)
@@ -70,9 +70,7 @@ class RunOptions:
     """Pipeline-level knobs not owned by any single compute module."""
 
     solvers: tuple[str, ...] = ("wpgs", "wgs")
-    output_dir: str = "out"
     max_step: float | None = None
-    cost: str = "squared"
 
     def __post_init__(self):
         for s in self.solvers:
@@ -83,8 +81,6 @@ class RunOptions:
             raise ConfigError(
                 f"solvers must name one or more distinct solvers, not {self.solvers!r}"
             )
-        if self.cost not in COST_KINDS:
-            raise ConfigError(f"cost must be one of {COST_KINDS}, not {self.cost!r}")
         if self.max_step is not None and not (0 < self.max_step < math.inf):
             raise ConfigError(f"max_step must be finite and > 0, not {self.max_step!r}")
 
@@ -103,14 +99,16 @@ def default_config() -> RunConfig:
 
 
 def _int(value) -> int:
-    """An integer, refusing to round (grid_x: 64.5 is an error, not 64)."""
-    if int(value) != value:
+    """An integer, refusing to round (grid_x: 64.5 is an error, not 64) or a bool."""
+    if isinstance(value, bool) or int(value) != value:
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _float(value) -> float:
-    """A finite float (a YAML .nan or .inf is an error)."""
+    """A finite float (a YAML .nan or .inf is an error, as is a bool such as off)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"expected a finite number, got {value!r}")
@@ -196,9 +194,7 @@ _SOLVER = {
 _REFRESH = {"samples_per_refresh": _int, "order": _str}
 _RUN = {
     "solvers": _tuple(_str),
-    "output_dir": _str,
     "max_step": _optional(parse_length),
-    "cost": _str,
 }
 _SECTIONS = {
     "optical": (_OPTICAL, lambda **values: replace(RunConfig().optical, **values)),

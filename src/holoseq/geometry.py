@@ -259,6 +259,8 @@ class TaskSpec:
             raise ValueError("displacement must be finite and >= 0")
         if self.max_step is not None and not (0 < self.max_step < math.inf):
             raise ValueError("max_step must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         for points in (self.custom_source, self.custom_target):
             if any(len(p) != 3 or not all(map(math.isfinite, p)) for p in points):
                 raise ValueError("custom points must be finite (x, y, z) triples")

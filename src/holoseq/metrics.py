@@ -11,7 +11,6 @@ so bin mass always sums to 100.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -59,36 +58,12 @@ class Histogram:
         ]
 
 
-@functools.lru_cache(maxsize=4)
-def _bin_edges(bins: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """np.histogram's uniform edges, and each bin's upper edge with +inf for the last."""
-    edges = np.linspace(lo, hi, bins + 1)
-    upper = np.append(edges[1:-1], np.inf)
-    edges.setflags(write=False)
-    upper.setflags(write=False)
-    return edges, upper
-
-
 def _clipped_counts(samples: np.ndarray, bins: int, lo: float, hi: float):
-    """np.histogram(np.clip(samples, lo, hi), bins, (lo, hi)), without its overhead.
+    """Counts and edges over [lo, hi], out-of-range samples clipped into the edge bins.
 
-    The bin index is np.histogram's own uniform-bin arithmetic, corrected
-    against the edges as it corrects it, and np.bincount counts the indices,
-    so the counts and edges are np.histogram's.  nan is dropped, as there.
+    nan is dropped, as np.histogram drops it.
     """
-    edges, upper = _bin_edges(bins, lo, hi)
-    x = np.clip(samples, lo, hi)
-    if np.isnan(x).any():
-        x = x[~np.isnan(x)]
-    f = x - lo
-    f /= hi - lo
-    f *= bins
-    idx = f.astype(np.intp)
-    np.minimum(idx, bins - 1, out=idx)  # x == hi lands in the last bin
-    idx -= x < edges[idx]
-    # the last bin includes hi: its +inf upper edge never moves a sample past it
-    idx += x >= upper[idx]
-    return np.bincount(idx, minlength=bins), edges
+    return np.histogram(np.clip(samples, lo, hi), bins, (lo, hi))
 
 
 def _clipped_histogram(samples: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:

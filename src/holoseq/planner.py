@@ -10,12 +10,13 @@ small instances.  Matched pairs move along straight segments discretized into
 equal sub-steps so no trap ever moves more than the configured maximum per
 frame.
 
-The default matching cost is squared Euclidean distance: plain-distance
-matchings admit rare very long edges (measured 5-6x the squared-cost maximum
-on 1000-trap reconfigurations), and since the frame count scales with the
-longest segment, squared cost keeps transport sequences short.  Displacement
-statistics are always reported as true Euclidean lengths regardless of the
-matching cost.
+The matching cost is squared Euclidean distance.  Plain-distance matchings
+admit rare very long edges, and the frame count, one SLM refresh per frame,
+scales with the longest segment: plain distance took the acceptance 2D task
+(10x10 at 79% -> 8x8, seed 7, 0.5 um steps) from 15 to 32 frames, and a
+1024-trap task (36x36 at 79% -> 32x32, seed 3, 0.1 um steps) from 112 to 850
+frames, its longest move from 11.2 to 85 um.  Displacement statistics are
+true Euclidean lengths.
 
 The solver is scipy's compiled extension ``scipy.optimize._lsap``, a private
 module whose ``linear_sum_assignment`` is the function that
@@ -55,8 +56,6 @@ __all__ = [
     "plan_task",
 ]
 
-COST_KINDS = ("squared", "euclidean")
-DEFAULT_COST = "squared"
 BRUTE_FORCE_MAX_TARGETS = 8
 
 # relative slack when deciding whether an edge is co-optimal
@@ -122,17 +121,17 @@ class Assignment:
 
     @property
     def distances(self) -> np.ndarray:
-        """Euclidean source->target distance per pair (independent of cost kind)."""
+        """Euclidean source->target distance per pair (the cost is its square)."""
         return np.linalg.norm(self.targets.xyz - self.sources.xyz, axis=1)
 
 
-def _cost_matrix(sources: TrapLayout, targets: TrapLayout, cost: str) -> np.ndarray:
-    if cost not in COST_KINDS:
-        raise ValueError(f"cost must be one of {COST_KINDS}")
+def _cost_matrix(sources: TrapLayout, targets: TrapLayout) -> np.ndarray:
     sp = sources.xyz[:, None, :]
     tp = targets.xyz[None, :, :]
+    # the square of the norm, not a sum of squares: other bits could break a
+    # near-tie the other way and change a plan
     d = np.linalg.norm(tp - sp, axis=2)
-    return d * d if cost == "squared" else d
+    return d * d
 
 
 def _lex_matching(cost: np.ndarray) -> dict[int, int]:
@@ -225,8 +224,8 @@ def _lex_matching(cost: np.ndarray) -> dict[int, int]:
     return {s: int(t) for s, t in enumerate(col_of) if t < n_tgt}
 
 
-def assign(sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST) -> Assignment:
-    """Minimum-total-cost matching of sources onto targets.
+def assign(sources: TrapLayout, targets: TrapLayout) -> Assignment:
+    """Matching of sources onto targets with the least total squared distance.
 
     Equal-cost optima are canonicalized: the matching is the lexicographically
     smallest in (source index, target index), found from one LSA solve plus
@@ -236,7 +235,7 @@ def assign(sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST) -
         raise InfeasibleAssignmentError(
             f"{len(targets)} targets but only {len(sources)} sources"
         )
-    c = _cost_matrix(sources, targets, cost)
+    c = _cost_matrix(sources, targets)
     matching = _lex_matching(c)
     # every target is matched, so ordering the matched sources by their
     # target gives the source of target 0, 1, ...
@@ -244,9 +243,7 @@ def assign(sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST) -
     return _assignment(sources, targets, source_of, c)
 
 
-def brute_force_assign(
-    sources: TrapLayout, targets: TrapLayout, cost: str = DEFAULT_COST
-) -> Assignment:
+def brute_force_assign(sources: TrapLayout, targets: TrapLayout) -> Assignment:
     """Exhaustive minimum over all source injections; test oracle only.
 
     An exact dynamic program over target subsets, O(S*T*2^T): after source i,
@@ -259,7 +256,7 @@ def brute_force_assign(
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_TARGETS} targets")
     if n_src < n_tgt:
         raise InfeasibleAssignmentError(f"{n_tgt} targets but only {n_src} sources")
-    c = _cost_matrix(sources, targets, cost)
+    c = _cost_matrix(sources, targets)
     masks = np.arange(1 << n_tgt)
     best = np.full(masks.size, np.inf)
     best[0] = 0.0
@@ -392,11 +389,7 @@ def discretize(assignment: Assignment, max_step: float) -> TransportPlan:
     )
 
 
-def plan_task(
-    spec: TaskSpec,
-    max_step: float | None = None,
-    cost: str = DEFAULT_COST,
-) -> TransportPlan:
+def plan_task(spec: TaskSpec, max_step: float | None = None) -> TransportPlan:
     """Instantiate a task, assign sources to targets, and discretize.
 
     Layered kinds (reconfig_2d / reconfig_3d_layers / minimal_3x3) assign
@@ -410,7 +403,7 @@ def plan_task(
 
     if spec.kind in ("minimal_3x3", "reconfig_2d", "reconfig_3d_layers"):
         parts = [
-            assign(source.take(source.z == zv), target.take(target.z == zv), cost=cost)
+            assign(source.take(source.z == zv), target.take(target.z == zv))
             for zv in sorted(set(target.z.tolist()))
         ]
         assignment = Assignment(
@@ -419,7 +412,7 @@ def plan_task(
             total_cost=float(sum(a.total_cost for a in parts)),
         )
     else:
-        assignment = assign(source, target, cost=cost)
+        assignment = assign(source, target)
 
     # assign keeps target order and layers ascend in z, so the plan's traps
     # are in target order

@@ -88,6 +88,9 @@ class SolverSettings:
             raise ValueError("iteration counts must be >= 1")
         if not (0.0 <= self.over_relaxation < 1.0):
             raise ValueError("over_relaxation must lie in [0, 1)")
+        # numpy's generators take no negative seed
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

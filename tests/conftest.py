@@ -41,7 +41,7 @@ def grid_3x3():
 
 @pytest.fixture(scope="session")
 def criterion_4_instances():
-    """Acceptance criterion 4's 200 random (cost kind, sources, targets) instances."""
+    """Acceptance criterion 4's 200 random (sources, targets) instances."""
     rng = np.random.default_rng(44)
 
     def layout(prefix, n):
@@ -49,11 +49,10 @@ def criterion_4_instances():
         return TrapLayout(tuple(f"{prefix}{i}" for i in range(n)), xyz)
 
     instances = []
-    for cost in ("squared", "euclidean"):
-        for _ in range(100):
-            n_tgt = int(rng.integers(1, 8))
-            n_src = n_tgt + int(rng.integers(0, 3))
-            instances.append((cost, layout("s", n_src), layout("t", n_tgt)))
+    for _ in range(200):
+        n_tgt = int(rng.integers(1, 8))
+        n_src = n_tgt + int(rng.integers(0, 3))
+        instances.append((layout("s", n_src), layout("t", n_tgt)))
     return instances
 
 

@@ -187,21 +187,19 @@ def test_criterion_3_scale_optimality():
 
 def test_criterion_4_assignment_optimality(criterion_4_instances):
     mismatches = 0
-    for cost, src, tgt in criterion_4_instances:
-        fast = assign(src, tgt, cost=cost)
-        slow = brute_force_assign(src, tgt, cost=cost)
+    for src, tgt in criterion_4_instances:
+        fast = assign(src, tgt)
+        slow = brute_force_assign(src, tgt)
         # canonical per-pair cost sums: bitwise equal iff the matchings
         # carry the same cost multiset
-        power = 2 if cost == "squared" else 1
-        fast_total = float(np.sort(fast.distances**power).sum())
-        slow_total = float(np.sort(slow.distances**power).sum())
+        fast_total = float(np.sort(fast.distances**2).sum())
+        slow_total = float(np.sort(slow.distances**2).sum())
         if fast_total != slow_total:
             mismatches += 1
     report(
         4,
         mismatches == 0,
-        f"{mismatches}/{len(criterion_4_instances)} cost mismatches vs exhaustive oracle "
-        f"(exact, both cost kinds)",
+        f"{mismatches}/{len(criterion_4_instances)} cost mismatches vs exhaustive oracle (exact)",
     )
 
 

@@ -4,7 +4,6 @@ import json
 import re
 from dataclasses import fields
 
-import numpy as np
 import pytest
 import yaml
 
@@ -14,6 +13,8 @@ from holoseq.config import (
     ConfigError,
     RunConfig,
     RunOptions,
+    _float,
+    _int,
     config_from_dict,
     config_to_dict,
     config_to_yaml,
@@ -80,13 +81,22 @@ class TestParseLength:
                 parse_length(value)
 
 
+@pytest.mark.parametrize("convert", [_int, _float, parse_length],
+                         ids=["int", "float", "length"])
+def test_booleans_are_not_numbers(convert):
+    # bool is an int to Python, but YAML's yes/no/on/off/true are not numbers
+    with pytest.raises(ConfigError):
+        convert(True)
+    assert convert(1) == 1
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = RunConfig(
             task=offset_bilayer_task(dims=(4, 4), seed=9),
             solver=SolverSettings(iterations=7, seed=3),
             refresh=RefreshModel(samples_per_refresh=11, order="exact"),
-            run=RunOptions(solvers=("wpgs",), max_step=0.2e-6, cost="euclidean"),
+            run=RunOptions(solvers=("wpgs",), max_step=0.2e-6),
         )
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -145,16 +155,12 @@ run: {max_step: 1e-7}
             config_from_dict({"run": {"solvers": ["gs"]}})
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict({"optical": {"grid_x": 64.5}})
-        with pytest.raises(ConfigError, match="cost"):
-            config_from_dict({"run": {"cost": "manhattan"}})
         for step in (0, -0.5e-6, "0 um", float("nan")):
             with pytest.raises(ConfigError, match="max_step"):
                 config_from_dict({"run": {"max_step": step}})
         # string-valued keys take strings only: a YAML null or a number is not 'None'/'3'
         for doc in (
-            {"run": {"output_dir": None}},
-            {"run": {"cost": None}},
-            {"run": {"cost": 1}},
+            {"task": {"kind": 1}},
             {"run": {"solvers": ["wpgs", None]}},
             {"refresh": {"order": None}},
             {"task": {"kind": None}},
@@ -264,8 +270,7 @@ def tiny_config_file(tmp_path):
         },
         "solver": {"iterations": 2, "wgs_iterations": 4, "seed": 0},
         "refresh": {"samples_per_refresh": 3},
-        "run": {"solvers": ["wpgs"], "output_dir": str(tmp_path / "out"),
-                "max_step": 0.25e-6},
+        "run": {"solvers": ["wpgs"], "max_step": 0.25e-6},
     }
     path = tmp_path / "tiny.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -287,7 +292,9 @@ class TestCli:
         assert code == 0
         assert json.loads(out.read_text())["frames"] == 10
 
-    def test_run_command_artifacts(self, tiny_config_file, tmp_path, capsys):
+    def test_run_command_artifacts(self, tiny_config_file, tmp_path, capsys, monkeypatch):
+        # without -o, run writes into ./out
+        monkeypatch.chdir(tmp_path)
         code = main(["run", "-c", str(tiny_config_file)])
         assert code == 0
         outdir = tmp_path / "out" / "wpgs"
@@ -458,11 +465,10 @@ class TestCli:
                 "custom_source": [[0.0, 0.0, -5e-3], [10e-6, 0.0, -5e-3]],
                 "custom_target": [[5e-6, 0.0, -5e-3], [15e-6, 0.0, -5e-3]],
             },
-            "run": {"output_dir": str(tmp_path / "out")},
         }
         path = tmp_path / "behind.yaml"
         path.write_text(yaml.safe_dump(doc))
-        assert main(["run", "-c", str(path)]) == 2
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         out = tmp_path / "plan.json"
@@ -501,6 +507,64 @@ class TestCli:
             assert main([command, "-c", str(tiny_config_file), "-o", str(out)]) == 2, command
             assert capsys.readouterr().err.splitlines()[0] == (
                 "config error: run: unknown run keys ['warmup_frames']"
+            )
+            assert not out.exists()
+
+    def test_retired_landscape_exit_code(self, tmp_path, capsys):
+        # intensity_model stays in the library; the command that tabulated it is gone
+        out = tmp_path / "landscape.csv"
+        assert main(["landscape", "-o", str(out)]) == 2
+        assert "invalid choice: 'landscape'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("cost", "squared"), ("output_dir", "x")])
+    def test_retired_run_key_exit_code(self, tiny_config_file, tmp_path, capsys, monkeypatch,
+                                       key, value):
+        # the matching cost is always squared, and run's -o (default out) is
+        # the one name of its output directory
+        monkeypatch.chdir(tmp_path)
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["run"][key] = value
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        for command in ("plan", "run"):
+            assert main([command, "-c", str(tiny_config_file)]) == 2, command
+            assert capsys.readouterr().err.splitlines()[0] == (
+                f"config error: run: unknown run keys [{key!r}]"
+            )
+        assert list(tmp_path.iterdir()) == [tiny_config_file]
+
+    @pytest.mark.parametrize("section, key, word", [
+        ("solver", "over_relaxation", "off"),
+        ("solver", "iterations", "yes"),
+        ("optical", "grid_x", "true"),
+        ("optical", "wavelength", "on"),
+    ])
+    def test_yaml_boolean_exit_code(self, tiny_config_file, tmp_path, capsys, section, key,
+                                    word):
+        # YAML reads these words as booleans, and a bool is an int: off was an
+        # over_relaxation of 0 and on a wavelength of 1 m
+        value = yaml.safe_load(word)
+        assert isinstance(value, bool)
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc[section][key] = value
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "run.out"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}: {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["solver", "task"])
+    def test_negative_seed_exit_code(self, tiny_config_file, tmp_path, capsys, section):
+        # numpy's generators take no negative seed: a solver seed of -1 ended
+        # in a traceback after frame 0 was written, a task seed of -1 in exit 3
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc[section]["seed"] = -1
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        for command in ("plan", "run"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, "-c", str(tiny_config_file), "-o", str(out)]) == 2, command
+            assert capsys.readouterr().err.splitlines()[0] == (
+                f"config error: {section}: seed must be >= 0, not -1"
             )
             assert not out.exists()
 
@@ -550,11 +614,9 @@ class TestCli:
         monkeypatch.undo()
 
         missing = tmp_path / "missing_dir"
-        for args in (["plan", "-c", str(tiny_config_file)],
-                     ["landscape", "--a-steps", "2", "--dphi-steps", "2"]):
-            out = missing / f"{args[0]}.out"
-            assert main([*args, "-o", str(out)]) == 2, args[0]
-            assert str(out) in capsys.readouterr().err, args[0]
+        out = missing / "plan.out"
+        assert main(["plan", "-c", str(tiny_config_file), "-o", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
         assert not missing.exists()
 
         # a solver's directory that cannot be made is exit 2 as well
@@ -563,30 +625,6 @@ class TestCli:
         (outdir / "wpgs").write_text("x")
         assert main(["run", "-c", str(tiny_config_file), "-o", str(outdir)]) == 2
         assert str(outdir / "wpgs") in capsys.readouterr().err
-
-    def test_landscape_command(self, tmp_path):
-        out = tmp_path / "landscape.csv"
-        code = main(["landscape", "--a-steps", "5", "--dphi-steps", "9", "-o", str(out)])
-        assert code == 0
-        with open(out) as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [(float(a), float(d), float(i)) for a, d, i in reader]
-        assert header == ["a", "dphi", "intensity"]
-        assert len(rows) == 45
-        # the dphi = 0 column is identically 1
-        assert all(i == pytest.approx(1.0) for a, d, i in rows if d == 0.0)
-        # worst-case interference cell (a=0.5, dphi=pi) vanishes
-        mid = [i for a, d, i in rows if a == 0.5 and d == pytest.approx(np.pi)]
-        assert mid[0] == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("flag", ["--a-steps", "--dphi-steps"])
-    @pytest.mark.parametrize("steps", ["0", "-1"])
-    def test_landscape_bad_step_count(self, tmp_path, capsys, flag, steps):
-        out = tmp_path / "landscape.csv"
-        assert main(["landscape", flag, steps, "-o", str(out)]) == 2
-        assert f"config error: {flag} must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_solver_budgets_from_config(self, tiny_config_file, tmp_path):
         # each frame's objectives.csv rows are its solve's iterations: the

@@ -236,6 +236,12 @@ def test_non_finite_field_rejected(name, value):
         _NON_FINITE_FIELDS[name](value)
 
 
+def test_negative_seed_rejected():
+    # refused when the task is made, not when instantiate_task samples it
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        replace(reconfig_2d_task(), seed=-1)
+
+
 class TestInstantiate:
     def test_minimal_3x3(self):
         src, tgt, inten = instantiate_task(minimal_3x3_task())

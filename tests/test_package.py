@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import holoseq
-from holoseq import config, geometry, metrics, planner, transient
+from holoseq import config, geometry, metrics, transient
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(holoseq.__path__, "holoseq."))
 
@@ -39,7 +39,6 @@ def test_readme_matches_config_and_cli():
     accepted = {
         "kind": geometry.TASK_KINDS,
         "order": transient.TRANSIENT_ORDERS,
-        "cost": planner.COST_KINDS,
     }
     documented = {}
     key = None

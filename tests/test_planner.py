@@ -91,15 +91,13 @@ class TestAssign:
         assert list(zip(a1.sources.ids, a1.targets.ids)) == [("s0", "t0"), ("s1", "t1")]
         assert (a1.sources.ids, a1.targets.ids) == (a2.sources.ids, a2.targets.ids)
 
-    def test_squared_cost_option(self):
-        # squared cost prefers balancing long moves: classic 3-point example
-        src = layout_from_x([0.0, 10.0])
-        tgt = layout_from_x([4.0, 14.0], prefix="t")
-        for cost in ("euclidean", "squared"):
-            a = assign(layout_from_x([0.0, 10.0]), tgt, cost=cost)
-            assert list(zip(a.sources.ids, a.targets.ids)) == [("s0", "t0"), ("s1", "t1")]
-        with pytest.raises(ValueError):
-            assign(src, tgt, cost="manhattan")
+    def test_squared_cost_balances_moves(self):
+        # s0 -> t0 plus s1 -> t1 moves 0 and 2, the crossed pairs 1 and 1: the
+        # same total distance, but squared cost takes the two short moves
+        a = assign(layout_from_x([1.0, 0.0]), layout_from_x([1.0, 2.0], prefix="t"))
+        assert list(zip(a.sources.ids, a.targets.ids)) == [("s1", "t0"), ("s0", "t1")]
+        assert a.total_cost == 2.0
+        assert a.distances.max() == 1.0
 
 
 # Reference for the lexicographic tie-break: the planner's former matcher,
@@ -147,9 +145,9 @@ def _lex_refine(cost: np.ndarray, base_total: float) -> dict[int, int]:
     return matching
 
 
-def oracle_pairs(src, tgt, cost):
+def oracle_pairs(src, tgt):
     """(source id, target id) pairs of the reference matcher, by target index."""
-    c = _cost_matrix(src, tgt, cost)
+    c = _cost_matrix(src, tgt)
     matching = _lex_refine(c, _lsa_total(c))
     by_target = sorted(matching.items(), key=lambda st: st[1])
     return [(src.ids[s], tgt.ids[t]) for s, t in by_target]
@@ -190,29 +188,28 @@ _TASKS = {
 class TestLexMatching:
     """The one-solve tie-break returns the reference matcher's pairs exactly."""
 
-    @pytest.mark.parametrize("cost", ["squared", "euclidean"])
     @pytest.mark.parametrize("task", list(_TASKS))
-    def test_task_pairs(self, task, cost, monkeypatch):
+    def test_task_pairs(self, task, monkeypatch):
         # every assign call plan_task makes (one per layer for lattice tasks)
         calls = []
 
-        def spy(sources, targets, cost):
-            result = assign(sources, targets, cost=cost)
+        def spy(sources, targets):
+            result = assign(sources, targets)
             calls.append((sources, targets, result))
             return result
 
         monkeypatch.setattr(planner, "assign", spy)
-        plan_task(_TASKS[task](), cost=cost)
+        plan_task(_TASKS[task]())
         assert calls
         for sources, targets, result in calls:
             got = list(zip(result.sources.ids, result.targets.ids))
-            assert got == oracle_pairs(sources, targets, cost)
+            assert got == oracle_pairs(sources, targets)
 
     def test_criterion_4_instances(self, criterion_4_instances):
-        for cost, src, tgt in criterion_4_instances:
-            a = assign(src, tgt, cost=cost)
+        for src, tgt in criterion_4_instances:
+            a = assign(src, tgt)
             got = list(zip(a.sources.ids, a.targets.ids))
-            assert got == oracle_pairs(src, tgt, cost)
+            assert got == oracle_pairs(src, tgt)
 
     def test_integer_costs_full_of_ties(self, rng):
         # small integer costs make many exactly co-optimal matchings; surplus
@@ -320,12 +317,8 @@ class TestBruteForce:
             ]
 
     def test_single_pair(self):
-        a = brute_force_assign(
-            layout_from_x([0.0]), layout_from_x([3.0], prefix="t"), cost="euclidean"
-        )
-        assert a.total_cost == pytest.approx(3.0)
-        sq = brute_force_assign(layout_from_x([0.0]), layout_from_x([3.0], prefix="t"))
-        assert sq.total_cost == pytest.approx(9.0)
+        a = brute_force_assign(layout_from_x([0.0]), layout_from_x([3.0], prefix="t"))
+        assert a.total_cost == pytest.approx(9.0)
 
 
 class TestDiscretize:

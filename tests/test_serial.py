@@ -174,7 +174,7 @@ class TestWriterOracle:
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(_perfbench_workload("plan-144").config_for(0)))
         cfg = load_config(config)
-        plan = plan_task(cfg.task, max_step=cfg.run.max_step, cost=cfg.run.cost)
+        plan = plan_task(cfg.task, max_step=cfg.run.max_step)
         _, _, intervals = assert_writers_match_oracle(tmp_path, cfg.optical, plan, cfg.solver,
                                                       cfg.refresh)
         assert len(intervals) > 1

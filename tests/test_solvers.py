@@ -65,6 +65,9 @@ class TestSolverSettings:
             SolverSettings(iterations=0)
         with pytest.raises(ValueError):
             SolverSettings(over_relaxation=1.0)
+        # numpy's generators take no negative seed: refused when the settings are made
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SolverSettings(seed=-1)
 
 
 class TestWeightUpdate:
