@@ -46,6 +46,12 @@ _KIND_FIELDS = {
 TASK_KINDS = tuple(_KIND_FIELDS)
 
 
+def require_int(name: str, value) -> None:
+    """Refuse a count or seed that is not an int (a bool, a float such as 64.5 or 64.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def freeze_array(record, name: str, dtype=float) -> np.ndarray:
     """Set a frozen record's array field to a read-only copy of its value, and return it."""
     arr = np.array(getattr(record, name), dtype=dtype, order="C")
@@ -68,6 +74,8 @@ class OpticalConfig:
         for name in ("wavelength", "focal_length", "pixel_pitch"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and > 0")
+        require_int("grid_x", self.grid_x)
+        require_int("grid_y", self.grid_y)
         if self.grid_x < 1 or self.grid_y < 1:
             raise ValueError("grid dimensions must be >= 1")
 
@@ -198,6 +206,8 @@ class LatticeSpec:
     def __post_init__(self):
         if len(self.dims) != 2 or len(self.center) != 2:
             raise ValueError("lattice dims and center must be pairs")
+        for n in self.dims:
+            require_int("lattice dims", n)
         if self.dims[0] < 1 or self.dims[1] < 1:
             raise ValueError("lattice dims must be >= 1x1")
         if not (0 < self.spacing < math.inf):
@@ -259,6 +269,7 @@ class TaskSpec:
             raise ValueError("displacement must be finite and >= 0")
         if self.max_step is not None and not (0 < self.max_step < math.inf):
             raise ValueError("max_step must be finite and > 0")
+        require_int("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         for points in (self.custom_source, self.custom_target):

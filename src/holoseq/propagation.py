@@ -46,8 +46,9 @@ __all__ = [
 DENSE_ENTRY_LIMIT = 8_388_608
 
 TWO_PI = 2.0 * np.pi
-# forward_field gathers and sums the contracted rows of this many complex
-# entries at a time (128 KB): N x grid_y at once is a large temporary
+# forward_field gathers and sums the contracted rows, and adjoint_phase
+# normalizes the pixel phasor, this many complex entries at a time (128 KB):
+# a grid-sized temporary is what a whole-array step would cost
 ROW_BLOCK_ENTRIES = 8192
 # forward_field contracts both axes by GEMM when R_x * R_y <= this * N, and
 # by row sums otherwise.  Measured with one BLAS thread on the step after
@@ -240,7 +241,37 @@ def forward(prop: SeparablePropagator, mask: PhaseMask) -> np.ndarray:
     return forward_field(prop, np.exp(pixel, out=pixel))
 
 
-def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _normalize_phasor(pixel: np.ndarray) -> int:
+    """pixel / |pixel| in place on a C-contiguous complex array; returns the zero count.
+
+    A pixel whose value is exactly zero gets the phasor 1 (phase 0).  The
+    array is taken ROW_BLOCK_ENTRIES entries at a time, so |pixel| and its
+    zero test never take a grid-sized temporary.  A block starts at a
+    multiple of that count, so each element meets numpy's loops as it would
+    in one whole-array call, with the same bits.
+    """
+    flat = pixel.reshape(-1)
+    zero_pixels = 0
+    for start in range(0, flat.size, ROW_BLOCK_ENTRIES):
+        block = flat[start:start + ROW_BLOCK_ENTRIES]
+        magnitude = np.abs(block)
+        zero = magnitude == 0
+        count = int(np.count_nonzero(zero))
+        if count:
+            block[zero] = 1.0
+            magnitude[zero] = 1.0
+            zero_pixels += count
+        # numpy divides a complex by a real as a product with its reciprocal,
+        # so this gives the bits of block /= magnitude (up to the sign of a
+        # zero real or imaginary part) at less cost
+        np.reciprocal(magnitude, out=magnitude)
+        block *= magnitude
+    return zero_pixels
+
+
+def adjoint_phase(
+    prop: SeparablePropagator, b: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Unit phasor of the back-propagated pixel field ``U[x_rows]^H diag(b) V[y_rows]^*``.
 
     Traps that share a (kernel_x row, kernel_y row) pair share a kernel, so
@@ -252,26 +283,25 @@ def adjoint_phase(prop: SeparablePropagator, b: np.ndarray) -> tuple[np.ndarray,
     Returns the (grid_x, grid_y) phasor ``pixel / |pixel|`` and the count of
     pixels whose back-propagated field is exactly zero; those pixels get the
     phasor 1 (phase 0).  The caller supplies the per-trap source vector b
-    (the solver uses conj(c) * w * s * E_tar).
+    (the solver uses conj(c) * w * s * E_tar).  The phasor is written into
+    out, a C-contiguous complex array of the grid's shape, which is returned;
+    out None allocates it.  The bits are the same either way.
     """
+    cfg = prop.config
     b = np.asarray(b, dtype=complex)
     if b.shape != (prop.trap_count,):
         raise ValueError(f"b must have length {prop.trap_count}")
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.shape == (cfg.grid_x, cfg.grid_y)
+        and out.dtype == complex and out.flags.c_contiguous and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writeable C-contiguous complex ({cfg.grid_x}, {cfg.grid_y}) array"
+        )
     pairs = np.zeros((len(prop.kernel_x), len(prop.kernel_y)), dtype=complex)
     np.add.at(pairs, (prop.x_rows, prop.y_rows), b)
-    pixel = np.conj(prop.kernel_x).T @ (pairs @ np.conj(prop.kernel_y))
-    magnitude = np.abs(pixel)
-    zero = magnitude == 0
-    zero_pixels = int(np.count_nonzero(zero))
-    if zero_pixels:
-        pixel[zero] = 1.0
-        magnitude[zero] = 1.0
-    # numpy divides a complex by a real as a product with its reciprocal, so
-    # this gives the bits of pixel /= magnitude (up to the sign of a zero
-    # real or imaginary part) at less cost
-    np.reciprocal(magnitude, out=magnitude)
-    pixel *= magnitude
-    return pixel, zero_pixels
+    pixel = np.matmul(np.conj(prop.kernel_x).T, pairs @ np.conj(prop.kernel_y), out=out)
+    return pixel, _normalize_phasor(pixel)
 
 
 def build_dense(config: OpticalConfig, layout: TrapLayout) -> DensePropagator:

@@ -7,22 +7,26 @@ weights; the phase-constrained solver additionally takes the previous frame's
 realized trap phases as its target phases, which is what couples consecutive
 holograms.  Passing the phasor, not the mask, means a run takes one complex
 exp over the pixel grid (frame 0's random mask), not two per frame.
-After each solve the refresh interval from the previous mask is sampled at
+After each solve the refresh interval from the previous frame is sampled at
 the new frame's trap positions, from the two fields that solve computed (its
-starting field and its result); the exact model also starts from the
-previous frame's phasor, so under it the run keeps that phasor until the
-interval is sampled, and the transient overwrites it in place.
+starting field and its result).  The exact model also starts from the
+previous frame's phasor and reads the previous phases as its angle, so under
+it the run keeps that phasor until the interval is sampled, and the
+transient overwrites it in place.  Under the leading model nothing reads
+that phasor after the solve, so the solve writes its phase steps into it:
+the run works in one phasor buffer from frame 0's polish on.
 
 A run streams: each frame's SolveResult (with ``pixel`` None) goes to the
-caller's sink as soon as its interval is sampled, and the run keeps nothing
-grid-sized past the next interval: the previous frame's mask, which the exact
-transient reads, and the newest phasor, which starts the next solve.  The
-metrics fold each frame in as it arrives (metrics.RunMetrics takes the sink's
-arguments), so no I/I0 array outlives the calls that receive it.  A RunRecord
-is the summary: the metrics and the per-frame wall times (``solve_times``:
-propagator build plus the solve, without transient sampling, the sink or the
-metrics), which ``holoseq run`` writes to timing.csv.  A caller that wants the
-frames or the intervals collects them through the sink.
+caller's sink as soon as its interval is sampled, and between frames the run
+keeps one grid-sized array, the newest phasor, which starts the next solve
+(and, under the exact model, the next interval); no mask outlives the sink
+call that receives it.  The metrics fold each frame in as it arrives
+(metrics.RunMetrics takes the sink's arguments), so no I/I0 array outlives
+the calls that receive it.  A RunRecord is the summary: the metrics and the
+per-frame wall times (``solve_times``: propagator build plus the solve,
+without transient sampling, the sink or the metrics), which ``holoseq run``
+writes to timing.csv.  A caller that wants the frames or the intervals
+collects them through the sink.
 """
 
 from __future__ import annotations
@@ -60,22 +64,32 @@ def _solve_frame(
     plan: TransportPlan,
     solver_kind: str,
     settings: SolverSettings,
-    prev: SolveResult | None,
+    pixel: np.ndarray | None,
+    weights: np.ndarray | None,
+    field: np.ndarray | None,
+    out: np.ndarray | None,
 ) -> SolveResult:
-    if prev is None:
+    """Solve one frame from the previous frame's phasor, weights and field.
+
+    pixel None solves frame 0.  The solve writes its phase steps into out,
+    which may be pixel; None allocates a buffer.
+    """
+    if pixel is None:
         # frame 0 from scratch: amplitude-only warm-up; the phase-constrained
         # solver then polishes it as it does every later frame, with the
-        # warm-up's realized phases as targets
-        prev = wgs_solve(prop, plan.target_intensity, settings)
+        # warm-up's realized phases as targets, in the warm-up's phasor
+        warm_up = wgs_solve(prop, plan.target_intensity, settings)
         if solver_kind == "wgs":
-            return prev
+            return warm_up
+        pixel, weights, field = warm_up.pixel, warm_up.weights, warm_up.field
+        out = pixel
     if solver_kind == "wpgs":
         return wpgs_solve(
-            prop, plan.target_intensity, np.angle(prev.field), settings,
-            init_mask=prev.pixel, init_weights=prev.weights,
+            prop, plan.target_intensity, np.angle(field), settings,
+            init_mask=pixel, init_weights=weights, out=out,
         )
     return wgs_solve(
-        prop, plan.target_intensity, settings, init_mask=prev.pixel, init_weights=prev.weights
+        prop, plan.target_intensity, settings, init_mask=pixel, init_weights=weights, out=out
     )
 
 
@@ -92,46 +106,51 @@ def run_sequence(
     sink, when given, is called in frame order as sink(l, frame, ratios, dphi)
     with frame l's SolveResult (``pixel`` None) and, for l >= 1, the I/I0
     array and dphi vector of the interval that ends at frame l (None at frame
-    0).  The run drops its own reference to frame l once interval l + 1 is
-    sampled.  Raises the solver's DarkTrapError annotated with the failing
-    frame index.
+    0).  The run drops its own reference to frame l, its mask included, once
+    the sink returns.  Raises the solver's DarkTrapError annotated with the
+    failing frame index.
     """
     if solver_kind not in SOLVER_KINDS:
         raise ValueError(f"solver_kind must be one of {SOLVER_KINDS}")
     times: list[float] = []
     metrics = RunMetrics(plan.target_z, plan.displacement)
-    # the newest result, phasor included: the only phasor alive between solves
-    prev: SolveResult | None = None
-    # the previous frame without its phasor: the interval's starting mask and phases
-    last: SolveResult | None = None
     exact = refresh.order == "exact"
+    # what the next frame reads of the newest result: its phasor, weights and field
+    pixel = weights = field = None
     for l in range(plan.frames + 1):
         layout = plan.layout(l)
-        # the exact transient starts from the phasor the solve below starts from
-        start = prev.pixel if exact and prev is not None else None
         t0 = time.perf_counter()
         prop = build_separable(config, layout)
         try:
-            prev = _solve_frame(prop, plan, solver_kind, settings, prev)
+            # under the leading model nothing reads the previous phasor after
+            # the solve, so the solve writes its phase steps into it
+            result = _solve_frame(
+                prop, plan, solver_kind, settings, pixel, weights, field,
+                None if exact else pixel,
+            )
         except Exception as exc:
             exc.args = (f"frame {l}: {exc}",) + exc.args[1:]
             raise
         times.append(time.perf_counter() - t0)
-        # rebinding prev above dropped the previous phasor, unless start holds
-        # it; no frame passed on holds one
-        frame = replace(prev, pixel=None)
+        # no frame passed on holds a phasor
+        frame = replace(result, pixel=None)
         interval = d = None
-        if last is not None:
+        if l:
+            # the exact transient starts from the previous phasor, which the
+            # solve left as it was, reads the start phases as its angle and
+            # overwrites it; the leading model reads neither
             interval = sample_refresh(
-                prop, last.mask, frame.mask, frame.init_field, frame.field, refresh, start
+                prop, None, frame.mask, frame.init_field, frame.field, refresh,
+                pixel if exact else None,
             )
-            d = phase_diff(np.angle(last.field), np.angle(frame.field))
-        start = None
+            d = phase_diff(np.angle(field), np.angle(frame.field))
+        pixel = None  # the exact transient is done with the previous phasor
         metrics(l, frame, interval, d)
         if sink is not None:
             sink(l, frame, interval, d)
-        last, interval = frame, None
-    prev = last = frame = None  # the report below needs no grid-sized array
+        pixel, weights, field = result.pixel, frame.weights, frame.field
+        result = frame = interval = None
+    pixel = None  # the report below needs no grid-sized array
 
     return RunRecord(
         solve_times=np.array(times),

@@ -79,7 +79,16 @@ _MASK_DTYPES = {0: np.dtype("<f8"), 1: np.dtype(np.uint8)}  # by header dtype co
 
 
 def _quantize(canonical: np.ndarray) -> np.ndarray:
-    return (np.round(canonical / TWO_PI * 256.0).astype(np.int64) % 256).astype(np.uint8)
+    """round(phi / (2*pi) * 256) mod 256 as uint8, in one float temporary.
+
+    canonical lies in [0, 2*pi], so the rounded value lies in [0, 256] and
+    only 256 wraps: the bits of the int64 remainder, without an int64 array.
+    """
+    q = canonical / TWO_PI
+    q *= 256.0
+    np.round(q, out=q)
+    np.subtract(q, 256.0, out=q, where=q >= 256.0)
+    return q.astype(np.uint8)
 
 
 def quantize_mask(mask: PhaseMask) -> np.ndarray:

@@ -20,7 +20,10 @@ The loop's pixel state is a unit phasor, never a phase array.  A solve's
 result carries its last phasor (``SolveResult.pixel``), and a solve started
 from such a phasor forward-propagates it as it is, so a sequence of warm-started
 solves takes no complex exp at all: only a ``PhaseMask`` start (frame 0's random
-mask, a mask read from disk) pays one, in ``forward``.
+mask, a mask read from disk) pays one, in ``forward``.  Every phase step of a
+solve is written into one phasor buffer, the solver's ``out``: a caller that
+has no further use for the start phasor passes it as ``out`` too, and a
+sequence of such solves works in one grid-sized buffer.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 # numpy loads numpy.random on first attribute access; load it on import, not mid-run
 import numpy.random
 
-from .geometry import freeze_array
+from .geometry import freeze_array, require_int
 from .propagation import (
     PhaseMask,
     SeparablePropagator,
@@ -84,6 +87,8 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "wgs_iterations", "seed"):
+            require_int(name, getattr(self, name))
         if self.iterations < 1 or self.wgs_iterations < 1:
             raise ValueError("iteration counts must be >= 1")
         if not (0.0 <= self.over_relaxation < 1.0):
@@ -103,9 +108,11 @@ class SolveResult:
     forward_field(prop, pixel) bit for bit.  mask, the angle of pixel, is the
     export and record form: forward(prop, mask) rebuilds the phasor with a
     complex exp and agrees with field to rounding (about 1e-15 relative).
-    pixel is the next solve's start; a run keeps it for the newest frame only
-    (under the exact refresh model, until the next interval's transient has
-    started from it and overwritten it), and its recorded frames hold None.
+    pixel is the solve's out buffer (a new one when out was None) and the
+    next solve's start; a run keeps it for the newest frame only (under the
+    exact refresh model, until the next interval's transient has started from
+    it and overwritten it; under the leading model the next solve writes its
+    phase steps into it), and its recorded frames hold None.
     """
 
     mask: PhaseMask
@@ -167,13 +174,14 @@ def objective(weighted: np.ndarray, s: complex, e_tar: np.ndarray) -> float:
 
 
 def phase_step(prop: SeparablePropagator, weights: np.ndarray, s: complex,
-               e_tar: np.ndarray) -> tuple[np.ndarray, int]:
+               e_tar: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Unit pixel phasor from back-propagating the weighted, scaled target field.
 
     Returns the (grid_x, grid_y) phasor and the count of back-propagated
-    pixels that are exactly zero (phasor 1), as adjoint_phase does.
+    pixels that are exactly zero (phasor 1), as adjoint_phase does; the
+    phasor is written into out when given.
     """
-    return adjoint_phase(prop, np.conj(prop.axial_phase) * (weights * (s * e_tar)))
+    return adjoint_phase(prop, np.conj(prop.axial_phase) * (weights * (s * e_tar)), out=out)
 
 
 def random_mask(config, seed: int) -> PhaseMask:
@@ -188,16 +196,20 @@ def _solve(
     settings: SolverSettings,
     init_mask: PhaseMask | np.ndarray | None,
     init_weights: np.ndarray | None,
+    out: np.ndarray | None,
 ) -> SolveResult:
     """The loop behind both solvers; pinned_field None selects the WGS rules.
 
     target_amp is |E_tar,n| under the WPGS rules and sqrt(I_n) under the WGS
     rules.  The loop's pixel state is the unit phasor from phase_step, and
     every phase step is forward-propagated as it is, without a phase array or
-    a complex exp; result.field is the last one's forward.  After the loop
-    the phasor's angle becomes the one PhaseMask of the solve.  A solve costs
-    1 + iterations forward contractions; a complex exp only when it starts
-    from a PhaseMask.
+    a complex exp; result.field is the last one's forward.  Every phase step
+    is written into one buffer: out, or the array the first step allocates
+    when out is None.  out may be the start phasor itself, which is
+    forward-propagated before the first phase step overwrites it.  After the
+    loop the phasor's angle becomes the one PhaseMask of the solve.  A solve
+    costs 1 + iterations forward contractions; a complex exp only when it
+    starts from a PhaseMask.
     """
     n = len(target_amp)
     pinned = pinned_field is not None
@@ -223,6 +235,7 @@ def _solve(
             )
         init_field = forward_field(prop, start)
     e = init_field
+    pixel = out
     for k in range(1, total + 1):
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
         w_hat = weight_update(w, np.abs(e), weight_target, iteration=k)
@@ -236,13 +249,10 @@ def _solve(
         if pinned:
             s = scale_update(e_tar, weighted)
         objectives.append(objective(weighted, s, e_tar))
-        pixel, nz = phase_step(prop, w, s, e_tar)
+        # each phase step overwrites the one before, which is forwarded already
+        pixel, nz = phase_step(prop, w, s, e_tar, out=pixel)
         zero_pixels += nz
         e = forward_field(prop, pixel)
-        if k < total:
-            # a forwarded phasor is dropped before the next phase step makes
-            # its successor, so two loop phasors never coexist
-            pixel = None
 
     return SolveResult(
         mask=PhaseMask(np.angle(pixel)),
@@ -274,6 +284,7 @@ def wpgs_solve(
     settings: SolverSettings,
     init_mask: PhaseMask | np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> SolveResult:
     """Phase-constrained solve (settings.iterations iterations).
 
@@ -283,6 +294,9 @@ def wpgs_solve(
     have one entry per trap; intensities must be > 0 and phases finite.
     init_mask is a PhaseMask or a unit pixel phasor of the grid's shape, such
     as a previous result's pixel; None starts from random_mask(settings.seed).
+    Every phase step is written into out, a C-contiguous complex array of the
+    grid's shape that becomes result.pixel; it may be init_mask's phasor
+    itself.  out None allocates the buffer once per solve.
     """
     inten = _target_intensity(prop, target_intensity)
     phase = np.asarray(target_phase, dtype=float)
@@ -291,7 +305,7 @@ def wpgs_solve(
     if not np.isfinite(phase).all():
         raise ValueError("target phases must be finite")
     e_tar = np.sqrt(inten) * np.exp(1j * phase)
-    return _solve(prop, np.abs(e_tar), e_tar, settings, init_mask, init_weights)
+    return _solve(prop, np.abs(e_tar), e_tar, settings, init_mask, init_weights, out)
 
 
 def wgs_solve(
@@ -300,6 +314,7 @@ def wgs_solve(
     settings: SolverSettings,
     init_mask: PhaseMask | np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> SolveResult:
     """Amplitude-only baseline solve (settings.wgs_iterations iterations).
 
@@ -307,7 +322,7 @@ def wgs_solve(
     the current mask realizes, the global scale stays 1, and the weight rule
     uses the mean target amplitude.  The recorded objective is the same
     matching residual evaluated against that iteration's phase-adapted target.
-    init_mask and init_weights are as for wpgs_solve.
+    init_mask, init_weights and out are as for wpgs_solve.
     """
     inten = _target_intensity(prop, target_intensity)
-    return _solve(prop, np.sqrt(inten), None, settings, init_mask, init_weights)
+    return _solve(prop, np.sqrt(inten), None, settings, init_mask, init_weights, out)

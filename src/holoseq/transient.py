@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import require_int
 # forward stays bound here for perfbench/tracing.py, which rebinds it on this module
 from .propagation import (  # noqa: F401
     PhaseMask,
@@ -68,6 +69,7 @@ class RefreshModel:
     order: str = "leading"
 
     def __post_init__(self):
+        require_int("samples_per_refresh", self.samples_per_refresh)
         if self.samples_per_refresh < 2:
             raise ValueError("samples_per_refresh must be >= 2")
         if self.order not in TRANSIENT_ORDERS:
@@ -90,7 +92,7 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
 
 def transient_exact(
     prop: SeparablePropagator,
-    mask_l: PhaseMask,
+    mask_l: PhaseMask | None,
     mask_l1: PhaseMask,
     field_l: np.ndarray,
     field_l1: np.ndarray,
@@ -105,11 +107,14 @@ def transient_exact(
     prop's traps and field_l1 the field of mask_l1's phasor there; they are
     the a = 1 and a = 0 rows as given.  The rows between are the forwards of
     pixel_l * Q**k, computed in pixel_l's buffer, which is overwritten.
+    mask_l None takes phi_l as pixel_l's angle (np.angle's bits, those of the
+    mask a solve records beside its phasor), so a caller need not keep the
+    start mask.
     """
-    if mask_l.shape != mask_l1.shape:
+    if mask_l is not None and mask_l.shape != mask_l1.shape:
         raise ValueError("masks must share dimensions")
-    if np.shape(pixel_l) != mask_l.shape:
-        raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l.shape}")
+    if np.shape(pixel_l) != mask_l1.shape:
+        raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l1.shape}")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an int >= 1, not {samples!r}")
     fields = np.empty((samples, prop.trap_count), dtype=complex)
@@ -122,7 +127,11 @@ def transient_exact(
         # exp.  dphi is wrapped inside Q's buffer, which Q then overwrites, and
         # every sample's phasor goes to P's buffer: no other grid-sized array
         step = np.empty(pixel_l.shape, dtype=complex)
-        dphi = wrap_phase(np.subtract(mask_l1.phases, mask_l.phases, out=step.imag), out=step.imag)
+        if mask_l is None:  # np.angle's arctan2, into Q's buffer
+            phi_l = np.arctan2(pixel_l.imag, pixel_l.real, out=step.imag)
+        else:
+            phi_l = mask_l.phases
+        dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
         np.multiply(dphi, 1.0 / (samples - 1), out=step.imag)
         step.real = 0.0
         np.exp(step, out=step)
@@ -157,7 +166,7 @@ def intensity_model(a, dphi):
 
 def sample_refresh(
     prop: SeparablePropagator,
-    mask_l: PhaseMask,
+    mask_l: PhaseMask | None,
     mask_l1: PhaseMask,
     field_l: np.ndarray,
     field_l1: np.ndarray,
@@ -171,7 +180,9 @@ def sample_refresh(
     Ratios are taken against the start-of-interval intensity I0 = |field_l|^2,
     which makes the a=1 row exactly 1.  The exact model also needs pixel_l,
     the unit pixel phasor that field_l is the field of and mask_l the angle
-    of (the previous frame's SolveResult.pixel), and overwrites it.
+    of (the previous frame's SolveResult.pixel), and overwrites it; with
+    mask_l None it reads phi_l from pixel_l, as transient_exact does.  The
+    leading model reads neither mask nor pixel_l.
     """
     if model.order == "exact":
         if pixel_l is None:

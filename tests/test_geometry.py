@@ -236,6 +236,29 @@ def test_non_finite_field_rejected(name, value):
         _NON_FINITE_FIELDS[name](value)
 
 
+_INTEGER_FIELDS = {
+    "grid_x": lambda v: OpticalConfig(820e-9, 4e-3, v, 8, 17e-6),
+    "grid_y": lambda v: OpticalConfig(820e-9, 4e-3, 8, v, 17e-6),
+    "dims": lambda v: LatticeSpec(dims=(v, 3), spacing=5e-6),
+    "seed": lambda v: replace(reconfig_2d_task(), seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize("name", list(_INTEGER_FIELDS))
+def test_non_integer_count_rejected(name, value):
+    # built from Python, as the config loader refuses them: a 64.5-wide grid
+    # would build 65 pixel columns, and a 2.5 seed fail inside numpy later
+    with pytest.raises(ValueError, match="must be an integer"):
+        _INTEGER_FIELDS[name](value)
+
+
+def test_numpy_integer_counts_accepted():
+    cfg = OpticalConfig(820e-9, 4e-3, np.int64(4), np.int32(5), 2e-6)
+    assert cfg.pixel_count == 20
+    assert LatticeSpec(dims=(np.int64(2), 3), spacing=5e-6).count == 6
+
+
 def test_negative_seed_rejected():
     # refused when the task is made, not when instantiate_task samples it
     with pytest.raises(ValueError, match="seed must be >= 0"):

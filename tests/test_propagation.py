@@ -421,6 +421,49 @@ class TestAdjoint:
         np.testing.assert_array_equal(pixel[5], 1.0 + 0j)
         assert (np.abs(np.delete(pixel, 5, axis=0)) > 0.5).all()
 
+    def test_out_buffer_gets_the_allocating_calls_bits(self, rng):
+        # 96 x 90 pixels: one full normalization block and a partial one, and
+        # pixel row 91, zero here, straddles the boundary between them
+        config = OpticalConfig(820e-9, 4e-3, 96, 90, 17e-6)
+        prop = build_separable(config, layout_of_kind("mid_transport", rng))
+        kernel_x = prop.kernel_x.copy()
+        kernel_x[:, [5, 91]] = 0.0
+        prop = dataclasses.replace(prop, kernel_x=kernel_x)
+        n = prop.trap_count
+        b = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        pixel, n_zero = adjoint_phase(prop, b)
+        out = np.full((96, 90), np.nan, dtype=complex)
+        got, n_out = adjoint_phase(prop, b, out=out)
+        assert got is out
+        assert n_out == n_zero == 2 * 90
+        np.testing.assert_array_equal(out.view(np.uint64), pixel.view(np.uint64))
+        # the whole-array division, with the phasor 1 at the zero pixels
+        pairs = np.zeros((len(prop.kernel_x), len(prop.kernel_y)), dtype=complex)
+        np.add.at(pairs, (prop.x_rows, prop.y_rows), b)
+        raw = np.conj(prop.kernel_x).T @ (pairs @ np.conj(prop.kernel_y))
+        want = np.ones_like(raw)
+        np.divide(raw, np.abs(raw), out=want, where=raw != 0)
+        np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((64, 63), dtype=complex),
+        np.empty((64, 64)),
+        np.empty((64, 64), dtype=complex, order="F"),
+        np.empty((64, 128), dtype=complex)[:, ::2],
+        np.empty((64, 64), dtype=np.complex64),
+    ], ids=["shape", "real", "fortran", "strided", "complex64"])
+    def test_unusable_out_buffer_raises(self, small_config, grid_3x3, out):
+        prop = build_separable(small_config, grid_3x3)
+        with pytest.raises(ValueError, match="out must be"):
+            adjoint_phase(prop, np.ones(9, dtype=complex), out=out)
+
+    def test_read_only_out_buffer_raises(self, small_config, grid_3x3):
+        prop = build_separable(small_config, grid_3x3)
+        out = np.empty((64, 64), dtype=complex)
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="out must be"):
+            adjoint_phase(prop, np.ones(9, dtype=complex), out=out)
+
     def test_single_trap_recovers_steering_grating(self, small_config):
         layout = TrapLayout(("t",), [(11e-6, 4e-6, 0.0)])
         prop = build_separable(small_config, layout)

@@ -208,7 +208,7 @@ class TestRunSequence:
 
     @staticmethod
     def phasors_alive(config, plan, settings, kind, refresh, monkeypatch):
-        """Solve phasors alive at each sample_refresh call and at compute_report."""
+        """Distinct solve phasors alive at each sample_refresh call and at compute_report."""
         phasors = []
         alive = []
 
@@ -221,7 +221,8 @@ class TestRunSequence:
 
         def count_alive(fn):
             def counted(*args, **kwargs):
-                alive.append(sum(ref() is not None for ref in phasors))
+                live = (ref() for ref in phasors)
+                alive.append(len({id(p) for p in live if p is not None}))
                 return fn(*args, **kwargs)
             return counted
 
@@ -236,8 +237,9 @@ class TestRunSequence:
     def test_only_the_newest_phasor_stays_alive(
         self, small_config, tiny_plan, fast_settings, kind, monkeypatch
     ):
-        # each solve's phasor is freed once the next frame is solved, before
-        # that frame's refresh sampling, and the last one before the metrics
+        # under the leading model every solve writes into the previous one's
+        # phasor, so one buffer serves the whole run, and it is freed before
+        # the metrics
         alive = self.phasors_alive(
             small_config, tiny_plan, fast_settings, kind, RefreshModel(), monkeypatch
         )
@@ -256,12 +258,39 @@ class TestRunSequence:
         assert alive == [2] * tiny_plan.frames + [0]
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_solves_share_one_phasor_buffer(
+        self, small_config, tiny_plan, fast_settings, kind, order, monkeypatch
+    ):
+        # every result's phasor is held here, so a solve that allocated its
+        # own would show as a new buffer.  Frame 0's polish writes into the
+        # warm-up's phasor; under the leading model every later solve writes
+        # into its start phasor, under the exact model into a new one, since
+        # the interval's transient starts from the old phasor after the solve
+        pixels = []
+
+        def record_pixel(solve):
+            def solved(*args, **kwargs):
+                result = solve(*args, **kwargs)
+                pixels.append(result.pixel)
+                return result
+            return solved
+
+        for name in ("wpgs_solve", "wgs_solve"):
+            monkeypatch.setattr(sequence_mod, name, record_pixel(getattr(sequence_mod, name)))
+        run_sequence(small_config, tiny_plan, kind, fast_settings, RefreshModel(order=order))
+        assert len(pixels) == tiny_plan.frames + 1 + (kind == "wpgs")
+        buffers = len({id(p) for p in pixels})
+        assert buffers == (1 if order == "leading" else tiny_plan.frames + 1)
+
+    @pytest.mark.parametrize("order", ["leading", "exact"])
     def test_no_mask_outlives_the_next_interval(
         self, small_config, tiny_plan, fast_settings, order, monkeypatch
     ):
-        # interval l samples from frame l - 1's mask before the sink gets
-        # frame l; every older mask is freed by then, and the last one before
-        # the metrics
+        # the run drops each frame's mask once the sink returns: the leading
+        # model reads no mask, and the exact one reads the interval's start
+        # phases from the previous phasor, so no mask is alive when an
+        # interval is sampled or the metrics are computed
         refs = []
         alive = []
 
@@ -277,7 +306,8 @@ class TestRunSequence:
             small_config, tiny_plan, "wpgs", fast_settings, RefreshModel(order=order),
             sink=lambda l, frame, ratios, dphi: refs.append(weakref.ref(frame.mask)),
         )
-        assert alive == [[l - 1] for l in range(1, tiny_plan.frames + 1)] + [[]]
+        assert alive == [[]] * (tiny_plan.frames + 1)
+        assert len(refs) == tiny_plan.frames + 1
 
     def test_memory_does_not_grow_with_frame_count(self, small_config, fast_settings, tmp_path):
         # a run streamed to disk holds no frame past the next interval and no
@@ -319,6 +349,35 @@ class TestRunSequence:
                 finally:
                     tracemalloc.stop()
             assert abs(peaks[1] - peaks[0]) < mask_bytes, (name, peaks)
+
+    @pytest.mark.parametrize("kind", ["wpgs", "wgs"])
+    def test_memory_does_not_grow_with_iterations(self, small_config, tmp_path, kind):
+        # a solve writes every phase step into one phasor buffer, so four
+        # times the iterations peak within one phasor's bytes of the shorter
+        # run (a wgs run iterates wgs_iterations on every frame, a wpgs run
+        # on frame 0's warm-up)
+        spec = custom_task([(x, y, 0) for x, y in GRID_7], [(x, y + 1e-6, 0) for x, y in GRID_7])
+        plan = plan_task(spec, max_step=0.25e-6)
+        refresh = RefreshModel()
+        phasor_bytes = small_config.grid_x * small_config.grid_y * 16
+
+        def streamed(iterations, out):
+            settings = SolverSettings(iterations=3, wgs_iterations=iterations, seed=0)
+            with RunWriter(out, plan, refresh) as sink:
+                run_sequence(small_config, plan, kind, settings, refresh, sink=sink)
+
+        # one-time allocations outside the trace
+        streamed(4, tmp_path / "warm-up")
+        peaks = []
+        for iterations in (4, 16):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                streamed(iterations, tmp_path / str(iterations))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < phasor_bytes, peaks
 
     @pytest.mark.parametrize("order", ["leading", "exact"])
     @pytest.mark.parametrize("kind", ["wpgs", "wgs"])

@@ -60,6 +60,13 @@ WPGS_WEIGHTS = [
 
 
 class TestSolverSettings:
+    @pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize("name", ["iterations", "wgs_iterations", "seed"])
+    def test_non_integer_rejected(self, name, value):
+        # refused when the settings are made, not inside SeedSequence or range()
+        with pytest.raises(ValueError, match="must be an integer"):
+            SolverSettings(**{name: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(iterations=0)
@@ -380,6 +387,32 @@ class TestLoopStructure:
         np.testing.assert_array_equal(a.init_field, b.init_field)
         np.testing.assert_array_equal(a.pixel, b.pixel)
         np.testing.assert_array_equal(a.field, b.field)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_out_as_its_own_start_phasor(self, solves, kind):
+        # the start is forward-propagated before the first phase step
+        # overwrites it, so writing into it changes no bit of the solve
+        _, _, solve = solves
+        first = solve[kind]()
+        want = solve[kind](init_mask=first.pixel.copy(), init_weights=first.weights)
+        start = first.pixel.copy()
+        res = solve[kind](init_mask=start, init_weights=first.weights, out=start)
+        assert res.pixel is start
+        for name in ("init_field", "field", "weights", "pixel"):
+            np.testing.assert_array_equal(
+                getattr(res, name).view(np.uint64), getattr(want, name).view(np.uint64)
+            )
+        np.testing.assert_array_equal(res.mask.phases, want.mask.phases)
+        assert (res.objective, res.scale) == (want.objective, want.scale)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    def test_out_from_a_mask_start(self, solves, kind):
+        prop, _, solve = solves
+        mask = random_mask(prop.config, 11)
+        out = np.empty((64, 64), dtype=complex)
+        res = solve[kind](init_mask=mask, out=out)
+        assert res.pixel is out
+        np.testing.assert_array_equal(out, solve[kind](init_mask=mask).pixel)
 
     @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64 * 64,)])
     def test_phasor_start_of_wrong_shape_raises(self, solves, shape):

@@ -106,6 +106,12 @@ def per_sample_ratios(prop, mask_l, mask_l1, field_l, field_l1, model):
 
 
 class TestRefreshModel:
+    @pytest.mark.parametrize("value", [3.5, 4.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_samples_rejected(self, value):
+        # refused when the model is made, not in a_grid()
+        with pytest.raises(ValueError, match="must be an integer"):
+            RefreshModel(samples_per_refresh=value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RefreshModel(samples_per_refresh=1)
@@ -179,6 +185,21 @@ class TestTransientExact:
         rel = np.abs(turned[1:-1] - base[1:-1] * np.exp(0.5j)).max() / np.abs(base).max()
         assert rel <= 1e-12
         np.testing.assert_array_equal(turned[[0, -1]], base[[0, -1]])
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    def test_start_mask_read_from_the_phasor(self, prop, rng, samples):
+        # mask_l None takes phi_l as the phasor's angle: a solve's mask is
+        # np.angle of its phasor, so the rows keep their bits
+        pixel = np.exp(1j * random_masks(rng)[0].phases)
+        m0, m1 = PhaseMask(np.angle(pixel)), random_masks(rng)[1]
+        e1, e0 = forward_field(prop, pixel), forward(prop, m1)
+        given = transient_exact(prop, m0, m1, e1, e0, samples, pixel.copy())
+        read = pixel.copy()
+        fields = transient_exact(prop, None, m1, e1, e0, samples, read)
+        np.testing.assert_array_equal(fields.view(np.uint64), given.view(np.uint64))
+        assert np.array_equal(read, pixel) == (samples <= 2)
+        with pytest.raises(ValueError, match="pixel_l shape"):
+            transient_exact(prop, None, m1, e1, e0, samples, pixel[:, :32])
 
     def test_matches_dense_oracle(self, small_config, grid_3x3, rng):
         from holoseq.propagation import forward_dense
