@@ -172,6 +172,28 @@ HISTOGRAM_RANGES = [
 
 
 class TestClippedCounts:
+    @staticmethod
+    def assert_histogram_counts(samples, bins, lo, hi):
+        counts, edges = _clipped_counts(samples, bins, lo, hi)
+        want_counts, want_edges = np.histogram(np.clip(samples, lo, hi), bins=bins, range=(lo, hi))
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(edges, want_edges)
+        assert counts.dtype == want_counts.dtype
+
+    @pytest.mark.parametrize("bins, lo, hi", HISTOGRAM_RANGES)
+    def test_random_samples(self, rng, bins, lo, hi):
+        width = hi - lo
+        for samples in (rng.uniform(lo - 0.3 * width, hi + 0.3 * width, 20_000),
+                        rng.uniform(lo, hi, (21, 144)).ravel(),
+                        np.empty(0)):
+            self.assert_histogram_counts(samples, bins, lo, hi)
+
+    @pytest.mark.parametrize("bins, lo, hi", HISTOGRAM_RANGES)
+    def test_every_edge_and_its_neighbours(self, bins, lo, hi):
+        edges = np.linspace(lo, hi, bins + 1)
+        for samples in (edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)):
+            self.assert_histogram_counts(samples, bins, lo, hi)
+
     @pytest.mark.parametrize("bins, lo, hi", HISTOGRAM_RANGES)
     def test_clip_bounds_and_non_finite(self, bins, lo, hi):
         # _clipped_counts is np.histogram of np.clip: counted here by hand,
