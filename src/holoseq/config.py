@@ -123,7 +123,14 @@ def _str(value) -> str:
 
 
 def _tuple(convert):
-    return lambda values: tuple(convert(v) for v in values)
+    """A list (or tuple) of converted entries; a string or a mapping is not iterated."""
+
+    def convert_all(values):
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"expected a list, got {values!r}")
+        return tuple(convert(v) for v in values)
+
+    return convert_all
 
 
 def _optional(convert):

@@ -5,8 +5,9 @@ iteration budget doubles as the warm-up for the phase-constrained solver).
 Every later frame warm-starts from the previous frame's pixel phasor and
 weights; the phase-constrained solver additionally takes the previous frame's
 realized trap phases as its target phases, which is what couples consecutive
-holograms.  Passing the phasor, not the mask, means a run takes one complex
-exp over the pixel grid (frame 0's random mask), not two per frame.
+holograms.  The phasor is the one start the solvers and the exact transient
+take, so a run takes one complex exp over the pixel grid (frame 0's random
+mask), not two per frame, and passes no mask into a solve or an interval.
 After each solve the refresh interval from the previous frame is sampled at
 the new frame's trap positions, from the two fields that solve computed (its
 starting field and its result).  The exact model also starts from the
@@ -86,10 +87,10 @@ def _solve_frame(
     if solver_kind == "wpgs":
         return wpgs_solve(
             prop, plan.target_intensity, np.angle(field), settings,
-            init_mask=pixel, init_weights=weights, out=out,
+            init_pixel=pixel, init_weights=weights, out=out,
         )
     return wgs_solve(
-        prop, plan.target_intensity, settings, init_mask=pixel, init_weights=weights, out=out
+        prop, plan.target_intensity, settings, init_pixel=pixel, init_weights=weights, out=out
     )
 
 
@@ -140,7 +141,7 @@ def run_sequence(
             # solve left as it was, reads the start phases as its angle and
             # overwrites it; the leading model reads neither
             interval = sample_refresh(
-                prop, None, frame.mask, frame.init_field, frame.field, refresh,
+                prop, frame.mask, frame.init_field, frame.field, refresh,
                 pixel if exact else None,
             )
             d = phase_diff(np.angle(field), np.angle(frame.field))

@@ -16,14 +16,15 @@ whether the target phases are pinned:
 The weight, scale, objective and back-propagation formulas are the public
 step functions, which take arrays; the loop calls them and nothing else.
 
-The loop's pixel state is a unit phasor, never a phase array.  A solve's
-result carries its last phasor (``SolveResult.pixel``), and a solve started
-from such a phasor forward-propagates it as it is, so a sequence of warm-started
-solves takes no complex exp at all: only a ``PhaseMask`` start (frame 0's random
-mask, a mask read from disk) pays one, in ``forward``.  Every phase step of a
-solve is written into one phasor buffer, the solver's ``out``: a caller that
-has no further use for the start phasor passes it as ``out`` too, and a
-sequence of such solves works in one grid-sized buffer.
+The loop's pixel state is a unit phasor, never a phase array, and so is its
+start, ``init_pixel``: a previous result's last phasor (``SolveResult.pixel``),
+forward-propagated as it is, or None for a random mask.  A sequence of
+warm-started solves takes no complex exp at all: only the random start
+(frame 0's) pays one, in ``forward``.  Phases appear only in
+``SolveResult.mask``, the export form.  Every phase step of a solve is
+written into one phasor buffer, the solver's ``out``: a caller that has no
+further use for the start phasor passes it as ``out`` too, and a sequence of
+such solves works in one grid-sized buffer.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _solve(
     target_amp: np.ndarray,
     pinned_field: np.ndarray | None,
     settings: SolverSettings,
-    init_mask: PhaseMask | np.ndarray | None,
+    init_pixel: np.ndarray | None,
     init_weights: np.ndarray | None,
     out: np.ndarray | None,
 ) -> SolveResult:
@@ -209,11 +210,16 @@ def _solve(
     forward-propagated before the first phase step overwrites it.  After the
     loop the phasor's angle becomes the one PhaseMask of the solve.  A solve
     costs 1 + iterations forward contractions; a complex exp only when it
-    starts from a PhaseMask.
+    starts from the random mask (init_pixel None).
     """
     n = len(target_amp)
     pinned = pinned_field is not None
-    start = init_mask if init_mask is not None else random_mask(prop.config, settings.seed)
+    if init_pixel is None:
+        init_field = forward(prop, random_mask(prop.config, settings.seed))
+    elif np.iscomplexobj(init_pixel):  # propagated as it is; forward_field checks its shape
+        init_field = forward_field(prop, init_pixel)
+    else:  # a PhaseMask or a phase array
+        raise ValueError("init_pixel must be a complex unit pixel phasor, not phases")
     w = np.ones(n) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
     if (w <= 0).any():
         raise ValueError("initial weights must be positive")
@@ -224,16 +230,6 @@ def _solve(
     objectives = []
     s = 1.0 + 0.0j
     zero_pixels = 0
-    if isinstance(start, PhaseMask):
-        init_field = forward(prop, start)
-    else:  # a pixel phasor, propagated as it is; forward_field checks its shape
-        start = np.asarray(start)
-        if not np.iscomplexobj(start):
-            raise ValueError(
-                f"init_mask must be a PhaseMask or a complex unit pixel phasor, not a "
-                f"{start.dtype} array (for phases, pass PhaseMask(phases))"
-            )
-        init_field = forward_field(prop, start)
     e = init_field
     pixel = out
     for k in range(1, total + 1):
@@ -282,7 +278,7 @@ def wpgs_solve(
     target_intensity: np.ndarray,
     target_phase: np.ndarray,
     settings: SolverSettings,
-    init_mask: PhaseMask | np.ndarray | None = None,
+    init_pixel: np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> SolveResult:
@@ -292,11 +288,11 @@ def wpgs_solve(
     trap phases included, stays fixed; the complex scale is refit every
     iteration and each trap's weight targets its own |E_tar,n|.  Both arrays
     have one entry per trap; intensities must be > 0 and phases finite.
-    init_mask is a PhaseMask or a unit pixel phasor of the grid's shape, such
-    as a previous result's pixel; None starts from random_mask(settings.seed).
-    Every phase step is written into out, a C-contiguous complex array of the
-    grid's shape that becomes result.pixel; it may be init_mask's phasor
-    itself.  out None allocates the buffer once per solve.
+    init_pixel is a complex unit pixel phasor of the grid's shape (such as a
+    previous result's pixel; a PhaseMask or a real array is refused), or None
+    for random_mask(settings.seed).  Every phase step is written into out, a
+    C-contiguous complex array of the grid's shape that becomes result.pixel;
+    it may be init_pixel itself.  out None allocates the buffer once per solve.
     """
     inten = _target_intensity(prop, target_intensity)
     phase = np.asarray(target_phase, dtype=float)
@@ -305,14 +301,14 @@ def wpgs_solve(
     if not np.isfinite(phase).all():
         raise ValueError("target phases must be finite")
     e_tar = np.sqrt(inten) * np.exp(1j * phase)
-    return _solve(prop, np.abs(e_tar), e_tar, settings, init_mask, init_weights, out)
+    return _solve(prop, np.abs(e_tar), e_tar, settings, init_pixel, init_weights, out)
 
 
 def wgs_solve(
     prop: SeparablePropagator,
     target_intensity: np.ndarray,
     settings: SolverSettings,
-    init_mask: PhaseMask | np.ndarray | None = None,
+    init_pixel: np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> SolveResult:
@@ -322,7 +318,7 @@ def wgs_solve(
     the current mask realizes, the global scale stays 1, and the weight rule
     uses the mean target amplitude.  The recorded objective is the same
     matching residual evaluated against that iteration's phase-adapted target.
-    init_mask, init_weights and out are as for wpgs_solve.
+    init_pixel, init_weights and out are as for wpgs_solve.
     """
     inten = _target_intensity(prop, target_intensity)
-    return _solve(prop, np.sqrt(inten), None, settings, init_mask, init_weights, out)
+    return _solve(prop, np.sqrt(inten), None, settings, init_pixel, init_weights, out)

@@ -20,8 +20,9 @@ Both take the interval's endpoint fields from the solve: the a = 1 row is
 the field of the previous frame's pixel phasor at the new traps (the new
 solve's ``init_field``) and the a = 0 row the new frame's ``field``.
 ``transient_exact`` starts from the previous frame's unit pixel phasor P
-itself, whose angle is phi_l, wraps ``dphi`` once and makes one forward
-contraction per interior sample: of S samples, row k's relaxing phasor is
+itself, its only start (phi_l is P's angle, so no start mask is kept),
+wraps ``dphi`` once and makes one forward contraction per interior sample:
+of S samples, row k's relaxing phasor is
 ``exp(i(phi_l + (k/(S-1))*dphi)) = P * Q**k`` with ``Q = exp(i*dphi/(S-1))``,
 one complex exp per interval and one complex multiply per sample, written
 into P's buffer.
@@ -92,31 +93,27 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
 
 def transient_exact(
     prop: SeparablePropagator,
-    mask_l: PhaseMask | None,
+    pixel_l: np.ndarray,
     mask_l1: PhaseMask,
     field_l: np.ndarray,
     field_l1: np.ndarray,
     samples: int,
-    pixel_l: np.ndarray,
 ) -> np.ndarray:
     """Exact transient field: the forward of the relaxing mask, (samples, traps).
 
     Row k is the field at a_k = 1 - k/(samples-1), RefreshModel(samples).a_grid()[k];
-    one sample is the a = 1 row alone.  pixel_l is the unit pixel phasor
-    whose angle is mask_l (a SolveResult's pixel), field_l its field at
-    prop's traps and field_l1 the field of mask_l1's phasor there; they are
-    the a = 1 and a = 0 rows as given.  The rows between are the forwards of
+    one sample is the a = 1 row alone.  pixel_l is the unit pixel phasor the
+    interval starts from (a SolveResult's pixel); phi_l is its angle with
+    np.angle's bits, those of the mask a solve records.  field_l is its field
+    at prop's traps and field_l1 the field of mask_l1's phasor there: the
+    a = 1 and a = 0 rows as given.  The rows between are the forwards of
     pixel_l * Q**k, computed in pixel_l's buffer, which is overwritten.
-    mask_l None takes phi_l as pixel_l's angle (np.angle's bits, those of the
-    mask a solve records beside its phasor), so a caller need not keep the
-    start mask.
     """
-    if mask_l is not None and mask_l.shape != mask_l1.shape:
-        raise ValueError("masks must share dimensions")
     if np.shape(pixel_l) != mask_l1.shape:
         raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l1.shape}")
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an int >= 1, not {samples!r}")
+    require_int("samples", samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, not {samples!r}")
     fields = np.empty((samples, prop.trap_count), dtype=complex)
     fields[0] = field_l
     if samples > 1:
@@ -124,13 +121,11 @@ def transient_exact(
     if samples > 2:
         # exp(i(phi_l + k*h*dphi)) = P * Q**k with h = 1/(samples-1), P = pixel_l
         # and Q = exp(i*h*dphi): one complex multiply per sample instead of an
-        # exp.  dphi is wrapped inside Q's buffer, which Q then overwrites, and
-        # every sample's phasor goes to P's buffer: no other grid-sized array
+        # exp.  phi_l (np.angle's arctan2) and the wrapped dphi are written into
+        # Q's buffer, which Q then overwrites, and every sample's phasor goes to
+        # P's buffer: no other grid-sized array
         step = np.empty(pixel_l.shape, dtype=complex)
-        if mask_l is None:  # np.angle's arctan2, into Q's buffer
-            phi_l = np.arctan2(pixel_l.imag, pixel_l.real, out=step.imag)
-        else:
-            phi_l = mask_l.phases
+        phi_l = np.arctan2(pixel_l.imag, pixel_l.real, out=step.imag)
         dphi = wrap_phase(np.subtract(mask_l1.phases, phi_l, out=step.imag), out=step.imag)
         np.multiply(dphi, 1.0 / (samples - 1), out=step.imag)
         step.real = 0.0
@@ -166,7 +161,6 @@ def intensity_model(a, dphi):
 
 def sample_refresh(
     prop: SeparablePropagator,
-    mask_l: PhaseMask | None,
     mask_l1: PhaseMask,
     field_l: np.ndarray,
     field_l1: np.ndarray,
@@ -175,20 +169,20 @@ def sample_refresh(
 ) -> np.ndarray:
     """I/I0 over one refresh interval, shape (samples, traps), rows in a_grid order.
 
-    field_l and field_l1 are the (N,) complex fields mask_l and mask_l1 give at
-    prop's trap positions (the new frame's SolveResult.init_field and .field).
-    Ratios are taken against the start-of-interval intensity I0 = |field_l|^2,
-    which makes the a=1 row exactly 1.  The exact model also needs pixel_l,
-    the unit pixel phasor that field_l is the field of and mask_l the angle
-    of (the previous frame's SolveResult.pixel), and overwrites it; with
-    mask_l None it reads phi_l from pixel_l, as transient_exact does.  The
-    leading model reads neither mask nor pixel_l.
+    field_l and field_l1 are the (N,) complex fields of the interval's start
+    and of its end mask mask_l1 at prop's trap positions (the new frame's
+    SolveResult.init_field and .field).  Ratios are taken against the
+    start-of-interval intensity I0 = |field_l|^2, which makes the a=1 row
+    exactly 1.  The exact model also needs pixel_l, the unit pixel phasor
+    that field_l is the field of (the previous frame's SolveResult.pixel),
+    and overwrites it, as transient_exact does; the leading model reads
+    neither mask_l1 nor pixel_l.
     """
     if model.order == "exact":
         if pixel_l is None:
             raise ValueError("the exact refresh model needs the start phasor pixel_l")
         fields = transient_exact(
-            prop, mask_l, mask_l1, field_l, field_l1, model.samples_per_refresh, pixel_l
+            prop, pixel_l, mask_l1, field_l, field_l1, model.samples_per_refresh
         )
     else:
         fields = transient_leading(field_l, field_l1, model.a_grid())

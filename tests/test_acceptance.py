@@ -120,15 +120,17 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
     dense = build_dense(small_config, grid_3x3)
     worst = worst_dense = 0.0
     for _ in range(20):
-        m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
+        start = np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 64)))
         m1 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
+        # the start mask is the phasor's np.angle, the phases the transient reads
+        m0 = PhaseMask(np.angle(start))
         # whole-grid calls: the grid a run samples, and three samples (a = 1/2)
         for samples in (3, RefreshModel().samples_per_refresh):
             a_grid = RefreshModel(samples).a_grid()
-            # from m0's phasor and the two endpoint fields, as a run passes them
-            pixel = np.exp(1j * m0.phases)
+            # from the start phasor and the two endpoint fields, as a run passes them
+            pixel = start.copy()
             ends = forward_field(prop, pixel), forward(prop, m1)
-            for a, e_exact in zip(a_grid, transient_exact(prop, m0, m1, *ends, samples, pixel)):
+            for a, e_exact in zip(a_grid, transient_exact(prop, pixel, m1, *ends, samples)):
                 relaxing = pixel_interpolate(m0, m1, float(a))
                 e_ref = forward(prop, relaxing)
                 worst = max(worst, np.abs(e_exact - e_ref).max() / np.abs(e_ref).max())
@@ -143,7 +145,7 @@ def test_criterion_2_transient_exactness_and_slope(small_config, grid_3x3):
     for s in np.geomspace(0.01, 0.3, 8):
         m1 = PhaseMask(m0.phases + s * pattern)
         e0, e1 = forward(prop, m0), forward(prop, m1)
-        ex = transient_exact(prop, m0, m1, e0, e1, 3, np.exp(1j * m0.phases))[1]  # a = 1/2
+        ex = transient_exact(prop, np.exp(1j * m0.phases), m1, e0, e1, 3)[1]  # a = 1/2
         lead = transient_leading(e0, e1, np.array([0.5]))[0]
         msqs.append(mean_sq_excursion(m0, m1))
         errs.append(np.linalg.norm(ex - lead) / np.linalg.norm(ex))

@@ -580,6 +580,33 @@ class TestCli:
         assert "solvers must name one or more distinct solvers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["12", {"x": 1}], ids=["string", "mapping"])
+    @pytest.mark.parametrize("path", [
+        ("task", "source_layers", 0, "dims"),
+        ("task", "source_layers", 0, "center"),
+        ("task", "layer_intensity"),
+        ("task", "custom_source"),
+        ("task", "custom_intensity"),
+        ("task", "source_layers"),
+        ("run", "solvers"),
+    ], ids=lambda path: path[-1])
+    def test_list_key_exit_code(self, tiny_config_file, tmp_path, capsys, path, value):
+        # a string or a mapping was iterated: layer_intensity "12" loaded as
+        # (1.0, 2.0), a center "12" as (1 m, 2 m), solvers "wpgs" as w, p, g, s
+        doc = yaml.safe_load(tiny_config_file.read_text())
+        doc["task"]["source_layers"] = [{"dims": [2, 2]}]
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        tiny_config_file.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "run.out"
+        assert main(["run", "-c", str(tiny_config_file), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{path[-1]}: expected a list, got {value!r}" in err
+        assert not out.exists()
+
     def test_unknown_flag_exit_code(self, tiny_config_file, tmp_path, capsys):
         # run parameters come from the config file only: a flag such as --seed
         # is a usage error that main returns, not raises, and nothing is written

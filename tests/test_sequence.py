@@ -168,7 +168,7 @@ class TestRunSequence:
             prev, frame = frames[l - 1], frames[l]
             prop = build_separable(small_config, tiny_plan.layout(l))
             expected = sample_refresh(
-                prop, prev.mask, frame.mask,
+                prop, frame.mask,
                 forward(prop, prev.mask), forward(prop, frame.mask), refresh,
                 np.exp(1j * prev.mask.phases),
             )
@@ -385,7 +385,8 @@ class TestRunSequence:
         self, small_config, six_trap_plan, fast_settings, kind, order
     ):
         # each frame starts from the previous result's phasor, frame 0's WPGS
-        # polish from the warm-up's, and samples from the two masks it joins
+        # polish from the warm-up's, and samples its interval from the
+        # previous phasor to the new mask
         plan = six_trap_plan
         refresh = RefreshModel(samples_per_refresh=5, order=order)
         _, frames, intervals = run_frames(small_config, plan, kind, fast_settings, refresh)
@@ -398,16 +399,16 @@ class TestRunSequence:
                 if kind == "wpgs":
                     res = wpgs_solve(
                         prop, inten, np.angle(res.field), fast_settings,
-                        init_mask=res.pixel, init_weights=res.weights,
+                        init_pixel=res.pixel, init_weights=res.weights,
                     )
             elif kind == "wpgs":
                 res = wpgs_solve(
                     prop, inten, np.angle(prev.field), fast_settings,
-                    init_mask=prev.pixel, init_weights=prev.weights,
+                    init_pixel=prev.pixel, init_weights=prev.weights,
                 )
             else:
                 res = wgs_solve(
-                    prop, inten, fast_settings, init_mask=prev.pixel, init_weights=prev.weights
+                    prop, inten, fast_settings, init_pixel=prev.pixel, init_weights=prev.weights
                 )
             frame = frames[l]
             np.testing.assert_array_equal(frame.mask.phases, res.mask.phases)
@@ -418,7 +419,7 @@ class TestRunSequence:
             if prev is not None:
                 # the exact model starts from the previous phasor, as the run does
                 expected = sample_refresh(
-                    prop, prev.mask, res.mask, res.init_field, res.field, refresh, prev.pixel
+                    prop, res.mask, res.init_field, res.field, refresh, prev.pixel
                 )
                 np.testing.assert_array_equal(intervals[l - 1][0], expected)
             prev = res

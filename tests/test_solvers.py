@@ -221,7 +221,7 @@ class TestWpgsSolve:
         warm = wgs_solve(prop, np.ones(9), settings)
         res = wpgs_solve(
             prop, np.ones(9), np.angle(warm.field), settings,
-            init_mask=warm.mask, init_weights=warm.weights,
+            init_pixel=warm.pixel, init_weights=warm.weights,
         )
         assert uniformity(np.abs(res.field) ** 2) >= 0.99
         assert len(res.objective) == settings.iterations
@@ -241,13 +241,20 @@ class TestWpgsSolve:
         np.testing.assert_allclose(res.field, re_run, rtol=1e-12)
 
     def test_init_field_matches_init_mask(self, small_config, grid_3x3):
+        # no start is the seed's random mask, forward-propagated; a phasor
+        # start is forward-propagated as it is
         prop = build_separable(small_config, grid_3x3)
+        settings = SolverSettings(seed=4)
         init = random_mask(small_config, 4)
-        for res in (
-            wpgs_solve(prop, *uniform_target(9), SolverSettings(), init_mask=init),
-            wgs_solve(prop, np.ones(9), SolverSettings(), init_mask=init),
+        pixel = np.exp(1j * init.phases)
+        for solve in (
+            lambda **start: wpgs_solve(prop, *uniform_target(9), settings, **start),
+            lambda **start: wgs_solve(prop, np.ones(9), settings, **start),
         ):
-            np.testing.assert_array_equal(res.init_field, forward(prop, init))
+            np.testing.assert_array_equal(solve().init_field, forward(prop, init))
+            np.testing.assert_array_equal(
+                solve(init_pixel=pixel).init_field, forward_field(prop, pixel)
+            )
 
     def test_nonuniform_target_fixed_point(self, desk_config, grid_3x3, rng):
         # converged solve: |E_n| proportional to |E_tar,n| within 2 percent
@@ -257,7 +264,7 @@ class TestWpgsSolve:
         warm = wgs_solve(prop, inten, settings)
         res = wpgs_solve(
             prop, inten, np.angle(warm.field), SolverSettings(iterations=20),
-            init_mask=warm.mask, init_weights=warm.weights,
+            init_pixel=warm.pixel, init_weights=warm.weights,
         )
         ratio = np.abs(res.field) / np.sqrt(inten)
         assert np.abs(ratio / ratio.mean() - 1.0).max() <= 0.02
@@ -313,7 +320,7 @@ class TestWgsSolve:
 
 
 class TestLoopStructure:
-    """The loop carries a pixel phasor; only a PhaseMask start takes an exp."""
+    """The loop carries a pixel phasor; only the random start takes an exp."""
 
     @pytest.fixture()
     def solves(self, small_config, grid_3x3):
@@ -372,21 +379,11 @@ class TestLoopStructure:
         _, settings, solve = solves
         first = solve[kind]()
         counted_calls.update(forward=0, forward_field=0)
-        res = solve[kind](init_mask=first.pixel)
+        res = solve[kind](init_pixel=first.pixel)
         iterations = settings.iterations if kind == "wpgs" else settings.wgs_iterations
         assert counted_calls == {"forward": 0, "forward_field": iterations + 1}
         # the phasor start's field is the previous result's field as it is
         np.testing.assert_array_equal(res.init_field, first.field)
-
-    @pytest.mark.parametrize("kind", SOLVER_KINDS)
-    def test_mask_start_equals_its_phasor_start(self, solves, kind):
-        prop, _, solve = solves
-        mask = random_mask(prop.config, 11)
-        a = solve[kind](init_mask=mask)
-        b = solve[kind](init_mask=np.exp(1j * mask.phases))
-        np.testing.assert_array_equal(a.init_field, b.init_field)
-        np.testing.assert_array_equal(a.pixel, b.pixel)
-        np.testing.assert_array_equal(a.field, b.field)
 
     @pytest.mark.parametrize("kind", SOLVER_KINDS)
     def test_out_as_its_own_start_phasor(self, solves, kind):
@@ -394,9 +391,9 @@ class TestLoopStructure:
         # overwrites it, so writing into it changes no bit of the solve
         _, _, solve = solves
         first = solve[kind]()
-        want = solve[kind](init_mask=first.pixel.copy(), init_weights=first.weights)
+        want = solve[kind](init_pixel=first.pixel.copy(), init_weights=first.weights)
         start = first.pixel.copy()
-        res = solve[kind](init_mask=start, init_weights=first.weights, out=start)
+        res = solve[kind](init_pixel=start, init_weights=first.weights, out=start)
         assert res.pixel is start
         for name in ("init_field", "field", "weights", "pixel"):
             np.testing.assert_array_equal(
@@ -407,27 +404,28 @@ class TestLoopStructure:
 
     @pytest.mark.parametrize("kind", SOLVER_KINDS)
     def test_out_from_a_mask_start(self, solves, kind):
-        prop, _, solve = solves
-        mask = random_mask(prop.config, 11)
+        # no start: the seed's random mask, propagated by forward; out takes every phase step
+        _, _, solve = solves
         out = np.empty((64, 64), dtype=complex)
-        res = solve[kind](init_mask=mask, out=out)
+        res = solve[kind](out=out)
         assert res.pixel is out
-        np.testing.assert_array_equal(out, solve[kind](init_mask=mask).pixel)
+        np.testing.assert_array_equal(out, solve[kind]().pixel)
 
     @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64 * 64,)])
     def test_phasor_start_of_wrong_shape_raises(self, solves, shape):
         _, _, solve = solves
         for kind in SOLVER_KINDS:
             with pytest.raises(ValueError, match="shape"):
-                solve[kind](init_mask=np.ones(shape, dtype=complex))
+                solve[kind](init_pixel=np.ones(shape, dtype=complex))
 
     def test_phase_array_start_raises(self, solves):
-        # a real array of the grid's shape (a mask's phases) is not a phasor
+        # phases of the grid's shape, as a real array or a PhaseMask, are not a phasor
         prop, _, solve = solves
-        phases = random_mask(prop.config, 11).phases
-        for kind in SOLVER_KINDS:
-            with pytest.raises(ValueError, match="phasor"):
-                solve[kind](init_mask=phases)
+        mask = random_mask(prop.config, 11)
+        for start in (mask.phases, mask):
+            for kind in SOLVER_KINDS:
+                with pytest.raises(ValueError, match="phasor"):
+                    solve[kind](init_pixel=start)
 
 
 class TestPinnedTraces:
@@ -440,7 +438,7 @@ class TestPinnedTraces:
         warm = wgs_solve(prop, PINNED_INTENSITY, settings)
         res = wpgs_solve(
             prop, PINNED_INTENSITY, np.angle(warm.field), settings,
-            init_mask=warm.mask, init_weights=warm.weights,
+            init_pixel=warm.pixel, init_weights=warm.weights,
         )
         return warm, res
 
@@ -502,8 +500,8 @@ class TestMetamorphic:
     def solve(self, kind, config, layout, intensity, phase, start):
         prop = build_separable(config, layout)
         if kind == "wpgs":
-            return wpgs_solve(prop, intensity, phase, self.SETTINGS, init_mask=start)
-        return wgs_solve(prop, intensity, self.SETTINGS, init_mask=start)
+            return wpgs_solve(prop, intensity, phase, self.SETTINGS, init_pixel=start)
+        return wgs_solve(prop, intensity, self.SETTINGS, init_pixel=start)
 
     def assert_same(self, got, pixel, weights, field):
         """got's pixel phasor, weights and trap field equal the given ones."""

@@ -38,13 +38,16 @@ def random_masks(rng, shape=(64, 64)):
 
 
 def branch_masks(rng, shape=(64, 64)):
-    """Masks whose wrapped dphi puts pixels in every sine-ratio branch.
+    """A start phasor and the masks whose wrapped dphi puts pixels in every sine-ratio branch.
 
     Every 7th pixel moves by less than SMALL_DPHI (every 49th not at all),
     every 11th lands within PI_MARGIN of +-pi, and the rest move generically;
-    the wrapped dphi is checked to hit each branch.
+    the wrapped dphi is checked to hit each branch.  The start mask is the
+    phasor's np.angle, the phases transient_exact reads from it, so the
+    oracle sees the transient's wrap edges bit for bit.
     """
-    phi0 = rng.uniform(0, 2 * np.pi, shape)
+    pixel = np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+    phi0 = np.angle(pixel)
     dphi = rng.uniform(-3.0, 3.0, shape)
     flat = dphi.reshape(-1)
     flat[::7] = rng.uniform(-0.5, 0.5, flat[::7].size) * SMALL_DPHI
@@ -59,7 +62,7 @@ def branch_masks(rng, shape=(64, 64)):
     near_pi = np.pi - wrapped < PI_MARGIN
     assert (wrapped == 0).any() and small.sum() > (wrapped == 0).sum()
     assert near_pi.any() and (~(small | near_pi)).any()
-    return m0, m1
+    return pixel, m0, m1
 
 
 def exact_reference(prop, mask_l, mask_l1, a):
@@ -85,21 +88,21 @@ def exact_reference(prop, mask_l, mask_l1, a):
     return forward_field(prop, pixel)
 
 
-def exact_fields(prop, mask_l, mask_l1, samples):
-    """transient_exact as a run calls it: from mask_l's phasor and both endpoint fields.
+def exact_fields(prop, pixel_l, mask_l1, samples):
+    """transient_exact as a run calls it: from a start phasor and both endpoint fields.
 
-    The phasor is exp(1j*phi_l) here, where a run passes the solve's unit
-    phasor whose angle phi_l is.
+    A run passes the previous solve's phasor; pixel_l is copied here, so a
+    test may pass it again.
     """
-    pixel = np.exp(1j * mask_l.phases)
+    pixel = np.array(pixel_l)
     field_l, field_l1 = forward_field(prop, pixel), forward(prop, mask_l1)
-    return transient_exact(prop, mask_l, mask_l1, field_l, field_l1, samples, pixel)
+    return transient_exact(prop, pixel, mask_l1, field_l, field_l1, samples)
 
 
-def per_sample_ratios(prop, mask_l, mask_l1, field_l, field_l1, model):
+def per_sample_ratios(prop, pixel_l, mask_l1, field_l, field_l1, model):
     """sample_refresh one sample at a time, each divided by I0 in turn."""
     if model.order == "exact":
-        fields = exact_fields(prop, mask_l, mask_l1, model.samples_per_refresh)
+        fields = exact_fields(prop, pixel_l, mask_l1, model.samples_per_refresh)
     else:
         fields = [a * field_l + (1.0 - a) * field_l1 for a in model.a_grid()]
     return np.array([np.abs(f) ** 2 / np.abs(field_l) ** 2 for f in fields])
@@ -156,7 +159,7 @@ class TestTransientExact:
     def test_identity_with_interpolated_forward(self, prop, rng):
         for _ in range(5):
             m0, m1 = random_masks(rng)
-            fields = exact_fields(prop, m0, m1, 21)
+            fields = exact_fields(prop, np.exp(1j * m0.phases), m1, 21)
             for a, e_exact in zip(a_grid(21), fields):
                 e_ref = forward(prop, pixel_interpolate(m0, m1, float(a)))
                 rel = np.abs(e_exact - e_ref).max() / np.abs(e_ref).max()
@@ -169,7 +172,7 @@ class TestTransientExact:
         e1, e0 = forward(prop, m0), forward(prop, m1)
         for samples in (1, 2, 5):
             pixel = np.exp(1j * m0.phases)
-            fields = transient_exact(prop, m0, m1, e1, e0, samples, pixel)
+            fields = transient_exact(prop, pixel, m1, e1, e0, samples)
             np.testing.assert_array_equal(fields[0], e1)
             if samples > 1:
                 np.testing.assert_array_equal(fields[-1], e0)
@@ -177,29 +180,17 @@ class TestTransientExact:
 
     def test_interior_rows_start_from_the_phasor(self, prop, rng):
         # the rows between the endpoints are the forwards of the recurrence
-        # started from the given phasor: a phasor turned by theta turns them
+        # started from the given phasor: turning it and the end mask by theta
+        # leaves dphi as it was (to rounding) and turns them
         m0, m1 = random_masks(rng)
         e1, e0 = forward(prop, m0), forward(prop, m1)
-        base = transient_exact(prop, m0, m1, e1, e0, 5, np.exp(1j * m0.phases))
-        turned = transient_exact(prop, m0, m1, e1, e0, 5, np.exp(1j * (m0.phases + 0.5)))
+        base = transient_exact(prop, np.exp(1j * m0.phases), m1, e1, e0, 5)
+        turned = transient_exact(
+            prop, np.exp(1j * (m0.phases + 0.5)), PhaseMask(m1.phases + 0.5), e1, e0, 5
+        )
         rel = np.abs(turned[1:-1] - base[1:-1] * np.exp(0.5j)).max() / np.abs(base).max()
         assert rel <= 1e-12
         np.testing.assert_array_equal(turned[[0, -1]], base[[0, -1]])
-
-    @pytest.mark.parametrize("samples", [1, 2, 5])
-    def test_start_mask_read_from_the_phasor(self, prop, rng, samples):
-        # mask_l None takes phi_l as the phasor's angle: a solve's mask is
-        # np.angle of its phasor, so the rows keep their bits
-        pixel = np.exp(1j * random_masks(rng)[0].phases)
-        m0, m1 = PhaseMask(np.angle(pixel)), random_masks(rng)[1]
-        e1, e0 = forward_field(prop, pixel), forward(prop, m1)
-        given = transient_exact(prop, m0, m1, e1, e0, samples, pixel.copy())
-        read = pixel.copy()
-        fields = transient_exact(prop, None, m1, e1, e0, samples, read)
-        np.testing.assert_array_equal(fields.view(np.uint64), given.view(np.uint64))
-        assert np.array_equal(read, pixel) == (samples <= 2)
-        with pytest.raises(ValueError, match="pixel_l shape"):
-            transient_exact(prop, None, m1, e1, e0, samples, pixel[:, :32])
 
     def test_matches_dense_oracle(self, small_config, grid_3x3, rng):
         from holoseq.propagation import forward_dense
@@ -208,7 +199,7 @@ class TestTransientExact:
         prop = build_separable(small_config, grid_3x3)
         m0, m1 = random_masks(rng)
         # three samples: a = 1, 1/2 and 0
-        fields = exact_fields(prop, m0, m1, 3)
+        fields = exact_fields(prop, np.exp(1j * m0.phases), m1, 3)
         assert fields.shape == (3, 9)
         for a, e_exact in zip(a_grid(3), fields):
             e_dense = forward_dense(dense, pixel_interpolate(m0, m1, float(a)))
@@ -217,10 +208,10 @@ class TestTransientExact:
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 21, 201])
     def test_rows_match_sine_ratio_oracle(self, prop, rng, samples):
-        m0, m1 = branch_masks(rng)
+        pixel, m0, m1 = branch_masks(rng)
         if samples > 1:
             np.testing.assert_array_equal(a_grid(samples), RefreshModel(samples).a_grid())
-        fields = exact_fields(prop, m0, m1, samples)
+        fields = exact_fields(prop, pixel, m1, samples)
         assert fields.shape == (samples, 9) and fields.dtype == complex
         for a, field in zip(a_grid(samples), fields):
             e_ref = exact_reference(prop, m0, m1, a)
@@ -231,38 +222,41 @@ class TestTransientExact:
         # the scalar route: one forward of the interpolated mask per a.  The
         # recurrence multiplies by one step phasor per sample; at 201 samples
         # this bounds the rounding drift it accumulates along the grid
-        m0, m1 = branch_masks(rng)
-        fields = exact_fields(prop, m0, m1, samples)
+        pixel, m0, m1 = branch_masks(rng)
+        fields = exact_fields(prop, pixel, m1, samples)
         scalar = np.array([
             forward(prop, pixel_interpolate(m0, m1, float(a)))
             for a in a_grid(samples)
         ])
         for field, expected in zip(fields, scalar):
             assert np.abs(field - expected).max() <= 1e-12 * np.abs(expected).max()
-        # the a = 1 row is the given forward of mask_l, here forward's bits;
-        # the rows between come from the recurrence, so they are not the
-        # scalar route's bits
-        np.testing.assert_array_equal(fields[0], scalar[0])
+        # the a = 1 row is the given forward of the start phasor; the scalar
+        # route takes mask_l's exp, which rebuilds that phasor to rounding; the
+        # rows between come from the recurrence, so they are not the scalar
+        # route's bits either
+        np.testing.assert_array_equal(fields[0], forward_field(prop, pixel))
+        assert np.abs(fields[0] - scalar[0]).max() <= 1e-12 * np.abs(scalar[0]).max()
         if samples > 2:
             assert not np.array_equal(fields[1:-1], scalar[1:-1])
 
     def test_array_of_a_identity_with_interpolated_forward(self, prop, rng):
-        m0, m1 = branch_masks(rng)
-        for a, field in zip(a_grid(11), exact_fields(prop, m0, m1, 11)):
+        pixel, m0, m1 = branch_masks(rng)
+        for a, field in zip(a_grid(11), exact_fields(prop, pixel, m1, 11)):
             e_ref = forward(prop, pixel_interpolate(m0, m1, float(a)))
             assert np.abs(field - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
     def test_samples_validation(self, prop, rng):
         m0, m1 = random_masks(rng)
-        for samples in (0, -1, 2.5, 21.0, np.array(21)):
+        pixel = np.exp(1j * m0.phases)
+        for samples in (0, -1, 2.5, 21.0, np.array(21), True):
             with pytest.raises(ValueError, match="samples"):
-                exact_fields(prop, m0, m1, samples)
-        assert exact_fields(prop, m0, m1, np.int64(3)).shape == (3, 9)
-        e0, pixel = forward(prop, m0), np.exp(1j * m0.phases)
-        with pytest.raises(ValueError, match="dimensions"):
-            transient_exact(prop, m0, PhaseMask(np.zeros((64, 32))), e0, e0, 21, pixel)
+                exact_fields(prop, pixel, m1, samples)
+        assert exact_fields(prop, pixel, m1, np.int64(3)).shape == (3, 9)
+        e0 = forward(prop, m0)
         with pytest.raises(ValueError, match="pixel_l shape"):
-            transient_exact(prop, m0, m1, e0, e0, 21, pixel[:, :32])
+            transient_exact(prop, pixel, PhaseMask(np.zeros((64, 32))), e0, e0, 21)
+        with pytest.raises(ValueError, match="pixel_l shape"):
+            transient_exact(prop, pixel[:, :32], m1, e0, e0, 21)
 
     def test_dphi_wrap_is_wrap_phase_bits(self, prop):
         # the recurrence's step is exp(1j * wrap(phi_l1 - phi_l) / (samples - 1)),
@@ -271,10 +265,10 @@ class TestTransientExact:
         phi_l = np.zeros((64, 64))
         phi_l1 = np.random.default_rng(3).uniform(-2 * np.pi, 2 * np.pi, (64, 64))
         phi_l1.flat[:len(edges)] = edges
-        m0, m1 = PhaseMask(phi_l), PhaseMask(phi_l1)
+        # the phasor 1 has the angle 0 exactly, so phi_l is phi_l's bits
         pixel = np.ones((64, 64), dtype=complex)
         e0 = forward_field(prop, pixel)
-        transient_exact(prop, m0, m1, e0, e0, 3, pixel)
+        transient_exact(prop, pixel, PhaseMask(phi_l1), e0, e0, 3)
         dphi = np.pi - np.mod(np.pi - (phi_l1 - phi_l), 2 * np.pi)
         np.testing.assert_array_equal(pixel, np.exp(1j * (dphi * 0.5)))
 
@@ -305,7 +299,7 @@ class TestTransientApproximations:
         for s in np.geomspace(0.02, 0.3, 5):
             m1 = PhaseMask(m0.phases + s * pattern)
             e0, e1 = forward(prop, m0), forward(prop, m1)
-            ex = exact_fields(prop, m0, m1, 3)[1]  # a = 1/2
+            ex = exact_fields(prop, np.exp(1j * m0.phases), m1, 3)[1]  # a = 1/2
             lead = transient_leading(e0, e1, np.array([0.5]))[0]
             errs.append(np.linalg.norm(ex - lead) / np.linalg.norm(ex))
             msqs.append(mean_sq_excursion(m0, m1))
@@ -333,22 +327,22 @@ class TestSampleRefresh:
     def test_identical_masks_all_unity(self, prop, rng):
         m0 = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
         e0 = forward(prop, m0)
-        ratios = sample_refresh(prop, m0, m0, e0, e0, RefreshModel(samples_per_refresh=7))
+        ratios = sample_refresh(prop, m0, e0, e0, RefreshModel(samples_per_refresh=7))
         assert ratios.shape == (7, 9)
         np.testing.assert_allclose(ratios, 1.0, rtol=1e-12)
 
     def test_sample_count_and_shape(self, prop, rng):
         m0, m1 = random_masks(rng)
         model = RefreshModel(samples_per_refresh=9)
-        ratios = sample_refresh(prop, m0, m1, forward(prop, m0), forward(prop, m1), model)
+        ratios = sample_refresh(prop, m1, forward(prop, m0), forward(prop, m1), model)
         assert ratios.shape == (9, 9)  # samples x traps
         np.testing.assert_allclose(ratios[0], 1.0, rtol=1e-12)
 
     def test_exact_matches_scalar_calls(self, prop, rng):
-        m0, m1 = branch_masks(rng)
-        e0, e1 = forward(prop, m0), forward(prop, m1)
+        pixel, m0, m1 = branch_masks(rng)
+        e0, e1 = forward_field(prop, pixel), forward(prop, m1)
         model = RefreshModel(samples_per_refresh=9, order="exact")
-        ratios = sample_refresh(prop, m0, m1, e0, e1, model, np.exp(1j * m0.phases))
+        ratios = sample_refresh(prop, m1, e0, e1, model, pixel)
         # the recurrence agrees with one sine-ratio oracle call per a to
         # rounding, not bit for bit
         expected = np.array(
@@ -359,19 +353,19 @@ class TestSampleRefresh:
 
     @pytest.mark.parametrize("order", ["exact", "leading"])
     def test_matches_per_sample_formula(self, prop, rng, order):
-        m0, m1 = branch_masks(rng)
-        e0, e1 = forward(prop, m0), forward(prop, m1)
+        pixel, m0, m1 = branch_masks(rng)
+        e0, e1 = forward_field(prop, pixel), forward(prop, m1)
         model = RefreshModel(order=order)
-        expected = per_sample_ratios(prop, m0, m1, e0, e1, model)
-        ratios = sample_refresh(prop, m0, m1, e0, e1, model, np.exp(1j * m0.phases))
+        expected = per_sample_ratios(prop, pixel, m1, e0, e1, model)
+        ratios = sample_refresh(prop, m1, e0, e1, model, pixel)
         np.testing.assert_array_equal(ratios, expected)
 
     def test_exact_start_row_is_one(self, prop, rng):
         # the a = 1 sample is the given start field, so its ratio is exactly 1
-        m0, m1 = branch_masks(rng)
+        pixel, m0, m1 = branch_masks(rng)
         e0, e1 = forward(prop, m0), forward(prop, m1)
         model = RefreshModel(order="exact")
-        ratios = sample_refresh(prop, m0, m1, e0, e1, model, np.exp(1j * m0.phases))
+        ratios = sample_refresh(prop, m1, e0, e1, model, pixel)
         assert ratios.shape == (model.samples_per_refresh, 9)
         np.testing.assert_array_equal(ratios[0], 1.0)
 
@@ -379,7 +373,7 @@ class TestSampleRefresh:
         m0, m1 = random_masks(rng)
         e0, e1 = forward(prop, m0), forward(prop, m1)
         with pytest.raises(ValueError, match="pixel_l"):
-            sample_refresh(prop, m0, m1, e0, e1, RefreshModel(order="exact"))
+            sample_refresh(prop, m1, e0, e1, RefreshModel(order="exact"))
 
     def test_orders_agree_at_endpoints(self, prop, rng):
         m0, m1 = random_masks(rng)
@@ -388,7 +382,7 @@ class TestSampleRefresh:
         for order in ("exact", "leading"):
             model = RefreshModel(samples_per_refresh=5, order=order)
             pixel = np.exp(1j * m0.phases)
-            by_order[order] = sample_refresh(prop, m0, m1, e0, e1, model, pixel)
+            by_order[order] = sample_refresh(prop, m1, e0, e1, model, pixel)
         # both models take the endpoint rows from the given fields
         for idx in (0, -1):
             np.testing.assert_array_equal(by_order["leading"][idx], by_order["exact"][idx])
