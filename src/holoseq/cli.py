@@ -38,10 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    from .config import ConfigError, default_config, load_config
+    from .config import ConfigError, RunConfig, load_config
 
     try:
-        return load_config(args.config) if args.config else default_config()
+        return load_config(args.config) if args.config else RunConfig()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)

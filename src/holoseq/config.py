@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import yaml
 
@@ -29,11 +28,9 @@ __all__ = [
     "RunConfig",
     "parse_length",
     "load_config",
-    "save_config",
     "config_from_dict",
     "config_to_dict",
     "config_to_yaml",
-    "default_config",
 ]
 
 _UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9}
@@ -92,10 +89,6 @@ class RunConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
     refresh: RefreshModel = field(default_factory=RefreshModel)
     run: RunOptions = field(default_factory=RunOptions)
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 def _int(value) -> int:
@@ -262,7 +255,3 @@ def load_config(path) -> RunConfig:
 
 def config_to_yaml(config: RunConfig) -> str:
     return yaml.safe_dump(config_to_dict(config), sort_keys=False)
-
-
-def save_config(path, config: RunConfig) -> None:
-    Path(path).write_text(config_to_yaml(config))

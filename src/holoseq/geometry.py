@@ -60,6 +60,18 @@ def freeze_array(record, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def mean_and_max(values: np.ndarray) -> tuple[float, float]:
+    """Mean and maximum of a 1-D array, (0.0, 0.0) when it is empty.
+
+    The mean is clamped to the maximum: the mean of equal values can round
+    one ulp above them.
+    """
+    if values.size == 0:
+        return 0.0, 0.0
+    top = values.max()
+    return float(min(values.mean(), top)), float(top)
+
+
 @dataclass(frozen=True)
 class OpticalConfig:
     """Phase-only SLM geometry; every pixel sees the same unit incident amplitude."""

@@ -12,11 +12,11 @@ so bin mass always sums to 100.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .geometry import freeze_array
+from .geometry import freeze_array, mean_and_max
 from .propagation import wrap_phase
 
 __all__ = [
@@ -139,10 +139,9 @@ class TransitionStats:
 class _RatioFold:
     """Running count, minimum, threshold counts and bin counts of I/I0 samples."""
 
-    def __init__(self, thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS):
-        self.thresholds = thresholds
+    def __init__(self):
         self.count, self.minimum = 0, np.inf
-        self.below = np.zeros(len(thresholds), dtype=np.int64)
+        self.below = np.zeros(len(DEFAULT_RATIO_THRESHOLDS), dtype=np.int64)
         self.bin_counts = np.zeros(DEFAULT_RATIO_BINS, dtype=np.int64)
         self.edges = None
 
@@ -152,7 +151,7 @@ class _RatioFold:
             return
         self.count += samples.size
         self.minimum = np.minimum(self.minimum, samples.min())
-        self.below += [np.count_nonzero(samples < t) for t in self.thresholds]
+        self.below += [np.count_nonzero(samples < t) for t in DEFAULT_RATIO_THRESHOLDS]
         counts, self.edges = _clipped_counts(samples, DEFAULT_RATIO_BINS, *DEFAULT_RATIO_RANGE)
         self.bin_counts += counts
 
@@ -163,21 +162,20 @@ class _RatioFold:
         return TransitionStats(
             count=n,
             minimum=float(self.minimum),
-            fraction_below={float(t): float(b / n) for t, b in zip(self.thresholds, self.below)},
+            fraction_below={
+                float(t): float(b / n) for t, b in zip(DEFAULT_RATIO_THRESHOLDS, self.below)
+            },
             histogram=Histogram(bin_edges=self.edges, percent=100.0 * self.bin_counts / n),
         )
 
 
-def transition_distribution(
-    ratios: Iterable,
-    thresholds: Sequence[float] = DEFAULT_RATIO_THRESHOLDS,
-) -> TransitionStats:
-    """Minimum, below-threshold fractions, and histogram of pooled I/I0 samples.
+def transition_distribution(ratios: Iterable) -> TransitionStats:
+    """Minimum, fractions below DEFAULT_RATIO_THRESHOLDS, and histogram of pooled I/I0 samples.
 
     The samples are folded in one interval at a time, never concatenated;
     the numbers are those of the concatenation.
     """
-    fold = _RatioFold(thresholds)
+    fold = _RatioFold()
     for r in ratios:
         fold.add(r)
     return fold.stats()
@@ -236,14 +234,14 @@ class _Pool:
             self.transition.add(ratios[..., self.idx])
 
     def report(self, layer_reports=None) -> MetricsReport:
+        displacement_mean, displacement_max = mean_and_max(self.displacement)
         return MetricsReport(
             frame_uniformity=tuple(self.frame_uniformity),
             # a run of one frame has no interval: its dphi stats are those of zeros
             dphi=aggregate(self.dphi or [np.zeros(self.displacement.size)]),
             transition=self.transition.stats() if self.dphi else None,
-            # the mean of equal values can round one ulp above them
-            displacement_mean=float(min(self.displacement.mean(), self.displacement.max())),
-            displacement_max=float(self.displacement.max()),
+            displacement_mean=displacement_mean,
+            displacement_max=displacement_max,
             layer_reports=layer_reports or {},
         )
 

@@ -44,7 +44,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import TaskSpec, TrapLayout, concat_layouts, freeze_array, instantiate_task
+from .geometry import (
+    TaskSpec,
+    TrapLayout,
+    concat_layouts,
+    freeze_array,
+    instantiate_task,
+    mean_and_max,
+)
 
 __all__ = [
     "InfeasibleAssignmentError",
@@ -345,11 +352,7 @@ class TransportPlan:
         return np.linalg.norm(self.waypoints[:, -1, :] - self.waypoints[:, 0, :], axis=1)
 
     def displacement_stats(self) -> tuple[float, float]:
-        d = self.displacement
-        if d.size == 0:
-            return 0.0, 0.0
-        # the mean of equal values can round one ulp above them
-        return float(min(d.mean(), d.max())), float(d.max())
+        return mean_and_max(self.displacement)
 
 
 def _frame_count(d_max: float, max_step: float) -> int:

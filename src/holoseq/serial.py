@@ -60,14 +60,12 @@ from .propagation import PhaseMask, TWO_PI
 __all__ = [
     "write_mask",
     "read_mask",
-    "quantize_mask",
     "write_fields_csv",
     "write_transients_csv",
     "write_timing_csv",
     "write_objective_csv",
     "write_metrics_json",
     "write_plan_json",
-    "read_plan_json",
     "RunWriter",
     "save_run_record",
 ]
@@ -89,11 +87,6 @@ def _quantize(canonical: np.ndarray) -> np.ndarray:
     np.round(q, out=q)
     np.subtract(q, 256.0, out=q, where=q >= 256.0)
     return q.astype(np.uint8)
-
-
-def quantize_mask(mask: PhaseMask) -> np.ndarray:
-    """8-bit export: phase mapped onto the full unsigned byte range."""
-    return _quantize(mask.canonical())
 
 
 def write_mask(path, mask: PhaseMask, quantized: bool = False, canonical=None) -> None:
@@ -251,19 +244,6 @@ def write_plan_json(path, plan: TransportPlan) -> None:
                 f'   "waypoints": [\n{points}\n   ]\n  }}'
             )
         fh.write("\n ]\n}" if plan.trap_ids else "]\n}")
-
-
-def read_plan_json(path) -> TransportPlan:
-    doc = json.loads(Path(path).read_text())
-    traps = doc["traps"]
-    return TransportPlan(
-        frames=int(doc["frames"]),
-        waypoints=np.array([t["waypoints"] for t in traps], dtype=float),
-        trap_ids=tuple(t["id"] for t in traps),
-        source_ids=tuple(t["source_id"] for t in traps),
-        max_step=float(doc["max_step"]),
-        target_intensity=np.array([t["target_intensity"] for t in traps], dtype=float),
-    )
 
 
 # written when a run ends; an earlier run's are removed when a writer opens

@@ -78,8 +78,9 @@ class SolverSettings:
     """Iteration budgets and weight-relaxation knobs.
 
     iterations is the phase-constrained budget; wgs_iterations the baseline /
-    warm-up budget.  The last iteration damps the normalized weight update by
-    over_relaxation (0 disables the advance).
+    warm-up budget.  The last iteration damps the normalized weight update
+    by over_relaxation, w + over_relaxation*(w_hat - w) (over_relax); 0 takes
+    the update w_hat whole.
     """
 
     iterations: int = 5
@@ -154,13 +155,13 @@ def weight_update(weights: np.ndarray, field_abs: np.ndarray, target_abs: np.nda
     return w / w.mean()
 
 
-def over_relax(w_prev: np.ndarray, w_tilde_prev: np.ndarray, w_tilde_new: np.ndarray,
-               beta: float) -> np.ndarray:
-    """Late-stage damped weight advance: w_tilde_prev + beta*(w_tilde_new - w_prev).
+def over_relax(w: np.ndarray, w_hat: np.ndarray, beta: float) -> np.ndarray:
+    """Last-iteration damped weight step: w + beta*(w_hat - w).
 
-    With all inputs unit-mean the result is unit-mean as well.
+    w is the iteration's weights and w_hat their weight_update; with both
+    unit-mean the result is unit-mean as well.
     """
-    return w_tilde_prev + beta * (w_tilde_new - w_prev)
+    return w + beta * (w_hat - w)
 
 
 def scale_update(e_tar: np.ndarray, weighted: np.ndarray) -> complex:
@@ -214,16 +215,20 @@ def _solve(
     """
     n = len(target_amp)
     pinned = pinned_field is not None
+    if init_weights is None:
+        w = np.ones(n)
+    else:
+        w = np.array(init_weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"init_weights must have shape ({n},), not {w.shape}")
+        if not (np.isfinite(w) & (w > 0)).all():
+            raise ValueError("init_weights must be finite and > 0")
     if init_pixel is None:
         init_field = forward(prop, random_mask(prop.config, settings.seed))
     elif np.iscomplexobj(init_pixel):  # propagated as it is; forward_field checks its shape
         init_field = forward_field(prop, init_pixel)
     else:  # a PhaseMask or a phase array
         raise ValueError("init_pixel must be a complex unit pixel phasor, not phases")
-    w = np.ones(n) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
-    if (w <= 0).any():
-        raise ValueError("initial weights must be positive")
-    w_tilde_prev = w.copy()
     weight_target = target_amp if pinned else np.full(n, target_amp.mean())
 
     total = settings.iterations if pinned else settings.wgs_iterations
@@ -236,11 +241,9 @@ def _solve(
         e_tar = pinned_field if pinned else target_amp * np.exp(1j * np.angle(e))
         w_hat = weight_update(w, np.abs(e), weight_target, iteration=k)
         if k == total and settings.over_relaxation > 0.0:
-            w_new = over_relax(w, w_tilde_prev, w_hat, settings.over_relaxation)
+            w = over_relax(w, w_hat, settings.over_relaxation)
         else:
-            w_new = w_hat
-        w_tilde_prev = w_hat
-        w = w_new
+            w = w_hat
         weighted = w * e
         if pinned:
             s = scale_update(e_tar, weighted)
@@ -290,9 +293,12 @@ def wpgs_solve(
     have one entry per trap; intensities must be > 0 and phases finite.
     init_pixel is a complex unit pixel phasor of the grid's shape (such as a
     previous result's pixel; a PhaseMask or a real array is refused), or None
-    for random_mask(settings.seed).  Every phase step is written into out, a
-    C-contiguous complex array of the grid's shape that becomes result.pixel;
-    it may be init_pixel itself.  out None allocates the buffer once per solve.
+    for random_mask(settings.seed).  init_weights, the starting weights, is a
+    finite, positive array with one entry per trap, or None for all ones; a
+    bad one is refused before any forward.  Every phase step is written into
+    out, a C-contiguous complex array of the grid's shape that becomes
+    result.pixel; it may be init_pixel itself.  out None allocates the buffer
+    once per solve.
     """
     inten = _target_intensity(prop, target_intensity)
     phase = np.asarray(target_phase, dtype=float)

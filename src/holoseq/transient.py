@@ -101,23 +101,29 @@ def transient_exact(
 ) -> np.ndarray:
     """Exact transient field: the forward of the relaxing mask, (samples, traps).
 
-    Row k is the field at a_k = 1 - k/(samples-1), RefreshModel(samples).a_grid()[k];
-    one sample is the a = 1 row alone.  pixel_l is the unit pixel phasor the
-    interval starts from (a SolveResult's pixel); phi_l is its angle with
-    np.angle's bits, those of the mask a solve records.  field_l is its field
-    at prop's traps and field_l1 the field of mask_l1's phasor there: the
-    a = 1 and a = 0 rows as given.  The rows between are the forwards of
-    pixel_l * Q**k, computed in pixel_l's buffer, which is overwritten.
+    Row k is the field at a_k = 1 - k/(samples-1), RefreshModel(samples).a_grid()[k],
+    for samples >= 2, the bound RefreshModel keeps.  pixel_l is the complex
+    unit pixel phasor the interval starts from (a SolveResult's pixel); phi_l
+    is its angle with np.angle's bits, those of the mask a solve records.
+    field_l is its (N,) field at prop's traps and field_l1 the (N,) field of
+    mask_l1's phasor there: the a = 1 and a = 0 rows as given.  The rows
+    between are the forwards of pixel_l * Q**k, computed in pixel_l's buffer,
+    which is overwritten.
     """
     if np.shape(pixel_l) != mask_l1.shape:
         raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l1.shape}")
+    if not np.iscomplexobj(pixel_l):
+        raise ValueError("pixel_l must be a complex unit pixel phasor, not phases")
+    n = prop.trap_count
+    for name, end in (("field_l", field_l), ("field_l1", field_l1)):
+        if np.shape(end) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), not {np.shape(end)}")
     require_int("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, not {samples!r}")
-    fields = np.empty((samples, prop.trap_count), dtype=complex)
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, not {samples!r}")
+    fields = np.empty((samples, n), dtype=complex)
     fields[0] = field_l
-    if samples > 1:
-        fields[-1] = field_l1
+    fields[-1] = field_l1
     if samples > 2:
         # exp(i(phi_l + k*h*dphi)) = P * Q**k with h = 1/(samples-1), P = pixel_l
         # and Q = exp(i*h*dphi): one complex multiply per sample instead of an

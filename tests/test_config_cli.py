@@ -20,7 +20,6 @@ from holoseq.config import (
     config_to_yaml,
     load_config,
     parse_length,
-    save_config,
 )
 from holoseq.geometry import TaskSpec, offset_bilayer_task, reconfig_2d_task
 from holoseq.solvers import DarkTrapError, SolverSettings
@@ -103,7 +102,7 @@ class TestConfigRoundTrip:
     def test_yaml_file_round_trip(self, tmp_path):
         cfg = RunConfig(task=reconfig_2d_task(source_dims=(5, 5), target_dims=(4, 4), seed=1))
         path = tmp_path / "cfg.yaml"
-        save_config(path, cfg)
+        path.write_text(config_to_yaml(cfg))
         assert load_config(path) == cfg
 
     def test_unit_suffixes_in_file(self, tmp_path):

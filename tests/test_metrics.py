@@ -90,7 +90,7 @@ class TestAggregate:
             aggregate([])
 
 
-def concatenated_transition_distribution(ratios, thresholds=DEFAULT_RATIO_THRESHOLDS):
+def concatenated_transition_distribution(ratios):
     """The pooled statistics from one concatenated sample array: the oracle."""
     samples = np.concatenate([np.asarray(r, dtype=float).ravel() for r in ratios])
     lo, hi = DEFAULT_RATIO_RANGE
@@ -99,7 +99,7 @@ def concatenated_transition_distribution(ratios, thresholds=DEFAULT_RATIO_THRESH
     return TransitionStats(
         count=int(samples.size),
         minimum=float(samples.min()),
-        fraction_below={float(t): float(np.mean(samples < t)) for t in thresholds},
+        fraction_below={float(t): float(np.mean(samples < t)) for t in DEFAULT_RATIO_THRESHOLDS},
         histogram=Histogram(bin_edges=edges, percent=100.0 * counts / samples.size),
     )
 
@@ -128,14 +128,9 @@ class TestTransitionDistribution:
             np.empty((21, 0)),
             rng.uniform(0.85, 0.97, (21, 13)),
         ]
-        assert_same_transition(
-            transition_distribution(ratios), concatenated_transition_distribution(ratios)
-        )
-        custom = (0.0, 0.5, 1.2)
-        assert_same_transition(
-            transition_distribution(iter(ratios), thresholds=custom),
-            concatenated_transition_distribution(ratios, thresholds=custom),
-        )
+        want = concatenated_transition_distribution(ratios)
+        assert_same_transition(transition_distribution(ratios), want)
+        assert_same_transition(transition_distribution(iter(ratios)), want)
 
     @pytest.mark.parametrize("ratios", [[], [np.empty((21, 0))], [np.empty(0), np.empty((0, 4))]])
     def test_no_samples_raise(self, ratios):
@@ -158,10 +153,6 @@ class TestTransitionDistribution:
         samples = rng.uniform(0.0, 1.5, 500)  # above the 1.2 range edge
         stats = transition_distribution([samples])
         assert abs(stats.histogram.percent.sum() - 100.0) <= 1e-9
-
-    def test_custom_thresholds(self):
-        stats = transition_distribution([np.array([0.2, 0.8])], thresholds=(0.5,))
-        assert stats.fraction_below == {0.5: 0.5}
 
 
 # the two fixed ranges the package bins into: I/I0 and dphi

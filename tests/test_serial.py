@@ -25,9 +25,7 @@ from holoseq.serial import (
     TRANSIENTS_HEADER,
     RunWriter,
     _float_reprs,
-    quantize_mask,
     read_mask,
-    read_plan_json,
     save_run_record,
     write_fields_csv,
     write_mask,
@@ -127,6 +125,11 @@ def oracle_plan_json(path, plan):
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def quantized_oracle(mask):
+    """The .u8 payload as the layout states it: round(phi / (2*pi) * 256) mod 256, in int64."""
+    return (np.round(mask.canonical() / TWO_PI * 256.0).astype(np.int64) % 256).astype(np.uint8)
+
+
 def assert_writers_match_oracle(tmp_path, config, plan, settings, refresh):
     """Each hand-assembled artifact has the reference writer's bytes.
 
@@ -199,7 +202,7 @@ class TestWriterOracle:
         assert fields.count(b"\r\n") == fields.count(b"\n") == 1 + 3 * len(frames)
         text = (tmp_path / "plan.json").read_text()
         assert '"id": "q\\"x"' in text and '"id": "t\\u00b5"' in text
-        assert read_plan_json(tmp_path / "plan.json").trap_ids == plan.trap_ids
+        assert tuple(t["id"] for t in json.loads(text)["traps"]) == plan.trap_ids
 
 
 # where orjson's spelling of a float starts or stops agreeing with repr's
@@ -302,9 +305,17 @@ class TestMaskFiles:
         assert peak < canonical.nbytes
         assert path.read_bytes()[16:] == canonical.astype("<f8").tobytes()
 
-    def test_quantize_range(self, rng):
-        q = quantize_mask(PhaseMask(rng.uniform(-10, 10, (16, 16))))
-        assert q.dtype == np.uint8
+    def test_quantize_range(self, tmp_path, rng):
+        # phases over several turns, and the two ends of a turn: 2*pi folds to
+        # 0 and the largest phase below it rounds to 256, which wraps to 0
+        phases = rng.uniform(-10, 10, (16, 16))
+        phases[0, :2] = TWO_PI, np.nextafter(TWO_PI, 0.0)
+        mask = PhaseMask(phases)
+        path = tmp_path / "m.u8"
+        write_mask(path, mask, quantized=True)
+        payload = np.frombuffer(path.read_bytes()[16:], dtype=np.uint8).reshape(16, 16)
+        np.testing.assert_array_equal(payload, quantized_oracle(mask))
+        assert payload[0, 0] == payload[0, 1] == 0
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mask"
@@ -327,7 +338,7 @@ class TestMaskFiles:
         path = tmp_path / ("m.u8" if quantized else "m.mask")
         write_mask(path, mask, quantized=quantized)
         back = read_mask(path)
-        expected = quantize_mask(mask) / 256.0 * TWO_PI if quantized else mask.canonical()
+        expected = quantized_oracle(mask) / 256.0 * TWO_PI if quantized else mask.canonical()
         np.testing.assert_array_equal(back.phases, expected)
 
     @pytest.mark.parametrize(
@@ -351,6 +362,7 @@ class TestMaskFiles:
 
 class TestPlanJson:
     def test_round_trip(self, tmp_path):
+        # plan.json as a json reader sees it: every number of the plan, exact
         spec = custom_task(
             source_points=[(0, 0, 0), (5e-6, 0, 0)],
             target_points=[(1e-6, 0, 0), (5e-6, 2e-6, 0)],
@@ -359,27 +371,15 @@ class TestPlanJson:
         plan = plan_task(spec, max_step=0.5e-6)
         path = tmp_path / "plan.json"
         write_plan_json(path, plan)
-        back = read_plan_json(path)
-        assert back.frames == plan.frames
-        assert back.trap_ids == plan.trap_ids
-        np.testing.assert_allclose(back.waypoints, plan.waypoints)
-        np.testing.assert_allclose(back.target_intensity, plan.target_intensity)
-
-    def test_non_finite_number_rejected(self, tmp_path):
-        plan = plan_task(
-            custom_task(source_points=[(0, 0, 0)], target_points=[(1e-6, 0, 0)]),
-            max_step=0.5e-6,
+        doc = json.loads(path.read_text())
+        assert (doc["frames"], doc["max_step"]) == (plan.frames, plan.max_step)
+        traps = doc["traps"]
+        assert tuple(t["id"] for t in traps) == plan.trap_ids
+        assert tuple(t["source_id"] for t in traps) == plan.source_ids
+        np.testing.assert_array_equal([t["waypoints"] for t in traps], plan.waypoints)
+        np.testing.assert_array_equal(
+            [t["target_intensity"] for t in traps], plan.target_intensity
         )
-        path = tmp_path / "plan.json"
-        write_plan_json(path, plan)
-        text = path.read_text()
-        for old, new in (('"max_step": 5e-07', '"max_step": NaN'),
-                         ('"target_intensity": 1.0', '"target_intensity": Infinity'),
-                         ("     1e-06,", "     NaN,")):
-            assert old in text
-            path.write_text(text.replace(old, new, 1))
-            with pytest.raises(ValueError, match="finite"):
-                read_plan_json(path)
 
 
 class TestRunDirectory:

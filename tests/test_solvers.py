@@ -111,23 +111,18 @@ class TestWeightUpdate:
 
 
 class TestOverRelax:
-    def test_beta_zero_returns_previous_tilde(self):
-        w_prev = np.array([1.0, 1.0])
-        w_tilde_prev = np.array([1.05, 0.95])
-        w_tilde_new = np.array([1.2, 0.8])
-        np.testing.assert_allclose(
-            over_relax(w_prev, w_tilde_prev, w_tilde_new, 0.0), w_tilde_prev
-        )
+    def test_beta_zero_returns_weights(self):
+        w = np.array([1.05, 0.95])
+        np.testing.assert_array_equal(over_relax(w, np.array([1.2, 0.8]), 0.0), w)
 
     def test_fixed_point(self):
         w = np.array([1.1, 0.9])
-        np.testing.assert_allclose(over_relax(w, w, w, 0.85), w)
+        np.testing.assert_allclose(over_relax(w, w, 0.85), w)
 
     def test_direct_substitution(self):
-        got = over_relax(
-            np.array([1.0, 1.0]), np.array([1.1, 0.9]), np.array([1.2, 0.8]), 0.85
-        )
-        np.testing.assert_allclose(got, [1.27, 0.73], rtol=1e-15)
+        got = over_relax(np.array([1.1, 0.9]), np.array([1.2, 0.8]), 0.85)
+        np.testing.assert_allclose(got, [1.185, 0.815], rtol=1e-15)
+        assert got.mean() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestScaleUpdate:
@@ -410,6 +405,28 @@ class TestLoopStructure:
         res = solve[kind](out=out)
         assert res.pixel is out
         np.testing.assert_array_equal(out, solve[kind]().pixel)
+
+    @pytest.mark.parametrize("kind", SOLVER_KINDS)
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            (np.ones(1), r"shape \(9,\), not \(1,\)"),  # would broadcast
+            (np.ones(8), r"shape \(9,\), not \(8,\)"),
+            (np.ones((9, 1)), r"shape \(9,\), not \(9, 1\)"),
+            (np.r_[np.nan, np.ones(8)], "finite and > 0"),
+            (np.r_[np.ones(8), np.inf], "finite and > 0"),
+            (np.r_[-1.0, np.ones(8)], "finite and > 0"),
+        ],
+        ids=["one", "short", "column", "nan", "inf", "negative"],
+    )
+    def test_malformed_weights_refused_before_any_forward(
+        self, solves, counted_calls, kind, weights, match
+    ):
+        _, _, solve = solves
+        for start in (None, np.ones((64, 64), dtype=complex)):
+            with pytest.raises(ValueError, match=match):
+                solve[kind](init_pixel=start, init_weights=weights)
+        assert counted_calls == {"forward": 0, "forward_field": 0}
 
     @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64 * 64,)])
     def test_phasor_start_of_wrong_shape_raises(self, solves, shape):

@@ -151,7 +151,7 @@ class TestPixelInterpolate:
 
 
 def a_grid(samples):
-    """RefreshModel(samples).a_grid(), one sample (a = 1 alone) included."""
+    """RefreshModel(samples).a_grid()'s values, as a plain linspace."""
     return np.linspace(1.0, 0.0, samples)
 
 
@@ -170,12 +170,11 @@ class TestTransientExact:
         # the phasor is the working buffer only when there are rows between
         m0, m1 = random_masks(rng)
         e1, e0 = forward(prop, m0), forward(prop, m1)
-        for samples in (1, 2, 5):
+        for samples in (2, 5):
             pixel = np.exp(1j * m0.phases)
             fields = transient_exact(prop, pixel, m1, e1, e0, samples)
             np.testing.assert_array_equal(fields[0], e1)
-            if samples > 1:
-                np.testing.assert_array_equal(fields[-1], e0)
+            np.testing.assert_array_equal(fields[-1], e0)
             assert np.array_equal(pixel, np.exp(1j * m0.phases)) == (samples <= 2)
 
     def test_interior_rows_start_from_the_phasor(self, prop, rng):
@@ -206,11 +205,10 @@ class TestTransientExact:
             rel = np.abs(e_exact - e_dense).max() / np.abs(e_dense).max()
             assert rel <= 1e-10
 
-    @pytest.mark.parametrize("samples", [1, 2, 3, 21, 201])
+    @pytest.mark.parametrize("samples", [2, 3, 21, 201])
     def test_rows_match_sine_ratio_oracle(self, prop, rng, samples):
         pixel, m0, m1 = branch_masks(rng)
-        if samples > 1:
-            np.testing.assert_array_equal(a_grid(samples), RefreshModel(samples).a_grid())
+        np.testing.assert_array_equal(a_grid(samples), RefreshModel(samples).a_grid())
         fields = exact_fields(prop, pixel, m1, samples)
         assert fields.shape == (samples, 9) and fields.dtype == complex
         for a, field in zip(a_grid(samples), fields):
@@ -248,7 +246,8 @@ class TestTransientExact:
     def test_samples_validation(self, prop, rng):
         m0, m1 = random_masks(rng)
         pixel = np.exp(1j * m0.phases)
-        for samples in (0, -1, 2.5, 21.0, np.array(21), True):
+        # fewer than two samples has no a = 0 row: RefreshModel's bound
+        for samples in (1, 0, -1, 2.5, 21.0, np.array(21), True):
             with pytest.raises(ValueError, match="samples"):
                 exact_fields(prop, pixel, m1, samples)
         assert exact_fields(prop, pixel, m1, np.int64(3)).shape == (3, 9)
@@ -257,6 +256,30 @@ class TestTransientExact:
             transient_exact(prop, pixel, PhaseMask(np.zeros((64, 32))), e0, e0, 21)
         with pytest.raises(ValueError, match="pixel_l shape"):
             transient_exact(prop, pixel[:, :32], m1, e0, e0, 21)
+
+    def test_real_start_refused(self, prop, rng):
+        # the start phases, as a real array of the grid's shape, are not a phasor
+        m0, m1 = random_masks(rng)
+        e0 = forward(prop, m0)
+        for start in (m0.phases.copy(), np.ones((64, 64))):
+            with pytest.raises(ValueError, match="pixel_l must be a complex"):
+                transient_exact(prop, start, m1, e0, e0, 5)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize(
+        "bad", [1.0 + 0j, np.ones(8, dtype=complex), np.ones((1, 9), dtype=complex)],
+        ids=["scalar", "short", "2d"],
+    )
+    def test_endpoint_field_shape_refused(self, prop, rng, end, bad):
+        # a scalar or a (1, N) row would broadcast into its row without complaint
+        m0, m1 = random_masks(rng)
+        pixel = np.exp(1j * m0.phases)
+        ends = [forward(prop, m0), forward(prop, m1)]
+        ends[end] = bad
+        name = ("field_l", "field_l1")[end]
+        with pytest.raises(ValueError, match=rf"{name} must have shape \(9,\)"):
+            transient_exact(prop, pixel, m1, *ends, 5)
+        np.testing.assert_array_equal(pixel, np.exp(1j * m0.phases))
 
     def test_dphi_wrap_is_wrap_phase_bits(self, prop):
         # the recurrence's step is exp(1j * wrap(phi_l1 - phi_l) / (samples - 1)),
