@@ -177,6 +177,16 @@ def concat_layouts(layouts: Sequence[TrapLayout]) -> TrapLayout:
     )
 
 
+def _check_lattice(dims, spacing) -> None:
+    """Refuse lattice dims that are not integers >= 1 and a spacing that is not finite and > 0."""
+    for n in dims:
+        require_int("lattice dims", n)
+    if min(dims) < 1:
+        raise ValueError("lattice dims must be >= 1x1")
+    if not (0 < spacing < math.inf):
+        raise ValueError("lattice spacing must be finite and > 0")
+
+
 def build_lattice(
     dims: tuple[int, int],
     spacing: float,
@@ -189,11 +199,8 @@ def build_lattice(
     dims = (nx, ny); site index n = iy * nx + ix with both indices ascending,
     so consecutive ids sweep a row of constant y.
     """
+    _check_lattice(dims, spacing)
     nx, ny = dims
-    if nx < 1 or ny < 1:
-        raise ValueError("lattice dims must be >= 1x1")
-    if not (0 < spacing < math.inf):
-        raise ValueError("lattice spacing must be finite and > 0")
     cx, cy = center
     n = np.arange(nx * ny)
     ix, iy = n % nx, n // nx
@@ -218,12 +225,7 @@ class LatticeSpec:
     def __post_init__(self):
         if len(self.dims) != 2 or len(self.center) != 2:
             raise ValueError("lattice dims and center must be pairs")
-        for n in self.dims:
-            require_int("lattice dims", n)
-        if self.dims[0] < 1 or self.dims[1] < 1:
-            raise ValueError("lattice dims must be >= 1x1")
-        if not (0 < self.spacing < math.inf):
-            raise ValueError("lattice spacing must be finite and > 0")
+        _check_lattice(self.dims, self.spacing)
         if not all(math.isfinite(v) for v in (*self.center, self.z)):
             raise ValueError("lattice center and z must be finite")
         if not (0.0 < self.filling <= 1.0):

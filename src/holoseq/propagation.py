@@ -6,11 +6,9 @@ Two routes compute the complex field at each trap from a pixelwise phase mask:
   ``kernel_x`` (U, R_x x grid_x, one row per distinct (x, z) pair of the N
   traps) and ``kernel_y`` (V, R_y x grid_y, one row per distinct (y, z)
   pair); ``x_rows`` and ``y_rows`` map trap n to its rows of U and V.  The
-  forward contracts a pixel field F two-sided, ``E = scale * c *
-  ((U @ F) @ V.T)[x_rows, y_rows]``, when R_x*R_y <= TWO_SIDED_RATIO * N (a
-  lattice frame), and by row sums, ``rowsum((U @ F)[x_rows] * V[y_rows])``,
-  otherwise (scattered traps, where R_x = R_y = N).  The back-propagation is
-  always two-sided, through an R_x x R_y matrix of the trap sources;
+  forward contracts a pixel field F over the R_x x R_y pair grid,
+  ``E = scale * c * ((U @ F) @ V.T)[x_rows, y_rows]``, and the
+  back-propagation goes through an R_x x R_y matrix of the trap sources;
 * a dense N x M matrix built independently from the single-exponential kernel,
   kept as a verification oracle for small problems.
 
@@ -46,19 +44,9 @@ __all__ = [
 DENSE_ENTRY_LIMIT = 8_388_608
 
 TWO_PI = 2.0 * np.pi
-# forward_field gathers and sums the contracted rows, and adjoint_phase
-# normalizes the pixel phasor, this many complex entries at a time (128 KB):
-# a grid-sized temporary is what a whole-array step would cost
+# adjoint_phase normalizes the pixel phasor this many complex entries at a
+# time (128 KB): a grid-sized temporary is what a whole-array step would cost
 ROW_BLOCK_ENTRIES = 8192
-# forward_field contracts both axes by GEMM when R_x * R_y <= this * N, and
-# by row sums otherwise.  Measured with one BLAS thread on the step after
-# U @ F, the two routes break even near R_x*R_y/N = 16 at 256^2 and 1024^2:
-# scattered traps (R_x = R_y = N) at N = 16 took 0.014 vs 0.016 ms (row sums
-# vs two-sided) at 256^2 and 0.064 vs 0.073 ms at 1024^2, at N = 32 0.023 vs
-# 0.037 ms and 0.122 vs 0.222 ms; traps sharing rows at a ratio of 15.5
-# took 0.432 vs 0.400 ms at 1024^2, and a 32 x 32 lattice (ratio 1)
-# 3.40 vs 0.26 ms
-TWO_SIDED_RATIO = 16
 
 
 def _mod_two_pi(x):
@@ -134,8 +122,8 @@ class SeparablePropagator:
     its row.  kernel_y and y_rows do the same for the distinct (y, z) pairs;
     kernel_y[y_rows] is the per-trap y kernel, bit for bit.  axial_phase and
     trap_scale stay per trap.  Trap n's kernel is the (x_rows[n], y_rows[n])
-    entry of the pair grid kernel_x x kernel_y, which the two-sided
-    contractions work on.
+    entry of the pair grid kernel_x x kernel_y, which the forward and
+    back-propagation contract over.
     """
 
     config: OpticalConfig
@@ -150,11 +138,6 @@ class SeparablePropagator:
     @property
     def trap_count(self) -> int:
         return len(self.layout)
-
-    @property
-    def two_sided(self) -> bool:
-        """Whether forward_field contracts both axes by GEMM: R_x*R_y <= TWO_SIDED_RATIO * N."""
-        return len(self.kernel_x) * len(self.kernel_y) <= TWO_SIDED_RATIO * self.trap_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,20 +199,9 @@ def forward_field(prop: SeparablePropagator, pixel_field: np.ndarray) -> np.ndar
             f"pixel field shape {pixel_field.shape} != grid ({cfg.grid_x}, {cfg.grid_y})"
         )
     f = np.asarray(pixel_field, dtype=complex)
-    contracted_x = prop.kernel_x @ f
-    if prop.two_sided:
-        # every (x row, y row) pair's sum, then the traps' pairs
-        contracted = (contracted_x @ prop.kernel_y.T)[prop.x_rows, prop.y_rows]
-    else:
-        # a block of traps at a time; each trap's row sum is the same either way
-        contracted = np.empty(prop.trap_count, dtype=complex)
-        block = max(1, ROW_BLOCK_ENTRIES // cfg.grid_y)
-        for start in range(0, prop.trap_count, block):
-            stop = start + block
-            rows = contracted_x[prop.x_rows[start:stop]]
-            rows *= prop.kernel_y[prop.y_rows[start:stop]]
-            rows.sum(axis=1, out=contracted[start:stop])
-    return prop.trap_scale * prop.axial_phase * contracted
+    # every (x row, y row) pair's sum, then the traps' pairs
+    pairs = (prop.kernel_x @ f) @ prop.kernel_y.T
+    return prop.trap_scale * prop.axial_phase * pairs[prop.x_rows, prop.y_rows]
 
 
 def forward(prop: SeparablePropagator, mask: PhaseMask) -> np.ndarray:

@@ -91,6 +91,15 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
     return PhaseMask(mask_l.phases + (1.0 - a) * dphi)
 
 
+def _check_endpoints(prop: SeparablePropagator, field_l, field_l1) -> int:
+    """Refuse endpoint fields that are not (N,) for prop's N traps; returns N."""
+    n = prop.trap_count
+    for name, end in (("field_l", field_l), ("field_l1", field_l1)):
+        if np.shape(end) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), not {np.shape(end)}")
+    return n
+
+
 def transient_exact(
     prop: SeparablePropagator,
     pixel_l: np.ndarray,
@@ -114,10 +123,7 @@ def transient_exact(
         raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l1.shape}")
     if not np.iscomplexobj(pixel_l):
         raise ValueError("pixel_l must be a complex unit pixel phasor, not phases")
-    n = prop.trap_count
-    for name, end in (("field_l", field_l), ("field_l1", field_l1)):
-        if np.shape(end) != (n,):
-            raise ValueError(f"{name} must have shape ({n},), not {np.shape(end)}")
+    n = _check_endpoints(prop, field_l, field_l1)
     require_int("samples", samples)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, not {samples!r}")
@@ -191,5 +197,6 @@ def sample_refresh(
             prop, pixel_l, mask_l1, field_l, field_l1, model.samples_per_refresh
         )
     else:
+        _check_endpoints(prop, field_l, field_l1)
         fields = transient_leading(field_l, field_l1, model.a_grid())
     return np.abs(fields) ** 2 / np.abs(field_l) ** 2

@@ -59,6 +59,12 @@ class TestBuildLattice:
         with pytest.raises(ValueError):
             build_lattice((2, 2), 0.0)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), (True, 3)], ids=["fraction", "float", "bool"])
+    def test_rejects_non_integer_dims(self, dims):
+        # 2.5 would give 5 traps off the lattice, True a 1x3 lattice
+        with pytest.raises(ValueError, match="lattice dims must be an integer"):
+            build_lattice(dims, 5e-6)
+
     def test_row_major_order(self):
         layout = build_lattice((2, 2), 1e-6)
         # index 1 advances x before y

@@ -48,16 +48,21 @@ def desk_2d_plan():
 
 
 def layout_of_kind(kind, rng):
-    """A layout with distinct x (random), equal x on two layers, or lattice transport."""
+    """A layout with distinct x (random, scattered), equal x on two layers, or lattice transport.
+
+    The 40 scattered traps give a 40 x 40 pair grid, 40 entries per trap.
+    """
     if kind == "random":
         return random_layout(rng, 12)
+    if kind == "scattered":
+        return random_layout(rng, 40)
     if kind == "two_layer_lattice":
         return two_layer_lattice()
     plan = desk_2d_plan()
     return plan.layout(plan.frames // 2)
 
 
-LAYOUT_KINDS = ["random", "two_layer_lattice", "mid_transport"]
+LAYOUT_KINDS = ["random", "scattered", "two_layer_lattice", "mid_transport"]
 
 
 def per_trap_forward(prop, pixel_field):
@@ -238,6 +243,19 @@ class TestForward:
             rel = np.abs(e_sep - e_dense).max() / np.abs(e_dense).max()
             assert rel <= 1e-10
 
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_kind_matches_dense_oracle(self, small_config, rng, kind):
+        # the pair-grid forward on each layout kind, scattered traps (a pair
+        # grid of N^2 entries) included, against the dense oracle's 1e-10 floor
+        layout = layout_of_kind(kind, rng)
+        prop = build_separable(small_config, layout)
+        dense = build_dense(small_config, layout)
+        for _ in range(3):
+            mask = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
+            e_dense = forward_dense(dense, mask)
+            rel = np.abs(forward(prop, mask) - e_dense).max() / np.abs(e_dense).max()
+            assert rel <= 1e-10
+
     def test_mirror_symmetric_mask_gives_equal_intensities(self, small_config, rng):
         layout = TrapLayout(("l", "r"), [(-8e-6, 0.0, 0.0), (8e-6, 0.0, 0.0)])
         prop = build_separable(small_config, layout)
@@ -268,29 +286,10 @@ class TestForward:
         rhs = a * forward_field(prop, f1) + b * forward_field(prop, f2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
-    @pytest.mark.parametrize("block_traps", [None, 1, 5])
     @pytest.mark.parametrize("kind", LAYOUT_KINDS)
-    def test_blocked_row_product_bits(self, small_config, rng, kind, block_traps, monkeypatch):
-        # on the row-sum route forward_field gathers, multiplies and sums the
-        # rows a block of traps at a time, in place: the bits of the one-shot
-        # expression
-        monkeypatch.setattr(propagation, "TWO_SIDED_RATIO", 0)
-        if block_traps is not None:
-            monkeypatch.setattr(propagation, "ROW_BLOCK_ENTRIES", block_traps * small_config.grid_y)
-        prop = build_separable(small_config, layout_of_kind(kind, rng))
-        f = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        rows = (prop.kernel_x @ f)[prop.x_rows] * prop.kernel_y[prop.y_rows]
-        contracted = rows.sum(axis=1)
-        want = prop.trap_scale * prop.axial_phase * contracted
-        np.testing.assert_array_equal(
-            forward_field(prop, f).view(np.uint64), want.view(np.uint64)
-        )
-
-    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
-    def test_two_sided_product_bits(self, small_config, rng, kind, monkeypatch):
-        # the two-sided route: every (x row, y row) pair's sum by two GEMMs,
-        # then each trap's pair
-        monkeypatch.setattr(propagation, "TWO_SIDED_RATIO", np.inf)
+    def test_two_sided_product_bits(self, small_config, rng, kind):
+        # the pair grid: every (x row, y row) pair's sum by two GEMMs, then
+        # each trap's pair
         prop = build_separable(small_config, layout_of_kind(kind, rng))
         f = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         pairs = (prop.kernel_x @ f) @ prop.kernel_y.T
@@ -298,38 +297,6 @@ class TestForward:
         np.testing.assert_array_equal(
             forward_field(prop, f).view(np.uint64), want.view(np.uint64)
         )
-
-    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
-    def test_routes_agree(self, small_config, rng, kind, monkeypatch):
-        # each route forced on each layout: they agree with each other to
-        # rounding and with the dense oracle to its 1e-10 floor
-        layout = layout_of_kind(kind, rng)
-        prop = build_separable(small_config, layout)
-        dense = build_dense(small_config, layout)
-        mask = PhaseMask(rng.uniform(0, 2 * np.pi, (64, 64)))
-        e_dense = forward_dense(dense, mask)
-        by_route = {}
-        for route, ratio in (("row sums", 0), ("two-sided", np.inf)):
-            monkeypatch.setattr(propagation, "TWO_SIDED_RATIO", ratio)
-            by_route[route] = forward(prop, mask)
-            rel = np.abs(by_route[route] - e_dense).max() / np.abs(e_dense).max()
-            assert rel <= 1e-10, route
-        rows, two = by_route["row sums"], by_route["two-sided"]
-        assert np.abs(rows - two).max() <= 1e-13 * np.abs(rows).max()
-
-    def test_route_follows_pair_count(self, small_config, rng, monkeypatch):
-        # R_x * R_y <= TWO_SIDED_RATIO * N takes the two-sided route: an 8 x 8
-        # lattice (64 pairs for 64 traps) does, 40 scattered traps (1600 pairs)
-        # do not; each gives the bits of the route it takes
-        f = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        for layout, route in ((build_lattice((8, 8), 2e-6), np.inf), (random_layout(rng, 40), 0)):
-            prop = build_separable(small_config, layout)
-            assert prop.two_sided == (route == np.inf)
-            got = forward_field(prop, f)
-            with monkeypatch.context() as patch:
-                patch.setattr(propagation, "TWO_SIDED_RATIO", route)
-                want = forward_field(prop, f)
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_dimension_mismatch(self, small_config, grid_3x3):
         prop = build_separable(small_config, grid_3x3)

@@ -9,7 +9,7 @@ import holoseq.sequence as sequence_mod
 import holoseq.transient as transient_mod
 from holoseq.geometry import custom_task
 from holoseq.planner import TransportPlan, plan_task
-from holoseq.propagation import build_separable, forward
+from holoseq.propagation import build_dense, build_separable, forward, forward_dense
 from holoseq.sequence import run_sequence
 from holoseq.serial import RunWriter
 from holoseq.solvers import DarkTrapError, SolverSettings, wgs_solve, wpgs_solve
@@ -113,6 +113,27 @@ class TestRunSequence:
             re_run = forward(prop, frame.mask)
             rel = np.abs(re_run - frame.field).max() / np.abs(re_run).max()
             assert rel <= 1e-12
+
+    def test_scattered_frames_match_dense_oracle(self, small_config, fast_settings):
+        # 24 scattered traps, a 5x5 grid at 12 um jittered by up to 3 um: no
+        # two share an x or y, so each frame's pair grid has N^2 entries
+        rng = np.random.default_rng(11)
+        src = [(12e-6 * (i - 2) + rng.uniform(-3e-6, 3e-6),
+                12e-6 * (j - 2) + rng.uniform(-3e-6, 3e-6), 0.0)
+               for i in range(5) for j in range(5)][:24]
+        tgt = [(x + 0.6e-6, y - 0.4e-6, z) for x, y, z in src]
+        plan = plan_task(custom_task(source_points=src, target_points=tgt), max_step=0.25e-6)
+        _, frames, _ = run_frames(
+            small_config, plan, "wpgs", fast_settings,
+            RefreshModel(samples_per_refresh=5, order="exact"),
+        )
+        assert plan.frames >= 2 and len(frames) == plan.frames + 1
+        for l, frame in enumerate(frames):
+            layout = plan.layout(l)
+            prop = build_separable(small_config, layout)
+            assert (len(prop.kernel_x), len(prop.kernel_y)) == (24, 24)
+            want = forward_dense(build_dense(small_config, layout), frame.mask)
+            assert np.abs(frame.field - want).max() / np.abs(want).max() <= 1e-10
 
     def test_replay_bit_identical(self, small_config, tiny_plan, fast_settings, tiny_run):
         _, again, _ = run_frames(

@@ -398,6 +398,17 @@ class TestSampleRefresh:
         with pytest.raises(ValueError, match="pixel_l"):
             sample_refresh(prop, m1, e0, e1, RefreshModel(order="exact"))
 
+    @pytest.mark.parametrize("end", [0, 1], ids=["scalar-field_l", "length-1-field_l1"])
+    def test_leading_endpoint_shape_refused(self, prop, rng, end):
+        # a scalar start or a length-1 end field would broadcast into a
+        # (samples, N) array under the leading model
+        m0, m1 = random_masks(rng)
+        ends = [forward(prop, m0), forward(prop, m1)]
+        ends[end] = (1.0 + 0j, np.ones(1, dtype=complex))[end]
+        name = ("field_l", "field_l1")[end]
+        with pytest.raises(ValueError, match=rf"{name} must have shape \(9,\)"):
+            sample_refresh(prop, m1, *ends, RefreshModel(5))
+
     def test_orders_agree_at_endpoints(self, prop, rng):
         m0, m1 = random_masks(rng)
         e0, e1 = forward(prop, m0), forward(prop, m1)
