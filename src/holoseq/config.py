@@ -78,7 +78,9 @@ class RunOptions:
             raise ConfigError(
                 f"solvers must name one or more distinct solvers, not {self.solvers!r}"
             )
-        if self.max_step is not None and not (0 < self.max_step < math.inf):
+        if self.max_step is not None and (
+            isinstance(self.max_step, bool) or not (0 < self.max_step < math.inf)
+        ):
             raise ConfigError(f"max_step must be finite and > 0, not {self.max_step!r}")
 
 

@@ -46,10 +46,32 @@ _KIND_FIELDS = {
 TASK_KINDS = tuple(_KIND_FIELDS)
 
 
-def require_int(name: str, value) -> None:
-    """Refuse a count or seed that is not an int (a bool, a float such as 64.5 or 64.0)."""
+def require_int(name: str, value, minimum: int) -> None:
+    """Refuse a count or seed that is not an int >= minimum (a bool, a float such as 64.0)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, not {value}")
+
+
+def require_positive(name: str, value) -> float:
+    """Refuse a length or intensity that is a bool or not finite and > 0; returns it as a float."""
+    if isinstance(value, (bool, np.bool_)) or not (0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+    return float(value)
+
+
+def per_trap_array(name: str, values, n: int, positive: bool = False, dtype=float) -> np.ndarray:
+    """values as a finite (n,) array of dtype, > 0 as well when positive; ValueError otherwise."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), not {arr.shape}")
+    ok = np.isfinite(arr)
+    if positive:
+        ok &= arr > 0
+    if not ok.all():
+        raise ValueError(f"{name} must be finite{' and > 0' if positive else ''}")
+    return arr
 
 
 def freeze_array(record, name: str, dtype=float) -> np.ndarray:
@@ -84,12 +106,9 @@ class OpticalConfig:
 
     def __post_init__(self):
         for name in ("wavelength", "focal_length", "pixel_pitch"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and > 0")
-        require_int("grid_x", self.grid_x)
-        require_int("grid_y", self.grid_y)
-        if self.grid_x < 1 or self.grid_y < 1:
-            raise ValueError("grid dimensions must be >= 1")
+            require_positive(name, getattr(self, name))
+        require_int("grid_x", self.grid_x, 1)
+        require_int("grid_y", self.grid_y, 1)
 
     @property
     def pixel_count(self) -> int:
@@ -128,6 +147,8 @@ class TrapLayout:
     xyz: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if isinstance(self.ids, str):  # tuple("abc") would name three traps
+            raise ValueError(f"trap ids must be a sequence of strings, not the string {self.ids!r}")
         ids = tuple(self.ids)
         xyz = freeze_array(self, "xyz")
         if not ids:
@@ -177,14 +198,13 @@ def concat_layouts(layouts: Sequence[TrapLayout]) -> TrapLayout:
     )
 
 
-def _check_lattice(dims, spacing) -> None:
-    """Refuse lattice dims that are not integers >= 1 and a spacing that is not finite and > 0."""
+def _check_lattice(dims, spacing, center) -> None:
+    """Refuse dims that are not two integers >= 1, a center that is not a pair, a bad spacing."""
+    if len(dims) != 2 or len(center) != 2:
+        raise ValueError("lattice dims and center must be pairs")
     for n in dims:
-        require_int("lattice dims", n)
-    if min(dims) < 1:
-        raise ValueError("lattice dims must be >= 1x1")
-    if not (0 < spacing < math.inf):
-        raise ValueError("lattice spacing must be finite and > 0")
+        require_int("lattice dims", n, 1)
+    require_positive("lattice spacing", spacing)
 
 
 def build_lattice(
@@ -199,7 +219,7 @@ def build_lattice(
     dims = (nx, ny); site index n = iy * nx + ix with both indices ascending,
     so consecutive ids sweep a row of constant y.
     """
-    _check_lattice(dims, spacing)
+    _check_lattice(dims, spacing, center)
     nx, ny = dims
     cx, cy = center
     n = np.arange(nx * ny)
@@ -223,13 +243,11 @@ class LatticeSpec:
     filling: float = 1.0
 
     def __post_init__(self):
-        if len(self.dims) != 2 or len(self.center) != 2:
-            raise ValueError("lattice dims and center must be pairs")
-        _check_lattice(self.dims, self.spacing)
+        _check_lattice(self.dims, self.spacing, self.center)
         if not all(math.isfinite(v) for v in (*self.center, self.z)):
             raise ValueError("lattice center and z must be finite")
-        if not (0.0 < self.filling <= 1.0):
-            raise ValueError("filling fraction must be in (0, 1]")
+        if isinstance(self.filling, bool) or not (0.0 < self.filling <= 1.0):
+            raise ValueError(f"filling must be in (0, 1], not {self.filling!r}")
 
     @property
     def count(self) -> int:
@@ -277,15 +295,14 @@ class TaskSpec:
             raise ValueError("target layers must have filling 1: every target site is filled")
         if self.layer_intensity and len(self.layer_intensity) != len(self.target_layers):
             raise ValueError("layer_intensity length must match target_layers")
-        if not all(0 < v < math.inf for v in (*self.layer_intensity, *self.custom_intensity)):
-            raise ValueError("target intensities must be finite and > 0")
-        if not (0 <= self.displacement < math.inf):
+        for name in ("layer_intensity", "custom_intensity"):
+            for value in getattr(self, name):
+                require_positive(name, value)
+        if isinstance(self.displacement, bool) or not (0 <= self.displacement < math.inf):
             raise ValueError("displacement must be finite and >= 0")
-        if self.max_step is not None and not (0 < self.max_step < math.inf):
-            raise ValueError("max_step must be finite and > 0")
-        require_int("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
+        if self.max_step is not None:
+            require_positive("max_step", self.max_step)
+        require_int("seed", self.seed, 0)
         for points in (self.custom_source, self.custom_target):
             if any(len(p) != 3 or not all(map(math.isfinite, p)) for p in points):
                 raise ValueError("custom points must be finite (x, y, z) triples")

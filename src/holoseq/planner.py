@@ -37,7 +37,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -51,6 +50,9 @@ from .geometry import (
     freeze_array,
     instantiate_task,
     mean_and_max,
+    per_trap_array,
+    require_int,
+    require_positive,
 )
 
 __all__ = [
@@ -312,9 +314,8 @@ class TransportPlan:
     target_intensity: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        frames = operator.index(self.frames)
-        if frames < 0:
-            raise ValueError(f"frames must be >= 0, not {frames}")
+        require_int("frames", self.frames, 0)
+        frames = int(self.frames)
         wp = freeze_array(self, "waypoints")
         if wp.ndim != 3 or wp.shape[1] != frames + 1 or wp.shape[2] != 3:
             raise ValueError("waypoints must have shape (n_traps, frames+1, 3)")
@@ -323,16 +324,10 @@ class TransportPlan:
         for name, ids in (("trap_ids", self.trap_ids), ("source_ids", self.source_ids)):
             if len(ids) != wp.shape[0]:
                 raise ValueError(f"{name} has {len(ids)} entries for {wp.shape[0]} traps")
-        max_step = float(self.max_step)
-        if not (math.isfinite(max_step) and max_step > 0):
-            raise ValueError(f"max_step must be finite and > 0, not {max_step!r}")
         inten = freeze_array(self, "target_intensity")
-        if inten.shape != (wp.shape[0],):
-            raise ValueError("target_intensity must have one entry per trap")
-        if not (np.isfinite(inten) & (inten > 0)).all():
-            raise ValueError("target_intensity must be finite and > 0")
+        per_trap_array("target_intensity", inten, wp.shape[0], positive=True)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "max_step", max_step)
+        object.__setattr__(self, "max_step", require_positive("max_step", self.max_step))
 
     @property
     def trap_count(self) -> int:
@@ -371,8 +366,7 @@ def discretize(assignment: Assignment, max_step: float) -> TransportPlan:
     so each moves simultaneously and strictly within the bound; zero-distance
     traps hold position.
     """
-    if not (max_step > 0):
-        raise ValueError("max_step must be > 0")
+    require_positive("max_step", max_step)
     length = _frame_count(float(assignment.distances.max()), max_step)
     src = assignment.sources.xyz
     tgt = assignment.targets.xyz

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OpticalConfig, TrapLayout, freeze_array
+from .geometry import OpticalConfig, TrapLayout, freeze_array, per_trap_array
 
 __all__ = [
     "PhaseMask",
@@ -260,9 +260,7 @@ def adjoint_phase(
     out None allocates it.  The bits are the same either way.
     """
     cfg = prop.config
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (prop.trap_count,):
-        raise ValueError(f"b must have length {prop.trap_count}")
+    b = per_trap_array("b", b, prop.trap_count, dtype=complex)
     if out is not None and not (
         isinstance(out, np.ndarray) and out.shape == (cfg.grid_x, cfg.grid_y)
         and out.dtype == complex and out.flags.c_contiguous and out.flags.writeable

@@ -35,7 +35,7 @@ import numpy as np
 # numpy loads numpy.random on first attribute access; load it on import, not mid-run
 import numpy.random
 
-from .geometry import freeze_array, require_int
+from .geometry import freeze_array, per_trap_array, require_int
 from .propagation import (
     PhaseMask,
     SeparablePropagator,
@@ -89,15 +89,12 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "wgs_iterations", "seed"):
-            require_int(name, getattr(self, name))
-        if self.iterations < 1 or self.wgs_iterations < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if not (0.0 <= self.over_relaxation < 1.0):
-            raise ValueError("over_relaxation must lie in [0, 1)")
+        require_int("iterations", self.iterations, 1)
+        require_int("wgs_iterations", self.wgs_iterations, 1)
         # numpy's generators take no negative seed
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
+        require_int("seed", self.seed, 0)
+        if isinstance(self.over_relaxation, bool) or not (0.0 <= self.over_relaxation < 1.0):
+            raise ValueError(f"over_relaxation must lie in [0, 1), not {self.over_relaxation!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +215,7 @@ def _solve(
     if init_weights is None:
         w = np.ones(n)
     else:
-        w = np.array(init_weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"init_weights must have shape ({n},), not {w.shape}")
-        if not (np.isfinite(w) & (w > 0)).all():
-            raise ValueError("init_weights must be finite and > 0")
+        w = per_trap_array("init_weights", init_weights, n, positive=True)
     if init_pixel is None:
         init_field = forward(prop, random_mask(prop.config, settings.seed))
     elif np.iscomplexobj(init_pixel):  # propagated as it is; forward_field checks its shape
@@ -266,16 +259,6 @@ def _solve(
     )
 
 
-def _target_intensity(prop: SeparablePropagator, target_intensity) -> np.ndarray:
-    n = prop.trap_count
-    inten = np.asarray(target_intensity, dtype=float)
-    if inten.shape != (n,):
-        raise ValueError(f"target intensity must have length {n}")
-    if not (inten > 0).all():
-        raise ValueError("target intensities must be > 0")
-    return inten
-
-
 def wpgs_solve(
     prop: SeparablePropagator,
     target_intensity: np.ndarray,
@@ -290,7 +273,7 @@ def wpgs_solve(
     The target field E_tar = sqrt(target_intensity) * exp(i * target_phase),
     trap phases included, stays fixed; the complex scale is refit every
     iteration and each trap's weight targets its own |E_tar,n|.  Both arrays
-    have one entry per trap; intensities must be > 0 and phases finite.
+    have one entry per trap; intensities must be finite and > 0, phases finite.
     init_pixel is a complex unit pixel phasor of the grid's shape (such as a
     previous result's pixel; a PhaseMask or a real array is refused), or None
     for random_mask(settings.seed).  init_weights, the starting weights, is a
@@ -300,12 +283,9 @@ def wpgs_solve(
     result.pixel; it may be init_pixel itself.  out None allocates the buffer
     once per solve.
     """
-    inten = _target_intensity(prop, target_intensity)
-    phase = np.asarray(target_phase, dtype=float)
-    if phase.shape != inten.shape:
-        raise ValueError(f"target phase must have length {len(inten)}")
-    if not np.isfinite(phase).all():
-        raise ValueError("target phases must be finite")
+    n = prop.trap_count
+    inten = per_trap_array("target_intensity", target_intensity, n, positive=True)
+    phase = per_trap_array("target_phase", target_phase, n)
     e_tar = np.sqrt(inten) * np.exp(1j * phase)
     return _solve(prop, np.abs(e_tar), e_tar, settings, init_pixel, init_weights, out)
 
@@ -326,5 +306,5 @@ def wgs_solve(
     matching residual evaluated against that iteration's phase-adapted target.
     init_pixel, init_weights and out are as for wpgs_solve.
     """
-    inten = _target_intensity(prop, target_intensity)
+    inten = per_trap_array("target_intensity", target_intensity, prop.trap_count, positive=True)
     return _solve(prop, np.sqrt(inten), None, settings, init_pixel, init_weights, out)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import require_int
+from .geometry import per_trap_array, require_int
 # forward stays bound here for perfbench/tracing.py, which rebinds it on this module
 from .propagation import (  # noqa: F401
     PhaseMask,
@@ -70,9 +70,7 @@ class RefreshModel:
     order: str = "leading"
 
     def __post_init__(self):
-        require_int("samples_per_refresh", self.samples_per_refresh)
-        if self.samples_per_refresh < 2:
-            raise ValueError("samples_per_refresh must be >= 2")
+        require_int("samples_per_refresh", self.samples_per_refresh, 2)
         if self.order not in TRANSIENT_ORDERS:
             raise ValueError(f"order must be one of {TRANSIENT_ORDERS}, not {self.order!r}")
 
@@ -89,15 +87,6 @@ def pixel_interpolate(mask_l: PhaseMask, mask_l1: PhaseMask, a: float) -> PhaseM
         raise ValueError("a must lie in [0, 1]")
     dphi = wrap_phase(mask_l1.phases - mask_l.phases)
     return PhaseMask(mask_l.phases + (1.0 - a) * dphi)
-
-
-def _check_endpoints(prop: SeparablePropagator, field_l, field_l1) -> int:
-    """Refuse endpoint fields that are not (N,) for prop's N traps; returns N."""
-    n = prop.trap_count
-    for name, end in (("field_l", field_l), ("field_l1", field_l1)):
-        if np.shape(end) != (n,):
-            raise ValueError(f"{name} must have shape ({n},), not {np.shape(end)}")
-    return n
 
 
 def transient_exact(
@@ -117,16 +106,18 @@ def transient_exact(
     field_l is its (N,) field at prop's traps and field_l1 the (N,) field of
     mask_l1's phasor there: the a = 1 and a = 0 rows as given.  The rows
     between are the forwards of pixel_l * Q**k, computed in pixel_l's buffer,
-    which is overwritten.
+    which is overwritten: a read-only pixel_l is refused before any work.
     """
     if np.shape(pixel_l) != mask_l1.shape:
         raise ValueError(f"pixel_l shape {np.shape(pixel_l)} != mask shape {mask_l1.shape}")
     if not np.iscomplexobj(pixel_l):
         raise ValueError("pixel_l must be a complex unit pixel phasor, not phases")
-    n = _check_endpoints(prop, field_l, field_l1)
-    require_int("samples", samples)
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, not {samples!r}")
+    if not (isinstance(pixel_l, np.ndarray) and pixel_l.flags.writeable):
+        raise ValueError(f"pixel_l must be a writeable complex {mask_l1.shape} array")
+    n = prop.trap_count
+    field_l = per_trap_array("field_l", field_l, n, dtype=complex)
+    field_l1 = per_trap_array("field_l1", field_l1, n, dtype=complex)
+    require_int("samples", samples, 2)
     fields = np.empty((samples, n), dtype=complex)
     fields[0] = field_l
     fields[-1] = field_l1
@@ -197,6 +188,7 @@ def sample_refresh(
             prop, pixel_l, mask_l1, field_l, field_l1, model.samples_per_refresh
         )
     else:
-        _check_endpoints(prop, field_l, field_l1)
+        field_l = per_trap_array("field_l", field_l, prop.trap_count, dtype=complex)
+        field_l1 = per_trap_array("field_l1", field_l1, prop.trap_count, dtype=complex)
         fields = transient_leading(field_l, field_l1, model.a_grid())
     return np.abs(fields) ** 2 / np.abs(field_l) ** 2

@@ -1,8 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from holoseq import solvers, transient
+from holoseq.config import RunOptions
 from holoseq.geometry import (
     LatticeSpec,
     OpticalConfig,
@@ -17,6 +20,10 @@ from holoseq.geometry import (
     reconfig_2d_task,
     reconfig_3d_task,
 )
+from holoseq.planner import Assignment, TransportPlan, discretize
+from holoseq.propagation import PhaseMask, adjoint_phase, build_separable
+from holoseq.solvers import SolverSettings, wgs_solve, wpgs_solve
+from holoseq.transient import RefreshModel, sample_refresh, transient_exact
 
 
 class TestOpticalConfig:
@@ -65,6 +72,14 @@ class TestBuildLattice:
         with pytest.raises(ValueError, match="lattice dims must be an integer"):
             build_lattice(dims, 5e-6)
 
+    @pytest.mark.parametrize(
+        "dims, center", [((2, 2, 2), (0.0, 0.0)), ((2, 2), (1.0,))], ids=["dims", "center"]
+    )
+    def test_dims_and_center_are_pairs(self, dims, center):
+        # LatticeSpec's check, not Python's unpack error
+        with pytest.raises(ValueError, match="lattice dims and center must be pairs"):
+            build_lattice(dims, 5e-6, center=center)
+
     def test_row_major_order(self):
         layout = build_lattice((2, 2), 1e-6)
         # index 1 advances x before y
@@ -87,6 +102,11 @@ class TestTrapTypes:
         for xyz in ([(0, 0)], [(0, 0, 0), (1, 0, 0)], [0, 0, 0], [[(0, 0, 0)]]):
             with pytest.raises(ValueError, match="shape"):
                 TrapLayout(("a",), xyz)
+
+    def test_string_ids_refused(self):
+        # tuple("abc") would name three traps 'a', 'b' and 'c'
+        with pytest.raises(ValueError, match="not the string 'abc'"):
+            TrapLayout("abc", np.zeros((3, 3)))
 
     def test_empty_layout(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -363,3 +383,118 @@ class TestInstantiate:
         src, tgt, _ = instantiate_task(reconfig_2d_task(seed=3))
         assert len(src) >= 1024
         assert len(tgt) == 1024
+
+
+# Every record and entry point that applies one of geometry's shared input
+# rules (require_int, require_positive, per_trap_array) or a fraction check,
+# with the field its error must name and the bad values it must refuse.
+_BAD = {"bool": True, "false": False, "inf": float("inf"), "nan": float("nan"), "0": 0, "-1": -1}
+_LENGTH = ("bool", "inf", "nan", "0", "-1")
+_COUNT = ("bool", "inf", "nan", "0", "-1")
+_COUNT_FROM_0 = ("bool", "inf", "nan", "-1")
+_POSITIVE_TRAPS = ("inf", "nan", "0", "-1", "shape")
+_FINITE_TRAPS = ("inf", "nan", "shape")
+
+_PROP = build_separable(OpticalConfig(820e-9, 4e-3, 16, 16, 17e-6), build_lattice((2, 2), 5e-6))
+_ENDS = np.ones(4, dtype=complex)
+_MASK = PhaseMask(np.zeros((16, 16)))
+_SETTINGS = SolverSettings(iterations=2, wgs_iterations=2)
+
+
+def _plan(**changes):
+    return TransportPlan(**{
+        "frames": 1, "waypoints": np.zeros((4, 2, 3)), "trap_ids": ("t0", "t1", "t2", "t3"),
+        "source_ids": ("s0", "s1", "s2", "s3"), "max_step": 1e-6,
+        "target_intensity": np.ones(4), **changes,
+    })
+
+
+def _exact(field_l=_ENDS, field_l1=_ENDS, samples=5):
+    pixel = np.ones((16, 16), dtype=complex)
+    return transient_exact(_PROP, pixel, _MASK, field_l, field_l1, samples)
+
+
+_RULES = [
+    # (entry point, field, make(value), refused values); per-trap makers take an array
+    ("OpticalConfig", "wavelength", lambda v: OpticalConfig(v, 4e-3, 8, 8, 17e-6), _LENGTH),
+    ("OpticalConfig", "focal_length", lambda v: OpticalConfig(820e-9, v, 8, 8, 17e-6), _LENGTH),
+    ("OpticalConfig", "pixel_pitch", lambda v: OpticalConfig(820e-9, 4e-3, 8, 8, v), _LENGTH),
+    ("OpticalConfig", "grid_x", lambda v: OpticalConfig(820e-9, 4e-3, v, 8, 17e-6), _COUNT),
+    ("OpticalConfig", "grid_y", lambda v: OpticalConfig(820e-9, 4e-3, 8, v, 17e-6), _COUNT),
+    ("LatticeSpec", "lattice spacing", lambda v: LatticeSpec(dims=(2, 2), spacing=v), _LENGTH),
+    ("LatticeSpec", "lattice dims", lambda v: LatticeSpec(dims=(v, 3), spacing=5e-6), _COUNT),
+    ("LatticeSpec", "filling", lambda v: LatticeSpec(dims=(2, 2), spacing=5e-6, filling=v),
+     ("bool", "false", "inf", "nan", "0", "-1")),
+    ("build_lattice", "lattice spacing", lambda v: build_lattice((2, 2), v), _LENGTH),
+    ("build_lattice", "lattice dims", lambda v: build_lattice((2, v), 5e-6), _COUNT),
+    ("TaskSpec", "layer_intensity", lambda v: TaskSpec(
+        kind="reconfig_2d", source_layers=(_LAYER,), target_layers=(_LAYER,),
+        layer_intensity=(v,),
+    ), _LENGTH),
+    ("TaskSpec", "custom_intensity",
+     lambda v: custom_task([(0, 0, 0)], [(0, 0, 0)], intensities=[v]), _LENGTH),
+    ("TaskSpec", "max_step", lambda v: replace(minimal_3x3_task(), max_step=v), _LENGTH),
+    ("TaskSpec", "displacement", lambda v: minimal_3x3_task(displacement=v),
+     ("bool", "inf", "nan", "-1")),
+    ("TaskSpec", "seed", lambda v: replace(minimal_3x3_task(), seed=v), _COUNT_FROM_0),
+    ("SolverSettings", "iterations", lambda v: SolverSettings(iterations=v), _COUNT),
+    ("SolverSettings", "wgs_iterations", lambda v: SolverSettings(wgs_iterations=v), _COUNT),
+    ("SolverSettings", "seed", lambda v: SolverSettings(seed=v), _COUNT_FROM_0),
+    ("SolverSettings", "over_relaxation", lambda v: SolverSettings(over_relaxation=v),
+     ("bool", "false", "inf", "nan", "-1")),
+    ("RefreshModel", "samples_per_refresh", lambda v: RefreshModel(v), _COUNT),
+    ("RunOptions", "max_step", lambda v: RunOptions(max_step=v), _LENGTH),
+    ("TransportPlan", "frames", lambda v: _plan(frames=v), _COUNT_FROM_0),
+    ("TransportPlan", "max_step", lambda v: _plan(max_step=v), _LENGTH),
+    ("TransportPlan", "target_intensity", lambda a: _plan(target_intensity=a), _POSITIVE_TRAPS),
+    ("discretize", "max_step",
+     lambda v: discretize(Assignment(_PROP.layout, _PROP.layout, 0.0), v), _LENGTH),
+    ("wpgs_solve", "target_intensity",
+     lambda a: wpgs_solve(_PROP, a, np.zeros(4), _SETTINGS), _POSITIVE_TRAPS),
+    ("wpgs_solve", "target_phase",
+     lambda a: wpgs_solve(_PROP, np.ones(4), a, _SETTINGS), _FINITE_TRAPS),
+    ("wpgs_solve", "init_weights",
+     lambda a: wpgs_solve(_PROP, np.ones(4), np.zeros(4), _SETTINGS, init_weights=a),
+     _POSITIVE_TRAPS),
+    ("wgs_solve", "target_intensity", lambda a: wgs_solve(_PROP, a, _SETTINGS), _POSITIVE_TRAPS),
+    ("wgs_solve", "init_weights",
+     lambda a: wgs_solve(_PROP, np.ones(4), _SETTINGS, init_weights=a), _POSITIVE_TRAPS),
+    ("adjoint_phase", "b", lambda a: adjoint_phase(_PROP, a), _FINITE_TRAPS),
+    ("transient_exact", "samples", lambda v: _exact(samples=v), _COUNT),
+    ("transient_exact", "field_l", lambda a: _exact(field_l=a), _FINITE_TRAPS),
+    ("transient_exact", "field_l1", lambda a: _exact(field_l1=a), _FINITE_TRAPS),
+    ("sample_refresh", "field_l",
+     lambda a: sample_refresh(_PROP, _MASK, a, _ENDS, RefreshModel(5)), _FINITE_TRAPS),
+    ("sample_refresh", "field_l1",
+     lambda a: sample_refresh(_PROP, _MASK, _ENDS, a, RefreshModel(5)), _FINITE_TRAPS),
+]
+
+
+def _bad_value(refused, label):
+    if "shape" not in refused:  # a scalar field
+        return _BAD[label]
+    # one bad entry among four traps, or three entries for four traps
+    return np.ones(3) if label == "shape" else np.r_[np.ones(3), _BAD[label]]
+
+
+@pytest.mark.parametrize(
+    "entry, name, make, value",
+    [
+        pytest.param(entry, name, make, _bad_value(refused, label), id=f"{entry}.{name}-{label}")
+        for entry, name, make, refused in _RULES
+        for label in refused
+    ],
+)
+def test_bad_input_refused_naming_its_field(monkeypatch, entry, name, make, value):
+    # the solvers and the exact transient refuse it before any forward
+    forwards = []
+
+    def counted(fn):
+        return lambda *args: forwards.append(fn.__name__) or fn(*args)
+
+    for module in (solvers, transient):
+        for name_ in ("forward", "forward_field"):
+            monkeypatch.setattr(module, name_, counted(getattr(module, name_)))
+    with pytest.raises(ValueError, match="^" + re.escape(name) + " must"):
+        make(value)
+    assert forwards == []

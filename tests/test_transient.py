@@ -265,6 +265,16 @@ class TestTransientExact:
             with pytest.raises(ValueError, match="pixel_l must be a complex"):
                 transient_exact(prop, start, m1, e0, e0, 5)
 
+    def test_read_only_start_refused(self, prop, rng):
+        # refused before the phase step's arctan2 and exp, not by numpy's
+        # "output array is read-only" at the first sample
+        m0, m1 = random_masks(rng)
+        e0 = forward(prop, m0)
+        pixel = np.exp(1j * m0.phases)
+        pixel.setflags(write=False)
+        with pytest.raises(ValueError, match=r"pixel_l must be a writeable complex \(64, 64\)"):
+            transient_exact(prop, pixel, m1, e0, e0, 5)
+
     @pytest.mark.parametrize("end", [0, 1])
     @pytest.mark.parametrize(
         "bad", [1.0 + 0j, np.ones(8, dtype=complex), np.ones((1, 9), dtype=complex)],
